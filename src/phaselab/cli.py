@@ -135,9 +135,9 @@ def _cmd_run(args) -> int:
             _write_csv(args.out, RUN_FIELDS, rows)
         else:
             _write_json_rows(args.out, RUN_FIELDS, rows)
-    parity = "odd" if len(crossings) % 2 else "even"
+    parity = "odd" if crossings.size % 2 else "even"
     print(f"final total phase: {_cell(final.total_principal)}")
-    print(f"crossings: {len(crossings)} ({parity})")
+    print(f"crossings: {crossings.size} ({parity})")
     return 0
 
 
@@ -167,6 +167,8 @@ def _parse_range(spec: str, name: str) -> np.ndarray:
         raise ValidationError(
             f"malformed {name} range {spec!r}; expected a:b:n"
         ) from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"{name} range {spec!r} has a non-finite end")
     if n < 1:
         raise ValidationError(f"{name} range count must be >= 1")
     return np.linspace(a, b, n)
@@ -213,6 +215,20 @@ def _cmd_readout(args) -> int:
     return 0
 
 
+def _steps(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {n}")
+    return n
+
+
+_EXACT_STEPS_HELP = ("samples per segment; accepted for compatibility and "
+                     "ignored, since the decomposition is exact")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="phaselab",
@@ -223,15 +239,16 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="emit the phase/geometry time series")
     run.add_argument("schedule_file")
-    run.add_argument("--steps", type=int, default=DEFAULT_SAMPLES,
-                     help="samples per segment (default 2000)")
+    run.add_argument("--steps", type=_steps, default=DEFAULT_SAMPLES,
+                     help="samples per segment, at least 2 (default 2000)")
     run.add_argument("--out", help="write the series to this file")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.set_defaults(func=_cmd_run)
 
     br = sub.add_parser("breakdown", help="print the phase decomposition as JSON")
     br.add_argument("schedule_file")
-    br.add_argument("--steps", type=int, default=DEFAULT_SAMPLES)
+    br.add_argument("--steps", type=_steps, default=DEFAULT_SAMPLES,
+                    help=_EXACT_STEPS_HELP)
     br.set_defaults(func=_cmd_breakdown)
 
     sw = sub.add_parser("sweep", help="fixed-axis grid sweep over (lambda0, theta)")
@@ -239,7 +256,8 @@ def _build_parser() -> _Parser:
     sw.add_argument("--theta", required=True, metavar="A:B:M")
     sw.add_argument("--axis", choices=("x", "y", "z"), default="z")
     sw.add_argument("--turns", type=int, default=1)
-    sw.add_argument("--steps", type=int, default=DEFAULT_SAMPLES)
+    sw.add_argument("--steps", type=_steps, default=DEFAULT_SAMPLES,
+                    help=_EXACT_STEPS_HELP)
     sw.add_argument("--out", required=True)
     sw.set_defaults(func=_cmd_sweep)
 
@@ -258,10 +276,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotCyclic as exc:

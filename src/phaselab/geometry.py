@@ -13,12 +13,16 @@ All Bloch components are Pauli expectation values (<sx>, <sy>, <sz>).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotSpecialUnitary
-from .schedule import RotationSchedule, cumulative_unitaries, unitary_at
+from .qstate import pauli_dot
+from .schedule import RotationSchedule, _boundaries, cumulative_unitaries
 
 __all__ = [
     "bloch_of_pure",
@@ -34,6 +38,9 @@ __all__ = [
     "su2_to_so3",
     "so3_path",
 ]
+
+#: Largest overlap magnitude counted as a zero (an orthogonality crossing).
+CROSSING_EPS = 1e-6
 
 
 def bloch_of_pure(q) -> np.ndarray:
@@ -195,10 +202,10 @@ def su2_to_so3(u) -> SO3Point:
 @dataclass(frozen=True)
 class SO3Path:
     """Sampled ball trajectory: ``(time, point, cos_half_angle)`` triples
-    plus the refined transversal border-crossing times."""
+    plus the exact transversal border-crossing times."""
 
     samples: tuple
-    crossings: tuple
+    crossings: Sequence
 
 
 def trace_half(u) -> float:
@@ -206,55 +213,98 @@ def trace_half(u) -> float:
     return float((u[0, 0] + u[1, 1]).real) / 2.0
 
 
-def transversal_zero_times(times, values, f, zero_tol=1e-12, time_tol=1e-10):
-    """Times where a sampled real function changes sign transversally.
+class ZeroTimes(Sequence):
+    """Zero times held as runs ``start_k + tau + 2 pi m``, ``m < count``,
+    so that a segment of many turns costs O(1) however many zeros it has.
 
-    Samples with ``|value| <= zero_tol`` are treated as exact zeros; a zero
-    run counts as one crossing only when the flanking signs differ, so a
-    tangential touch is not a crossing. Each crossing is refined by
-    bisection of ``f`` to ``time_tol``.
+    ``runs`` holds ``(k, tau, count)`` with ``k`` the segment index and
+    ``starts`` the segment start times; ``size`` is the number of zeros,
+    also past ``sys.maxsize`` where ``len`` overflows. Takes integer
+    indices and compares equal to any sequence of the same floats.
     """
-    out = []
-    prev = None  # index of the last sample with |value| > zero_tol
-    for i, v in enumerate(values):
-        if abs(v) <= zero_tol:
-            continue
-        if prev is not None and (values[prev] > 0.0) != (v > 0.0):
-            out.append(_bisect_zero(f, times[prev], times[i], values[prev], time_tol))
-        prev = i
-    return out
+
+    def __init__(self, starts, runs):
+        self.starts = starts
+        self.runs = runs
+        self._ends = list(accumulate(n for _, _, n in runs))
+        self.size = self._ends[-1] if runs else 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> float:
+        j = range(self.size)[i]  # bounds and negative indices
+        r = bisect_right(self._ends, j)
+        k, tau, n = self.runs[r]
+        return self.starts[k] + (tau + 2.0 * math.pi * (j - self._ends[r] + n))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _bisect_zero(f, a, b, fa, time_tol):
-    while (b - a) > time_tol:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def overlap_zero_times(schedule: RotationSchedule, rho, bounds=None) -> ZeroTimes:
+    """Times in (0, T) where ``Tr(U(t) rho)`` passes through zero, exact
+    and in one pass over the segments; ``bounds`` takes a
+    ``_boundaries(schedule)`` already built.
+
+    On segment k, ``U(t_k + tau) = exp(-i tau (n_k . sigma) / 2) B_k``, so
+    the overlap is ``z(tau) = a cos(tau/2) + b sin(tau/2)`` with
+    ``a = Tr(B_k rho)`` and ``b = -i Tr((n_k . sigma) B_k rho)``, and
+    ``|z|^2 = P + R cos(tau - phi)`` has its minima, all of depth
+    ``P - R``, at ``tau = phi + pi + 2 pi m``. Interior minima with
+    ``|z| <= CROSSING_EPS`` are crossings, counted by arithmetic rather
+    than one by one. A zero at a junction counts once: as a crossing when
+    the one-sided slopes agree, ``Re(z'_L conj z'_R) > 0``, else as a
+    tangential touch. Segments on which ``z`` vanishes throughout join
+    their junctions into one zero, judged by the slopes on entering and
+    on leaving it. A zero at the schedule's end is not a crossing. With
+    ``rho = I/2`` the overlap is ``Re(Tr U)/2``, whose zeros are the
+    rotation-ball border crossings.
+    """
+    times, prods = bounds or _boundaries(schedule)
+    segs = schedule.segments
+    zs = [complex(np.trace(u @ rho)) for u in prods]
+    at_zero = [abs(z) <= CROSSING_EPS for z in zs]
+    runs = []
+    entered = None  # (segment, slope factor) where the current zero began
+    for k, seg in enumerate(segs):
+        m = prods[k] @ rho
+        c = complex(np.trace(pauli_dot(seg.axis) @ m))  # z'(0) = -i c / 2
+        if k and at_zero[k] and entered is None:
+            entered = (k, complex(np.trace(pauli_dot(segs[k - 1].axis) @ m)))
+        if entered is not None:
+            if abs(c) <= CROSSING_EPS:
+                continue  # z vanishes on this whole segment
+            if (entered[1] * c.conjugate()).real > 0.0:
+                runs.append((entered[0], 0.0, 1))
+            entered = None
+        a, b = zs[k], -1j * c
+        tau = math.atan2((a * b.conjugate()).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2))
+        tau += math.pi  # the first minimum, in (0, 2 pi]
+        z = a * math.cos(0.5 * tau) + b * math.sin(0.5 * tau)
+        if tau >= seg.duration or abs(z) > CROSSING_EPS:
+            continue  # every minimum has the same |z|
+        # zeros are 2 pi apart: a minimum within pi of a zero junction is
+        # that junction's zero
+        last = math.ceil((seg.duration - tau) / (2.0 * math.pi)) - 1
+        lo = int(at_zero[k] and tau < math.pi)
+        hi = last - int(at_zero[k + 1] and tau + 2.0 * math.pi * last > seg.duration - math.pi)
+        if hi >= lo:
+            runs.append((k, tau + 2.0 * math.pi * lo, hi - lo + 1))
+    return ZeroTimes(times, runs)
 
 
 def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     """Project a schedule's cumulative unitaries into the rotation ball.
 
     A border crossing is a transversal sign change of
-    ``cos_half_angle = Re(Tr U)/2``; crossing times are bisection-refined
-    to 1e-10. A tangential touch of the border counts as zero crossings.
+    ``cos_half_angle = Re(Tr U)/2``, the overlap with ``rho = I/2``; the
+    crossing times come from :func:`overlap_zero_times`. A tangential
+    touch of the border counts as zero crossings.
     """
     pairs = cumulative_unitaries(schedule, samples_per_segment)
-    samples = []
-    times = []
-    ws = []
-    for t, u in pairs:
-        w = trace_half(u)
-        samples.append((t, su2_to_so3(u), w))
-        times.append(t)
-        ws.append(w)
-    crossings = transversal_zero_times(
-        times, ws, lambda t: trace_half(unitary_at(schedule, t))
-    )
-    return SO3Path(tuple(samples), tuple(crossings))
+    samples = [(t, su2_to_so3(u), trace_half(u)) for t, u in pairs]
+    crossings = overlap_zero_times(schedule, np.eye(2) / 2.0)
+    return SO3Path(tuple(samples), crossings)

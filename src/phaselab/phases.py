@@ -24,16 +24,21 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep
 from .geometry import (
+    CROSSING_EPS,
     SO3Point,
-    ball_radius,
     bloch_of_density,
-    bloch_of_pure,
+    overlap_zero_times,
     purify,
     su2_to_so3,
-    transversal_zero_times,
 )
-from .qstate import apply_local, evolution_operator, inner_product, reduced_density
-from .schedule import RotationSchedule, _unitary_samples, total_duration, unitary_at
+from .qstate import inner_product, pauli_dot, reduced_density
+from .schedule import (
+    RotationSchedule,
+    _boundaries,
+    _unitary_samples,
+    total_duration,
+    unitary_at,
+)
 
 __all__ = [
     "ORTHOGONALITY_EPS",
@@ -58,7 +63,7 @@ __all__ = [
 ]
 
 ORTHOGONALITY_EPS = 1e-9
-CROSSING_EPS = 1e-6
+#: Samples per segment of the sampled time series (``phase_samples``).
 DEFAULT_SAMPLES = 2000
 
 #: The one dynamical-phase convention used everywhere: phi_d = -int <H> dt.
@@ -78,8 +83,8 @@ def _arg(z: complex) -> float:
     return p + _TWO_PI if p <= -math.pi else p
 
 
-def _mod2pi_distance(x: float) -> float:
-    return abs(principal(x))
+def _evolved_density(s0, schedule: RotationSchedule) -> np.ndarray:
+    return reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,8 @@ class PhaseBreakdown:
     """Phase decomposition of one cyclic run; angles in (-pi, pi] radians.
 
     ``closure_residual`` is the mod-2pi distance of
-    ``total - dynamical - geometric`` from zero. For degenerate runs
+    ``total - dynamical - geometric`` from zero; the exact geometric
+    form closes by construction, so it reads rounding. For degenerate runs
     (maximally entangled input, where the geometric phase is reported as
     the flagged value 0) it is NaN.
     """
@@ -149,21 +155,35 @@ def sp_formula(t: float, axis, bloch) -> complex:
     return complex(math.cos(t / 2.0), -nb * math.sin(t / 2.0))
 
 
-def dynamical_phase(s0, schedule: RotationSchedule) -> float:
-    """``-sum_k <H_k> dt_k``, exact per segment.
+def _dynamical_rates(schedule: RotationSchedule, prods, rho) -> list[float]:
+    """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with ``b_k``
+    the Bloch vector of ``B_k rho B_k^+`` at the start of segment k.
 
     Each segment's generator commutes with its own evolution, so its
-    expectation is constant within the segment and the integral reduces
-    to ``-(1/2) (axis . bloch at segment start) * duration`` per segment.
+    expectation is constant within the segment; segment k contributes
+    ``rate_k * d_k`` to the dynamical phase. ``n_k . b_k`` is evaluated
+    in the Heisenberg picture as ``b_0 . h_k / 2`` with ``h_k`` the Pauli
+    components of ``B_k^+ (n_k . sigma) B_k``, so a maximally mixed
+    reduced state (``b_0 = 0``) has rates of exactly 0.
     """
-    psi = np.asarray(s0, dtype=complex)
-    q = schedule.evolved_qubit
-    acc = 0.0
-    for seg in schedule.segments:
-        b = bloch_of_density(reduced_density(psi, q))
-        acc += DYNAMICAL_SIGN * 0.5 * float(np.dot(seg.axis, b)) * seg.duration
-        psi = apply_local(evolution_operator(seg.axis, seg.duration), q, psi)
-    return acc
+    b0 = bloch_of_density(rho)
+    return [
+        DYNAMICAL_SIGN * 0.25
+        * float(np.dot(b0, bloch_of_density(u.conj().T @ pauli_dot(seg.axis) @ u)))
+        for seg, u in zip(schedule.segments, prods)
+    ]
+
+
+def _dynamical(schedule: RotationSchedule, prods, rho) -> float:
+    rates = _dynamical_rates(schedule, prods, rho)
+    return sum(r * seg.duration for r, seg in zip(rates, schedule.segments))
+
+
+def dynamical_phase(s0, schedule: RotationSchedule) -> float:
+    """``-sum_k <H_k> dt_k``, exact per segment: ``-(1/2) (axis . bloch at
+    segment start) * duration`` summed over the segments."""
+    _, prods = _boundaries(schedule)
+    return _dynamical(schedule, prods, _evolved_density(s0, schedule))
 
 
 def _leg_args(path: np.ndarray, closed: bool) -> np.ndarray:
@@ -192,117 +212,60 @@ def geometric_phase_pure(path, closed: bool = True) -> float:
     return principal(-float(np.sum(_leg_args(arr, closed))))
 
 
+def _geometric(final, rho, dyn: float) -> float:
+    """``principal(sum_i w_i a_i - dyn)``: the dynamical phase is linear in
+    the density matrix, so the eigenstates' own ``w_i dyn_i`` sum to
+    ``dyn``, the mixed state's."""
+    pur = purify(rho)
+    # one shared reference, so that at U_T = -I both eigenstate args land
+    # on the same side of the +-pi cut as the mixed total phase
+    tot = _arg(complex(np.trace(final @ rho)))
+    weighted = 0.0
+    for weight, vec in ((pur.weight_m, pur.state_m), (pur.weight_n, pur.state_n)):
+        z = complex(np.vdot(vec, final @ vec))
+        if abs(z) <= ORTHOGONALITY_EPS:
+            raise OrthogonalStep("an eigenstate ends orthogonal to its start")
+        weighted += weight * (tot + principal(_arg(z) - tot))
+    return principal(weighted - dyn)
+
+
 def geometric_phase_mixed(
     s0, schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES
 ) -> float:
     """Weighted sum of the two purified eigenstate geometric phases along
-    the schedule, reported in (-pi, pi].
+    the schedule, reported in (-pi, pi]; exact and O(segments).
 
-    The eigenstates of the evolved qubit's initial reduced density matrix
-    are transported by the cumulative unitaries and each one's
-    overlap-product phase is computed. A bare overlap product is only
-    defined mod 2pi, which is not enough for a weighted sum, so each
-    eigenstate's phase is branch-aligned to equal that state's total
-    phase minus its dynamical phase as a real number; the branch integer
-    never affects the reported value mod 2pi but makes the weighting well
-    defined. Raises DegenerateSpectrum for a maximally entangled input
-    (no eigenvalue gap).
+    Each eigenstate ``v_i`` of the evolved qubit's initial reduced density
+    matrix contributes its Pancharatnam open-path phase
+    ``arg <v_i|B_n|v_i> - dyn_i``, the limit of the overlap-product phase
+    of its transported path as the mesh refines, with ``dyn_i`` its exact
+    dynamical phase. A bare ``arg`` is only defined mod 2pi, which is not
+    enough for a weighted sum, so both eigenstate args are taken on the
+    branch nearest the mixed total phase ``arg Tr(B_n rho)``.
+    ``samples_per_segment`` is accepted for compatibility and ignored.
+    Raises DegenerateSpectrum for a maximally entangled input (no
+    eigenvalue gap) and OrthogonalStep when an eigenstate ends orthogonal
+    to its start.
     """
-    psi = np.asarray(s0, dtype=complex)
-    pur = purify(reduced_density(psi, schedule.evolved_qubit))
-    if not schedule.segments:
-        return 0.0
-    _, units, _ = _unitary_samples(schedule, samples_per_segment)
-    starts = [k * (samples_per_segment - 1) for k in range(len(schedule.segments))]
-    weighted = 0.0
-    for weight, vec in ((pur.weight_m, pur.state_m), (pur.weight_n, pur.state_n)):
-        path = units @ vec
-        barg = -float(np.sum(_leg_args(path, closed=True)))
-        dyn = 0.0
-        for k, seg in enumerate(schedule.segments):
-            b = bloch_of_pure(path[starts[k]])
-            dyn += DYNAMICAL_SIGN * 0.5 * float(np.dot(seg.axis, b)) * seg.duration
-        tot = _arg(complex(np.vdot(vec, path[-1])))
-        branch = barg + _TWO_PI * round((tot - dyn - barg) / _TWO_PI)
-        weighted += weight * branch
-    return principal(weighted)
+    _, prods = _boundaries(schedule)
+    rho = _evolved_density(s0, schedule)
+    return _geometric(prods[-1], rho, _dynamical(schedule, prods, rho))
 
 
 def overlap_at(s0, schedule: RotationSchedule, t: float) -> complex:
     """``<s0| U(t) |s0>`` (the unitary acting on the evolved qubit) at an
     arbitrary schedule time, evaluated as ``Tr[U(t) rho_evolved]``."""
-    rho = reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
-    return complex(np.trace(unitary_at(schedule, t) @ rho))
-
-
-def _overlap_series(s0, schedule, samples_per_segment):
-    psi = np.asarray(s0, dtype=complex)
-    rho = reduced_density(psi, schedule.evolved_qubit)
-    times, units, axes = _unitary_samples(schedule, samples_per_segment)
-    sps = np.einsum("kij,ji->k", units, rho)
-    return times, sps, units, axes, rho
-
-
-def _ternary_min(f, a, b, tol=1e-10):
-    while (b - a) > tol:
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if f(m1) <= f(m2):
-            b = m2
-        else:
-            a = m1
-    return 0.5 * (a + b)
-
-
-def _crossing_times(s0, schedule, samples_per_segment):
-    """Times where the initial-state overlap passes through zero.
-
-    For (numerically) maximally entangled input the overlap equals half
-    the cumulative unitary's trace, a real quantity, and zeros are
-    ordinary transversal sign changes. Otherwise zeros are isolated dips
-    of ``|overlap|``: dip candidates are refined by ternary search on the
-    squared magnitude and counted when the refined minimum is below 1e-6
-    with a principal-phase jump of about pi across it. The overlap slope
-    is bounded by 1/2, so a zero can hide at most dt/4 deep between
-    samples; the candidate threshold is widened to the sample spacing.
-    """
-    psi = np.asarray(s0, dtype=complex)
-    times, sps, _, _, _ = _overlap_series(psi, schedule, samples_per_segment)
-    if ball_radius(psi) <= CROSSING_EPS:
-        return transversal_zero_times(
-            times.tolist(),
-            sps.real.tolist(),
-            lambda t: overlap_at(psi, schedule, t).real,
-        )
-    mags = np.abs(sps)
-    candidate_eps = 1e-3
-    if len(times) > 1:
-        candidate_eps = max(candidate_eps, float(np.max(np.diff(times))))
-    mag2 = lambda t: abs(overlap_at(psi, schedule, t)) ** 2
-    found = []
-    for i in range(1, len(mags) - 1):
-        if mags[i] > candidate_eps:
-            continue
-        if not (mags[i] <= mags[i - 1] and mags[i] < mags[i + 1]):
-            continue
-        t_min = _ternary_min(mag2, times[i - 1], times[i + 1])
-        if math.sqrt(mag2(t_min)) > CROSSING_EPS:
-            continue
-        dt = times[i] - times[i - 1]
-        p_lo = _arg(overlap_at(psi, schedule, max(times[0], t_min - dt)))
-        p_hi = _arg(overlap_at(psi, schedule, min(times[-1], t_min + dt)))
-        if abs(_mod2pi_distance(p_hi - p_lo) - math.pi) < 1.0:
-            if not found or t_min - found[-1] > 1e-8:
-                found.append(t_min)
-    return found
+    return complex(np.trace(unitary_at(schedule, t) @ _evolved_density(s0, schedule)))
 
 
 def topological_crossings(
     s0, schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES
 ) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
-    its parity, ``"even"`` or ``"odd"``."""
-    count = len(_crossing_times(s0, schedule, samples_per_segment))
+    its parity, ``"even"`` or ``"odd"``; exact (see
+    :func:`~phaselab.geometry.overlap_zero_times`). ``samples_per_segment``
+    is accepted for compatibility and ignored."""
+    count = overlap_zero_times(schedule, _evolved_density(s0, schedule)).size
     return count, ("odd" if count % 2 else "even")
 
 
@@ -310,28 +273,31 @@ def phase_breakdown(
     s0, schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES
 ) -> PhaseBreakdown:
     """Assemble total, dynamical, geometric phases and crossing data for a
-    cyclic schedule.
+    cyclic schedule, exactly and in O(segments) from the boundary products;
+    ``samples_per_segment`` is accepted for compatibility and ignored.
 
     Raises NotCyclic when the evolution does not return the initial ray
     (final overlap magnitude differs from 1 by more than 1e-6). For a
     maximally entangled input the geometric phase is reported as 0 with
     ``degenerate=True`` and a NaN closure residual.
     """
-    psi = np.asarray(s0, dtype=complex)
-    v = overlap_at(psi, schedule, total_duration(schedule))
+    rho = _evolved_density(s0, schedule)
+    times, prods = _boundaries(schedule)
+    v = complex(np.trace(prods[-1] @ rho))
     if abs(abs(v) - 1.0) > 1e-6:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = _arg(v)
-    dyn = dynamical_phase(psi, schedule)
+    dyn = _dynamical(schedule, prods, rho)
     try:
-        geo = geometric_phase_mixed(psi, schedule, samples_per_segment)
+        geo = _geometric(prods[-1], rho, dyn)
         degenerate = False
-        residual = _mod2pi_distance(total - dyn - geo)
+        residual = abs(principal(total - dyn - geo))
     except DegenerateSpectrum:
         geo = 0.0
         degenerate = True
         residual = math.nan
-    count, parity = topological_crossings(psi, schedule, samples_per_segment)
+    count = overlap_zero_times(schedule, rho, (times, prods)).size
+    parity = "odd" if count % 2 else "even"
     return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
 
 
@@ -389,11 +355,14 @@ def phase_samples(
 
     Returns ``(samples, crossing_flags, crossing_times)`` where samples is
     a list of PhaseSample, crossing_flags marks the first sample at or
-    after each refined crossing time, and crossing_times are the refined
-    zero times of the initial-state overlap.
+    after each crossing time, and crossing_times are the exact zero times
+    of the initial-state overlap (the ones ``topological_crossings``
+    counts), as a :class:`~phaselab.geometry.ZeroTimes` sequence.
     """
-    psi = np.asarray(s0, dtype=complex)
-    times, sps, units, _, rho = _overlap_series(psi, schedule, samples_per_segment)
+    rho = _evolved_density(s0, schedule)
+    bounds = _boundaries(schedule)
+    times, units = _unitary_samples(schedule, samples_per_segment, bounds)
+    sps = np.einsum("kij,ji->k", units, rho)
     # evolved-qubit reduced state transported sample by sample: U rho U+
     rhot = np.einsum("kij,jl,kml->kim", units, rho, units.conj())
     blochs = np.stack(
@@ -410,18 +379,23 @@ def phase_samples(
     dyn_vals = np.zeros(len(times))
     acc = 0.0
     spp = samples_per_segment
-    for k, seg in enumerate(schedule.segments):
+    for k, rate in enumerate(_dynamical_rates(schedule, bounds[1], rho)):
         i0 = k * (spp - 1)
-        rate = DYNAMICAL_SIGN * 0.5 * float(np.dot(seg.axis, blochs[i0]))
         sl = slice(i0 + 1, i0 + spp)
         dyn_vals[sl] = acc + rate * (times[sl] - times[i0])
         acc = float(dyn_vals[i0 + spp - 1])
     so3s = [su2_to_so3(u) for u in units]
-    crossing_times = _crossing_times(psi, schedule, samples_per_segment)
-    flags = [0] * len(times)
-    for ct in crossing_times:
-        idx = int(np.searchsorted(times, ct))
-        flags[min(idx, len(times) - 1)] = 1
+    crossing_times = overlap_zero_times(schedule, rho, bounds)
+    flags = np.zeros(len(times), dtype=int)
+    for k, tau, n in crossing_times.runs:
+        # every sample with a zero since the one before it is some zero's
+        # first sample at or after; the zeros next to each sample of the
+        # segment reach them all, however many turns it makes
+        seg_t = times[k * (spp - 1):(k + 1) * (spp - 1) + 1] - bounds[0][k] - tau
+        m = np.floor(seg_t / _TWO_PI)[:, None] + np.array([-1.0, 0.0, 1.0])
+        m = np.unique(np.clip(m, 0.0, float(n - 1)))
+        idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
+        flags[np.minimum(idx, len(times) - 1)] = 1
     samples = [
         PhaseSample(
             float(times[i]),
@@ -434,4 +408,4 @@ def phase_samples(
         )
         for i in range(len(times))
     ]
-    return samples, flags, [float(c) for c in crossing_times]
+    return samples, flags.tolist(), crossing_times

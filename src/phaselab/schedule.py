@@ -14,10 +14,11 @@ case sensitive)::
     segment <nx> <ny> <nz> <duration>
     builtin <plus|minus>
 
-Numbers are decimal with optional scientific notation. ``segment`` axes
-are normalized by the parser; an axis shorter than 1e-3 is rejected.
-Durations are rotation angles in radians and must be positive. The
-``evolve-qubit`` directive defaults to qubit 1 when omitted.
+Numbers are finite decimals with optional scientific notation; ``inf``
+and ``nan`` are rejected. ``segment`` axes are normalized by the parser;
+an axis shorter than 1e-3 is rejected. Durations are rotation angles in
+radians and must be positive. The ``evolve-qubit`` directive defaults to
+qubit 1 when omitted.
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ def builtin_minus() -> list[RotationSegment]:
 
 def _float(token: str, lineno: int) -> float:
     try:
-        return float(token)
+        x = float(token)
     except ValueError:
         raise ParseError(lineno, f"not a number: {token!r}") from None
+    if not math.isfinite(x):
+        raise ParseError(lineno, f"not a finite number: {token!r}")
+    return x
 
 
 def _parse_state(fields, lineno):
@@ -213,20 +217,18 @@ def _boundaries(schedule: RotationSchedule):
     return times, prods
 
 
-def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int):
-    """Sampled times (M,), cumulative unitaries (M, 2, 2) and the segment
-    axis active in each of the M-1 sample intervals.
+def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bounds=None):
+    """Sampled times (M,) and cumulative unitaries (M, 2, 2).
 
     Each segment contributes ``samples_per_segment - 1`` new samples; its
     last one is the exact boundary product, independent of the sampling
-    density.
+    density. ``bounds`` takes a ``_boundaries(schedule)`` already built.
     """
     if samples_per_segment < 2:
         raise DomainError("samples_per_segment must be >= 2")
-    bt, bp = _boundaries(schedule)
+    bt, bp = bounds or _boundaries(schedule)
     times = [0.0]
     units = [bp[0]]
-    axes = []
     eye = np.eye(2, dtype=complex)
     for k, seg in enumerate(schedule.segments):
         delta = seg.duration / (samples_per_segment - 1)
@@ -241,15 +243,13 @@ def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int):
         ts[-1] = bt[k + 1]
         times.extend(ts)
         units.extend(block)
-        axes.extend([seg.axis] * (samples_per_segment - 1))
-    axes_arr = np.array(axes) if axes else np.zeros((0, 3))
-    return np.array(times), np.array(units), axes_arr
+    return np.array(times), np.array(units)
 
 
 def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
     """Strictly increasing ``(time, cumulative unitary)`` samples from 0 to
     the total duration, with exact products at segment boundaries."""
-    times, units, _ = _unitary_samples(schedule, samples_per_segment)
+    times, units = _unitary_samples(schedule, samples_per_segment)
     return [(float(t), u) for t, u in zip(times, units)]
 
 

@@ -1,5 +1,6 @@
 """Shared random generators and brute-force oracles for the test suite."""
 
+import cmath
 import math
 
 import numpy as np
@@ -110,3 +111,52 @@ def dynamical_quadrature(s0, schedule, steps_per_segment=20000) -> float:
             acc -= float(np.trace(h @ rho).real) * dt
         psi = pl.apply_local(pl.evolution_operator(seg.axis, seg.duration), q, psi)
     return acc
+
+
+def sampled_geometric_phase(s0, schedule, steps_per_segment=2000) -> float:
+    """Overlap-product oracle for the mixed geometric phase.
+
+    Each eigenstate of the evolved qubit's reduced density matrix is
+    transported sample by sample and its closed overlap-product phase
+    taken with ``geometric_phase_pure``. The weighted sum needs real
+    numbers, not classes mod 2pi, so each phase is moved onto the branch
+    where it equals the eigenstate's total phase minus its dynamical
+    phase; both come from the samples alone (the total phase on the
+    branch nearest the mixed total ``arg Tr(U_T rho)``, the dynamical one
+    by trapezoid quadrature of ``-<H> dt``, which only has to pick the
+    right branch).
+    """
+    rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
+    pur = pl.purify(rho)
+    pairs = pl.cumulative_unitaries(schedule, steps_per_segment)
+    times = np.array([t for t, _ in pairs])
+    units = np.array([u for _, u in pairs])
+    # the segment axis active on each sample interval
+    ends = np.cumsum([seg.duration for seg in schedule.segments])
+    mids = 0.5 * (times[1:] + times[:-1])
+    axes = np.array([seg.axis for seg in schedule.segments])[np.searchsorted(ends, mids)]
+    tot = cmath.phase(complex(np.trace(units[-1] @ rho)))
+    weighted = 0.0
+    for weight, vec in ((pur.weight_m, pur.state_m), (pur.weight_n, pur.state_n)):
+        path = units @ vec
+        barg = pl.geometric_phase_pure(path, closed=True)
+        cross = path[:, 0].conj() * path[:, 1]
+        b = np.stack([2 * cross.real, 2 * cross.imag,
+                      np.abs(path[:, 0]) ** 2 - np.abs(path[:, 1]) ** 2], axis=1)
+        h = 0.5 * np.einsum("kj,kj->k", axes, 0.5 * (b[1:] + b[:-1]))
+        dyn = -float(np.sum(h * np.diff(times)))
+        end = tot + pl.principal(cmath.phase(complex(np.vdot(vec, path[-1]))) - tot)
+        weighted += weight * (barg + 2 * math.pi * round((end - dyn - barg) / (2 * math.pi)))
+    return pl.principal(weighted)
+
+
+def dense_crossing_count(s0, schedule, steps_per_segment=4000) -> int:
+    """Crossings of the initial-state overlap counted from dense samples:
+    consecutive samples (skipping exact zeros) whose overlaps point more
+    than a right angle apart. A zero passes between them; a near miss
+    needs a minimum below about one step to do the same."""
+    rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
+    units = np.array([u for _, u in pl.cumulative_unitaries(schedule, steps_per_segment)])
+    z = np.einsum("kij,ji->k", units, rho)
+    z = z[np.abs(z) > 1e-12]
+    return int(np.sum((z[:-1] * z[1:].conj()).real < 0.0))

@@ -65,6 +65,16 @@ class TestRun:
         assert "final total phase" in captured.out
         assert "crossings: 1 (odd)" in captured.out
 
+    def test_segment_of_1e17_radians(self, tmp_path, capsys):
+        # about 1.6e16 zeros, counted per segment rather than one by one
+        sched = write(tmp_path, "long.sched", "phaselab-schedule v1\n"
+                      "state schmidt 1 1.5707963267948966\nsegment 0 0 1 1e17\n")
+        out = tmp_path / "series.csv"
+        assert main(["run", sched, "--steps", "50", "--out", str(out)]) == 0
+        count = int(capsys.readouterr().out.split("crossings: ")[1].split()[0])
+        assert abs(count - 1e17 / (2 * math.pi)) <= 1.0
+        assert [line[-1] for line in out.read_text().splitlines()[1:]] == ["0"] + ["1"] * 49
+
     def test_nan_serialized_in_csv(self, tmp_path):
         sched = write(tmp_path, "m.sched", MES_MINUS)
         out = tmp_path / "series.csv"
@@ -212,6 +222,36 @@ class TestSweep:
         assert main(["sweep", "--lambda0", "0:2:3", "--theta", "0:1:2",
                      "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    def test_readme_grid_three_turns_closes(self, tmp_path, axis):
+        # U_T = -I on every row; the decomposition must still close. The
+        # exact form closes by construction up to rounding, so this guards
+        # the branch choice; the sampled-oracle test in test_phases guards
+        # the geometric value itself
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--lambda0", "0:1:11", "--theta",
+                     "0:3.141592653589793:9", "--axis", axis, "--turns", "3",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 99
+        for row in rows:
+            if float(row[0]) != 0.5:
+                assert float(row[6]) <= 1e-12, row
+
+    def test_many_turns_count_every_turn(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--lambda0", "0.2:0.2:1", "--theta",
+                     "1.5707963267948966:1.5707963267948966:1", "--axis", "z",
+                     "--turns", "100000000", "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[5] == "100000000"
+
+    def test_non_finite_range_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--lambda0", "0:1:2", "--theta", "0:inf:2",
+                     "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--lambda0", "0.2:0.8:2", "--theta", "0:2:2", "--steps", "300"]
@@ -252,6 +292,31 @@ class TestExitCodes:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.sched")]) == 2
+
+    @pytest.mark.parametrize("body,token", [
+        ("state schmidt 0.3 0.0\nsegment 0 0 1 inf\n", "inf"),
+        ("state schmidt 0.3 0.0\nsegment nan 0 1 1.0\n", "nan"),
+        ("state schmidt 0.3 nan\n", "nan"),
+    ])
+    def test_non_finite_number_exit_2_names_line(self, tmp_path, capsys, body, token):
+        sched = write(tmp_path, "nf.sched", "phaselab-schedule v1\n" + body)
+        assert main(["breakdown", sched]) == 2
+        err = capsys.readouterr().err
+        assert f"line {1 + body.count(chr(10))}" in err  # the last line
+        assert repr(token) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{sched}", "--steps", "1"],
+        ["breakdown", "{sched}", "--steps", "1"],
+        ["sweep", "--lambda0", "0:1:2", "--theta", "0:1:2", "--out", "{out}",
+         "--steps", "0"],
+    ])
+    def test_steps_below_two_is_usage_error(self, tmp_path, capsys, argv):
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        out = str(tmp_path / "sweep.csv")
+        argv = [a.format(sched=sched, out=out) for a in argv]
+        assert main(argv) == 1
+        assert "--steps" in capsys.readouterr().err
 
     def test_validation_error_exit_2(self, tmp_path, capsys):
         sched = write(tmp_path, "v.sched",

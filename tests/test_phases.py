@@ -9,13 +9,16 @@ from numpy.testing import assert_allclose
 
 import phaselab as pl
 from helpers import (
+    dense_crossing_count,
     dynamical_quadrature,
     evolve,
     random_axis,
     random_cyclic_schedule,
+    random_mes,
     random_qubit,
     random_schedule,
     random_state,
+    sampled_geometric_phase,
     triangle_solid_angle,
 )
 
@@ -246,6 +249,19 @@ class TestGeometricPhaseMixed:
         sched = pl.RotationSchedule((), 1, s)
         assert pl.geometric_phase_mixed(s, sched, 100) == 0.0
 
+    def test_matches_sampled_overlap_product(self):
+        # the exact Pancharatnam form against the sampled Bargmann oracle
+        rng = np.random.default_rng(67)
+        done = 0
+        while done < 40:
+            sched = random_cyclic_schedule(rng, extra_turn=bool(rng.integers(0, 2)))
+            if pl.concurrence(sched.initial) > 1 - 1e-6:
+                continue
+            done += 1
+            got = pl.geometric_phase_mixed(sched.initial, sched)
+            want = sampled_geometric_phase(sched.initial, sched, 2000)
+            assert abs(pl.principal(got - want)) < 1e-5
+
     def test_double_turn_closure(self):
         # two full turns close with total 0; the decomposition must track it
         s = pl.schmidt_state(0.7, math.pi / 3)
@@ -280,6 +296,78 @@ class TestTopologicalCrossings:
         # the half turn and the general dip detector must count it
         s = pl.schmidt_state(1.0, math.pi / 2)
         assert pl.topological_crossings(s, z_turn_schedule(s), 2000) == (1, "odd")
+
+    @pytest.mark.parametrize("turns", [2, 5])
+    def test_multi_turn_segment_crosses_every_turn(self, turns):
+        s = pl.schmidt_state(1.0, math.pi / 2)
+        assert pl.topological_crossings(s, z_turn_schedule(s, turns)) == (
+            turns, "odd" if turns % 2 else "even")
+
+    def test_long_segment_counts_in_closed_form(self):
+        # 1e11 turns plus one radian: one zero per turn, counted without
+        # visiting them, and indexed from the runs
+        s = pl.schmidt_state(1.0, math.pi / 2)
+        turns = 10**11
+        sched = pl.RotationSchedule(
+            (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns + 1.0),), 1, s)
+        assert pl.topological_crossings(s, sched) == (turns, "even")
+        zeros = pl.geometry.overlap_zero_times(sched, pl.reduced_density(s, 1))
+        assert len(zeros) == zeros.size == turns
+        assert abs(zeros[0] - math.pi) < 1e-9
+        assert abs(zeros[5] - 11 * math.pi) < 1e-9
+        assert zeros[-1] == zeros[turns - 1]
+        with pytest.raises(IndexError):
+            zeros[turns]
+
+    def test_counts_match_dense_samples_on_mes(self):
+        # the overlap of a maximally entangled state is real: its zeros are
+        # sign changes
+        rng = np.random.default_rng(68)
+        for _ in range(30):
+            mes = random_mes(rng)
+            sched = random_schedule(rng, state=mes)
+            count, _ = pl.topological_crossings(mes, sched)
+            assert count == dense_crossing_count(mes, sched)
+
+    def test_counts_match_dense_samples_through_antipode(self):
+        # a product state whose second segment turns it through the
+        # antipode of its start: a complex overlap with a genuine zero on
+        # every turn
+        rng = np.random.default_rng(69)
+        for _ in range(30):
+            q = random_qubit(rng)
+            s = pl.make_two_qubit(q[0], 0, q[1], 0)
+            n1, d1 = random_axis(rng), float(rng.uniform(0.3, 3.0))
+            b0 = pl.bloch_of_pure(q)
+            w = b0 + pl.bloch_of_pure(pl.evolution_operator(n1, d1) @ q)
+            r = random_axis(rng)
+            n2 = r - np.dot(r, w) / np.dot(w, w) * w  # n2 . b1 = -n2 . b0
+            turns = int(rng.integers(1, 4))
+            sched = pl.RotationSchedule((
+                pl.RotationSegment(n1, d1),
+                pl.RotationSegment(n2 / np.linalg.norm(n2),
+                                   2 * math.pi * turns + float(rng.uniform(0.1, 1.0))),
+                pl.RotationSegment(random_axis(rng), float(rng.uniform(0.3, 3.0))),
+            ), 1, s)
+            count, _ = pl.topological_crossings(s, sched)
+            assert count >= turns
+            assert count == dense_crossing_count(s, sched)
+
+    @pytest.mark.parametrize("half_turns", [2, 3, 5])
+    @pytest.mark.parametrize("last", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    def test_zero_along_whole_segment_counts_once(self, half_turns, last):
+        # a half turn about x takes the maximally entangled overlap to 0,
+        # and turning about z then keeps it there: one zero spanning a
+        # whole segment, a crossing only if the overlap leaves it with the
+        # sign it entered with
+        mes = pl.schmidt_state(0.5, 0.0)
+        sched = pl.RotationSchedule((
+            pl.RotationSegment(np.array([1.0, 0.0, 0.0]), math.pi),
+            pl.RotationSegment(Z_AXIS.copy(), half_turns * math.pi),
+            pl.RotationSegment(np.array(last), 0.5 * math.pi),
+        ), 1, mes)
+        count, _ = pl.topological_crossings(mes, sched)
+        assert count == dense_crossing_count(mes, sched) <= 1
 
 
 class TestPhaseBreakdown:
@@ -408,6 +496,41 @@ class TestPhaseSamples:
         # the border sample itself is an orthogonality point
         nan_count = sum(1 for s_ in samples if math.isnan(s_.total_principal))
         assert nan_count >= 1
+
+    def test_mes_minus_junction_crossing_flags_junction_sample(self):
+        # the crossing sits exactly on the junction after segment 2, so
+        # the first sample at or after it is the junction sample itself
+        mes = pl.schmidt_state(0.5, 0.0)
+        sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
+        samples, flags, crossings = pl.phase_samples(mes, sched, 500)
+        junction = 2 * 499
+        assert crossings == [samples[junction].time]
+        assert flags[junction] == 1 and sum(flags) == 1
+
+    @pytest.mark.parametrize("steps", [3, 4, 7, 50])
+    def test_flags_mark_first_sample_at_or_after_each_zero(self, steps):
+        # multi-turn segments hold several zeros between two samples
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            s = pl.schmidt_state(float(rng.uniform()), math.pi / 2)
+            sched = pl.RotationSchedule((
+                pl.RotationSegment(random_axis(rng), float(rng.uniform(0.3, 3.0))),
+                pl.RotationSegment(Z_AXIS.copy(), float(rng.uniform(2.0, 40.0))),
+            ), 1, s)
+            samples, flags, crossings = pl.phase_samples(s, sched, steps)
+            times = np.array([x.time for x in samples])
+            want = [0] * len(times)
+            for ct in crossings:
+                want[min(int(np.searchsorted(times, ct)), len(times) - 1)] = 1
+            assert flags == want
+
+    def test_long_segment_series(self):
+        s = pl.schmidt_state(1.0, math.pi / 2)
+        sched = pl.RotationSchedule((pl.RotationSegment(Z_AXIS.copy(), 1e12),), 1, s)
+        samples, flags, crossings = pl.phase_samples(s, sched, 100)
+        assert crossings.size == math.floor(1e12 / (2 * math.pi) + 0.5)
+        # every sample interval spans many turns
+        assert flags == [0] + [1] * 99
 
     def test_dyn_column_matches_exact_integral(self):
         rng = np.random.default_rng(65)
