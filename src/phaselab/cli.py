@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage, 2 parse/validation, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
 from .phases import (
     DEFAULT_SAMPLES,
+    _series_columns,
     phase_breakdown,
-    phase_samples,
     readout_probability,
 )
 from .qstate import schmidt_state
@@ -69,31 +70,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _cell(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _write_table(path, fields, cols, fmt="csv"):
+    """Write equal-length columns as CSV or JSON rows, streamed with one
+    %-template per row.
 
-
-def _write_csv(path, fields, rows):
+    Floats are written with shortest round-trip ``repr`` and ints as ints
+    (``str`` of a Python float is its ``repr``). JSON matches ``json.dump``
+    of a list of per-row objects, with NaN written as ``null``.
+    """
+    cols = [np.asarray(c) for c in cols]
+    lists = [c.tolist() for c in cols]
+    if fmt == "csv":
+        head, sep, tail = ",".join(fields) + "\n", "", ""
+        template = ",".join(["%s"] * len(fields)) + "\n"
+    else:
+        for c, values in zip(cols, lists):
+            if c.dtype.kind == "f":
+                for i in np.flatnonzero(~np.isfinite(c)).tolist():
+                    values[i] = "null" if math.isnan(values[i]) else json.dumps(values[i])
+        head, sep, tail = "[", ", ", "]\n"
+        template = "{" + ", ".join(f"{json.dumps(f)}: %s" for f in fields) + "}"
+    rows = zip(*lists)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
-
-
-def _json_value(x):
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    x = float(x)
-    return None if math.isnan(x) else x
-
-
-def _write_json_rows(path, fields, rows):
-    payload = [dict(zip(fields, (_json_value(x) for x in row))) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(head if first is None else head + template % first)
+        later = sep + template
+        fh.writelines(later % row for row in rows)
+        fh.write(tail)
 
 
 def _load(path) -> RotationSchedule:
@@ -103,40 +106,18 @@ def _load(path) -> RotationSchedule:
 
 def _cmd_run(args) -> int:
     sched = _load(args.schedule_file)
-    samples, flags, crossings = phase_samples(sched.initial, sched, args.steps)
-    final = samples[-1]
-    if abs(abs(final.sp) - 1.0) > 1e-6:
+    cols, flags, crossings = _series_columns(sched.initial, sched, args.steps)
+    final_mag = abs(complex(cols[1][-1], cols[2][-1]))
+    if abs(final_mag - 1.0) > 1e-6:
         print(
             "warning: schedule is not cyclic (final overlap magnitude "
-            f"{abs(final.sp):.9f})",
+            f"{final_mag:.9f})",
             file=sys.stderr,
         )
     if args.out:
-        rows = [
-            [
-                s.time,
-                s.sp.real,
-                s.sp.imag,
-                s.total_principal,
-                s.total_unwrapped,
-                s.dyn,
-                s.bloch[0],
-                s.bloch[1],
-                s.bloch[2],
-                s.so3.axis[0],
-                s.so3.axis[1],
-                s.so3.axis[2],
-                s.so3.angle,
-                flag,
-            ]
-            for s, flag in zip(samples, flags)
-        ]
-        if args.format == "csv":
-            _write_csv(args.out, RUN_FIELDS, rows)
-        else:
-            _write_json_rows(args.out, RUN_FIELDS, rows)
+        _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
     parity = "odd" if crossings.size % 2 else "even"
-    print(f"final total phase: {_cell(final.total_principal)}")
+    print(f"final total phase: {float(cols[3][-1])!r}")
     print(f"crossings: {crossings.size} ({parity})")
     return 0
 
@@ -151,7 +132,7 @@ def _cmd_breakdown(args) -> int:
         "crossings": b.crossings,
         "parity": b.parity,
         "degenerate": b.degenerate,
-        "closure_residual": _json_value(b.closure_residual),
+        "closure_residual": None if math.isnan(b.closure_residual) else b.closure_residual,
     }
     print(json.dumps(payload))
     return 0
@@ -183,7 +164,7 @@ def _cmd_sweep(args) -> int:
         raise ValidationError("turns must be >= 1")
     axis = np.array(_AXES[args.axis])
     duration = 2.0 * math.pi * args.turns
-    rows = []
+    cols = [[] for _ in SWEEP_FIELDS]
     for lam in lams:  # lambda0-major grid order
         for th in thetas:
             state = schmidt_state(float(lam), float(th))
@@ -191,27 +172,20 @@ def _cmd_sweep(args) -> int:
                 (RotationSegment(axis.copy(), duration),), 1, state
             )
             b = phase_breakdown(state, sched, args.steps)
-            rows.append(
-                [
-                    float(lam),
-                    float(th),
-                    b.total,
-                    b.dynamical,
-                    b.geometric,
-                    b.crossings,
-                    b.closure_residual,
-                ]
-            )
-    _write_csv(args.out, SWEEP_FIELDS, rows)
-    print(f"wrote {len(rows)} grid points to {args.out}")
+            row = (lam, th, b.total, b.dynamical, b.geometric, b.crossings,
+                   b.closure_residual)
+            for col, x in zip(cols, row):
+                col.append(x)
+    _write_table(args.out, SWEEP_FIELDS, cols)
+    print(f"wrote {len(cols[0])} grid points to {args.out}")
     return 0
 
 
 def _cmd_readout(args) -> int:
     sched = _load(args.schedule_file)
     p = readout_probability(sched.initial, sched)
-    print(f"click probability: {_cell(p)}")
-    print(f"|cos(total phase)|: {_cell(abs(1.0 - 2.0 * p))}")
+    print(f"click probability: {p!r}")
+    print(f"|cos(total phase)|: {abs(1.0 - 2.0 * p)!r}")
     return 0
 
 
@@ -229,6 +203,7 @@ _EXACT_STEPS_HELP = ("samples per segment; accepted for compatibility and "
                      "ignored, since the decomposition is exact")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="phaselab",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, NotSpecialUnitary
 from .qstate import pauli_dot
-from .schedule import RotationSchedule, _boundaries, cumulative_unitaries
+from .schedule import RotationSchedule, _boundaries, _unitary_samples
 
 __all__ = [
     "bloch_of_pure",
@@ -169,34 +169,50 @@ class SO3Point:
 _CENTER_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def su2_to_so3(u) -> SO3Point:
-    """Axis-angle image of an SU(2) element in the radius-pi ball.
+def _so3_arrays(units) -> tuple[np.ndarray, np.ndarray]:
+    """Axes (M, 3) and angles (M,) of a stack of SU(2) elements (M, 2, 2)
+    in the radius-pi ball; :func:`su2_to_so3` is the one-matrix case.
 
     Writing ``u = cos(t/2) I - i sin(t/2) (n . sigma)``, rotation angles in
     (pi, 2pi] are folded onto ``(2pi - t, -n)``, so ``u`` and ``-u`` map to
-    the same point. Raises NotSpecialUnitary when det(u) != 1 within 1e-9.
+    the same point; the identity gets axis (0, 0, 1). Raises
+    NotSpecialUnitary when any det(u) != 1 within 1e-9. The norm is a
+    stacked matmul, the dot product ``np.linalg.norm`` takes, and the
+    angle uses ``math.atan2``: ``np.arctan2`` and sum-of-squares norms
+    differ from those in the last bit on a share of inputs, which would
+    change the written series.
     """
-    m = np.asarray(u, dtype=complex)
-    if abs(np.linalg.det(m) - 1.0) > 1e-9:
+    m = np.asarray(units, dtype=complex)
+    if np.any(np.abs(np.linalg.det(m) - 1.0) > 1e-9):
         raise NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
-    w = (m[0, 0] + m[1, 1]).real / 2.0
-    v = np.array(
+    w = (m[:, 0, 0] + m[:, 1, 1]).real / 2.0
+    v = np.stack(
         [
-            -(m[0, 1].imag + m[1, 0].imag) / 2.0,
-            (m[1, 0].real - m[0, 1].real) / 2.0,
-            (m[1, 1].imag - m[0, 0].imag) / 2.0,
-        ]
+            -(m[:, 0, 1].imag + m[:, 1, 0].imag) / 2.0,
+            (m[:, 1, 0].real - m[:, 0, 1].real) / 2.0,
+            (m[:, 1, 1].imag - m[:, 0, 0].imag) / 2.0,
+        ],
+        axis=1,
     )
-    s = float(np.linalg.norm(v))
-    if s <= 1e-12:
-        return SO3Point(_CENTER_AXIS.copy(), 0.0)
-    t = 2.0 * math.atan2(s, w)
-    axis = v / s
-    if t > math.pi:
-        t, axis = 2.0 * math.pi - t, -axis
-    if t <= 1e-12:
-        return SO3Point(_CENTER_AXIS.copy(), 0.0)
-    return SO3Point(axis, t)
+    s = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    t = 2.0 * np.fromiter(map(math.atan2, s.tolist(), w.tolist()), float, len(s))
+    center = s <= 1e-12
+    axes = v / np.where(center, 1.0, s)[:, None]
+    fold = t > math.pi
+    t[fold] = 2.0 * math.pi - t[fold]
+    axes[fold] = -axes[fold]
+    center |= t <= 1e-12
+    t[center] = 0.0
+    axes[center] = _CENTER_AXIS
+    return axes, t
+
+
+def su2_to_so3(u) -> SO3Point:
+    """Axis-angle image of an SU(2) element in the radius-pi ball (see
+    :func:`_so3_arrays`). Raises NotSpecialUnitary when det(u) != 1
+    within 1e-9."""
+    axes, angles = _so3_arrays(np.asarray(u, dtype=complex)[None])
+    return SO3Point(axes[0], float(angles[0]))
 
 
 @dataclass(frozen=True)
@@ -206,11 +222,6 @@ class SO3Path:
 
     samples: tuple
     crossings: Sequence
-
-
-def trace_half(u) -> float:
-    """``Re(Tr u) / 2``, the cosine of the half rotation angle."""
-    return float((u[0, 0] + u[1, 1]).real) / 2.0
 
 
 class ZeroTimes(Sequence):
@@ -304,7 +315,12 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     crossing times come from :func:`overlap_zero_times`. A tangential
     touch of the border counts as zero crossings.
     """
-    pairs = cumulative_unitaries(schedule, samples_per_segment)
-    samples = [(t, su2_to_so3(u), trace_half(u)) for t, u in pairs]
+    times, units = _unitary_samples(schedule, samples_per_segment)
+    axes, angles = _so3_arrays(units)
+    halves = (units[:, 0, 0] + units[:, 1, 1]).real / 2.0
+    samples = [
+        (t, SO3Point(axis, angle), half)
+        for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), halves.tolist())
+    ]
     crossings = overlap_zero_times(schedule, np.eye(2) / 2.0)
     return SO3Path(tuple(samples), crossings)

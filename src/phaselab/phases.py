@@ -26,10 +26,10 @@ from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep
 from .geometry import (
     CROSSING_EPS,
     SO3Point,
+    _so3_arrays,
     bloch_of_density,
     overlap_zero_times,
     purify,
-    su2_to_so3,
 )
 from .qstate import inner_product, pauli_dot, reduced_density
 from .schedule import (
@@ -327,25 +327,71 @@ def readout_probability(s0, schedule: RotationSchedule) -> float:
 
 
 def _unwrap_skipnan(p: np.ndarray) -> np.ndarray:
-    """Minimal-jump unwrap carried through NaN gaps.
+    """Minimal-jump unwrap of principal values in [-pi, pi], carried
+    through NaN gaps.
 
     Each defined increment is wrapped into (-pi, pi] before accumulation;
     a jump of exactly pi, as happens across an orthogonality crossing,
-    therefore survives as +pi.
+    therefore survives as +pi. Increments lie in [-2pi, 2pi], so the wrap
+    is ``d - 2pi`` above pi and ``d + 2pi`` at or below -pi, each exact
+    (Sterbenz) as ``principal`` is; ``cumsum`` adds in order, so the
+    values are those of the sequential loop.
     """
     out = np.full(len(p), math.nan)
-    last = None
-    last_out = 0.0
-    for i, v in enumerate(p):
-        if math.isnan(v):
-            continue
-        if last is None:
-            out[i] = v
-        else:
-            out[i] = last_out + principal(v - last)
-        last = v
-        last_out = out[i]
+    defined = ~np.isnan(p)
+    v = p[defined]
+    if v.size:
+        d = np.diff(v)
+        d[d > math.pi] -= _TWO_PI
+        d[d <= -math.pi] += _TWO_PI
+        out[defined] = np.cumsum(np.concatenate((v[:1], d)))
     return out
+
+
+def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
+    """The sampled time series as columns: ``(columns, flags, zeros)``.
+
+    ``columns`` holds 13 float arrays: time, overlap real and imaginary
+    parts, principal and unwrapped total phase, dynamical phase, Bloch
+    x, y, z, ball axis x, y, z and ball angle; ``flags`` (int array) marks
+    the first sample at or after each zero in ``zeros``.
+    """
+    rho = _evolved_density(s0, schedule)
+    bounds = _boundaries(schedule)
+    times, units = _unitary_samples(schedule, samples_per_segment, bounds)
+    sps = np.einsum("kij,ji->k", units, rho)
+    # evolved-qubit reduced state transported sample by sample: U rho U+
+    rhot = np.einsum("kij,jl,kml->kim", units, rho, units.conj())
+    blochs = (
+        2.0 * rhot[:, 0, 1].real,
+        2.0 * rhot[:, 1, 0].imag,
+        (rhot[:, 0, 0] - rhot[:, 1, 1]).real,
+    )
+    mags = np.abs(sps)
+    principal_vals = np.where(mags > ORTHOGONALITY_EPS, np.angle(sps), math.nan)
+    dyn_vals = np.zeros(len(times))
+    acc = 0.0
+    spp = samples_per_segment
+    for k, rate in enumerate(_dynamical_rates(schedule, bounds[1], rho)):
+        i0 = k * (spp - 1)
+        sl = slice(i0 + 1, i0 + spp)
+        dyn_vals[sl] = acc + rate * (times[sl] - times[i0])
+        acc = float(dyn_vals[i0 + spp - 1])
+    axes, angles = _so3_arrays(units)
+    crossing_times = overlap_zero_times(schedule, rho, bounds)
+    flags = np.zeros(len(times), dtype=int)
+    for k, tau, n in crossing_times.runs:
+        # every sample with a zero since the one before it is some zero's
+        # first sample at or after; the zeros next to each sample of the
+        # segment reach them all, however many turns it makes
+        seg_t = times[k * (spp - 1):(k + 1) * (spp - 1) + 1] - bounds[0][k] - tau
+        m = np.floor(seg_t / _TWO_PI)[:, None] + np.array([-1.0, 0.0, 1.0])
+        m = np.unique(np.clip(m, 0.0, float(n - 1)))
+        idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
+        flags[np.minimum(idx, len(times) - 1)] = 1
+    columns = (times, sps.real, sps.imag, principal_vals, _unwrap_skipnan(principal_vals),
+               dyn_vals, *blochs, *axes.T, angles)
+    return columns, flags, crossing_times
 
 
 def phase_samples(
@@ -359,53 +405,12 @@ def phase_samples(
     of the initial-state overlap (the ones ``topological_crossings``
     counts), as a :class:`~phaselab.geometry.ZeroTimes` sequence.
     """
-    rho = _evolved_density(s0, schedule)
-    bounds = _boundaries(schedule)
-    times, units = _unitary_samples(schedule, samples_per_segment, bounds)
-    sps = np.einsum("kij,ji->k", units, rho)
-    # evolved-qubit reduced state transported sample by sample: U rho U+
-    rhot = np.einsum("kij,jl,kml->kim", units, rho, units.conj())
-    blochs = np.stack(
-        [
-            2.0 * rhot[:, 0, 1].real,
-            2.0 * rhot[:, 1, 0].imag,
-            (rhot[:, 0, 0] - rhot[:, 1, 1]).real,
-        ],
-        axis=1,
-    )
-    mags = np.abs(sps)
-    principal_vals = np.where(mags > ORTHOGONALITY_EPS, np.angle(sps), math.nan)
-    unwrapped = _unwrap_skipnan(principal_vals)
-    dyn_vals = np.zeros(len(times))
-    acc = 0.0
-    spp = samples_per_segment
-    for k, rate in enumerate(_dynamical_rates(schedule, bounds[1], rho)):
-        i0 = k * (spp - 1)
-        sl = slice(i0 + 1, i0 + spp)
-        dyn_vals[sl] = acc + rate * (times[sl] - times[i0])
-        acc = float(dyn_vals[i0 + spp - 1])
-    so3s = [su2_to_so3(u) for u in units]
-    crossing_times = overlap_zero_times(schedule, rho, bounds)
-    flags = np.zeros(len(times), dtype=int)
-    for k, tau, n in crossing_times.runs:
-        # every sample with a zero since the one before it is some zero's
-        # first sample at or after; the zeros next to each sample of the
-        # segment reach them all, however many turns it makes
-        seg_t = times[k * (spp - 1):(k + 1) * (spp - 1) + 1] - bounds[0][k] - tau
-        m = np.floor(seg_t / _TWO_PI)[:, None] + np.array([-1.0, 0.0, 1.0])
-        m = np.unique(np.clip(m, 0.0, float(n - 1)))
-        idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
-        flags[np.minimum(idx, len(times) - 1)] = 1
+    cols, flags, crossing_times = _series_columns(s0, schedule, samples_per_segment)
+    t, re, im, tot, unw, dyn, bx, by, bz, ax, ay, az, angle = (c.tolist() for c in cols)
     samples = [
-        PhaseSample(
-            float(times[i]),
-            complex(sps[i]),
-            float(principal_vals[i]),
-            float(unwrapped[i]),
-            float(dyn_vals[i]),
-            blochs[i].copy(),
-            so3s[i],
-        )
-        for i in range(len(times))
+        PhaseSample(t[i], complex(re[i], im[i]), tot[i], unw[i], dyn[i],
+                    np.array([bx[i], by[i], bz[i]]),
+                    SO3Point(np.array([ax[i], ay[i], az[i]]), angle[i]))
+        for i in range(len(t))
     ]
     return samples, flags.tolist(), crossing_times

@@ -1,6 +1,8 @@
 """Shared random generators and brute-force oracles for the test suite."""
 
 import cmath
+import io
+import json
 import math
 
 import numpy as np
@@ -160,3 +162,88 @@ def dense_crossing_count(s0, schedule, steps_per_segment=4000) -> int:
     z = np.einsum("kij,ji->k", units, rho)
     z = z[np.abs(z) > 1e-12]
     return int(np.sum((z[:-1] * z[1:].conj()).real < 0.0))
+
+
+def loop_unwrap_skipnan(p) -> np.ndarray:
+    """Sequential-loop oracle for the minimal-jump unwrap through NaN gaps:
+    each defined increment wrapped into (-pi, pi] by ``principal``."""
+    out = np.full(len(p), math.nan)
+    last = None
+    last_out = 0.0
+    for i, v in enumerate(p):
+        if math.isnan(v):
+            continue
+        out[i] = v if last is None else last_out + pl.principal(v - last)
+        last = v
+        last_out = out[i]
+    return out
+
+
+def per_matrix_so3(u):
+    """One-matrix oracle for the SU(2) -> SO(3) kernel: ``(axis, angle)``
+    in the radius-pi ball, angles above pi folded, the identity on axis
+    (0, 0, 1); raises NotSpecialUnitary when det(u) != 1 within 1e-9."""
+    m = np.asarray(u, dtype=complex)
+    if abs(np.linalg.det(m) - 1.0) > 1e-9:
+        raise pl.NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
+    w = (m[0, 0] + m[1, 1]).real / 2.0
+    v = np.array([-(m[0, 1].imag + m[1, 0].imag) / 2.0,
+                  (m[1, 0].real - m[0, 1].real) / 2.0,
+                  (m[1, 1].imag - m[0, 0].imag) / 2.0])
+    s = float(np.linalg.norm(v))
+    if s <= 1e-12:
+        return np.array([0.0, 0.0, 1.0]), 0.0
+    t = 2.0 * math.atan2(s, w)
+    axis = v / s
+    if t > math.pi:
+        t, axis = 2.0 * math.pi - t, -axis
+    if t <= 1e-12:
+        return np.array([0.0, 0.0, 1.0]), 0.0
+    return axis, t
+
+
+def _cell(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def _json_value(x):
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    x = float(x)
+    return None if math.isnan(x) else x
+
+
+def reference_table_bytes(fields, rows, fmt="csv") -> bytes:
+    """Row-by-row reference writer: ``repr`` per cell for CSV, ``json.dump``
+    of per-row objects (NaN as null) for JSON."""
+    if fmt == "csv":
+        text = ",".join(fields) + "\n"
+        text += "".join(",".join(_cell(x) for x in row) + "\n" for row in rows)
+    else:
+        buf = io.StringIO()
+        json.dump([dict(zip(fields, (_json_value(x) for x in row))) for row in rows], buf)
+        text = buf.getvalue() + "\n"
+    return text.encode("utf-8")
+
+
+def reference_run_rows(schedule, steps):
+    """``run --out`` rows built from the public ``phase_samples``."""
+    samples, flags, _ = pl.phase_samples(schedule.initial, schedule, steps)
+    return [[s.time, s.sp.real, s.sp.imag, s.total_principal, s.total_unwrapped,
+             s.dyn, *s.bloch, *s.so3.axis, s.so3.angle, flag]
+            for s, flag in zip(samples, flags)]
+
+
+def reference_sweep_rows(lambdas, thetas, axis, turns=1):
+    """``sweep`` rows built from the public ``phase_breakdown``."""
+    rows = []
+    for lam in lambdas:
+        for th in thetas:
+            state = pl.schmidt_state(float(lam), float(th))
+            seg = pl.RotationSegment(np.array(axis, dtype=float), 2.0 * math.pi * turns)
+            b = pl.phase_breakdown(state, pl.RotationSchedule((seg,), 1, state))
+            rows.append([float(lam), float(th), b.total, b.dynamical, b.geometric,
+                         b.crossings, b.closure_residual])
+    return rows

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import phaselab as pl
+from helpers import reference_run_rows, reference_sweep_rows, reference_table_bytes
 from phaselab.cli import RUN_FIELDS, SWEEP_FIELDS, main
+
+DEMO_SCHEDULES = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules")
 
 MES_MINUS = """phaselab-schedule v1
 state schmidt 0.5 0.0
@@ -322,3 +326,49 @@ class TestExitCodes:
         sched = write(tmp_path, "v.sched",
                       "phaselab-schedule v1\nstate schmidt 2.0 0.0\n")
         assert main(["breakdown", sched]) == 2
+
+    def test_usage_error_then_breakdown_in_one_process(self, tmp_path, capsys):
+        # the parser is built once and reused across calls
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main(["breakdown"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert main(["breakdown", sched]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        mes = pl.schmidt_state(0.5, 0.0)
+        b = pl.phase_breakdown(mes, pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes))
+        assert json.loads(captured.out) == {
+            "total": b.total, "dynamical": b.dynamical, "geometric": b.geometric,
+            "crossings": b.crossings, "parity": b.parity,
+            "degenerate": b.degenerate, "closure_residual": None}
+
+
+class TestGoldenWriter:
+    """``run --out`` and ``sweep`` bytes equal the row-by-row reference
+    writer fed from the public ``phase_samples`` / ``phase_breakdown``."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["mes_minus", "mes_plus", "partial_z_turn"])
+    def test_run_demo_schedules(self, tmp_path, capsys, name, fmt):
+        path = os.path.join(DEMO_SCHEDULES, name + ".sched")
+        out = tmp_path / f"series.{fmt}"
+        assert main(["run", path, "--out", str(out), "--format", fmt]) == 0
+        with open(path, encoding="utf-8") as fh:
+            sched = pl.parse_schedule(fh.read())
+        want = reference_table_bytes(RUN_FIELDS, reference_run_rows(sched, pl.DEFAULT_SAMPLES), fmt)
+        got = out.read_bytes()
+        assert got == want
+        if name == "mes_minus":  # the junction sample is orthogonal: NaN phases
+            body = got.decode()
+            assert ('"phase_total_principal": null, "phase_total_unwrapped": null'
+                    if fmt == "json" else ",nan,nan,") in body
+
+    @pytest.mark.parametrize("axis,turns", [("z", 1), ("x", 3)])
+    def test_sweep_readme_grid(self, tmp_path, capsys, axis, turns):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--lambda0", "0:1:11", "--theta", "0:3.141592653589793:9",
+                     "--axis", axis, "--turns", str(turns), "--out", str(out)]) == 0
+        rows = reference_sweep_rows(np.linspace(0.0, 1.0, 11),
+                                    np.linspace(0.0, 3.141592653589793, 9),
+                                    {"x": (1.0, 0.0, 0.0), "z": (0.0, 0.0, 1.0)}[axis], turns)
+        assert out.read_bytes() == reference_table_bytes(SWEEP_FIELDS, rows)

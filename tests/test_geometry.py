@@ -9,11 +9,14 @@ from numpy.testing import assert_allclose
 import phaselab as pl
 from helpers import (
     brute_partial_trace,
+    per_matrix_so3,
     random_axis,
     random_qubit,
+    random_schedule,
     random_state,
     random_su2,
 )
+from phaselab.geometry import _so3_arrays
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -228,6 +231,77 @@ class TestSU2ToSO3:
     def test_non_special_unitary_rejected(self):
         with pytest.raises(pl.NotSpecialUnitary):
             pl.su2_to_so3(np.diag([1.0, 2.0]).astype(complex))
+
+
+def quaternion_su2(w, v) -> np.ndarray:
+    """``w I - i v . sigma`` for a unit quaternion ``(w, v)``."""
+    vx, vy, vz = v
+    return np.array([[w - 1j * vz, -1j * vx - vy], [-1j * vx + vy, w + 1j * vz]])
+
+
+def kernel_cases(rng) -> np.ndarray:
+    """Random SU(2) elements, +-I, rotations at and next to pi (both sides,
+    both signs of w), and near-identity rotations on both sides of the
+    1e-12 centre rule."""
+    mats = [random_su2(rng) for _ in range(500)]
+    mats += [np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]
+    for _ in range(20):
+        n = random_axis(rng)
+        for t in (math.pi, np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0),
+                  2 * math.pi - 1e-9, 1e-13, 1e-12, 2e-12, 1e-9):
+            for sign in (1.0, -1.0):
+                mats.append(sign * pl.evolution_operator(n, float(t)))
+        mats.append(quaternion_su2(0.0, n))  # exactly pi
+        mats.append(quaternion_su2(-0.0, n))
+        s = 1e-12 * float(rng.uniform(0.5, 1.5))
+        mats.append(quaternion_su2(math.sqrt(1.0 - s * s), s * n))
+    return np.array(mats)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestSO3Kernel:
+    def test_stack_matches_per_matrix_oracle_bitwise(self):
+        stack = kernel_cases(np.random.default_rng(32))
+        axes, angles = _so3_arrays(stack)
+        want = [per_matrix_so3(u) for u in stack]
+        assert bits(axes) == bits([a for a, _ in want])
+        assert bits(angles) == bits([t for _, t in want])
+
+    def test_one_matrix_case_matches_oracle(self):
+        for u in kernel_cases(np.random.default_rng(33))[::7]:
+            p = pl.su2_to_so3(u)
+            axis, angle = per_matrix_so3(u)
+            assert bits(p.axis) == bits(axis)
+            assert type(p.angle) is float and bits([p.angle]) == bits([angle])
+
+    def test_one_bad_matrix_in_a_stack_raises(self):
+        rng = np.random.default_rng(35)
+        stack = np.array([random_su2(rng) for _ in range(50)])
+        stack[17] = stack[17] * np.exp(0.5j)  # unitary, det e^{i}
+        with pytest.raises(pl.NotSpecialUnitary):
+            _so3_arrays(stack)
+        stack[17] = np.diag([1.0, 1.0 + 2e-9])
+        with pytest.raises(pl.NotSpecialUnitary):
+            _so3_arrays(stack)
+        stack[17] = np.diag([1.0, 1.0 + 5e-10])  # within the 1e-9 tolerance
+        _so3_arrays(stack)
+
+    def test_so3_path_samples_unchanged(self):
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            sched = random_schedule(rng, max_segments=4)
+            path = pl.so3_path(sched, 60)
+            pairs = pl.cumulative_unitaries(sched, 60)
+            assert len(path.samples) == len(pairs)
+            for (t, point, half), (t0, u) in zip(path.samples, pairs):
+                axis, angle = per_matrix_so3(u)
+                assert t == t0 and type(t) is float
+                assert bits(point.axis) == bits(axis) and bits([point.angle]) == bits([angle])
+                assert half == float((u[0, 0] + u[1, 1]).real) / 2.0
+                assert type(point.angle) is float and type(half) is float
 
 
 class TestSO3Path:

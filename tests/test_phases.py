@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import phaselab as pl
@@ -12,6 +14,7 @@ from helpers import (
     dense_crossing_count,
     dynamical_quadrature,
     evolve,
+    loop_unwrap_skipnan,
     random_axis,
     random_cyclic_schedule,
     random_mes,
@@ -21,6 +24,7 @@ from helpers import (
     sampled_geometric_phase,
     triangle_solid_angle,
 )
+from phaselab.phases import _unwrap_skipnan
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -555,3 +559,39 @@ class TestPhaseSamples:
         vals = [x.total_unwrapped for x in samples if not math.isnan(x.total_unwrapped)]
         steps = np.abs(np.diff(vals))
         assert np.max(steps) < 0.1  # no artificial 2 pi jumps
+
+
+# principal values as np.angle gives them, in [-pi, pi], with NaN gaps;
+# the sampled edges make exact +-pi and +-2pi jumps and signed zeros common
+_PRINCIPAL = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([math.nan, math.pi, -math.pi, 0.0, -0.0, math.pi / 2, -math.pi / 2,
+                     np.nextafter(math.pi, 0.0), np.nextafter(-math.pi, 0.0)]),
+)
+
+
+class TestUnwrap:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_PRINCIPAL, max_size=60))
+    def test_matches_sequential_loop_exactly(self, values):
+        p = np.array(values, dtype=float)
+        got, want = _unwrap_skipnan(p), loop_unwrap_skipnan(p)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+    @pytest.mark.parametrize("values", [
+        [], [math.nan], [math.nan] * 5,
+        [math.pi, -math.pi, math.pi, -math.pi],
+        [0.0, math.pi, 0.0, -math.pi, 0.0],
+        [-math.pi, math.nan, math.pi, math.nan, math.nan, -math.pi],
+        [3.0, -3.0, 3.0, math.nan, -3.0],
+    ])
+    def test_edge_inputs(self, values):
+        p = np.array(values, dtype=float)
+        got = _unwrap_skipnan(p)
+        assert got.shape == p.shape
+        assert np.array_equal(got, loop_unwrap_skipnan(p), equal_nan=True)
+
+    def test_exact_pi_jump_survives_as_plus_pi(self):
+        got = _unwrap_skipnan(np.array([0.0, -math.pi, 0.0, math.pi]))
+        assert got.tolist() == [0.0, math.pi, 2 * math.pi, 3 * math.pi]
