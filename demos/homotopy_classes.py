@@ -28,7 +28,7 @@ for lam in (0.3, 0.4, 0.48, 0.5):
         final = pl.apply_local(
             pl.unitary_at(sched, pl.total_duration(sched)), 1, state)
         total = pl.total_phase(state, final)
-        count, _ = pl.topological_crossings(state, sched, 2000)
+        count, _ = pl.topological_crossings(state, sched)
         p = pl.readout_probability(state, sched)
         print(f"{lam:8.2f} {name:>10} {total:10.6f} {count:10d} {p:9.6f}")
 

@@ -27,7 +27,7 @@ for k in range(7):
     sched = pl.RotationSchedule((pl.RotationSegment(Z, 2 * math.pi),), 1, state)
 
     dyn = pl.dynamical_phase(state, sched)
-    geo = pl.geometric_phase_mixed(state, sched, 20000)
+    geo = pl.geometric_phase_mixed(state, sched)
     final = pl.apply_local(pl.unitary_at(sched, 2 * math.pi), 1, state)
     total = pl.total_phase(state, final)
 

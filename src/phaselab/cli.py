@@ -124,32 +124,23 @@ def _cmd_run(args) -> int:
 
 def _cmd_breakdown(args) -> int:
     sched = _load(args.schedule_file)
-    b = phase_breakdown(sched.initial, sched, args.steps)
-    payload = {
-        "total": b.total,
-        "dynamical": b.dynamical,
-        "geometric": b.geometric,
-        "crossings": b.crossings,
-        "parity": b.parity,
-        "degenerate": b.degenerate,
-        "closure_residual": None if math.isnan(b.closure_residual) else b.closure_residual,
-    }
+    payload = dict(vars(phase_breakdown(sched.initial, sched)))
+    if math.isnan(payload["closure_residual"]):
+        payload["closure_residual"] = None
     print(json.dumps(payload))
     return 0
 
 
 def _parse_range(spec: str, name: str) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"malformed {name} range {spec!r}; expected a:b:n")
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        a, b, n = spec.split(":")
+        a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise ValidationError(
-            f"malformed {name} range {spec!r}; expected a:b:n"
-        ) from None
+        raise ValidationError(f"malformed {name} range {spec!r}; expected a:b:n") from None
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError(f"{name} range {spec!r} has a non-finite end")
+    if not math.isfinite(b - a):
+        raise ValidationError(f"{name} range {spec!r} spans past the largest float")
     if n < 1:
         raise ValidationError(f"{name} range count must be >= 1")
     return np.linspace(a, b, n)
@@ -163,21 +154,22 @@ def _cmd_sweep(args) -> int:
     if args.turns < 1:
         raise ValidationError("turns must be >= 1")
     axis = np.array(_AXES[args.axis])
-    duration = 2.0 * math.pi * args.turns
-    cols = [[] for _ in SWEEP_FIELDS]
+    # an int past 2**1023 converts to no float, and 2 pi 2**1023 is already inf
+    duration = 2.0 * math.pi * min(args.turns, 2**1023)
+    if not math.isfinite(duration):
+        raise ValidationError("turns too large: 2 pi turns overflows a float")
+    rows = []
     for lam in lams:  # lambda0-major grid order
         for th in thetas:
             state = schmidt_state(float(lam), float(th))
             sched = RotationSchedule(
                 (RotationSegment(axis.copy(), duration),), 1, state
             )
-            b = phase_breakdown(state, sched, args.steps)
-            row = (lam, th, b.total, b.dynamical, b.geometric, b.crossings,
-                   b.closure_residual)
-            for col, x in zip(cols, row):
-                col.append(x)
-    _write_table(args.out, SWEEP_FIELDS, cols)
-    print(f"wrote {len(cols[0])} grid points to {args.out}")
+            b = phase_breakdown(state, sched)
+            rows.append((lam, th, b.total, b.dynamical, b.geometric, b.crossings,
+                         b.closure_residual))
+    _write_table(args.out, SWEEP_FIELDS, list(zip(*rows)))
+    print(f"wrote {len(rows)} grid points to {args.out}")
     return 0
 
 
@@ -251,7 +243,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotCyclic as exc:

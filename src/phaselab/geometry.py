@@ -255,10 +255,10 @@ class ZeroTimes(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def overlap_zero_times(schedule: RotationSchedule, rho, bounds=None) -> ZeroTimes:
+def overlap_zero_times(schedule: RotationSchedule, rho, bounds) -> ZeroTimes:
     """Times in (0, T) where ``Tr(U(t) rho)`` passes through zero, exact
-    and in one pass over the segments; ``bounds`` takes a
-    ``_boundaries(schedule)`` already built.
+    and in one pass over the segments; ``bounds`` is
+    ``_boundaries(schedule)``.
 
     On segment k, ``U(t_k + tau) = exp(-i tau (n_k . sigma) / 2) B_k``, so
     the overlap is ``z(tau) = a cos(tau/2) + b sin(tau/2)`` with
@@ -274,7 +274,7 @@ def overlap_zero_times(schedule: RotationSchedule, rho, bounds=None) -> ZeroTime
     ``rho = I/2`` the overlap is ``Re(Tr U)/2``, whose zeros are the
     rotation-ball border crossings.
     """
-    times, prods = bounds or _boundaries(schedule)
+    times, prods = bounds
     segs = schedule.segments
     zs = [complex(np.trace(u @ rho)) for u in prods]
     at_zero = [abs(z) <= CROSSING_EPS for z in zs]
@@ -315,12 +315,13 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     crossing times come from :func:`overlap_zero_times`. A tangential
     touch of the border counts as zero crossings.
     """
-    times, units = _unitary_samples(schedule, samples_per_segment)
+    bounds = _boundaries(schedule)
+    times, units = _unitary_samples(schedule, samples_per_segment, bounds)
     axes, angles = _so3_arrays(units)
     halves = (units[:, 0, 0] + units[:, 1, 1]).real / 2.0
     samples = [
         (t, SO3Point(axis, angle), half)
         for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), halves.tolist())
     ]
-    crossings = overlap_zero_times(schedule, np.eye(2) / 2.0)
+    crossings = overlap_zero_times(schedule, np.eye(2) / 2.0, bounds)
     return SO3Path(tuple(samples), crossings)

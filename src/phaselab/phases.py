@@ -36,8 +36,6 @@ from .schedule import (
     RotationSchedule,
     _boundaries,
     _unitary_samples,
-    total_duration,
-    unitary_at,
 )
 
 __all__ = [
@@ -58,7 +56,6 @@ __all__ = [
     "phase_breakdown",
     "fixed_axis_closed_forms",
     "readout_probability",
-    "overlap_at",
     "phase_samples",
 ]
 
@@ -76,11 +73,6 @@ def principal(x: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     r = math.remainder(x, _TWO_PI)
     return r + _TWO_PI if r <= -math.pi else r
-
-
-def _arg(z: complex) -> float:
-    p = cmath.phase(z)
-    return p + _TWO_PI if p <= -math.pi else p
 
 
 def _evolved_density(s0, schedule: RotationSchedule) -> np.ndarray:
@@ -124,21 +116,20 @@ class PhaseBreakdown:
     closure_residual: float
 
 
+def _overlap_phase(z: complex) -> float:
+    return math.nan if abs(z) <= ORTHOGONALITY_EPS else principal(cmath.phase(z))
+
+
 def total_phase(initial, current) -> float:
     """``arg <initial|current>`` in (-pi, pi]; NaN when the overlap
     magnitude is at or below 1e-9 (orthogonal states)."""
-    ip = inner_product(initial, current)
-    if abs(ip) <= ORTHOGONALITY_EPS:
-        return math.nan
-    return _arg(ip)
+    return _overlap_phase(inner_product(initial, current))
 
 
 def mixed_total_phase(u, rho) -> float:
     """``arg Tr(u rho)``; NaN when ``|Tr(u rho)| <= 1e-9``."""
-    z = complex(np.trace(np.asarray(u, dtype=complex) @ np.asarray(rho, dtype=complex)))
-    if abs(z) <= ORTHOGONALITY_EPS:
-        return math.nan
-    return _arg(z)
+    return _overlap_phase(
+        complex(np.trace(np.asarray(u, dtype=complex) @ np.asarray(rho, dtype=complex))))
 
 
 def sp_formula(t: float, axis, bloch) -> complex:
@@ -186,16 +177,6 @@ def dynamical_phase(s0, schedule: RotationSchedule) -> float:
     return _dynamical(schedule, prods, _evolved_density(s0, schedule))
 
 
-def _leg_args(path: np.ndarray, closed: bool) -> np.ndarray:
-    """Principal args of consecutive overlaps along a path of unit kets."""
-    legs = np.einsum("kj,kj->k", path[:-1].conj(), path[1:])
-    if closed:
-        legs = np.append(legs, np.vdot(path[-1], path[0]))
-    if np.any(np.abs(legs) <= ORTHOGONALITY_EPS):
-        raise OrthogonalStep("consecutive path states are orthogonal")
-    return np.angle(legs)
-
-
 def geometric_phase_pure(path, closed: bool = True) -> float:
     """Discrete overlap-product phase of a pure-state path,
     ``-arg[<p0|p1><p1|p2> ... ]``, with the closing leg appended when
@@ -209,7 +190,12 @@ def geometric_phase_pure(path, closed: bool = True) -> float:
     arr = np.asarray(path, dtype=complex)
     if arr.ndim != 2 or len(arr) < 3:
         raise DomainError("path must contain at least 3 states")
-    return principal(-float(np.sum(_leg_args(arr, closed))))
+    legs = np.einsum("kj,kj->k", arr[:-1].conj(), arr[1:])
+    if closed:
+        legs = np.append(legs, np.vdot(arr[-1], arr[0]))
+    if np.any(np.abs(legs) <= ORTHOGONALITY_EPS):
+        raise OrthogonalStep("consecutive path states are orthogonal")
+    return principal(-float(np.sum(np.angle(legs))))
 
 
 def _geometric(final, rho, dyn: float) -> float:
@@ -219,19 +205,18 @@ def _geometric(final, rho, dyn: float) -> float:
     pur = purify(rho)
     # one shared reference, so that at U_T = -I both eigenstate args land
     # on the same side of the +-pi cut as the mixed total phase
-    tot = _arg(complex(np.trace(final @ rho)))
+    tot = principal(cmath.phase(complex(np.trace(final @ rho))))
     weighted = 0.0
     for weight, vec in ((pur.weight_m, pur.state_m), (pur.weight_n, pur.state_n)):
         z = complex(np.vdot(vec, final @ vec))
         if abs(z) <= ORTHOGONALITY_EPS:
             raise OrthogonalStep("an eigenstate ends orthogonal to its start")
-        weighted += weight * (tot + principal(_arg(z) - tot))
+        arg = principal(cmath.phase(z))
+        weighted += weight * (tot + principal(arg - tot))
     return principal(weighted - dyn)
 
 
-def geometric_phase_mixed(
-    s0, schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES
-) -> float:
+def geometric_phase_mixed(s0, schedule: RotationSchedule) -> float:
     """Weighted sum of the two purified eigenstate geometric phases along
     the schedule, reported in (-pi, pi]; exact and O(segments).
 
@@ -242,7 +227,6 @@ def geometric_phase_mixed(
     dynamical phase. A bare ``arg`` is only defined mod 2pi, which is not
     enough for a weighted sum, so both eigenstate args are taken on the
     branch nearest the mixed total phase ``arg Tr(B_n rho)``.
-    ``samples_per_segment`` is accepted for compatibility and ignored.
     Raises DegenerateSpectrum for a maximally entangled input (no
     eigenvalue gap) and OrthogonalStep when an eigenstate ends orthogonal
     to its start.
@@ -252,29 +236,18 @@ def geometric_phase_mixed(
     return _geometric(prods[-1], rho, _dynamical(schedule, prods, rho))
 
 
-def overlap_at(s0, schedule: RotationSchedule, t: float) -> complex:
-    """``<s0| U(t) |s0>`` (the unitary acting on the evolved qubit) at an
-    arbitrary schedule time, evaluated as ``Tr[U(t) rho_evolved]``."""
-    return complex(np.trace(unitary_at(schedule, t) @ _evolved_density(s0, schedule)))
-
-
-def topological_crossings(
-    s0, schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES
-) -> tuple[int, str]:
+def topological_crossings(s0, schedule: RotationSchedule) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
     its parity, ``"even"`` or ``"odd"``; exact (see
-    :func:`~phaselab.geometry.overlap_zero_times`). ``samples_per_segment``
-    is accepted for compatibility and ignored."""
-    count = overlap_zero_times(schedule, _evolved_density(s0, schedule)).size
+    :func:`~phaselab.geometry.overlap_zero_times`)."""
+    rho = _evolved_density(s0, schedule)
+    count = overlap_zero_times(schedule, rho, _boundaries(schedule)).size
     return count, ("odd" if count % 2 else "even")
 
 
-def phase_breakdown(
-    s0, schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES
-) -> PhaseBreakdown:
+def phase_breakdown(s0, schedule: RotationSchedule) -> PhaseBreakdown:
     """Assemble total, dynamical, geometric phases and crossing data for a
-    cyclic schedule, exactly and in O(segments) from the boundary products;
-    ``samples_per_segment`` is accepted for compatibility and ignored.
+    cyclic schedule, exactly and in O(segments) from the boundary products.
 
     Raises NotCyclic when the evolution does not return the initial ray
     (final overlap magnitude differs from 1 by more than 1e-6). For a
@@ -286,7 +259,7 @@ def phase_breakdown(
     v = complex(np.trace(prods[-1] @ rho))
     if abs(abs(v) - 1.0) > 1e-6:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
-    total = _arg(v)
+    total = principal(cmath.phase(v))
     dyn = _dynamical(schedule, prods, rho)
     try:
         geo = _geometric(prods[-1], rho, dyn)
@@ -321,8 +294,10 @@ def fixed_axis_closed_forms(lambda0: float, theta: float) -> tuple[float, float,
 
 def readout_probability(s0, schedule: RotationSchedule) -> float:
     """Ancilla click probability of the conditional-rotation interferometer,
-    ``(1 - Re <s0|U_total|s0>) / 2`` (equal to ``||(U - I)|s0>||^2 / 4``)."""
-    v = overlap_at(np.asarray(s0, dtype=complex), schedule, total_duration(schedule))
+    ``(1 - Re <s0|U_total|s0>) / 2`` (equal to ``||(U - I)|s0>||^2 / 4``),
+    with ``<s0|U_total|s0> = Tr(B_n rho)`` read from the boundary products."""
+    _, prods = _boundaries(schedule)
+    v = complex(np.trace(prods[-1] @ _evolved_density(s0, schedule)))
     return float(min(1.0, max(0.0, 0.5 * (1.0 - v.real))))
 
 
@@ -368,7 +343,10 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
         (rhot[:, 0, 0] - rhot[:, 1, 1]).real,
     )
     mags = np.abs(sps)
-    principal_vals = np.where(mags > ORTHOGONALITY_EPS, np.angle(sps), math.nan)
+    # the principal column folds np.angle's -pi onto pi; the unwrap takes the
+    # raw angles, since unwrapping folded ones moves its sums by ulps
+    raw_vals = np.where(mags > ORTHOGONALITY_EPS, np.angle(sps), math.nan)
+    principal_vals = np.where(raw_vals == -math.pi, math.pi, raw_vals)
     dyn_vals = np.zeros(len(times))
     acc = 0.0
     spp = samples_per_segment
@@ -389,7 +367,7 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
         m = np.unique(np.clip(m, 0.0, float(n - 1)))
         idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
         flags[np.minimum(idx, len(times) - 1)] = 1
-    columns = (times, sps.real, sps.imag, principal_vals, _unwrap_skipnan(principal_vals),
+    columns = (times, sps.real, sps.imag, principal_vals, _unwrap_skipnan(raw_vals),
                dyn_vals, *blochs, *axes.T, angles)
     return columns, flags, crossing_times
 

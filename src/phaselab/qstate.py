@@ -40,6 +40,13 @@ def pauli_dot(axis) -> np.ndarray:
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
 
 
+def _rescaled(v: np.ndarray) -> np.ndarray:
+    """``v`` divided by its largest component when the squares its norm
+    sums would overflow, else ``v`` itself."""
+    big = max(map(abs, v.view(float).tolist()))
+    return v / big if big > 1e150 else v
+
+
 def make_two_qubit(a00, a01, a10, a11) -> np.ndarray:
     """Normalized two-qubit state from four complex amplitudes.
 
@@ -49,6 +56,7 @@ def make_two_qubit(a00, a01, a10, a11) -> np.ndarray:
     amps = np.array([a00, a01, a10, a11], dtype=complex)
     if not np.all(np.isfinite(amps.view(float))):
         raise DomainError("amplitudes must be finite")
+    amps = _rescaled(amps)
     norm = float(np.linalg.norm(amps))
     if not norm > 1e-9:
         raise ZeroNorm(f"state norm {norm:g} is not above 1e-9")

@@ -17,8 +17,8 @@ case sensitive)::
 Numbers are finite decimals with optional scientific notation; ``inf``
 and ``nan`` are rejected. ``segment`` axes are normalized by the parser;
 an axis shorter than 1e-3 is rejected. Durations are rotation angles in
-radians and must be positive. The ``evolve-qubit`` directive defaults to
-qubit 1 when omitted.
+radians and must be positive, and their running total must stay finite.
+The ``evolve-qubit`` directive defaults to qubit 1 when omitted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError, ZeroNorm
-from .qstate import evolution_operator, make_two_qubit, pauli_dot, schmidt_state
+from .qstate import _rescaled, evolution_operator, make_two_qubit, pauli_dot, schmidt_state
 
 __all__ = [
     "HEADER",
@@ -129,7 +129,7 @@ def _parse_segment(fields, lineno) -> RotationSegment:
     if len(fields) != 5:
         raise ParseError(lineno, "segment takes <nx> <ny> <nz> <duration>")
     nx, ny, nz, dur = (_float(tok, lineno) for tok in fields[1:])
-    axis = np.array([nx, ny, nz], dtype=float)
+    axis = _rescaled(np.array([nx, ny, nz], dtype=float))
     norm = float(np.linalg.norm(axis))
     if norm < 1e-3:
         raise ValidationError("axis too short to normalize", line=lineno)
@@ -145,12 +145,13 @@ def parse_schedule(text: str) -> RotationSchedule:
 
     ParseError (carrying the line number) flags malformed syntax;
     ValidationError flags semantic problems: axis too short to normalize,
-    lambda0 outside [0, 1], non-positive duration, missing or duplicate
-    state declaration.
+    lambda0 outside [0, 1], non-positive duration, durations summing past
+    the largest float, missing or duplicate state declaration.
     """
     initial = None
     qubit = 1
     segments: list[RotationSegment] = []
+    end, counted = 0.0, 0  # total duration so far, summed as _boundaries sums it
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,6 +182,10 @@ def parse_schedule(text: str) -> RotationSchedule:
             segments.extend(builtin_plus() if fields[1] == "plus" else builtin_minus())
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
+        end = sum((seg.duration for seg in segments[counted:]), end)
+        counted = len(segments)
+        if not math.isfinite(end):
+            raise ValidationError("durations sum past the largest float", line=lineno)
     if not header_seen:
         raise ParseError(1, f"empty schedule; expected {HEADER!r} header")
     if initial is None:
@@ -217,16 +222,16 @@ def _boundaries(schedule: RotationSchedule):
     return times, prods
 
 
-def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bounds=None):
+def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bounds):
     """Sampled times (M,) and cumulative unitaries (M, 2, 2).
 
     Each segment contributes ``samples_per_segment - 1`` new samples; its
     last one is the exact boundary product, independent of the sampling
-    density. ``bounds`` takes a ``_boundaries(schedule)`` already built.
+    density. ``bounds`` is ``_boundaries(schedule)``.
     """
     if samples_per_segment < 2:
         raise DomainError("samples_per_segment must be >= 2")
-    bt, bp = bounds or _boundaries(schedule)
+    bt, bp = bounds
     times = [0.0]
     units = [bp[0]]
     eye = np.eye(2, dtype=complex)
@@ -249,7 +254,7 @@ def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bound
 def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
     """Strictly increasing ``(time, cumulative unitary)`` samples from 0 to
     the total duration, with exact products at segment boundaries."""
-    times, units = _unitary_samples(schedule, samples_per_segment)
+    times, units = _unitary_samples(schedule, samples_per_segment, _boundaries(schedule))
     return [(float(t), u) for t, u in zip(times, units)]
 
 

@@ -45,7 +45,7 @@ def test_criterion_1_single_qubit_cyclic_law():
         s = pl.schmidt_state(1.0, theta)
         sched = z_turn(s)
         dyn = pl.dynamical_phase(s, sched)
-        geo = pl.geometric_phase_mixed(s, sched, 100_000)
+        geo = pl.geometric_phase_mixed(s, sched)
         tot = pl.total_phase(s, evolve(sched))
         worst_d = max(worst_d, abs(dyn - (-math.pi * math.cos(theta))))
         worst_g = max(worst_g, abs(pl.principal(geo - (-math.pi * (1 - math.cos(theta))))))
@@ -64,7 +64,7 @@ def test_criterion_2_fixed_axis_closed_forms():
         for j in range(9):
             theta = j * math.pi / 8
             s = pl.schmidt_state(lam, theta)
-            b = pl.phase_breakdown(s, z_turn(s), 2000)
+            b = pl.phase_breakdown(s, z_turn(s))
             cf_d, cf_g, _ = pl.fixed_axis_closed_forms(lam, theta)
             worst_d = max(worst_d, abs(pl.principal(b.dynamical - (-cf_d))))
             worst_g = max(worst_g, abs(pl.principal(b.geometric - (-cf_g))))
@@ -86,8 +86,8 @@ def test_criterion_3_homotopy_classes():
         minus = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, s)
         tp = pl.total_phase(s, evolve(plus))
         tm = pl.total_phase(s, evolve(minus))
-        cp, _ = pl.topological_crossings(s, plus, 2000)
-        cm, _ = pl.topological_crossings(s, minus, 2000)
+        cp, _ = pl.topological_crossings(s, plus)
+        cm, _ = pl.topological_crossings(s, minus)
         ok &= abs(pl.principal(tp)) < 1e-6
         ok &= abs(pl.principal(tm - math.pi)) < 1e-6
         if lam == 0.5:
@@ -231,7 +231,7 @@ def test_parity_law_on_random_mes_schedules():
             segs = segs + (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi),)
         q = int(rng.integers(1, 3))
         sched = pl.RotationSchedule(segs, q, mes)
-        _, parity = pl.topological_crossings(mes, sched, 2000)
+        _, parity = pl.topological_crossings(mes, sched)
         tp = pl.total_phase(mes, evolve(sched))
         want = "odd" if abs(pl.principal(tp - math.pi)) < 1e-6 else "even"
         ok &= parity == want

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,11 @@ MES_PLUS = """phaselab-schedule v1
 state schmidt 0.5 0.0
 evolve-qubit 1
 builtin plus
+"""
+
+Z_TURN_PRODUCT = """phaselab-schedule v1
+state schmidt 1 0
+segment 0 0 1 6.283185307179586
 """
 
 LAM03_Z = """phaselab-schedule v1
@@ -124,6 +130,29 @@ class TestRun:
         assert main(["run", sched, "--steps", "2000", "--out", str(out)]) == 0
         final = float(out.read_text().splitlines()[-1].split(",")[3])
         assert abs(pl.principal(final - want)) < 1e-6
+
+
+    def test_final_phase_of_minus_identity_matches_breakdown(self, tmp_path, capsys):
+        # U_T = -I: np.angle of the final overlap is exactly -pi, which the
+        # principal value in (-pi, pi] shows as pi, as breakdown does
+        sched = write(tmp_path, "z.sched", Z_TURN_PRODUCT)
+        assert main(["breakdown", sched]) == 0
+        total = json.loads(capsys.readouterr().out)["total"]
+        assert total == math.pi
+        assert main(["run", sched]) == 0
+        assert f"final total phase: {total!r}\n" in capsys.readouterr().out
+        s = pl.parse_schedule(Z_TURN_PRODUCT)
+        samples, _, _ = pl.phase_samples(s.initial, s)
+        assert all(-math.pi < x.total_principal <= math.pi for x in samples)
+
+    def test_principal_column_in_range(self, tmp_path):
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        out = tmp_path / "series.csv"
+        assert main(["run", sched, "--out", str(out)]) == 0
+        cells = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+        defined = [x for x in cells if not math.isnan(x)]
+        assert math.pi in defined
+        assert all(-math.pi < x <= math.pi for x in defined)
 
 
 class TestBreakdown:
@@ -263,6 +292,23 @@ class TestSweep:
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("turns", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_turns_overflowing_a_float_is_validation_error(self, tmp_path, capsys, turns):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--lambda0", "0:1:2", "--theta", "0:1:2",
+                     "--turns", str(turns), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: turns too large: 2 pi turns overflows a float\n")
+        assert not out.exists()
+
+    def test_range_spanning_past_float_max_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--lambda0", "0:1:2", "--theta=-1e308:1e308:3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: theta range '-1e308:1e308:3' spans past the largest float\n")
+
 
 class TestReadout:
     def test_identity_schedule(self, tmp_path, capsys):
@@ -321,6 +367,24 @@ class TestExitCodes:
         argv = [a.format(sched=sched, out=out) for a in argv]
         assert main(argv) == 1
         assert "--steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "breakdown", "readout"])
+    def test_durations_summing_past_float_max_exit_2(self, tmp_path, capsys, command):
+        sched = write(tmp_path, "o.sched", "phaselab-schedule v1\nstate schmidt 0.3 0\n"
+                      "segment 0 0 1 1e308\nsegment 0 0 1 1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, sched]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 4: durations sum past the largest float\n"
+
+    def test_schedule_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.sched"
+        path.write_bytes(b"phaselab-schedule v1\n\xff\xfe\n")
+        assert main(["breakdown", str(path)]) == 2
+        assert "utf-8" in capsys.readouterr().err
 
     def test_validation_error_exit_2(self, tmp_path, capsys):
         sched = write(tmp_path, "v.sched",

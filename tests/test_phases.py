@@ -227,31 +227,31 @@ class TestGeometricPhaseMixed:
     def test_pure_product_reduces_to_latitude_law(self):
         for theta in (0.0, 0.7, 1.9, math.pi):
             s = pl.schmidt_state(1.0, theta)
-            got = pl.geometric_phase_mixed(s, z_turn_schedule(s), 4000)
+            got = pl.geometric_phase_mixed(s, z_turn_schedule(s))
             want = -math.pi * (1 - math.cos(theta))
             assert abs(pl.principal(got - want)) < 1e-5
 
     def test_equator_is_half_turn(self):
         s = pl.schmidt_state(0.3, math.pi / 2)
-        got = pl.geometric_phase_mixed(s, z_turn_schedule(s), 4000)
+        got = pl.geometric_phase_mixed(s, z_turn_schedule(s))
         assert abs(pl.principal(got - math.pi)) < 1e-5
 
     def test_weighted_branch_at_pole(self):
         # lambda0 = 0.3, theta = 0: the weighted value is -1.4 pi, whose
         # principal representative is +0.6 pi
         s = pl.schmidt_state(0.3, 0.0)
-        got = pl.geometric_phase_mixed(s, z_turn_schedule(s), 4000)
+        got = pl.geometric_phase_mixed(s, z_turn_schedule(s))
         assert abs(got - 0.6 * math.pi) < 1e-5
 
     def test_mes_raises_degenerate(self):
         mes = pl.schmidt_state(0.5, 0.0)
         with pytest.raises(pl.DegenerateSpectrum):
-            pl.geometric_phase_mixed(mes, z_turn_schedule(mes), 400)
+            pl.geometric_phase_mixed(mes, z_turn_schedule(mes))
 
     def test_empty_schedule_zero(self):
         s = pl.schmidt_state(0.3, 0.2)
         sched = pl.RotationSchedule((), 1, s)
-        assert pl.geometric_phase_mixed(s, sched, 100) == 0.0
+        assert pl.geometric_phase_mixed(s, sched) == 0.0
 
     def test_matches_sampled_overlap_product(self):
         # the exact Pancharatnam form against the sampled Bargmann oracle
@@ -270,7 +270,7 @@ class TestGeometricPhaseMixed:
         # two full turns close with total 0; the decomposition must track it
         s = pl.schmidt_state(0.7, math.pi / 3)
         sched = z_turn_schedule(s, turns=2)
-        geo = pl.geometric_phase_mixed(s, sched, 4000)
+        geo = pl.geometric_phase_mixed(s, sched)
         dyn = pl.dynamical_phase(s, sched)
         assert abs(pl.principal(geo + dyn)) < 1e-5
 
@@ -279,27 +279,27 @@ class TestTopologicalCrossings:
     def test_builtin_minus_on_mes(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        assert pl.topological_crossings(mes, sched, 2000) == (1, "odd")
+        assert pl.topological_crossings(mes, sched) == (1, "odd")
 
     def test_builtin_plus_on_mes_touch_not_crossing(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_plus()), 1, mes)
-        assert pl.topological_crossings(mes, sched, 2000) == (0, "even")
+        assert pl.topological_crossings(mes, sched) == (0, "even")
 
     def test_builtin_minus_non_mes_never_vanishes(self):
         s = pl.schmidt_state(0.3, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, s)
-        assert pl.topological_crossings(s, sched, 2000) == (0, "even")
+        assert pl.topological_crossings(s, sched) == (0, "even")
 
     def test_single_z_turn_on_mes(self):
         mes = pl.schmidt_state(0.5, 0.0)
-        assert pl.topological_crossings(mes, z_turn_schedule(mes), 2000) == (1, "odd")
+        assert pl.topological_crossings(mes, z_turn_schedule(mes)) == (1, "odd")
 
     def test_product_equator_crossing_detected_generally(self):
         # product state on the equator: the overlap genuinely vanishes at
         # the half turn and the general dip detector must count it
         s = pl.schmidt_state(1.0, math.pi / 2)
-        assert pl.topological_crossings(s, z_turn_schedule(s), 2000) == (1, "odd")
+        assert pl.topological_crossings(s, z_turn_schedule(s)) == (1, "odd")
 
     @pytest.mark.parametrize("turns", [2, 5])
     def test_multi_turn_segment_crosses_every_turn(self, turns):
@@ -315,7 +315,8 @@ class TestTopologicalCrossings:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns + 1.0),), 1, s)
         assert pl.topological_crossings(s, sched) == (turns, "even")
-        zeros = pl.geometry.overlap_zero_times(sched, pl.reduced_density(s, 1))
+        zeros = pl.geometry.overlap_zero_times(
+            sched, pl.reduced_density(s, 1), pl.schedule._boundaries(sched))
         assert len(zeros) == zeros.size == turns
         assert abs(zeros[0] - math.pi) < 1e-9
         assert abs(zeros[5] - 11 * math.pi) < 1e-9
@@ -378,7 +379,7 @@ class TestPhaseBreakdown:
     def test_mes_minus(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        b = pl.phase_breakdown(mes, sched, 1000)
+        b = pl.phase_breakdown(mes, sched)
         assert abs(b.total - math.pi) < 1e-12
         assert abs(b.dynamical) < 1e-12
         assert b.geometric == 0.0
@@ -388,7 +389,7 @@ class TestPhaseBreakdown:
 
     def test_fixed_axis_chain(self):
         s = pl.schmidt_state(0.3, 0.0)
-        b = pl.phase_breakdown(s, z_turn_schedule(s), 2000)
+        b = pl.phase_breakdown(s, z_turn_schedule(s))
         assert abs(b.total - math.pi) < 1e-12
         assert abs(b.dynamical - 0.4 * math.pi) < 1e-12
         assert abs(b.geometric - 0.6 * math.pi) < 1e-4
@@ -397,7 +398,7 @@ class TestPhaseBreakdown:
 
     def test_product_equator(self):
         s = pl.schmidt_state(1.0, math.pi / 2)
-        b = pl.phase_breakdown(s, z_turn_schedule(s), 2000)
+        b = pl.phase_breakdown(s, z_turn_schedule(s))
         assert abs(b.dynamical) < 1e-12
         assert abs(abs(b.geometric) - math.pi) < 1e-5
 
@@ -406,7 +407,7 @@ class TestPhaseBreakdown:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(np.array([1.0, 0.0, 0.0]), 1.0),), 1, s)
         with pytest.raises(pl.NotCyclic):
-            pl.phase_breakdown(s, sched, 100)
+            pl.phase_breakdown(s, sched)
 
     def test_closure_on_random_cyclic_runs(self):
         rng = np.random.default_rng(61)
@@ -416,7 +417,7 @@ class TestPhaseBreakdown:
             if pl.concurrence(sched.initial) > 1 - 1e-6:
                 continue
             done += 1
-            b = pl.phase_breakdown(sched.initial, sched, 2000)
+            b = pl.phase_breakdown(sched.initial, sched)
             assert b.closure_residual < 1e-4
 
 

@@ -27,6 +27,11 @@ class TestMakeTwoQubit:
         r = 1 / math.sqrt(2)
         assert_allclose(s, [r, 0, 0, r], atol=1e-15)
 
+    def test_amplitudes_whose_squares_overflow(self):
+        s = pl.make_two_qubit(1e300, 0, 0, 1e300j)
+        r = 1 / math.sqrt(2)
+        assert_allclose(s, [r, 0, 0, 1j * r], atol=1e-15)
+
     def test_zero_norm_rejected(self):
         with pytest.raises(pl.ZeroNorm):
             pl.make_two_qubit(0, 0, 0, 1e-10)

@@ -154,6 +154,25 @@ class TestParser:
         with pytest.raises(pl.ValidationError):
             pl.parse_schedule(text)
 
+    def test_durations_summing_past_float_max_rejected(self):
+        text = ("phaselab-schedule v1\nstate schmidt 0.5 0\nsegment 0 0 1 1e308\n"
+                "builtin plus\nsegment 0 0 1 1e308\nsegment 0 0 1 1.0\n")
+        with pytest.raises(pl.ValidationError, match="line 5: durations sum past"):
+            pl.parse_schedule(text)
+
+    def test_durations_summing_to_float_max_accepted(self):
+        text = ("phaselab-schedule v1\nstate schmidt 0.5 0\nsegment 0 0 1 1e308\n"
+                "segment 0 0 1 7e307\n")
+        assert pl.total_duration(pl.parse_schedule(text)) == 1.7e308
+
+    @pytest.mark.parametrize("big", ["1e200", "1.7976931348623157e308"])
+    def test_huge_axis_and_amplitudes_normalized(self, big):
+        text = (f"phaselab-schedule v1\nstate amplitudes {big} 0 0 0 0 0 -{big} 0\n"
+                f"segment {big} {big} -{big} 1.0\n")
+        sched = pl.parse_schedule(text)
+        assert_allclose(sched.initial, np.array([1, 0, 0, -1]) / math.sqrt(2), atol=1e-15)
+        assert_allclose(sched.segments[0].axis, np.array([1, 1, -1]) / math.sqrt(3), atol=1e-15)
+
     def test_zero_norm_amplitudes_rejected(self):
         text = "phaselab-schedule v1\nstate amplitudes 0 0 0 0 0 0 0 0\n"
         with pytest.raises(pl.ValidationError):
