@@ -8,137 +8,20 @@ of a pure two-qubit state, concurrence, purification, and the rotation
 ball of radius pi with antipodal boundary identification.
 """
 
-from .errors import (
-    DegenerateSpectrum,
-    DomainError,
-    NotCyclic,
-    NotSpecialUnitary,
-    OrthogonalStep,
-    ParseError,
-    PhaseLabError,
-    ValidationError,
-    ZeroNorm,
-)
-from .geometry import (
-    Purification,
-    SO3Path,
-    SO3Point,
-    ball_radius,
-    bloch_of_density,
-    bloch_of_pure,
-    concurrence,
-    hopf_coords,
-    purify,
-    purity_radius,
-    so3_path,
-    su2_to_so3,
-)
-from .phases import (
-    CROSSING_EPS,
-    DEFAULT_SAMPLES,
-    DYNAMICAL_SIGN,
-    ORTHOGONALITY_EPS,
-    PhaseBreakdown,
-    PhaseSample,
-    dynamical_phase,
-    fixed_axis_closed_forms,
-    geometric_phase_mixed,
-    geometric_phase_pure,
-    mixed_total_phase,
-    phase_breakdown,
-    phase_samples,
-    principal,
-    readout_probability,
-    sp_formula,
-    topological_crossings,
-    total_phase,
-)
-from .qstate import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    apply_local,
-    evolution_operator,
-    inner_product,
-    make_two_qubit,
-    pauli_dot,
-    reduced_density,
-    schmidt_state,
-)
-from .schedule import (
-    HEADER,
-    RotationSchedule,
-    RotationSegment,
-    builtin_minus,
-    builtin_plus,
-    cumulative_unitaries,
-    parse_schedule,
-    serialize_schedule,
-    total_duration,
-    unitary_at,
-)
+from . import errors, geometry, phases, qstate, schedule
+from .errors import *  # noqa: F403 (its public names are the exception types)
+from .geometry import *  # noqa: F403
+from .phases import *  # noqa: F403
+from .qstate import *  # noqa: F403
+from .schedule import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PhaseLabError",
-    "ZeroNorm",
-    "DomainError",
-    "DegenerateSpectrum",
-    "NotSpecialUnitary",
-    "OrthogonalStep",
-    "NotCyclic",
-    "ParseError",
-    "ValidationError",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "pauli_dot",
-    "make_two_qubit",
-    "schmidt_state",
-    "evolution_operator",
-    "apply_local",
-    "reduced_density",
-    "inner_product",
-    "bloch_of_pure",
-    "bloch_of_density",
-    "hopf_coords",
-    "concurrence",
-    "ball_radius",
-    "purity_radius",
-    "Purification",
-    "purify",
-    "SO3Point",
-    "SO3Path",
-    "su2_to_so3",
-    "so3_path",
-    "HEADER",
-    "RotationSegment",
-    "RotationSchedule",
-    "builtin_plus",
-    "builtin_minus",
-    "parse_schedule",
-    "serialize_schedule",
-    "cumulative_unitaries",
-    "unitary_at",
-    "total_duration",
-    "ORTHOGONALITY_EPS",
-    "CROSSING_EPS",
-    "DEFAULT_SAMPLES",
-    "DYNAMICAL_SIGN",
-    "principal",
-    "PhaseSample",
-    "PhaseBreakdown",
-    "total_phase",
-    "mixed_total_phase",
-    "sp_formula",
-    "dynamical_phase",
-    "geometric_phase_pure",
-    "geometric_phase_mixed",
-    "topological_crossings",
-    "phase_breakdown",
-    "fixed_axis_closed_forms",
-    "readout_probability",
-    "phase_samples",
+    *(name for name in vars(errors) if not name.startswith("_")),
+    *qstate.__all__,
+    *geometry.__all__,
+    *schedule.__all__,
+    *phases.__all__,
     "__version__",
 ]

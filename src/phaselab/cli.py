@@ -29,7 +29,7 @@ from .phases import (
     readout_probability,
 )
 from .qstate import schmidt_state
-from .schedule import RotationSchedule, RotationSegment, parse_schedule
+from .schedule import RotationSchedule, RotationSegment, _number, parse_schedule
 
 RUN_FIELDS = [
     "t",
@@ -134,7 +134,7 @@ def _cmd_breakdown(args) -> int:
 def _parse_range(spec: str, name: str) -> np.ndarray:
     try:
         a, b, n = spec.split(":")
-        a, b, n = float(a), float(b), int(n)
+        a, b, n = _number(a), _number(b), _number(n, int)
     except ValueError:
         raise ValidationError(f"malformed {name} range {spec!r}; expected a:b:n") from None
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -181,11 +181,15 @@ def _cmd_readout(args) -> int:
     return 0
 
 
-def _steps(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        n = int(text)
+        return _number(text, int)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _steps(text: str) -> int:
+    n = _integer(text)
     if n < 2:
         raise argparse.ArgumentTypeError(f"must be >= 2, got {n}")
     return n
@@ -222,7 +226,7 @@ def _build_parser() -> _Parser:
     sw.add_argument("--lambda0", required=True, metavar="A:B:N")
     sw.add_argument("--theta", required=True, metavar="A:B:M")
     sw.add_argument("--axis", choices=("x", "y", "z"), default="z")
-    sw.add_argument("--turns", type=int, default=1)
+    sw.add_argument("--turns", type=_integer, default=1)
     sw.add_argument("--steps", type=_steps, default=DEFAULT_SAMPLES,
                     help=_EXACT_STEPS_HELP)
     sw.add_argument("--out", required=True)

@@ -21,8 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotSpecialUnitary
-from .qstate import pauli_dot
-from .schedule import RotationSchedule, _boundaries, _unitary_samples
+from .schedule import RotationSchedule, _boundaries, _quaternions, _unitary_samples
 
 __all__ = [
     "bloch_of_pure",
@@ -255,14 +254,35 @@ class ZeroTimes(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
+def _overlap(q, rho) -> complex:
+    """``Tr(B rho) = w t - i v . b`` for the unit quaternion ``q = (w, v)`` of
+    ``B = w I - i v . sigma`` and ``rho = (t I + b . sigma) / 2`` given by
+    its Pauli components ``(t, b)``; ``t = Tr rho`` is 1 up to rounding."""
+    w, vx, vy, vz = q
+    t, bx, by, bz = rho
+    return complex(w * t, 0.0 - (vx * bx + vy * by + vz * bz))  # never -0.0
+
+
+def _slope(n, q, rho) -> complex:
+    """``Tr((n . sigma) B rho) = w n . b + (n x v) . b - i (n . v) t``."""
+    w, vx, vy, vz = q
+    nx, ny, nz = n
+    t, bx, by, bz = rho
+    return complex(w * (nx * bx + ny * by + nz * bz) + (ny * vz - nz * vy) * bx
+                   + (nz * vx - nx * vz) * by + (nx * vy - ny * vx) * bz,
+                   -(nx * vx + ny * vy + nz * vz) * t)
+
+
 def overlap_zero_times(schedule: RotationSchedule, rho, bounds) -> ZeroTimes:
     """Times in (0, T) where ``Tr(U(t) rho)`` passes through zero, exact
-    and in one pass over the segments; ``bounds`` is
-    ``_boundaries(schedule)``.
+    and in one pass over the segments; ``rho`` is the Pauli components
+    ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2`` and ``bounds``
+    is ``_quaternions(schedule)``.
 
     On segment k, ``U(t_k + tau) = exp(-i tau (n_k . sigma) / 2) B_k``, so
     the overlap is ``z(tau) = a cos(tau/2) + b sin(tau/2)`` with
-    ``a = Tr(B_k rho)`` and ``b = -i Tr((n_k . sigma) B_k rho)``, and
+    ``a = Tr(B_k rho)`` and ``b = -i Tr((n_k . sigma) B_k rho)``, both in
+    closed form on the quaternion of ``B_k``, and
     ``|z|^2 = P + R cos(tau - phi)`` has its minima, all of depth
     ``P - R``, at ``tau = phi + pi + 2 pi m``. Interior minima with
     ``|z| <= CROSSING_EPS`` are crossings, counted by arithmetic rather
@@ -271,20 +291,18 @@ def overlap_zero_times(schedule: RotationSchedule, rho, bounds) -> ZeroTimes:
     tangential touch. Segments on which ``z`` vanishes throughout join
     their junctions into one zero, judged by the slopes on entering and
     on leaving it. A zero at the schedule's end is not a crossing. With
-    ``rho = I/2`` the overlap is ``Re(Tr U)/2``, whose zeros are the
-    rotation-ball border crossings.
+    ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap is
+    ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
-    times, prods = bounds
-    segs = schedule.segments
-    zs = [complex(np.trace(u @ rho)) for u in prods]
+    times, quats, axes = bounds
+    zs = [_overlap(q, rho) for q in quats]
     at_zero = [abs(z) <= CROSSING_EPS for z in zs]
     runs = []
     entered = None  # (segment, slope factor) where the current zero began
-    for k, seg in enumerate(segs):
-        m = prods[k] @ rho
-        c = complex(np.trace(pauli_dot(seg.axis) @ m))  # z'(0) = -i c / 2
+    for k, (n, seg) in enumerate(zip(axes, schedule.segments)):
+        c = _slope(n, quats[k], rho)  # z'(0) = -i c / 2
         if k and at_zero[k] and entered is None:
-            entered = (k, complex(np.trace(pauli_dot(segs[k - 1].axis) @ m)))
+            entered = (k, _slope(axes[k - 1], quats[k], rho))
         if entered is not None:
             if abs(c) <= CROSSING_EPS:
                 continue  # z vanishes on this whole segment
@@ -323,5 +341,5 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
         (t, SO3Point(axis, angle), half)
         for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), halves.tolist())
     ]
-    crossings = overlap_zero_times(schedule, np.eye(2) / 2.0, bounds)
+    crossings = overlap_zero_times(schedule, (1.0, 0.0, 0.0, 0.0), _quaternions(schedule))
     return SO3Path(tuple(samples), crossings)

@@ -23,20 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep
-from .geometry import (
-    CROSSING_EPS,
-    SO3Point,
-    _so3_arrays,
-    bloch_of_density,
-    overlap_zero_times,
-    purify,
-)
-from .qstate import inner_product, pauli_dot, reduced_density
-from .schedule import (
-    RotationSchedule,
-    _boundaries,
-    _unitary_samples,
-)
+from .geometry import CROSSING_EPS, SO3Point, _overlap, _so3_arrays, overlap_zero_times
+from .qstate import inner_product, reduced_density
+from .schedule import RotationSchedule, _boundaries, _quaternions, _unitary_samples
 
 __all__ = [
     "ORTHOGONALITY_EPS",
@@ -77,6 +66,16 @@ def principal(x: float) -> float:
 
 def _evolved_density(s0, schedule: RotationSchedule) -> np.ndarray:
     return reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
+
+
+def _exact_inputs(s0, schedule: RotationSchedule):
+    """``(rho, bounds)`` of the exact core in plain floats: the Pauli
+    components ``(t, bx, by, bz)`` of the evolved qubit's reduced state
+    ``rho = (t I + b . sigma) / 2``, with ``b`` its Bloch vector and
+    ``t = Tr rho`` (1 up to rounding), and ``_quaternions(schedule)``."""
+    (r00, r01), (r10, r11) = _evolved_density(s0, schedule).tolist()
+    pauli = (r00 + r11).real, 2.0 * r01.real, 2.0 * r10.imag, (r00 - r11).real
+    return pauli, _quaternions(schedule)
 
 
 @dataclass(frozen=True)
@@ -146,35 +145,39 @@ def sp_formula(t: float, axis, bloch) -> complex:
     return complex(math.cos(t / 2.0), -nb * math.sin(t / 2.0))
 
 
-def _dynamical_rates(schedule: RotationSchedule, prods, rho) -> list[float]:
-    """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with ``b_k``
-    the Bloch vector of ``B_k rho B_k^+`` at the start of segment k.
+def _dynamical_rates(bounds, rho) -> list[float]:
+    """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with
+    ``b_k = b + 2 w (v x b) + 2 v x (v x b)`` the Bloch vector ``b`` of
+    ``rho`` (see :func:`_exact_inputs`) rotated by the boundary quaternion
+    ``B_k = (w, v)``; ``bounds`` is ``_quaternions(schedule)``.
 
     Each segment's generator commutes with its own evolution, so its
     expectation is constant within the segment; segment k contributes
-    ``rate_k * d_k`` to the dynamical phase. ``n_k . b_k`` is evaluated
-    in the Heisenberg picture as ``b_0 . h_k / 2`` with ``h_k`` the Pauli
-    components of ``B_k^+ (n_k . sigma) B_k``, so a maximally mixed
-    reduced state (``b_0 = 0``) has rates of exactly 0.
+    ``rate_k * d_k`` to the dynamical phase. A maximally mixed reduced
+    state (``b = 0``) has rates of exactly 0.
     """
-    b0 = bloch_of_density(rho)
-    return [
-        DYNAMICAL_SIGN * 0.25
-        * float(np.dot(b0, bloch_of_density(u.conj().T @ pauli_dot(seg.axis) @ u)))
-        for seg, u in zip(schedule.segments, prods)
-    ]
+    _, bx, by, bz = rho
+    _, quats, axes = bounds
+    rates = []
+    for (nx, ny, nz), (w, vx, vy, vz) in zip(axes, quats):
+        cx, cy, cz = vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx
+        dx, dy, dz = vy * cz - vz * cy, vz * cx - vx * cz, vx * cy - vy * cx
+        rates.append(DYNAMICAL_SIGN * 0.5 * (nx * (bx + 2.0 * (w * cx + dx))
+                                             + ny * (by + 2.0 * (w * cy + dy))
+                                             + nz * (bz + 2.0 * (w * cz + dz))))
+    return rates
 
 
-def _dynamical(schedule: RotationSchedule, prods, rho) -> float:
-    rates = _dynamical_rates(schedule, prods, rho)
+def _dynamical(schedule: RotationSchedule, bounds, rho) -> float:
+    rates = _dynamical_rates(bounds, rho)
     return sum(r * seg.duration for r, seg in zip(rates, schedule.segments))
 
 
 def dynamical_phase(s0, schedule: RotationSchedule) -> float:
     """``-sum_k <H_k> dt_k``, exact per segment: ``-(1/2) (axis . bloch at
     segment start) * duration`` summed over the segments."""
-    _, prods = _boundaries(schedule)
-    return _dynamical(schedule, prods, _evolved_density(s0, schedule))
+    rho, bounds = _exact_inputs(s0, schedule)
+    return _dynamical(schedule, bounds, rho)
 
 
 def geometric_phase_pure(path, closed: bool = True) -> float:
@@ -198,21 +201,27 @@ def geometric_phase_pure(path, closed: bool = True) -> float:
     return principal(-float(np.sum(np.angle(legs))))
 
 
-def _geometric(final, rho, dyn: float) -> float:
-    """``principal(sum_i w_i a_i - dyn)``: the dynamical phase is linear in
-    the density matrix, so the eigenstates' own ``w_i dyn_i`` sum to
-    ``dyn``, the mixed state's."""
-    pur = purify(rho)
+def _geometric(q, rho, dyn: float) -> float:
+    """``principal(sum_i w_i a_i - dyn)`` on the eigenstates ``+-b/r`` of
+    ``rho = (t I + b . sigma) / 2``, with weights ``(t +- r)/2`` and
+    ``<v+-|B|v+-> = w -+ i v . b/r`` for ``B = (w, v)``; the dynamical
+    phase is linear in the density matrix, so the eigenstates' own
+    ``w_i dyn_i`` sum to ``dyn``, the mixed state's."""
+    t, bx, by, bz = rho
+    r = math.sqrt(bx * bx + by * by + bz * bz)
+    if r <= 1e-9:  # the eigenvalue gap of rho is r
+        raise DegenerateSpectrum(f"eigenvalue gap {r:.3e} is <= 1e-9")
+    z = _overlap(q, rho)
     # one shared reference, so that at U_T = -I both eigenstate args land
     # on the same side of the +-pi cut as the mixed total phase
-    tot = principal(cmath.phase(complex(np.trace(final @ rho))))
+    tot = principal(cmath.phase(z))
     weighted = 0.0
-    for weight, vec in ((pur.weight_m, pur.state_m), (pur.weight_n, pur.state_n)):
-        z = complex(np.vdot(vec, final @ vec))
-        if abs(z) <= ORTHOGONALITY_EPS:
+    for sign in (1.0, -1.0):
+        zi = complex(q[0], sign * z.imag / r)  # w -+ i v . b / r
+        if abs(zi) <= ORTHOGONALITY_EPS:
             raise OrthogonalStep("an eigenstate ends orthogonal to its start")
-        arg = principal(cmath.phase(z))
-        weighted += weight * (tot + principal(arg - tot))
+        arg = principal(cmath.phase(zi))
+        weighted += 0.5 * (t + sign * r) * (tot + principal(arg - tot))
     return principal(weighted - dyn)
 
 
@@ -231,17 +240,15 @@ def geometric_phase_mixed(s0, schedule: RotationSchedule) -> float:
     eigenvalue gap) and OrthogonalStep when an eigenstate ends orthogonal
     to its start.
     """
-    _, prods = _boundaries(schedule)
-    rho = _evolved_density(s0, schedule)
-    return _geometric(prods[-1], rho, _dynamical(schedule, prods, rho))
+    rho, bounds = _exact_inputs(s0, schedule)
+    return _geometric(bounds[1][-1], rho, _dynamical(schedule, bounds, rho))
 
 
 def topological_crossings(s0, schedule: RotationSchedule) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
     its parity, ``"even"`` or ``"odd"``; exact (see
     :func:`~phaselab.geometry.overlap_zero_times`)."""
-    rho = _evolved_density(s0, schedule)
-    count = overlap_zero_times(schedule, rho, _boundaries(schedule)).size
+    count = overlap_zero_times(schedule, *_exact_inputs(s0, schedule)).size
     return count, ("odd" if count % 2 else "even")
 
 
@@ -254,22 +261,22 @@ def phase_breakdown(s0, schedule: RotationSchedule) -> PhaseBreakdown:
     maximally entangled input the geometric phase is reported as 0 with
     ``degenerate=True`` and a NaN closure residual.
     """
-    rho = _evolved_density(s0, schedule)
-    times, prods = _boundaries(schedule)
-    v = complex(np.trace(prods[-1] @ rho))
+    rho, bounds = _exact_inputs(s0, schedule)
+    final = bounds[1][-1]
+    v = _overlap(final, rho)
     if abs(abs(v) - 1.0) > 1e-6:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = principal(cmath.phase(v))
-    dyn = _dynamical(schedule, prods, rho)
+    dyn = _dynamical(schedule, bounds, rho)
     try:
-        geo = _geometric(prods[-1], rho, dyn)
+        geo = _geometric(final, rho, dyn)
         degenerate = False
         residual = abs(principal(total - dyn - geo))
     except DegenerateSpectrum:
         geo = 0.0
         degenerate = True
         residual = math.nan
-    count = overlap_zero_times(schedule, rho, (times, prods)).size
+    count = overlap_zero_times(schedule, rho, bounds).size
     parity = "odd" if count % 2 else "even"
     return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
 
@@ -295,10 +302,11 @@ def fixed_axis_closed_forms(lambda0: float, theta: float) -> tuple[float, float,
 def readout_probability(s0, schedule: RotationSchedule) -> float:
     """Ancilla click probability of the conditional-rotation interferometer,
     ``(1 - Re <s0|U_total|s0>) / 2`` (equal to ``||(U - I)|s0>||^2 / 4``),
-    with ``<s0|U_total|s0> = Tr(B_n rho)`` read from the boundary products."""
-    _, prods = _boundaries(schedule)
-    v = complex(np.trace(prods[-1] @ _evolved_density(s0, schedule)))
-    return float(min(1.0, max(0.0, 0.5 * (1.0 - v.real))))
+    with ``<s0|U_total|s0> = Tr(B_n rho)`` read from the final boundary
+    quaternion (see :func:`~phaselab.geometry._overlap`)."""
+    rho, bounds = _exact_inputs(s0, schedule)
+    v = _overlap(bounds[1][-1], rho)
+    return min(1.0, max(0.0, 0.5 * (1.0 - v.real)))
 
 
 def _unwrap_skipnan(p: np.ndarray) -> np.ndarray:
@@ -332,6 +340,7 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
     the first sample at or after each zero in ``zeros``.
     """
     rho = _evolved_density(s0, schedule)
+    pauli, qbounds = _exact_inputs(s0, schedule)
     bounds = _boundaries(schedule)
     times, units = _unitary_samples(schedule, samples_per_segment, bounds)
     sps = np.einsum("kij,ji->k", units, rho)
@@ -350,13 +359,13 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
     dyn_vals = np.zeros(len(times))
     acc = 0.0
     spp = samples_per_segment
-    for k, rate in enumerate(_dynamical_rates(schedule, bounds[1], rho)):
+    for k, rate in enumerate(_dynamical_rates(qbounds, pauli)):
         i0 = k * (spp - 1)
         sl = slice(i0 + 1, i0 + spp)
         dyn_vals[sl] = acc + rate * (times[sl] - times[i0])
         acc = float(dyn_vals[i0 + spp - 1])
     axes, angles = _so3_arrays(units)
-    crossing_times = overlap_zero_times(schedule, rho, bounds)
+    crossing_times = overlap_zero_times(schedule, pauli, qbounds)
     flags = np.zeros(len(times), dtype=int)
     for k, tau, n in crossing_times.runs:
         # every sample with a zero since the one before it is some zero's

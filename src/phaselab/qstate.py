@@ -79,6 +79,15 @@ def schmidt_state(lambda0: float, theta: float) -> np.ndarray:
     return np.array([r0 * c, -r1 * s, r0 * s, r1 * c], dtype=complex)
 
 
+def _unit_axis(axis) -> list:
+    """``axis`` as three floats; DomainError unless it is a unit 3-vector
+    (``|axis| = 1`` within 1e-9)."""
+    n = np.asarray(axis, dtype=float)
+    if n.shape != (3,) or abs(math.hypot(*n.tolist()) - 1.0) > _AXIS_TOL:
+        raise DomainError("axis must be a unit 3-vector (|axis| = 1 within 1e-9)")
+    return n.tolist()
+
+
 def evolution_operator(axis, t: float) -> np.ndarray:
     """SU(2) rotation by angle ``t`` (radians) about a unit 3-vector axis.
 
@@ -87,12 +96,9 @@ def evolution_operator(axis, t: float) -> np.ndarray:
         [[cos(t/2) - i nz sin(t/2),  (-i nx - ny) sin(t/2)],
          [(-i nx + ny) sin(t/2),     cos(t/2) + i nz sin(t/2)]]
     """
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > _AXIS_TOL:
-        raise DomainError("axis must be a unit 3-vector (|axis| = 1 within 1e-9)")
+    nx, ny, nz = _unit_axis(axis)
     c = math.cos(t / 2.0)
     s = math.sin(t / 2.0)
-    nx, ny, nz = n
     return np.array(
         [
             [c - 1j * nz * s, (-1j * nx - ny) * s],

@@ -14,8 +14,10 @@ case sensitive)::
     segment <nx> <ny> <nz> <duration>
     builtin <plus|minus>
 
-Numbers are finite decimals with optional scientific notation; ``inf``
-and ``nan`` are rejected. ``segment`` axes are normalized by the parser;
+Numbers are finite ASCII decimals: an optional sign, digits with an
+optional fraction and an optional exponent (``-1``, ``.5``, ``2.``,
+``1e-3``); ``inf``, ``nan``, digit-group underscores and non-ASCII digits
+are rejected. ``segment`` axes are normalized by the parser;
 an axis shorter than 1e-3 is rejected. Durations are rotation angles in
 radians and must be positive, and their running total must stay finite.
 The ``evolve-qubit`` directive defaults to qubit 1 when omitted.
@@ -24,12 +26,14 @@ The ``evolve-qubit`` directive defaults to qubit 1 when omitted.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError, ZeroNorm
-from .qstate import _rescaled, evolution_operator, make_two_qubit, pauli_dot, schmidt_state
+from .qstate import (_rescaled, _unit_axis, evolution_operator, make_two_qubit, pauli_dot,
+                     schmidt_state)
 
 __all__ = [
     "HEADER",
@@ -91,9 +95,28 @@ def builtin_minus() -> list[RotationSegment]:
     ]
 
 
+# The documented number grammar, ASCII only: float() and int() also take
+# underscores between digits and any Unicode decimal digit.
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
+
+
+def _number(token: str, kind=float):
+    """``kind(token)`` for a token of the documented grammar: an optional
+    sign and digits, then for floats an optional fraction and exponent.
+    Spellings of inf and nan pass as floats, for callers to reject with
+    their own messages; any other token raises ValueError."""
+    if (_INTEGER if kind is int else _DECIMAL).fullmatch(token):
+        return kind(token)
+    x = float(token)
+    if kind is int or math.isfinite(x):
+        raise ValueError(f"not a number of the documented grammar: {token!r}")
+    return x
+
+
 def _float(token: str, lineno: int) -> float:
     try:
-        x = float(token)
+        x = _number(token)
     except ValueError:
         raise ParseError(lineno, f"not a number: {token!r}") from None
     if not math.isfinite(x):
@@ -220,6 +243,27 @@ def _boundaries(schedule: RotationSchedule):
         times.append(times[-1] + seg.duration)
         prods.append(evolution_operator(seg.axis, seg.duration) @ prods[-1])
     return times, prods
+
+
+def _quaternions(schedule: RotationSchedule):
+    """Cumulative end times, the boundary products B_k, k = 0..n, as unit
+    quaternions ``(w, vx, vy, vz)`` with ``B_k = w I - i v . sigma``, and
+    the segment axes, all in plain floats. Segment k is
+    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` is the quaternion
+    product ``(c w - a . v, c v + w a + a x v)``."""
+    times = [0.0]
+    quats = [(1.0, 0.0, 0.0, 0.0)]
+    axes = [_unit_axis(seg.axis) for seg in schedule.segments]
+    for seg, n in zip(schedule.segments, axes):
+        c, s = math.cos(seg.duration / 2.0), math.sin(seg.duration / 2.0)
+        ax, ay, az = (s * x for x in n)
+        w, vx, vy, vz = quats[-1]
+        times.append(times[-1] + seg.duration)
+        quats.append((c * w - (ax * vx + ay * vy + az * vz),
+                      c * vx + w * ax + (ay * vz - az * vy),
+                      c * vy + w * ay + (az * vx - ax * vz),
+                      c * vz + w * az + (ax * vy - ay * vx)))
+    return times, quats, axes
 
 
 def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bounds):

@@ -247,3 +247,104 @@ def reference_sweep_rows(lambdas, thetas, axis, turns=1):
             rows.append([float(lam), float(th), b.total, b.dynamical, b.geometric,
                          b.crossings, b.closure_residual])
     return rows
+
+
+# Matrix oracles for the exact core: the 2x2-matrix forms of the exact
+# phase decomposition, on the boundary products B_k as matrices, with
+# np.trace, pauli_dot and the purification by eigh.
+
+def _matrix_inputs(s0, schedule):
+    rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
+    return rho, pl.schedule._boundaries(schedule)
+
+
+def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
+    """Zero times of ``Tr(U(t) rho)`` from the matrix boundary products,
+    with the same per-segment closed form and junction rules as the core
+    (see ``geometry.overlap_zero_times``), listed one by one."""
+    times, prods = bounds
+    segs = schedule.segments
+    zs = [complex(np.trace(u @ rho)) for u in prods]
+    at_zero = [abs(z) <= pl.CROSSING_EPS for z in zs]
+    zeros = []
+    entered = None
+    for k, seg in enumerate(segs):
+        m = prods[k] @ rho
+        c = complex(np.trace(pl.pauli_dot(seg.axis) @ m))
+        if k and at_zero[k] and entered is None:
+            entered = (k, complex(np.trace(pl.pauli_dot(segs[k - 1].axis) @ m)))
+        if entered is not None:
+            if abs(c) <= pl.CROSSING_EPS:
+                continue
+            if (entered[1] * c.conjugate()).real > 0.0:
+                zeros.append(times[entered[0]])
+            entered = None
+        a, b = zs[k], -1j * c
+        tau = math.atan2((a * b.conjugate()).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2))
+        tau += math.pi
+        z = a * math.cos(0.5 * tau) + b * math.sin(0.5 * tau)
+        if tau >= seg.duration or abs(z) > pl.CROSSING_EPS:
+            continue
+        last = math.ceil((seg.duration - tau) / (2.0 * math.pi)) - 1
+        lo = int(at_zero[k] and tau < math.pi)
+        hi = last - int(at_zero[k + 1] and tau + 2.0 * math.pi * last > seg.duration - math.pi)
+        zeros.extend(times[k] + (tau + 2.0 * math.pi * j) for j in range(lo, hi + 1))
+    return zeros
+
+
+def _matrix_dynamical(schedule, prods, rho) -> float:
+    b0 = pl.bloch_of_density(rho)
+    return sum(
+        pl.DYNAMICAL_SIGN * 0.25 * seg.duration
+        * float(np.dot(b0, pl.bloch_of_density(u.conj().T @ pl.pauli_dot(seg.axis) @ u)))
+        for seg, u in zip(schedule.segments, prods))
+
+
+def _matrix_geometric(final, rho, dyn) -> float:
+    pur = pl.purify(rho)
+    tot = pl.principal(cmath.phase(complex(np.trace(final @ rho))))
+    weighted = 0.0
+    for weight, vec in ((pur.weight_m, pur.state_m), (pur.weight_n, pur.state_n)):
+        z = complex(np.vdot(vec, final @ vec))
+        if abs(z) <= pl.ORTHOGONALITY_EPS:
+            raise pl.OrthogonalStep("an eigenstate ends orthogonal to its start")
+        arg = pl.principal(cmath.phase(z))
+        weighted += weight * (tot + pl.principal(arg - tot))
+    return pl.principal(weighted - dyn)
+
+
+def matrix_dynamical_phase(s0, schedule) -> float:
+    rho, (_, prods) = _matrix_inputs(s0, schedule)
+    return _matrix_dynamical(schedule, prods, rho)
+
+
+def matrix_topological_crossings(s0, schedule):
+    rho, bounds = _matrix_inputs(s0, schedule)
+    count = len(matrix_overlap_zero_times(schedule, rho, bounds))
+    return count, ("odd" if count % 2 else "even")
+
+
+def matrix_readout_probability(s0, schedule) -> float:
+    rho, (_, prods) = _matrix_inputs(s0, schedule)
+    v = complex(np.trace(prods[-1] @ rho))
+    return min(1.0, max(0.0, 0.5 * (1.0 - v.real)))
+
+
+def matrix_phase_breakdown(s0, schedule):
+    """``PhaseBreakdown`` from matrices: ``np.trace`` of the boundary
+    products, the purification by ``eigh`` and the Heisenberg-picture
+    dynamical rates ``b0 . h_k / 2``."""
+    rho, (times, prods) = _matrix_inputs(s0, schedule)
+    v = complex(np.trace(prods[-1] @ rho))
+    if abs(abs(v) - 1.0) > 1e-6:
+        raise pl.NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
+    total = pl.principal(cmath.phase(v))
+    dyn = _matrix_dynamical(schedule, prods, rho)
+    try:
+        geo = _matrix_geometric(prods[-1], rho, dyn)
+        degenerate, residual = False, abs(pl.principal(total - dyn - geo))
+    except pl.DegenerateSpectrum:
+        geo, degenerate, residual = 0.0, True, math.nan
+    count = len(matrix_overlap_zero_times(schedule, rho, (times, prods)))
+    return pl.PhaseBreakdown(total, dyn, geo, count, "odd" if count % 2 else "even",
+                             degenerate, residual)

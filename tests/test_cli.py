@@ -279,6 +279,32 @@ class TestSweep:
         row = out.read_text().splitlines()[1].split(",")
         assert row[5] == "100000000"
 
+    @pytest.mark.parametrize("lam", ["0:1_0:2", "0:\u0661:2", "0:1:1_1", "0:1:\u0662"],
+                             ids=["end-underscore", "end-unicode", "count-underscore",
+                                  "count-unicode"])
+    def test_range_outside_the_number_grammar_exit_2(self, tmp_path, capsys, lam):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--lambda0", lam, "--theta", "0:1:2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed lambda0 range {lam!r}; expected a:b:n\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--turns", "--steps"])
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff13"])
+    def test_integer_option_outside_the_grammar_is_usage_error(self, tmp_path, capsys,
+                                                                option, token):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--lambda0", "0:1:2", "--theta", "0:1:2", option, token,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: argument {option}: not an integer: {token!r}\n")
+
+    def test_schedule_number_outside_the_grammar_exit_2(self, tmp_path, capsys):
+        sched = write(tmp_path, "u.sched",
+                      "phaselab-schedule v1\nstate schmidt \u0661 0\nsegment 0 0 1 1_0\n")
+        assert main(["breakdown", sched]) == 2
+        assert capsys.readouterr().err == "error: line 2: not a number: '\u0661'\n"
+
     def test_non_finite_range_exit_2(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--lambda0", "0:1:2", "--theta", "0:inf:2",

@@ -1,0 +1,182 @@
+"""The Bloch-vector/quaternion exact core against the 2x2-matrix oracles,
+and the crossing flags it feeds into the sampled series.
+
+The exact functions run on the boundary products as unit quaternions and
+the reduced state as its Pauli components; ``tests/helpers.py`` keeps the
+matrix forms (``np.trace``, ``pauli_dot``, ``eigh``) as oracles.
+"""
+
+import contextlib
+import io
+import math
+import os
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import phaselab as pl
+from helpers import (
+    cyclic_completion,
+    matrix_dynamical_phase,
+    matrix_overlap_zero_times,
+    matrix_phase_breakdown,
+    matrix_readout_probability,
+    matrix_topological_crossings,
+)
+from phaselab.cli import main
+
+X_AXIS, Z_AXIS = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
+PHASE_TOL = 1e-12
+
+
+def mod_2pi_distance(a: float, b: float) -> float:
+    return abs(math.remainder(a - b, 2.0 * math.pi))
+
+
+def outcome(fn, *args):
+    """``("ok", value)`` or ``("raised", exception type)``."""
+    try:
+        return "ok", fn(*args)
+    except pl.PhaseLabError as exc:
+        return "raised", type(exc)
+
+
+def segment(axis, duration):
+    return pl.RotationSegment(np.array(axis, dtype=float) / np.linalg.norm(axis), duration)
+
+
+unit = st.floats(-1.0, 1.0)
+AXES = st.one_of(
+    st.sampled_from([X_AXIS, (0.0, 1.0, 0.0), Z_AXIS, (-1.0, 0.0, 0.0), (1.0, 1.0, 1.0)]),
+    st.tuples(unit, unit, unit).filter(lambda v: math.hypot(*v) > 0.1),
+)
+DURATIONS = st.one_of(
+    st.floats(0.05, 7.0),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]).map(lambda k: k * math.pi),
+)
+SEGMENTS = st.lists(st.builds(segment, AXES, DURATIONS), max_size=3)
+
+MES = st.floats(0.0, 2.0 * math.pi).map(lambda th: pl.schmidt_state(0.5, th))
+PRODUCT = st.tuples(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda p: pl.schmidt_state(*p))
+PARTIAL = st.tuples(st.floats(0.0, 1.0), st.floats(-10.0, 10.0)).map(
+    lambda p: pl.schmidt_state(*p))
+AMPLITUDES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).filter(
+    lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: pl.make_two_qubit(*(complex(v[i], v[i + 1]) for i in range(0, 8, 2))))
+STATES = st.one_of(MES, PRODUCT, PARTIAL, AMPLITUDES)
+
+
+@st.composite
+def schedules(draw):
+    """Open schedules; cyclic completions ending at ``U_T = I``, or at
+    ``-I`` with an extra turn; the maximally entangled state turned about
+    x by pi and then about z, where the overlap vanishes on the whole z
+    segment and the junction zero spans it; a product state turned about
+    its own Bloch axis, cyclic with ``U_T`` neither I nor -I; and a
+    product state whose Bloch vector, after an open prefix, is turned
+    about an axis normal to ``b0 + b1`` at least once around, through the
+    antipode ``-b0``, where the overlap vanishes."""
+    kind = draw(st.sampled_from(
+        ["open", "cyclic", "extra_turn", "spanning", "eigenaxis", "antipode"]))
+    qubit = draw(st.sampled_from([1, 2]))
+    state = draw({"spanning": MES, "eigenaxis": PRODUCT, "antipode": PRODUCT}.get(kind, STATES))
+    segs = tuple(draw(SEGMENTS))
+    rho = pl.reduced_density(state, qubit)
+    if kind == "spanning":
+        segs = (segment(X_AXIS, math.pi), segment(Z_AXIS, draw(DURATIONS))) + segs
+    elif kind == "eigenaxis":
+        b0 = pl.bloch_of_density(rho)
+        segs = tuple(segment(sign * b0, d) for sign, d in draw(
+            st.lists(st.tuples(st.sampled_from([1.0, -1.0]), DURATIONS), min_size=1, max_size=3)))
+    elif kind == "antipode":
+        u = pl.unitary_at(pl.RotationSchedule(segs, qubit, state), math.inf)
+        mid = pl.bloch_of_density(rho) + pl.bloch_of_density(u @ rho @ u.conj().T)
+        axis = np.cross(mid, draw(st.tuples(unit, unit, unit)))
+        if np.linalg.norm(axis) > 0.1:
+            segs += (segment(axis, 2.0 * math.pi + draw(DURATIONS)),)
+    if kind in ("cyclic", "extra_turn", "spanning", "antipode"):
+        segs = cyclic_completion(segs)
+    if kind == "extra_turn":
+        segs += (segment(draw(AXES), 2.0 * math.pi),)
+    return pl.RotationSchedule(segs, qubit, state)
+
+
+class TestCoreAgainstMatrixOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(schedules())
+    def test_exact_functions_match_the_matrix_forms(self, sched):
+        s0 = sched.initial
+        got, want = outcome(pl.phase_breakdown, s0, sched), outcome(matrix_phase_breakdown, s0, sched)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] is want[1]
+        else:
+            b, o = got[1], want[1]
+            assert (b.crossings, b.parity, b.degenerate) == (o.crossings, o.parity, o.degenerate)
+            for name in ("total", "dynamical", "geometric"):
+                assert mod_2pi_distance(getattr(b, name), getattr(o, name)) <= PHASE_TOL, name
+            assert math.isnan(b.closure_residual) == math.isnan(o.closure_residual)
+            if not b.degenerate:
+                assert abs(b.closure_residual - o.closure_residual) <= PHASE_TOL
+        assert mod_2pi_distance(pl.dynamical_phase(s0, sched),
+                                matrix_dynamical_phase(s0, sched)) <= PHASE_TOL
+        assert abs(pl.readout_probability(s0, sched)
+                   - matrix_readout_probability(s0, sched)) <= PHASE_TOL
+        assert pl.topological_crossings(s0, sched) == matrix_topological_crossings(s0, sched)
+
+    @settings(max_examples=100, deadline=None)
+    @given(schedules())
+    def test_ball_border_crossings_at_the_maximally_mixed_state(self, sched):
+        # so3_path searches the overlap with rho = I/2, Pauli components (1, 0, 0, 0)
+        want = matrix_overlap_zero_times(sched, np.eye(2) / 2.0, pl.schedule._boundaries(sched))
+        got = pl.so3_path(sched, 2).crossings
+        assert len(got) == len(want)
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
+
+    def test_junction_zero_spanning_a_segment(self):
+        mes = pl.schmidt_state(0.5, 0.0)
+        sched = pl.RotationSchedule(cyclic_completion(
+            (segment(X_AXIS, math.pi), segment(Z_AXIS, 1.0))), 1, mes)
+        assert pl.topological_crossings(mes, sched) == matrix_topological_crossings(mes, sched)
+        b = pl.phase_breakdown(mes, sched)
+        assert b.degenerate and (b.crossings, b.parity) == (
+            matrix_phase_breakdown(mes, sched).crossings, matrix_phase_breakdown(mes, sched).parity)
+
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "schedules")
+BUILTIN = "phaselab-schedule v1\nstate schmidt 0.3 0.0\nbuiltin {}\n"
+# so3_path crossing times, flagged sample indices of ``run --out`` at the
+# default 2000 steps, and the ``run`` summary's crossing line, as the
+# matrix implementation gave them
+CROSSING_FLAGS = {
+    "mes_minus": ([4.1887902047863905], [3998], "crossings: 1 (odd)"),
+    "mes_plus": ([], [], "crossings: 0 (even)"),
+    "partial_z_turn": ([3.141592653589793], [], "crossings: 0 (even)"),
+    "builtin_plus": ([], [], "crossings: 0 (even)"),
+    "builtin_minus": ([4.1887902047863905], [], "crossings: 0 (even)"),
+}
+
+
+class TestCrossingFlagsUnchanged:
+    def _schedule_file(self, name, tmp_path):
+        if name.startswith("builtin_"):
+            path = tmp_path / f"{name}.sched"
+            path.write_text(BUILTIN.format(name.split("_")[1]))
+            return str(path)
+        return os.path.join(DEMOS, f"{name}.sched")
+
+    def test_flags_and_counts(self, tmp_path):
+        for name, (times, flagged, summary) in CROSSING_FLAGS.items():
+            path = self._schedule_file(name, tmp_path)
+            with open(path, encoding="utf-8") as fh:
+                sched = pl.parse_schedule(fh.read())
+            assert list(pl.so3_path(sched, 2000).crossings) == times, name
+            out = tmp_path / "series.csv"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["run", path, "--out", str(out)]) == 0
+            flags = np.loadtxt(out, delimiter=",", skiprows=1, usecols=13)
+            assert np.flatnonzero(flags).tolist() == flagged, name
+            assert stdout.getvalue().splitlines()[-1] == summary, name

@@ -315,8 +315,7 @@ class TestTopologicalCrossings:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns + 1.0),), 1, s)
         assert pl.topological_crossings(s, sched) == (turns, "even")
-        zeros = pl.geometry.overlap_zero_times(
-            sched, pl.reduced_density(s, 1), pl.schedule._boundaries(sched))
+        zeros = pl.geometry.overlap_zero_times(sched, *pl.phases._exact_inputs(s, sched))
         assert len(zeros) == zeros.size == turns
         assert abs(zeros[0] - math.pi) < 1e-9
         assert abs(zeros[5] - 11 * math.pi) < 1e-9

@@ -127,6 +127,22 @@ class TestParser:
         assert err.value.line == 3
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "1e", "0x10", ".", "1.5.2"])
+    def test_number_outside_the_grammar_names_line(self, token):
+        # float() takes digit-group underscores and Unicode digits; the
+        # documented grammar is ASCII digits, sign, fraction, exponent
+        for text in (f"state schmidt {token} 0", f"state schmidt 1 0\nsegment 0 0 1 {token}"):
+            with pytest.raises(pl.ParseError, match=f"not a number: {token!r}"):
+                pl.parse_schedule(f"phaselab-schedule v1\n{text}\n")
+
+    @pytest.mark.parametrize("token,value", [
+        ("7", 7.0), ("+.5", 0.5), ("2.", 2.0), ("1.5e-1", 0.15), ("1E0", 1.0)])
+    def test_numbers_of_the_grammar(self, token, value):
+        sched = pl.parse_schedule(f"phaselab-schedule v1\nstate schmidt 1 -0.5e0\n"
+                                  f"segment -1 0 0 {token}\n")
+        assert sched.segments[0].duration == value
+        assert sched.segments[0].axis.tolist() == [-1.0, 0.0, 0.0]
+
     def test_unknown_directive(self):
         with pytest.raises(pl.ParseError):
             pl.parse_schedule("phaselab-schedule v1\nrotate 0 0 1 1\n")
