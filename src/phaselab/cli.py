@@ -19,17 +19,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
+from .core import CYCLIC_EPS, _final_overlap, _schmidt, phase_breakdown, readout_probability
 from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
-from .phases import (
-    DEFAULT_SAMPLES,
-    _series_columns,
-    phase_breakdown,
-    readout_probability,
-)
-from .qstate import schmidt_state
-from .schedule import RotationSchedule, RotationSegment, _number, parse_schedule
+from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
+                       parse_schedule)
 
 RUN_FIELDS = [
     "t",
@@ -70,27 +63,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _json_cells(values):
+    """``values`` with NaN written as ``null`` and infinities as JSON spells
+    them; a finite sum means every value is finite."""
+    if math.isfinite(sum(values)):
+        return values
+    return [x if math.isfinite(x) else "null" if math.isnan(x) else json.dumps(x)
+            for x in values]
+
+
 def _write_table(path, fields, cols, fmt="csv"):
-    """Write equal-length columns as CSV or JSON rows, streamed with one
-    %-template per row.
+    """Write equal-length columns (lists of floats or ints) as CSV or JSON
+    rows, streamed with one %-template per row.
 
     Floats are written with shortest round-trip ``repr`` and ints as ints
     (``str`` of a Python float is its ``repr``). JSON matches ``json.dump``
     of a list of per-row objects, with NaN written as ``null``.
     """
-    cols = [np.asarray(c) for c in cols]
-    lists = [c.tolist() for c in cols]
     if fmt == "csv":
         head, sep, tail = ",".join(fields) + "\n", "", ""
         template = ",".join(["%s"] * len(fields)) + "\n"
     else:
-        for c, values in zip(cols, lists):
-            if c.dtype.kind == "f":
-                for i in np.flatnonzero(~np.isfinite(c)).tolist():
-                    values[i] = "null" if math.isnan(values[i]) else json.dumps(values[i])
+        cols = [_json_cells(values) for values in cols]
         head, sep, tail = "[", ", ", "]\n"
         template = "{" + ", ".join(f"{json.dumps(f)}: %s" for f in fields) + "}"
-    rows = zip(*lists)
+    rows = zip(*cols)
     first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(head if first is None else head + template % first)
@@ -99,23 +96,27 @@ def _write_table(path, fields, cols, fmt="csv"):
         fh.write(tail)
 
 
+def _warn_if_not_cyclic(magnitude: float) -> None:
+    """The stderr warning of ``run`` and ``readout`` when the final overlap
+    magnitude ``|<s0|U_T|s0>|`` differs from 1 beyond 1e-6."""
+    if abs(magnitude - 1.0) > CYCLIC_EPS:
+        print(f"warning: schedule is not cyclic (final overlap magnitude {magnitude:.9f})",
+              file=sys.stderr)
+
+
 def _load(path) -> RotationSchedule:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_schedule(fh.read())
 
 
 def _cmd_run(args) -> int:
+    from .phases import _series_columns  # the sampled series is numpy's
+
     sched = _load(args.schedule_file)
     cols, flags, crossings = _series_columns(sched.initial, sched, args.steps)
-    final_mag = abs(complex(cols[1][-1], cols[2][-1]))
-    if abs(final_mag - 1.0) > 1e-6:
-        print(
-            "warning: schedule is not cyclic (final overlap magnitude "
-            f"{final_mag:.9f})",
-            file=sys.stderr,
-        )
+    _warn_if_not_cyclic(abs(complex(cols[1][-1], cols[2][-1])))
     if args.out:
-        _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
+        _write_table(args.out, RUN_FIELDS, [c.tolist() for c in (*cols, flags)], args.format)
     parity = "odd" if crossings.size % 2 else "even"
     print(f"final total phase: {float(cols[3][-1])!r}")
     print(f"crossings: {crossings.size} ({parity})")
@@ -131,7 +132,23 @@ def _cmd_breakdown(args) -> int:
     return 0
 
 
-def _parse_range(spec: str, name: str) -> np.ndarray:
+def _linspace(a: float, b: float, n: int) -> list:
+    """``numpy.linspace(a, b, n)`` as floats, bit for bit: ``a + i * step``
+    with ``step = (b - a) / (n - 1)``, taken as ``a + (i / (n - 1)) (b - a)``
+    when the step underflows to zero, and the last value set to ``b``."""
+    delta = b - a
+    if n == 1:
+        return [0.0 * delta + a]
+    step = delta / (n - 1)
+    if step == 0.0:
+        values = [i / (n - 1) * delta + a for i in range(n)]
+    else:
+        values = [i * step + a for i in range(n)]
+    values[-1] = b
+    return values
+
+
+def _parse_range(spec: str, name: str) -> list:
     try:
         a, b, n = spec.split(":")
         a, b, n = _number(a), _number(b), _number(n, int)
@@ -143,29 +160,26 @@ def _parse_range(spec: str, name: str) -> np.ndarray:
         raise ValidationError(f"{name} range {spec!r} spans past the largest float")
     if n < 1:
         raise ValidationError(f"{name} range count must be >= 1")
-    return np.linspace(a, b, n)
+    return _linspace(a, b, n)
 
 
 def _cmd_sweep(args) -> int:
     lams = _parse_range(args.lambda0, "lambda0")
     thetas = _parse_range(args.theta, "theta")
-    if np.any((lams < 0.0) | (lams > 1.0)):
+    if not all(0.0 <= lam <= 1.0 for lam in lams):
         raise ValidationError("lambda0 range must stay within [0, 1]")
     if args.turns < 1:
         raise ValidationError("turns must be >= 1")
-    axis = np.array(_AXES[args.axis])
     # an int past 2**1023 converts to no float, and 2 pi 2**1023 is already inf
     duration = 2.0 * math.pi * min(args.turns, 2**1023)
     if not math.isfinite(duration):
         raise ValidationError("turns too large: 2 pi turns overflows a float")
+    segments = (RotationSegment(_AXES[args.axis], duration),)
     rows = []
     for lam in lams:  # lambda0-major grid order
         for th in thetas:
-            state = schmidt_state(float(lam), float(th))
-            sched = RotationSchedule(
-                (RotationSegment(axis.copy(), duration),), 1, state
-            )
-            b = phase_breakdown(state, sched)
+            sched = RotationSchedule(segments, 1, _schmidt(lam, th))
+            b = phase_breakdown(sched.initial, sched)
             rows.append((lam, th, b.total, b.dynamical, b.geometric, b.crossings,
                          b.closure_residual))
     _write_table(args.out, SWEEP_FIELDS, list(zip(*rows)))
@@ -175,6 +189,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_readout(args) -> int:
     sched = _load(args.schedule_file)
+    _warn_if_not_cyclic(abs(_final_overlap(sched.initial, sched)))
     p = readout_probability(sched.initial, sched)
     print(f"click probability: {p!r}")
     print(f"|cos(total phase)|: {abs(1.0 - 2.0 * p)!r}")

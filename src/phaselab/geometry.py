@@ -13,15 +13,21 @@ All Bloch components are Pauli expectation values (<sx>, <sy>, <sz>).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
+from .core import (  # noqa: F401 (the exact crossing search, re-exported)
+    CROSSING_EPS,
+    ZeroTimes,
+    _overlap,
+    _quaternions,
+    _slope,
+    overlap_zero_times,
+)
 from .errors import DegenerateSpectrum, NotSpecialUnitary
-from .schedule import RotationSchedule, _boundaries, _quaternions, _unitary_samples
+from .schedule import RotationSchedule, _boundaries, _unitary_samples
 
 __all__ = [
     "bloch_of_pure",
@@ -37,9 +43,6 @@ __all__ = [
     "su2_to_so3",
     "so3_path",
 ]
-
-#: Largest overlap magnitude counted as a zero (an orthogonality crossing).
-CROSSING_EPS = 1e-6
 
 
 def bloch_of_pure(q) -> np.ndarray:
@@ -221,108 +224,6 @@ class SO3Path:
 
     samples: tuple
     crossings: Sequence
-
-
-class ZeroTimes(Sequence):
-    """Zero times held as runs ``start_k + tau + 2 pi m``, ``m < count``,
-    so that a segment of many turns costs O(1) however many zeros it has.
-
-    ``runs`` holds ``(k, tau, count)`` with ``k`` the segment index and
-    ``starts`` the segment start times; ``size`` is the number of zeros,
-    also past ``sys.maxsize`` where ``len`` overflows. Takes integer
-    indices and compares equal to any sequence of the same floats.
-    """
-
-    def __init__(self, starts, runs):
-        self.starts = starts
-        self.runs = runs
-        self._ends = list(accumulate(n for _, _, n in runs))
-        self.size = self._ends[-1] if runs else 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> float:
-        j = range(self.size)[i]  # bounds and negative indices
-        r = bisect_right(self._ends, j)
-        k, tau, n = self.runs[r]
-        return self.starts[k] + (tau + 2.0 * math.pi * (j - self._ends[r] + n))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-def _overlap(q, rho) -> complex:
-    """``Tr(B rho) = w t - i v . b`` for the unit quaternion ``q = (w, v)`` of
-    ``B = w I - i v . sigma`` and ``rho = (t I + b . sigma) / 2`` given by
-    its Pauli components ``(t, b)``; ``t = Tr rho`` is 1 up to rounding."""
-    w, vx, vy, vz = q
-    t, bx, by, bz = rho
-    return complex(w * t, 0.0 - (vx * bx + vy * by + vz * bz))  # never -0.0
-
-
-def _slope(n, q, rho) -> complex:
-    """``Tr((n . sigma) B rho) = w n . b + (n x v) . b - i (n . v) t``."""
-    w, vx, vy, vz = q
-    nx, ny, nz = n
-    t, bx, by, bz = rho
-    return complex(w * (nx * bx + ny * by + nz * bz) + (ny * vz - nz * vy) * bx
-                   + (nz * vx - nx * vz) * by + (nx * vy - ny * vx) * bz,
-                   -(nx * vx + ny * vy + nz * vz) * t)
-
-
-def overlap_zero_times(schedule: RotationSchedule, rho, bounds) -> ZeroTimes:
-    """Times in (0, T) where ``Tr(U(t) rho)`` passes through zero, exact
-    and in one pass over the segments; ``rho`` is the Pauli components
-    ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2`` and ``bounds``
-    is ``_quaternions(schedule)``.
-
-    On segment k, ``U(t_k + tau) = exp(-i tau (n_k . sigma) / 2) B_k``, so
-    the overlap is ``z(tau) = a cos(tau/2) + b sin(tau/2)`` with
-    ``a = Tr(B_k rho)`` and ``b = -i Tr((n_k . sigma) B_k rho)``, both in
-    closed form on the quaternion of ``B_k``, and
-    ``|z|^2 = P + R cos(tau - phi)`` has its minima, all of depth
-    ``P - R``, at ``tau = phi + pi + 2 pi m``. Interior minima with
-    ``|z| <= CROSSING_EPS`` are crossings, counted by arithmetic rather
-    than one by one. A zero at a junction counts once: as a crossing when
-    the one-sided slopes agree, ``Re(z'_L conj z'_R) > 0``, else as a
-    tangential touch. Segments on which ``z`` vanishes throughout join
-    their junctions into one zero, judged by the slopes on entering and
-    on leaving it. A zero at the schedule's end is not a crossing. With
-    ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap is
-    ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
-    """
-    times, quats, axes = bounds
-    zs = [_overlap(q, rho) for q in quats]
-    at_zero = [abs(z) <= CROSSING_EPS for z in zs]
-    runs = []
-    entered = None  # (segment, slope factor) where the current zero began
-    for k, (n, seg) in enumerate(zip(axes, schedule.segments)):
-        c = _slope(n, quats[k], rho)  # z'(0) = -i c / 2
-        if k and at_zero[k] and entered is None:
-            entered = (k, _slope(axes[k - 1], quats[k], rho))
-        if entered is not None:
-            if abs(c) <= CROSSING_EPS:
-                continue  # z vanishes on this whole segment
-            if (entered[1] * c.conjugate()).real > 0.0:
-                runs.append((entered[0], 0.0, 1))
-            entered = None
-        a, b = zs[k], -1j * c
-        tau = math.atan2((a * b.conjugate()).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2))
-        tau += math.pi  # the first minimum, in (0, 2 pi]
-        z = a * math.cos(0.5 * tau) + b * math.sin(0.5 * tau)
-        if tau >= seg.duration or abs(z) > CROSSING_EPS:
-            continue  # every minimum has the same |z|
-        # zeros are 2 pi apart: a minimum within pi of a zero junction is
-        # that junction's zero
-        last = math.ceil((seg.duration - tau) / (2.0 * math.pi)) - 1
-        lo = int(at_zero[k] and tau < math.pi)
-        hi = last - int(at_zero[k + 1] and tau + 2.0 * math.pi * last > seg.duration - math.pi)
-        if hi >= lo:
-            runs.append((k, tau + 2.0 * math.pi * lo, hi - lo + 1))
-    return ZeroTimes(times, runs)
 
 
 def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:

@@ -22,10 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep
-from .geometry import CROSSING_EPS, SO3Point, _overlap, _so3_arrays, overlap_zero_times
+from .core import (  # noqa: F401 (the exact core's names, re-exported)
+    _TWO_PI,
+    CROSSING_EPS,
+    DYNAMICAL_SIGN,
+    ORTHOGONALITY_EPS,
+    PhaseBreakdown,
+    _dynamical_rates,
+    _exact_inputs,
+    _geometric,
+    dynamical_phase,
+    geometric_phase_mixed,
+    overlap_zero_times,
+    phase_breakdown,
+    principal,
+    readout_probability,
+    topological_crossings,
+)
+from .errors import DomainError, OrthogonalStep
+from .geometry import SO3Point, _so3_arrays
 from .qstate import inner_product, reduced_density
-from .schedule import RotationSchedule, _boundaries, _quaternions, _unitary_samples
+from .schedule import DEFAULT_SAMPLES, RotationSchedule, _boundaries, _unitary_samples
 
 __all__ = [
     "ORTHOGONALITY_EPS",
@@ -48,34 +65,9 @@ __all__ = [
     "phase_samples",
 ]
 
-ORTHOGONALITY_EPS = 1e-9
-#: Samples per segment of the sampled time series (``phase_samples``).
-DEFAULT_SAMPLES = 2000
-
-#: The one dynamical-phase convention used everywhere: phi_d = -int <H> dt.
-DYNAMICAL_SIGN = -1.0
-
-_TWO_PI = 2.0 * math.pi
-
-
-def principal(x: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    r = math.remainder(x, _TWO_PI)
-    return r + _TWO_PI if r <= -math.pi else r
-
 
 def _evolved_density(s0, schedule: RotationSchedule) -> np.ndarray:
     return reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
-
-
-def _exact_inputs(s0, schedule: RotationSchedule):
-    """``(rho, bounds)`` of the exact core in plain floats: the Pauli
-    components ``(t, bx, by, bz)`` of the evolved qubit's reduced state
-    ``rho = (t I + b . sigma) / 2``, with ``b`` its Bloch vector and
-    ``t = Tr rho`` (1 up to rounding), and ``_quaternions(schedule)``."""
-    (r00, r01), (r10, r11) = _evolved_density(s0, schedule).tolist()
-    pauli = (r00 + r11).real, 2.0 * r01.real, 2.0 * r10.imag, (r00 - r11).real
-    return pauli, _quaternions(schedule)
 
 
 @dataclass(frozen=True)
@@ -93,26 +85,6 @@ class PhaseSample:
     dyn: float
     bloch: np.ndarray
     so3: SO3Point
-
-
-@dataclass(frozen=True)
-class PhaseBreakdown:
-    """Phase decomposition of one cyclic run; angles in (-pi, pi] radians.
-
-    ``closure_residual`` is the mod-2pi distance of
-    ``total - dynamical - geometric`` from zero; the exact geometric
-    form closes by construction, so it reads rounding. For degenerate runs
-    (maximally entangled input, where the geometric phase is reported as
-    the flagged value 0) it is NaN.
-    """
-
-    total: float
-    dynamical: float
-    geometric: float
-    crossings: int
-    parity: str
-    degenerate: bool
-    closure_residual: float
 
 
 def _overlap_phase(z: complex) -> float:
@@ -145,41 +117,6 @@ def sp_formula(t: float, axis, bloch) -> complex:
     return complex(math.cos(t / 2.0), -nb * math.sin(t / 2.0))
 
 
-def _dynamical_rates(bounds, rho) -> list[float]:
-    """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with
-    ``b_k = b + 2 w (v x b) + 2 v x (v x b)`` the Bloch vector ``b`` of
-    ``rho`` (see :func:`_exact_inputs`) rotated by the boundary quaternion
-    ``B_k = (w, v)``; ``bounds`` is ``_quaternions(schedule)``.
-
-    Each segment's generator commutes with its own evolution, so its
-    expectation is constant within the segment; segment k contributes
-    ``rate_k * d_k`` to the dynamical phase. A maximally mixed reduced
-    state (``b = 0``) has rates of exactly 0.
-    """
-    _, bx, by, bz = rho
-    _, quats, axes = bounds
-    rates = []
-    for (nx, ny, nz), (w, vx, vy, vz) in zip(axes, quats):
-        cx, cy, cz = vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx
-        dx, dy, dz = vy * cz - vz * cy, vz * cx - vx * cz, vx * cy - vy * cx
-        rates.append(DYNAMICAL_SIGN * 0.5 * (nx * (bx + 2.0 * (w * cx + dx))
-                                             + ny * (by + 2.0 * (w * cy + dy))
-                                             + nz * (bz + 2.0 * (w * cz + dz))))
-    return rates
-
-
-def _dynamical(schedule: RotationSchedule, bounds, rho) -> float:
-    rates = _dynamical_rates(bounds, rho)
-    return sum(r * seg.duration for r, seg in zip(rates, schedule.segments))
-
-
-def dynamical_phase(s0, schedule: RotationSchedule) -> float:
-    """``-sum_k <H_k> dt_k``, exact per segment: ``-(1/2) (axis . bloch at
-    segment start) * duration`` summed over the segments."""
-    rho, bounds = _exact_inputs(s0, schedule)
-    return _dynamical(schedule, bounds, rho)
-
-
 def geometric_phase_pure(path, closed: bool = True) -> float:
     """Discrete overlap-product phase of a pure-state path,
     ``-arg[<p0|p1><p1|p2> ... ]``, with the closing leg appended when
@@ -201,86 +138,6 @@ def geometric_phase_pure(path, closed: bool = True) -> float:
     return principal(-float(np.sum(np.angle(legs))))
 
 
-def _geometric(q, rho, dyn: float) -> float:
-    """``principal(sum_i w_i a_i - dyn)`` on the eigenstates ``+-b/r`` of
-    ``rho = (t I + b . sigma) / 2``, with weights ``(t +- r)/2`` and
-    ``<v+-|B|v+-> = w -+ i v . b/r`` for ``B = (w, v)``; the dynamical
-    phase is linear in the density matrix, so the eigenstates' own
-    ``w_i dyn_i`` sum to ``dyn``, the mixed state's."""
-    t, bx, by, bz = rho
-    r = math.sqrt(bx * bx + by * by + bz * bz)
-    if r <= 1e-9:  # the eigenvalue gap of rho is r
-        raise DegenerateSpectrum(f"eigenvalue gap {r:.3e} is <= 1e-9")
-    z = _overlap(q, rho)
-    # one shared reference, so that at U_T = -I both eigenstate args land
-    # on the same side of the +-pi cut as the mixed total phase
-    tot = principal(cmath.phase(z))
-    weighted = 0.0
-    for sign in (1.0, -1.0):
-        zi = complex(q[0], sign * z.imag / r)  # w -+ i v . b / r
-        if abs(zi) <= ORTHOGONALITY_EPS:
-            raise OrthogonalStep("an eigenstate ends orthogonal to its start")
-        arg = principal(cmath.phase(zi))
-        weighted += 0.5 * (t + sign * r) * (tot + principal(arg - tot))
-    return principal(weighted - dyn)
-
-
-def geometric_phase_mixed(s0, schedule: RotationSchedule) -> float:
-    """Weighted sum of the two purified eigenstate geometric phases along
-    the schedule, reported in (-pi, pi]; exact and O(segments).
-
-    Each eigenstate ``v_i`` of the evolved qubit's initial reduced density
-    matrix contributes its Pancharatnam open-path phase
-    ``arg <v_i|B_n|v_i> - dyn_i``, the limit of the overlap-product phase
-    of its transported path as the mesh refines, with ``dyn_i`` its exact
-    dynamical phase. A bare ``arg`` is only defined mod 2pi, which is not
-    enough for a weighted sum, so both eigenstate args are taken on the
-    branch nearest the mixed total phase ``arg Tr(B_n rho)``.
-    Raises DegenerateSpectrum for a maximally entangled input (no
-    eigenvalue gap) and OrthogonalStep when an eigenstate ends orthogonal
-    to its start.
-    """
-    rho, bounds = _exact_inputs(s0, schedule)
-    return _geometric(bounds[1][-1], rho, _dynamical(schedule, bounds, rho))
-
-
-def topological_crossings(s0, schedule: RotationSchedule) -> tuple[int, str]:
-    """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
-    its parity, ``"even"`` or ``"odd"``; exact (see
-    :func:`~phaselab.geometry.overlap_zero_times`)."""
-    count = overlap_zero_times(schedule, *_exact_inputs(s0, schedule)).size
-    return count, ("odd" if count % 2 else "even")
-
-
-def phase_breakdown(s0, schedule: RotationSchedule) -> PhaseBreakdown:
-    """Assemble total, dynamical, geometric phases and crossing data for a
-    cyclic schedule, exactly and in O(segments) from the boundary products.
-
-    Raises NotCyclic when the evolution does not return the initial ray
-    (final overlap magnitude differs from 1 by more than 1e-6). For a
-    maximally entangled input the geometric phase is reported as 0 with
-    ``degenerate=True`` and a NaN closure residual.
-    """
-    rho, bounds = _exact_inputs(s0, schedule)
-    final = bounds[1][-1]
-    v = _overlap(final, rho)
-    if abs(abs(v) - 1.0) > 1e-6:
-        raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
-    total = principal(cmath.phase(v))
-    dyn = _dynamical(schedule, bounds, rho)
-    try:
-        geo = _geometric(final, rho, dyn)
-        degenerate = False
-        residual = abs(principal(total - dyn - geo))
-    except DegenerateSpectrum:
-        geo = 0.0
-        degenerate = True
-        residual = math.nan
-    count = overlap_zero_times(schedule, rho, bounds).size
-    parity = "odd" if count % 2 else "even"
-    return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
-
-
 def fixed_axis_closed_forms(lambda0: float, theta: float) -> tuple[float, float, float]:
     """Closed-form ``(phi_d, phi_g, phi_t)`` for one full turn about a
     fixed axis at parameters ``(lambda0, theta)``:
@@ -297,16 +154,6 @@ def fixed_axis_closed_forms(lambda0: float, theta: float) -> tuple[float, float,
         raise DomainError("lambda0 must lie in [0, 1]")
     k = (2.0 * lambda0 - 1.0) * math.cos(theta)
     return math.pi * k, math.pi - math.pi * k, math.pi
-
-
-def readout_probability(s0, schedule: RotationSchedule) -> float:
-    """Ancilla click probability of the conditional-rotation interferometer,
-    ``(1 - Re <s0|U_total|s0>) / 2`` (equal to ``||(U - I)|s0>||^2 / 4``),
-    with ``<s0|U_total|s0> = Tr(B_n rho)`` read from the final boundary
-    quaternion (see :func:`~phaselab.geometry._overlap`)."""
-    rho, bounds = _exact_inputs(s0, schedule)
-    v = _overlap(bounds[1][-1], rho)
-    return min(1.0, max(0.0, 0.5 * (1.0 - v.real)))
 
 
 def _unwrap_skipnan(p: np.ndarray) -> np.ndarray:

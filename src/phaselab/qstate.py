@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ZeroNorm
+from .core import _schmidt, _two_qubit, _unit_axis
+from .errors import DomainError
 
 __all__ = [
     "SIGMA_X",
@@ -31,20 +32,11 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-_AXIS_TOL = 1e-9
-
 
 def pauli_dot(axis) -> np.ndarray:
     """``axis . sigma`` as a 2x2 complex matrix."""
     n = np.asarray(axis, dtype=float)
     return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-
-
-def _rescaled(v: np.ndarray) -> np.ndarray:
-    """``v`` divided by its largest component when the squares its norm
-    sums would overflow, else ``v`` itself."""
-    big = max(map(abs, v.view(float).tolist()))
-    return v / big if big > 1e150 else v
 
 
 def make_two_qubit(a00, a01, a10, a11) -> np.ndarray:
@@ -53,16 +45,7 @@ def make_two_qubit(a00, a01, a10, a11) -> np.ndarray:
     Raises ZeroNorm when the input norm is at or below 1e-9; otherwise the
     vector is rescaled to unit norm with relative amplitudes preserved.
     """
-    amps = np.array([a00, a01, a10, a11], dtype=complex)
-    if not np.all(np.isfinite(amps.view(float))):
-        raise DomainError("amplitudes must be finite")
-    amps = _rescaled(amps)
-    norm = float(np.linalg.norm(amps))
-    if not norm > 1e-9:
-        raise ZeroNorm(f"state norm {norm:g} is not above 1e-9")
-    if abs(norm - 1.0) > 1e-12:
-        amps = amps / norm
-    return amps
+    return np.array(_two_qubit((a00, a01, a10, a11)), dtype=complex)
 
 
 def schmidt_state(lambda0: float, theta: float) -> np.ndarray:
@@ -72,20 +55,7 @@ def schmidt_state(lambda0: float, theta: float) -> np.ndarray:
     sqrt(l0) sin(t/2), sqrt(l1) cos(t/2))`` with ``l1 = 1 - lambda0``;
     the result is exactly normalized for any ``theta`` in radians.
     """
-    if not 0.0 <= lambda0 <= 1.0:
-        raise DomainError(f"lambda0 must lie in [0, 1], got {lambda0}")
-    r0, r1 = math.sqrt(lambda0), math.sqrt(1.0 - lambda0)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([r0 * c, -r1 * s, r0 * s, r1 * c], dtype=complex)
-
-
-def _unit_axis(axis) -> list:
-    """``axis`` as three floats; DomainError unless it is a unit 3-vector
-    (``|axis| = 1`` within 1e-9)."""
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,) or abs(math.hypot(*n.tolist()) - 1.0) > _AXIS_TOL:
-        raise DomainError("axis must be a unit 3-vector (|axis| = 1 within 1e-9)")
-    return n.tolist()
+    return np.array(_schmidt(lambda0, theta), dtype=complex)
 
 
 def evolution_operator(axis, t: float) -> np.ndarray:

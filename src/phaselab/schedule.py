@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
+from .core import _quaternions  # noqa: F401 (re-exported)
+from .core import _divided, _floats, _rescaled, _schmidt, _two_qubit
 from .errors import DomainError, ParseError, ValidationError, ZeroNorm
-from .qstate import (_rescaled, _unit_axis, evolution_operator, make_two_qubit, pauli_dot,
-                     schmidt_state)
 
 __all__ = [
     "HEADER",
@@ -49,6 +48,8 @@ __all__ = [
 ]
 
 HEADER = "phaselab-schedule v1"
+#: Samples per segment of the sampled time series (``phase_samples``).
+DEFAULT_SAMPLES = 2000
 
 _BUILTIN_STEP = 2.0 * math.pi / 3.0
 _DIAG = math.sqrt(1.0 / 3.0)
@@ -58,10 +59,17 @@ _MINUS_TABLE = ((-1, -1, -1), (1, -1, -1), (-1, -1, -1), (1, -1, -1))
 
 @dataclass(frozen=True, eq=False)
 class RotationSegment:
-    """One fixed-axis rotation: unit axis, duration = rotation angle > 0."""
+    """One fixed-axis rotation: unit axis, duration = rotation angle > 0.
 
-    axis: np.ndarray
+    ``axis`` is held as a tuple of three floats; any sequence of numbers,
+    an ndarray too, is accepted and converted.
+    """
+
+    axis: tuple
     duration: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "axis", _floats(self.axis))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,29 +78,28 @@ class RotationSchedule:
 
     A schedule owns its initial state, so a schedule file is a complete,
     reproducible experiment description. Immutable after construction.
+    ``initial`` is held as a tuple of four complex amplitudes; any sequence
+    of numbers, an ndarray too, is accepted and converted.
     """
 
     segments: tuple
     evolved_qubit: int
-    initial: np.ndarray
+    initial: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "initial", _floats(self.initial, complex))
 
 
 def builtin_plus() -> list[RotationSegment]:
     """Four-segment table whose closed loop stays in the trivial homotopy
     class (touches the ball border without crossing it)."""
-    return [
-        RotationSegment(_DIAG * np.array(a, dtype=float), _BUILTIN_STEP)
-        for a in _PLUS_TABLE
-    ]
+    return [RotationSegment([_DIAG * x for x in a], _BUILTIN_STEP) for a in _PLUS_TABLE]
 
 
 def builtin_minus() -> list[RotationSegment]:
     """Four-segment table whose closed loop crosses the ball border once,
     picking up the extra half-turn of the double cover."""
-    return [
-        RotationSegment(_DIAG * np.array(a, dtype=float), _BUILTIN_STEP)
-        for a in _MINUS_TABLE
-    ]
+    return [RotationSegment([_DIAG * x for x in a], _BUILTIN_STEP) for a in _MINUS_TABLE]
 
 
 # The documented number grammar, ASCII only: float() and int() also take
@@ -135,14 +142,14 @@ def _parse_state(fields, lineno):
         theta = _float(fields[3], lineno)
         if not 0.0 <= lam <= 1.0:
             raise ValidationError("lambda0 must lie in [0, 1]", line=lineno)
-        return schmidt_state(lam, theta)
+        return _schmidt(lam, theta)
     if kind == "amplitudes":
         if len(fields) != 10:
             raise ParseError(lineno, "state amplitudes takes 8 numbers (re im, four times)")
         vals = [_float(tok, lineno) for tok in fields[2:]]
         amps = [complex(vals[i], vals[i + 1]) for i in range(0, 8, 2)]
         try:
-            return make_two_qubit(*amps)
+            return _two_qubit(amps)
         except ZeroNorm as exc:
             raise ValidationError(str(exc), line=lineno) from None
     raise ParseError(lineno, f"unknown state kind {kind!r}")
@@ -152,15 +159,13 @@ def _parse_segment(fields, lineno) -> RotationSegment:
     if len(fields) != 5:
         raise ParseError(lineno, "segment takes <nx> <ny> <nz> <duration>")
     nx, ny, nz, dur = (_float(tok, lineno) for tok in fields[1:])
-    axis = _rescaled(np.array([nx, ny, nz], dtype=float))
-    norm = float(np.linalg.norm(axis))
+    axis = _rescaled((nx, ny, nz))
+    norm = math.hypot(*axis)
     if norm < 1e-3:
         raise ValidationError("axis too short to normalize", line=lineno)
-    if abs(norm - 1.0) > 1e-12:
-        axis = axis / norm
     if not dur > 0.0:
         raise ValidationError("duration must be positive", line=lineno)
-    return RotationSegment(axis, float(dur))
+    return RotationSegment(_divided(axis, norm), dur)
 
 
 def parse_schedule(text: str) -> RotationSchedule:
@@ -237,33 +242,16 @@ def total_duration(schedule: RotationSchedule) -> float:
 
 def _boundaries(schedule: RotationSchedule):
     """Cumulative end times and exact boundary products B_k, k = 0..n."""
+    import numpy as np
+
+    from .qstate import evolution_operator
+
     times = [0.0]
     prods = [np.eye(2, dtype=complex)]
     for seg in schedule.segments:
         times.append(times[-1] + seg.duration)
         prods.append(evolution_operator(seg.axis, seg.duration) @ prods[-1])
     return times, prods
-
-
-def _quaternions(schedule: RotationSchedule):
-    """Cumulative end times, the boundary products B_k, k = 0..n, as unit
-    quaternions ``(w, vx, vy, vz)`` with ``B_k = w I - i v . sigma``, and
-    the segment axes, all in plain floats. Segment k is
-    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` is the quaternion
-    product ``(c w - a . v, c v + w a + a x v)``."""
-    times = [0.0]
-    quats = [(1.0, 0.0, 0.0, 0.0)]
-    axes = [_unit_axis(seg.axis) for seg in schedule.segments]
-    for seg, n in zip(schedule.segments, axes):
-        c, s = math.cos(seg.duration / 2.0), math.sin(seg.duration / 2.0)
-        ax, ay, az = (s * x for x in n)
-        w, vx, vy, vz = quats[-1]
-        times.append(times[-1] + seg.duration)
-        quats.append((c * w - (ax * vx + ay * vy + az * vz),
-                      c * vx + w * ax + (ay * vz - az * vy),
-                      c * vy + w * ay + (az * vx - ax * vz),
-                      c * vz + w * az + (ax * vy - ay * vx)))
-    return times, quats, axes
 
 
 def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bounds):
@@ -273,26 +261,30 @@ def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bound
     last one is the exact boundary product, independent of the sampling
     density. ``bounds`` is ``_boundaries(schedule)``.
     """
+    import numpy as np
+
+    from .qstate import pauli_dot
+
     if samples_per_segment < 2:
         raise DomainError("samples_per_segment must be >= 2")
     bt, bp = bounds
-    times = [0.0]
-    units = [bp[0]]
+    per = samples_per_segment - 1
+    times = np.empty(len(schedule.segments) * per + 1)
+    units = np.empty((len(times), 2, 2), dtype=complex)
+    times[0], units[0] = 0.0, bp[0]
     eye = np.eye(2, dtype=complex)
     for k, seg in enumerate(schedule.segments):
-        delta = seg.duration / (samples_per_segment - 1)
+        delta = seg.duration / per
         offs = delta * np.arange(1, samples_per_segment)
         half = 0.5 * offs
         c = np.cos(half)
         s = np.sin(half)
         nsig = pauli_dot(seg.axis)
-        block = (c[:, None, None] * eye - 1j * s[:, None, None] * nsig) @ bp[k]
-        block[-1] = bp[k + 1]
-        ts = (bt[k] + offs).tolist()
-        ts[-1] = bt[k + 1]
-        times.extend(ts)
-        units.extend(block)
-    return np.array(times), np.array(units)
+        block = slice(k * per + 1, (k + 1) * per + 1)
+        np.matmul(c[:, None, None] * eye - 1j * s[:, None, None] * nsig, bp[k], out=units[block])
+        np.add(bt[k], offs, out=times[block])
+        times[block.stop - 1], units[block.stop - 1] = bt[k + 1], bp[k + 1]
+    return times, units
 
 
 def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
@@ -302,13 +294,16 @@ def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
     return [(float(t), u) for t, u in zip(times, units)]
 
 
-def unitary_at(schedule: RotationSchedule, t: float) -> np.ndarray:
-    """Cumulative unitary at an arbitrary time along the schedule."""
+def unitary_at(schedule: RotationSchedule, t: float):
+    """Cumulative unitary (a 2x2 ndarray) at an arbitrary time along the
+    schedule."""
+    from .qstate import evolution_operator
+
     bt, bp = _boundaries(schedule)
     if t <= 0.0:
         return bp[0]
     if t >= bt[-1]:
         return bp[-1]
-    k = int(np.searchsorted(np.asarray(bt), t, side="right")) - 1
+    k = bisect_right(bt, t) - 1
     seg = schedule.segments[k]
     return evolution_operator(seg.axis, t - bt[k]) @ bp[k]

@@ -54,7 +54,8 @@ def random_schedule(rng, state=None, max_segments=6):
 def cyclic_completion(segments):
     """Segments followed by their exact inverses in reverse order; the total
     unitary is the identity, so any schedule built this way is cyclic."""
-    inverse = tuple(pl.RotationSegment(-s.axis, s.duration) for s in reversed(segments))
+    inverse = tuple(pl.RotationSegment([-x for x in s.axis], s.duration)
+                    for s in reversed(segments))
     return tuple(segments) + inverse
 
 

@@ -355,6 +355,24 @@ class TestReadout:
         assert main(["readout", sched]) == 0
         assert "click probability: 0.0" in capsys.readouterr().out
 
+    def test_not_cyclic_warns_as_run_does(self, tmp_path, capsys):
+        # the second line reads |Re <s0|U|s0>|, which is |cos(total phase)|
+        # only on a cyclic schedule; here cos(arg <s0|U|s0>) is 0.990
+        sched = write(tmp_path, "n.sched", NOT_CYCLIC)
+        assert main(["readout", sched]) == 0
+        readout = capsys.readouterr()
+        assert readout.out == ("click probability: 0.06120871905481362\n"
+                               "|cos(total phase)|: 0.8775825618903728\n")
+        assert readout.err == ("warning: schedule is not cyclic "
+                               "(final overlap magnitude 0.886235703)\n")
+        assert main(["run", sched, "--steps", "50"]) == 0
+        assert capsys.readouterr().err == readout.err
+
+    def test_cyclic_gives_no_warning(self, tmp_path, capsys):
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main(["readout", sched]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestExitCodes:
     def test_usage_error_exit_1(self, capsys):

@@ -1,9 +1,12 @@
-"""Hypothesis properties of the schedule format and the command line.
+"""Hypothesis properties of the schedule format, the command line and the
+paper's identities.
 
 Schedule texts mix well-formed directives with adversarial tokens:
 non-finite numbers, numbers at the float limits, spellings Python's
 ``float`` accepts (``1_0``, ``+.5``, Unicode digits), malformed numbers,
-unknown keywords, comments, tabs and CRLF line ends.
+unknown keywords, comments, tabs and CRLF line ends. The identities are
+the n pi theorem on cyclic schedules, the parity law on maximally
+entangled states and the gauge invariance of the overlap-product phase.
 """
 
 import contextlib
@@ -14,7 +17,7 @@ import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
@@ -168,3 +171,82 @@ class TestCliFuzz:
         assert [str(w.message) for w in caught] == []
         if code:
             assert err.getvalue().startswith(("usage error: ", "error: "))
+
+
+unit = st.floats(-1.0, 1.0)
+AXES = st.tuples(unit, unit, unit).filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: tuple(x / math.hypot(*v) for x in v))
+SHORT = st.floats(0.05, 7.0) | st.sampled_from([0.5, 1.0, 2.0, 3.0]).map(lambda k: k * math.pi)
+AMPLITUDES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).filter(
+    lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: pl.make_two_qubit(*(complex(v[i], v[i + 1]) for i in range(0, 8, 2))))
+
+
+def quaternion_of(u):
+    """``(w, v)`` of an SU(2) matrix ``u = w I - i v . sigma``."""
+    return ((u[0, 0] + u[1, 1]).real / 2.0,
+            np.array([-(u[0, 1].imag + u[1, 0].imag) / 2.0,
+                      (u[1, 0].real - u[0, 1].real) / 2.0,
+                      (u[1, 1].imag - u[0, 0].imag) / 2.0]))
+
+
+@st.composite
+def cyclic_schedules(draw):
+    """A random prefix and the one segment that completes its product to
+    ``U_T = +I`` or ``-I``, on a random state and evolved qubit."""
+    prefix = draw(st.lists(st.builds(pl.RotationSegment, AXES, SHORT), min_size=1, max_size=4))
+    state, qubit = draw(AMPLITUDES), draw(st.sampled_from([1, 2]))
+    w, v = quaternion_of(pl.unitary_at(pl.RotationSchedule(tuple(prefix), qubit, state), math.inf))
+    s = float(np.linalg.norm(v))
+    assume(s > 1e-3)
+    # E B = +I for E = B^-1 = w I + i v . sigma; E B = -I for E = -B^-1
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    last = pl.RotationSegment(-sign * v / s, 2.0 * math.atan2(s, sign * w))
+    return pl.RotationSchedule((*prefix, last), qubit, state)
+
+
+class TestPaperIdentities:
+    @settings(max_examples=200, deadline=None)
+    @given(cyclic_schedules())
+    def test_n_pi_theorem(self, sched):
+        b = pl.phase_breakdown(sched.initial, sched)
+        assert min(abs(pl.principal(b.total)), abs(pl.principal(b.total - math.pi))) <= 1e-9
+        if not b.degenerate:
+            assert b.closure_residual <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 2.0 * math.pi), AXES, st.floats(0.0, 2.0 * math.pi),
+           st.sampled_from([1, 2]),
+           st.lists(st.builds(pl.RotationSegment, AXES, SHORT | st.floats(7.0, 2e11)),
+                    min_size=1, max_size=5))
+    def test_parity_law_on_maximally_entangled_states(self, theta, axis, angle, qubit, segs):
+        # a local turn of qubit 2 keeps the state maximally entangled
+        mes = pl.apply_local(pl.evolution_operator(axis, angle), 2, pl.schmidt_state(0.5, theta))
+        sched = pl.RotationSchedule(tuple(segs), qubit, mes)
+        assert pl.total_duration(sched) < 1e12
+        re_trace = float(np.trace(pl.unitary_at(sched, math.inf)).real)
+        assume(abs(re_trace) > 4e-6)  # no zero at the end, which is not counted
+        count, parity = pl.topological_crossings(mes, sched)
+        assert parity == ("odd" if re_trace < 0.0 else "even")
+        assert count % 2 == (re_trace < 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 4]).flatmap(lambda dim: st.lists(
+               st.lists(st.floats(-1.0, 1.0), min_size=2 * dim, max_size=2 * dim).filter(
+                   lambda v: math.hypot(*v) > 0.1), min_size=3, max_size=8)),
+           st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8), st.booleans())
+    def test_gauge_invariance_of_the_overlap_product_phase(self, parts, phases, closed):
+        path = np.array([[complex(p[i], p[i + 1]) for i in range(0, len(p), 2)] for p in parts])
+        path /= np.linalg.norm(path, axis=1)[:, None]
+        legs = np.einsum("kj,kj->k", path[:-1].conj(), path[1:])
+        if closed:
+            legs = np.append(legs, np.vdot(path[-1], path[0]))
+        assume(np.all(np.abs(legs) > 1e-2))  # far from orthogonal, so args are well conditioned
+        before = pl.geometric_phase_pure(path, closed)
+        after = pl.geometric_phase_pure(path * np.exp(1j * np.array(phases[:len(path)]))[:, None],
+                                        closed)
+        if closed:
+            assert abs(pl.principal(after - before)) <= 1e-12
+        else:  # an open path picks up the end points' phase difference
+            want = before - (phases[len(path) - 1] - phases[0])
+            assert abs(pl.principal(after - want)) <= 1e-12

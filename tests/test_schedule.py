@@ -141,7 +141,7 @@ class TestParser:
         sched = pl.parse_schedule(f"phaselab-schedule v1\nstate schmidt 1 -0.5e0\n"
                                   f"segment -1 0 0 {token}\n")
         assert sched.segments[0].duration == value
-        assert sched.segments[0].axis.tolist() == [-1.0, 0.0, 0.0]
+        assert sched.segments[0].axis == (-1.0, 0.0, 0.0)
 
     def test_unknown_directive(self):
         with pytest.raises(pl.ParseError):

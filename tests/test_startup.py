@@ -1,0 +1,122 @@
+"""Startup guard: the exact commands never import numpy.
+
+``import phaselab.cli`` and the ``breakdown``, ``sweep`` and ``readout``
+commands, their error exits included, run on the plain-float core
+(``phaselab.core``). Each check runs in a fresh interpreter with
+``PYTHONPATH`` set to this checkout's ``src``, since the test process
+itself has numpy loaded.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+DEMOS = os.path.join(ROOT, "demos", "schedules")
+
+# phaselab.__all__ before the lazy package import, in order
+PUBLIC_NAMES = [
+    "PhaseLabError", "ZeroNorm", "DomainError", "DegenerateSpectrum", "NotSpecialUnitary",
+    "OrthogonalStep", "NotCyclic", "ParseError", "ValidationError", "SIGMA_X", "SIGMA_Y",
+    "SIGMA_Z", "pauli_dot", "make_two_qubit", "schmidt_state", "evolution_operator",
+    "apply_local", "reduced_density", "inner_product", "bloch_of_pure", "bloch_of_density",
+    "hopf_coords", "concurrence", "ball_radius", "purity_radius", "Purification", "purify",
+    "SO3Point", "SO3Path", "su2_to_so3", "so3_path", "HEADER", "RotationSegment",
+    "RotationSchedule", "builtin_plus", "builtin_minus", "parse_schedule",
+    "serialize_schedule", "cumulative_unitaries", "unitary_at", "total_duration",
+    "ORTHOGONALITY_EPS", "CROSSING_EPS", "DEFAULT_SAMPLES", "DYNAMICAL_SIGN", "principal",
+    "PhaseSample", "PhaseBreakdown", "total_phase", "mixed_total_phase", "sp_formula",
+    "dynamical_phase", "geometric_phase_pure", "geometric_phase_mixed",
+    "topological_crossings", "phase_breakdown", "fixed_axis_closed_forms",
+    "readout_probability", "phase_samples", "__version__",
+]
+
+
+def fresh(code: str, tmp_path) -> dict:
+    """Run ``code`` in a new interpreter; it reports through ``emit(key,
+    value)``, collected here as a dict."""
+    prelude = textwrap.dedent("""\
+        import contextlib, io, json, sys
+        _report = {}
+        def emit(key, value):
+            _report[key] = value
+        def numpy_loaded():
+            return "numpy" in sys.modules
+        def run(argv):
+            from phaselab.cli import main
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                return main(argv)
+        """)
+    tail = "\nprint(json.dumps(_report))\n"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code) + tail],
+                          env=env, cwd=str(tmp_path), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    bad = tmp_path / "bad.sched"
+    bad.write_text("phaselab-schedule v1\nstate schmidt 0.5 0\nsegment 0 0 one 1\n")
+    open_ = tmp_path / "open.sched"
+    open_.write_text("phaselab-schedule v1\nstate schmidt 0.3 0.7\nsegment 1 0 0 1.0\n")
+    mes_minus = os.path.join(DEMOS, "mes_minus.sched")
+    mes_plus = os.path.join(DEMOS, "mes_plus.sched")
+    report = fresh(f"""
+        emit("before", numpy_loaded())
+        import phaselab.cli
+        emit("import phaselab.cli", numpy_loaded())
+        for name, argv in [
+            ("breakdown", ["breakdown", {mes_minus!r}]),
+            ("sweep", ["sweep", "--lambda0", "0:1:11", "--theta", "0:{math.pi!r}:9",
+                       "--out", "sweep.csv"]),
+            ("readout", ["readout", {mes_plus!r}]),
+            ("parse error", ["breakdown", {str(bad)!r}]),
+            ("not cyclic", ["breakdown", {str(open_)!r}]),
+        ]:
+            emit(name, [run(argv), numpy_loaded()])
+        emit("run --out", [run(["run", {mes_minus!r}, "--steps", "20", "--out", "series.csv"]),
+                           open("series.csv").read().count("\\n")])
+        """, tmp_path)
+    assert report == {
+        "before": False,
+        "import phaselab.cli": False,
+        "breakdown": [0, False],
+        "sweep": [0, False],
+        "readout": [0, False],
+        "parse error": [2, False],
+        "not cyclic": [3, False],
+        "run --out": [0, 1 + 1 + 4 * 19],
+    }
+
+
+def test_package_names_load_on_first_access(tmp_path):
+    report = fresh("""
+        import phaselab
+        emit("import phaselab", numpy_loaded())
+        emit("schmidt_state", type(phaselab.schmidt_state(0.3, 0.0)).__module__)
+        emit("so3_path", phaselab.so3_path.__module__)
+        emit("__all__", phaselab.__all__)
+        namespace = {}
+        exec("from phaselab import *", namespace)
+        emit("star", sorted(set(namespace) - {"__builtins__"}))
+        """, tmp_path)
+    assert report["import phaselab"] is False
+    assert report["schmidt_state"] == "numpy"
+    assert report["so3_path"] == "phaselab.geometry"
+    assert report["__all__"] == PUBLIC_NAMES
+    assert report["star"] == sorted(PUBLIC_NAMES)
+
+
+def test_star_import_in_a_fresh_interpreter(tmp_path):
+    report = fresh(f"""
+        from phaselab import *
+        emit("names", [so3_path.__name__, schmidt_state.__name__, phase_breakdown.__name__])
+        import phaselab
+        emit("dir", sorted(set({PUBLIC_NAMES!r}) - set(dir(phaselab))))
+        """, tmp_path)
+    assert report == {"names": ["so3_path", "schmidt_state", "phase_breakdown"], "dir": []}
