@@ -94,24 +94,40 @@ def _schmidt(lambda0: float, theta: float) -> tuple:
     return complex(r0 * c), complex(-r1 * s), complex(r0 * s), complex(r1 * c)
 
 
+def _product(c, ax, ay, az, q) -> tuple:
+    """The quaternion product ``(c, a) q = (c w - a . v, c v + w a + a x v)``
+    of ``q = (w, vx, vy, vz)``; takes floats or numpy arrays alike."""
+    w, vx, vy, vz = q
+    return (c * w - (ax * vx + ay * vy + az * vz),
+            c * vx + w * ax + (ay * vz - az * vy),
+            c * vy + w * ay + (az * vx - ax * vz),
+            c * vz + w * az + (ax * vy - ay * vx))
+
+
+def _rotated(q, b) -> tuple:
+    """``b + 2 w (v x b) + 2 v x (v x b)``: the Bloch vector of ``B rho B+``
+    for ``B = w I - i v . sigma``, ``q = (w, v)``, and ``b`` that of ``rho``;
+    takes floats or numpy arrays alike."""
+    w, vx, vy, vz = q
+    bx, by, bz = b
+    cx, cy, cz = vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx
+    dx, dy, dz = vy * cz - vz * cy, vz * cx - vx * cz, vx * cy - vy * cx
+    return bx + 2.0 * (w * cx + dx), by + 2.0 * (w * cy + dy), bz + 2.0 * (w * cz + dz)
+
+
 def _quaternions(schedule):
     """Cumulative end times, the boundary products B_k, k = 0..n, as unit
     quaternions ``(w, vx, vy, vz)`` with ``B_k = w I - i v . sigma``, and
     the segment axes, all in plain floats. Segment k is
-    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` is the quaternion
-    product ``(c w - a . v, c v + w a + a x v)``."""
+    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` is their
+    :func:`_product`."""
     times = [0.0]
     quats = [(1.0, 0.0, 0.0, 0.0)]
     axes = [_unit_axis(seg.axis) for seg in schedule.segments]
     for seg, n in zip(schedule.segments, axes):
         c, s = math.cos(seg.duration / 2.0), math.sin(seg.duration / 2.0)
-        ax, ay, az = (s * x for x in n)
-        w, vx, vy, vz = quats[-1]
         times.append(times[-1] + seg.duration)
-        quats.append((c * w - (ax * vx + ay * vy + az * vz),
-                      c * vx + w * ax + (ay * vz - az * vy),
-                      c * vy + w * ay + (az * vx - ax * vz),
-                      c * vz + w * az + (ax * vy - ay * vx)))
+        quats.append(_product(c, *(s * x for x in n), quats[-1]))
     return times, quats, axes
 
 
@@ -168,13 +184,14 @@ class ZeroTimes(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _overlap(q, rho) -> complex:
+def _overlap(q, rho) -> tuple:
     """``Tr(B rho) = w t - i v . b`` for the unit quaternion ``q = (w, v)`` of
     ``B = w I - i v . sigma`` and ``rho = (t I + b . sigma) / 2`` given by
-    its Pauli components ``(t, b)``; ``t = Tr rho`` is 1 up to rounding."""
+    its Pauli components ``(t, b)``; ``t = Tr rho`` is 1 up to rounding.
+    Returned as its real and imaginary parts, of floats or numpy arrays."""
     w, vx, vy, vz = q
     t, bx, by, bz = rho
-    return complex(w * t, 0.0 - (vx * bx + vy * by + vz * bz))  # never -0.0
+    return w * t, 0.0 - (vx * bx + vy * by + vz * bz)  # never -0.0
 
 
 def _slope(n, q, rho) -> complex:
@@ -209,7 +226,7 @@ def overlap_zero_times(schedule, rho, bounds) -> ZeroTimes:
     ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
     times, quats, axes = bounds
-    zs = [_overlap(q, rho) for q in quats]
+    zs = [complex(*_overlap(q, rho)) for q in quats]
     at_zero = [abs(z) <= CROSSING_EPS for z in zs]
     runs = []
     entered = None  # (segment, slope factor) where the current zero began
@@ -260,25 +277,21 @@ class PhaseBreakdown:
 
 
 def _dynamical_rates(bounds, rho) -> list[float]:
-    """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with
-    ``b_k = b + 2 w (v x b) + 2 v x (v x b)`` the Bloch vector ``b`` of
-    ``rho`` (see :func:`_exact_inputs`) rotated by the boundary quaternion
-    ``B_k = (w, v)``; ``bounds`` is ``_quaternions(schedule)``.
+    """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with ``b_k``
+    the Bloch vector ``b`` of ``rho`` (see :func:`_exact_inputs`)
+    :func:`_rotated` by the boundary quaternion ``B_k``; ``bounds`` is
+    ``_quaternions(schedule)``.
 
     Each segment's generator commutes with its own evolution, so its
     expectation is constant within the segment; segment k contributes
     ``rate_k * d_k`` to the dynamical phase. A maximally mixed reduced
     state (``b = 0``) has rates of exactly 0.
     """
-    _, bx, by, bz = rho
     _, quats, axes = bounds
     rates = []
-    for (nx, ny, nz), (w, vx, vy, vz) in zip(axes, quats):
-        cx, cy, cz = vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx
-        dx, dy, dz = vy * cz - vz * cy, vz * cx - vx * cz, vx * cy - vy * cx
-        rates.append(DYNAMICAL_SIGN * 0.5 * (nx * (bx + 2.0 * (w * cx + dx))
-                                             + ny * (by + 2.0 * (w * cy + dy))
-                                             + nz * (bz + 2.0 * (w * cz + dz))))
+    for (nx, ny, nz), q in zip(axes, quats):
+        bx, by, bz = _rotated(q, rho[1:])
+        rates.append(DYNAMICAL_SIGN * 0.5 * (nx * bx + ny * by + nz * bz))
     return rates
 
 
@@ -304,7 +317,7 @@ def _geometric(q, rho, dyn: float) -> float:
     r = math.sqrt(bx * bx + by * by + bz * bz)
     if r <= 1e-9:  # the eigenvalue gap of rho is r
         raise DegenerateSpectrum(f"eigenvalue gap {r:.3e} is <= 1e-9")
-    z = _overlap(q, rho)
+    z = complex(*_overlap(q, rho))
     # one shared reference, so that at U_T = -I both eigenstate args land
     # on the same side of the +-pi cut as the mixed total phase
     tot = principal(cmath.phase(z))
@@ -356,7 +369,7 @@ def phase_breakdown(s0, schedule) -> PhaseBreakdown:
     """
     rho, bounds = _exact_inputs(s0, schedule)
     final = bounds[1][-1]
-    v = _overlap(final, rho)
+    v = complex(*_overlap(final, rho))
     if abs(abs(v) - 1.0) > CYCLIC_EPS:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = principal(cmath.phase(v))
@@ -378,7 +391,7 @@ def _final_overlap(s0, schedule) -> complex:
     """``<s0|U_T|s0> = Tr(B_n rho)``, read from the final boundary
     quaternion (see :func:`_overlap`)."""
     rho, bounds = _exact_inputs(s0, schedule)
-    return _overlap(bounds[1][-1], rho)
+    return complex(*_overlap(bounds[1][-1], rho))
 
 
 def readout_probability(s0, schedule) -> float:

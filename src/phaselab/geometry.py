@@ -19,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (  # noqa: F401 (the exact crossing search, re-exported)
-    CROSSING_EPS,
     ZeroTimes,
-    _overlap,
     _quaternions,
-    _slope,
     overlap_zero_times,
 )
 from .errors import DegenerateSpectrum, NotSpecialUnitary
-from .schedule import RotationSchedule, _boundaries, _unitary_samples
+from .schedule import RotationSchedule, _unitary_samples
 
 __all__ = [
     "bloch_of_pure",
@@ -171,19 +168,33 @@ class SO3Point:
 _CENTER_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def _so3_arrays(units) -> tuple[np.ndarray, np.ndarray]:
-    """Axes (M, 3) and angles (M,) of a stack of SU(2) elements (M, 2, 2)
-    in the radius-pi ball; :func:`su2_to_so3` is the one-matrix case.
-
-    Writing ``u = cos(t/2) I - i sin(t/2) (n . sigma)``, rotation angles in
-    (pi, 2pi] are folded onto ``(2pi - t, -n)``, so ``u`` and ``-u`` map to
-    the same point; the identity gets axis (0, 0, 1). Raises
-    NotSpecialUnitary when any det(u) != 1 within 1e-9. The norm is a
-    stacked matmul, the dot product ``np.linalg.norm`` takes, and the
-    angle uses ``math.atan2``: ``np.arctan2`` and sum-of-squares norms
-    differ from those in the last bit on a share of inputs, which would
-    change the written series.
+def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
+    """Axes (M, 3) and angles (M,) in the radius-pi ball of the unit
+    quaternions ``w`` (M,), ``v`` (M, 3) of ``u = w I - i v . sigma =
+    cos(t/2) I - i sin(t/2) (n . sigma)``; angles in (pi, 2pi] are folded
+    onto ``(2pi - t, -n)``, so ``u`` and ``-u`` map to the same point, and
+    the identity gets axis (0, 0, 1). The norm is a stacked matmul, the
+    dot product ``np.linalg.norm`` takes, and the angle uses ``math.atan2``:
+    ``np.arctan2`` and sum-of-squares norms differ from those in the last
+    bit on a share of inputs.
     """
+    s = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    t = 2.0 * np.fromiter(map(math.atan2, s.tolist(), w.tolist()), float, len(s))
+    center = s <= 1e-12
+    axes = v / np.where(center, 1.0, s)[:, None]
+    fold = t > math.pi
+    t[fold] = 2.0 * math.pi - t[fold]
+    axes[fold] = -axes[fold]
+    center |= t <= 1e-12
+    t[center] = 0.0
+    axes[center] = _CENTER_AXIS
+    return axes, t
+
+
+def _so3_arrays(units) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ball` of a stack of SU(2) elements ``w I - i v . sigma``
+    (M, 2, 2); :func:`su2_to_so3` is the one-matrix case. Raises
+    NotSpecialUnitary when any det(u) != 1 within 1e-9."""
     m = np.asarray(units, dtype=complex)
     if np.any(np.abs(np.linalg.det(m) - 1.0) > 1e-9):
         raise NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
@@ -196,17 +207,7 @@ def _so3_arrays(units) -> tuple[np.ndarray, np.ndarray]:
         ],
         axis=1,
     )
-    s = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    t = 2.0 * np.fromiter(map(math.atan2, s.tolist(), w.tolist()), float, len(s))
-    center = s <= 1e-12
-    axes = v / np.where(center, 1.0, s)[:, None]
-    fold = t > math.pi
-    t[fold] = 2.0 * math.pi - t[fold]
-    axes[fold] = -axes[fold]
-    center |= t <= 1e-12
-    t[center] = 0.0
-    axes[center] = _CENTER_AXIS
-    return axes, t
+    return _ball(w, v)
 
 
 def su2_to_so3(u) -> SO3Point:
@@ -234,13 +235,12 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     crossing times come from :func:`overlap_zero_times`. A tangential
     touch of the border counts as zero crossings.
     """
-    bounds = _boundaries(schedule)
-    times, units = _unitary_samples(schedule, samples_per_segment, bounds)
-    axes, angles = _so3_arrays(units)
-    halves = (units[:, 0, 0] + units[:, 1, 1]).real / 2.0
+    bounds = _quaternions(schedule)
+    times, quats = _unitary_samples(schedule, samples_per_segment, bounds)
+    axes, angles = _ball(quats[0], quats[1:].T)
     samples = [
         (t, SO3Point(axis, angle), half)
-        for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), halves.tolist())
+        for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), quats[0].tolist())
     ]
-    crossings = overlap_zero_times(schedule, (1.0, 0.0, 0.0, 0.0), _quaternions(schedule))
+    crossings = overlap_zero_times(schedule, (1.0, 0.0, 0.0, 0.0), bounds)
     return SO3Path(tuple(samples), crossings)

@@ -30,7 +30,9 @@ from .core import (  # noqa: F401 (the exact core's names, re-exported)
     PhaseBreakdown,
     _dynamical_rates,
     _exact_inputs,
-    _geometric,
+    _overlap,
+    _rotated,
+    _unit_axis,
     dynamical_phase,
     geometric_phase_mixed,
     overlap_zero_times,
@@ -40,9 +42,9 @@ from .core import (  # noqa: F401 (the exact core's names, re-exported)
     topological_crossings,
 )
 from .errors import DomainError, OrthogonalStep
-from .geometry import SO3Point, _so3_arrays
-from .qstate import inner_product, reduced_density
-from .schedule import DEFAULT_SAMPLES, RotationSchedule, _boundaries, _unitary_samples
+from .geometry import SO3Point, _ball
+from .qstate import inner_product
+from .schedule import DEFAULT_SAMPLES, RotationSchedule, _unitary_samples
 
 __all__ = [
     "ORTHOGONALITY_EPS",
@@ -64,10 +66,6 @@ __all__ = [
     "readout_probability",
     "phase_samples",
 ]
-
-
-def _evolved_density(s0, schedule: RotationSchedule) -> np.ndarray:
-    return reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
 
 
 @dataclass(frozen=True)
@@ -110,11 +108,9 @@ def sp_formula(t: float, axis, bloch) -> complex:
     ``bloch`` the evolved qubit's reduced Bloch vector at the segment
     start; it then equals ``<psi(0)|psi(t)>`` exactly.
     """
-    n = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise DomainError("axis must be a unit 3-vector")
-    nb = float(np.dot(n, np.asarray(bloch, dtype=float)))
-    return complex(math.cos(t / 2.0), -nb * math.sin(t / 2.0))
+    nx, ny, nz = _unit_axis(axis)
+    bx, by, bz = map(float, bloch)
+    return complex(math.cos(t / 2.0), -(nx * bx + ny * by + nz * bz) * math.sin(t / 2.0))
 
 
 def geometric_phase_pure(path, closed: bool = True) -> float:
@@ -186,33 +182,27 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
     x, y, z, ball axis x, y, z and ball angle; ``flags`` (int array) marks
     the first sample at or after each zero in ``zeros``.
     """
-    rho = _evolved_density(s0, schedule)
-    pauli, qbounds = _exact_inputs(s0, schedule)
-    bounds = _boundaries(schedule)
-    times, units = _unitary_samples(schedule, samples_per_segment, bounds)
-    sps = np.einsum("kij,ji->k", units, rho)
-    # evolved-qubit reduced state transported sample by sample: U rho U+
-    rhot = np.einsum("kij,jl,kml->kim", units, rho, units.conj())
-    blochs = (
-        2.0 * rhot[:, 0, 1].real,
-        2.0 * rhot[:, 1, 0].imag,
-        (rhot[:, 0, 0] - rhot[:, 1, 1]).real,
-    )
-    mags = np.abs(sps)
-    # the principal column folds np.angle's -pi onto pi; the unwrap takes the
-    # raw angles, since unwrapping folded ones moves its sums by ulps
-    raw_vals = np.where(mags > ORTHOGONALITY_EPS, np.angle(sps), math.nan)
+    rho, bounds = _exact_inputs(s0, schedule)
+    times, quats = _unitary_samples(schedule, samples_per_segment, bounds)
+    # Tr(U rho) with the core's abs and atan2 (numpy's differ in the last
+    # bit): the last phase is the exact total bit for bit. The principal
+    # column folds -pi onto pi; the unwrap takes the raw angles, since
+    # unwrapping folded ones moves its sums by ulps
+    sp_re, sp_im = _overlap(quats, rho)
+    defined = np.hypot(sp_re, sp_im) > ORTHOGONALITY_EPS
+    angles = map(math.atan2, sp_im.tolist(), sp_re.tolist())
+    raw_vals = np.where(defined, np.fromiter(angles, float, len(times)), math.nan)
     principal_vals = np.where(raw_vals == -math.pi, math.pi, raw_vals)
     dyn_vals = np.zeros(len(times))
     acc = 0.0
     spp = samples_per_segment
-    for k, rate in enumerate(_dynamical_rates(qbounds, pauli)):
+    for k, rate in enumerate(_dynamical_rates(bounds, rho)):
         i0 = k * (spp - 1)
         sl = slice(i0 + 1, i0 + spp)
         dyn_vals[sl] = acc + rate * (times[sl] - times[i0])
         acc = float(dyn_vals[i0 + spp - 1])
-    axes, angles = _so3_arrays(units)
-    crossing_times = overlap_zero_times(schedule, pauli, qbounds)
+    axes, ball_angles = _ball(quats[0], quats[1:].T)
+    crossing_times = overlap_zero_times(schedule, rho, bounds)
     flags = np.zeros(len(times), dtype=int)
     for k, tau, n in crossing_times.runs:
         # every sample with a zero since the one before it is some zero's
@@ -223,8 +213,8 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
         m = np.unique(np.clip(m, 0.0, float(n - 1)))
         idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
         flags[np.minimum(idx, len(times) - 1)] = 1
-    columns = (times, sps.real, sps.imag, principal_vals, _unwrap_skipnan(raw_vals),
-               dyn_vals, *blochs, *axes.T, angles)
+    columns = (times, sp_re, sp_im, principal_vals, _unwrap_skipnan(raw_vals),
+               dyn_vals, *_rotated(quats, rho[1:]), *axes.T, ball_angles)
     return columns, flags, crossing_times
 
 

@@ -67,14 +67,17 @@ def evolution_operator(axis, t: float) -> np.ndarray:
          [(-i nx + ny) sin(t/2),     cos(t/2) + i nz sin(t/2)]]
     """
     nx, ny, nz = _unit_axis(axis)
-    c = math.cos(t / 2.0)
     s = math.sin(t / 2.0)
-    return np.array(
-        [
-            [c - 1j * nz * s, (-1j * nx - ny) * s],
-            [(-1j * nx + ny) * s, c + 1j * nz * s],
-        ]
-    )
+    return _su2_matrix((math.cos(t / 2.0), s * nx, s * ny, s * nz))
+
+
+def _su2_matrix(q) -> np.ndarray:
+    """The matrix ``w I - i v . sigma`` of a unit quaternion
+    ``q = (w, vx, vy, vz)``; a (M, 2, 2) stack when the components are
+    arrays of length M."""
+    w, vx, vy, vz = q
+    return np.moveaxis(np.array([[w - 1j * vz, -vy - 1j * vx],
+                                 [vy - 1j * vx, w + 1j * vz]]), (0, 1), (-2, -1))
 
 
 def apply_local(u: np.ndarray, qubit: int, state) -> np.ndarray:

@@ -30,9 +30,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import _quaternions  # noqa: F401 (re-exported)
-from .core import _divided, _floats, _rescaled, _schmidt, _two_qubit
-from .errors import DomainError, ParseError, ValidationError, ZeroNorm
+from .core import _divided, _floats, _product, _quaternions, _rescaled, _schmidt, _two_qubit
+from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError, ZeroNorm
 
 __all__ = [
     "HEADER",
@@ -179,7 +178,7 @@ def parse_schedule(text: str) -> RotationSchedule:
     initial = None
     qubit = 1
     segments: list[RotationSegment] = []
-    end, counted = 0.0, 0  # total duration so far, summed as _boundaries sums it
+    end, counted = 0.0, 0  # total duration so far, summed as _quaternions sums it
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -240,70 +239,63 @@ def total_duration(schedule: RotationSchedule) -> float:
     return float(sum(seg.duration for seg in schedule.segments))
 
 
-def _boundaries(schedule: RotationSchedule):
-    """Cumulative end times and exact boundary products B_k, k = 0..n."""
-    import numpy as np
-
-    from .qstate import evolution_operator
-
-    times = [0.0]
-    prods = [np.eye(2, dtype=complex)]
-    for seg in schedule.segments:
-        times.append(times[-1] + seg.duration)
-        prods.append(evolution_operator(seg.axis, seg.duration) @ prods[-1])
-    return times, prods
-
-
 def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bounds):
-    """Sampled times (M,) and cumulative unitaries (M, 2, 2).
+    """Sampled times (M,) and cumulative unitaries ``w I - i v . sigma`` as
+    a (4, M) array of quaternion columns ``(w, vx, vy, vz)``.
 
-    Each segment contributes ``samples_per_segment - 1`` new samples; its
-    last one is the exact boundary product, independent of the sampling
-    density. ``bounds`` is ``_boundaries(schedule)``.
+    Segment k contributes ``samples_per_segment - 1`` new samples
+    ``(cos(tau/2), sin(tau/2) n_k) B_k``; its last one is the exact
+    boundary quaternion, independent of the sampling density. ``bounds``
+    is ``_quaternions(schedule)``. Raises DomainError when the samples do
+    not fit in memory, NotSpecialUnitary when ``det = w^2 + v . v`` of one
+    differs from 1 by more than 1e-9.
     """
     import numpy as np
 
-    from .qstate import pauli_dot
-
     if samples_per_segment < 2:
         raise DomainError("samples_per_segment must be >= 2")
-    bt, bp = bounds
+    bt, bq, axes = bounds
     per = samples_per_segment - 1
-    times = np.empty(len(schedule.segments) * per + 1)
-    units = np.empty((len(times), 2, 2), dtype=complex)
-    times[0], units[0] = 0.0, bp[0]
-    eye = np.eye(2, dtype=complex)
-    for k, seg in enumerate(schedule.segments):
+    size = len(schedule.segments) * per + 1
+    try:
+        times, quats = np.empty(size), np.empty((4, size))
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        raise DomainError(f"{size} samples do not fit in memory") from None
+    times[0], quats[:, 0] = 0.0, bq[0]
+    for k, (seg, (nx, ny, nz)) in enumerate(zip(schedule.segments, axes)):
         delta = seg.duration / per
         offs = delta * np.arange(1, samples_per_segment)
         half = 0.5 * offs
-        c = np.cos(half)
         s = np.sin(half)
-        nsig = pauli_dot(seg.axis)
         block = slice(k * per + 1, (k + 1) * per + 1)
-        np.matmul(c[:, None, None] * eye - 1j * s[:, None, None] * nsig, bp[k], out=units[block])
+        quats[:, block] = _product(np.cos(half), s * nx, s * ny, s * nz, bq[k])
         np.add(bt[k], offs, out=times[block])
-        times[block.stop - 1], units[block.stop - 1] = bt[k + 1], bp[k + 1]
-    return times, units
+        times[block.stop - 1], quats[:, block.stop - 1] = bt[k + 1], bq[k + 1]
+    if np.any(np.abs((quats * quats).sum(axis=0) - 1.0) > 1e-9):
+        raise NotSpecialUnitary("det U = w^2 + v . v differs from 1 by more than 1e-9")
+    return times, quats
 
 
 def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
     """Strictly increasing ``(time, cumulative unitary)`` samples from 0 to
     the total duration, with exact products at segment boundaries."""
-    times, units = _unitary_samples(schedule, samples_per_segment, _boundaries(schedule))
-    return [(float(t), u) for t, u in zip(times, units)]
+    from .qstate import _su2_matrix
+
+    times, quats = _unitary_samples(schedule, samples_per_segment, _quaternions(schedule))
+    return [(float(t), u) for t, u in zip(times, _su2_matrix(quats))]
 
 
 def unitary_at(schedule: RotationSchedule, t: float):
     """Cumulative unitary (a 2x2 ndarray) at an arbitrary time along the
     schedule."""
-    from .qstate import evolution_operator
+    from .qstate import _su2_matrix
 
-    bt, bp = _boundaries(schedule)
+    bt, bq, axes = _quaternions(schedule)
     if t <= 0.0:
-        return bp[0]
+        return _su2_matrix(bq[0])
     if t >= bt[-1]:
-        return bp[-1]
+        return _su2_matrix(bq[-1])
     k = bisect_right(bt, t) - 1
-    seg = schedule.segments[k]
-    return evolution_operator(seg.axis, t - bt[k]) @ bp[k]
+    half = (t - bt[k]) / 2.0
+    s = math.sin(half)
+    return _su2_matrix(_product(math.cos(half), *(s * x for x in axes[k]), bq[k]))

@@ -254,9 +254,20 @@ def reference_sweep_rows(lambdas, thetas, axis, turns=1):
 # phase decomposition, on the boundary products B_k as matrices, with
 # np.trace, pauli_dot and the purification by eigh.
 
+def matrix_boundaries(schedule):
+    """Cumulative end times and the boundary products B_k, k = 0..n, as
+    2x2 matrices: products of ``evolution_operator`` matrices."""
+    times = [0.0]
+    prods = [np.eye(2, dtype=complex)]
+    for seg in schedule.segments:
+        times.append(times[-1] + seg.duration)
+        prods.append(pl.evolution_operator(seg.axis, seg.duration) @ prods[-1])
+    return times, prods
+
+
 def _matrix_inputs(s0, schedule):
     rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
-    return rho, pl.schedule._boundaries(schedule)
+    return rho, matrix_boundaries(schedule)
 
 
 def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
@@ -349,3 +360,54 @@ def matrix_phase_breakdown(s0, schedule):
     count = len(matrix_overlap_zero_times(schedule, rho, (times, prods)))
     return pl.PhaseBreakdown(total, dyn, geo, count, "odd" if count % 2 else "even",
                              degenerate, residual)
+
+
+def matrix_unitary_samples(schedule, samples_per_segment):
+    """Sampled times (M,) and cumulative unitaries (M, 2, 2): on segment k,
+    ``(cos(tau/2) I - i sin(tau/2) n_k . sigma) B_k``, ending on the exact
+    matrix boundary product ``B_{k+1}``."""
+    bt, bp = matrix_boundaries(schedule)
+    per = samples_per_segment - 1
+    times = np.empty(len(schedule.segments) * per + 1)
+    units = np.empty((len(times), 2, 2), dtype=complex)
+    times[0], units[0] = 0.0, bp[0]
+    eye = np.eye(2, dtype=complex)
+    for k, seg in enumerate(schedule.segments):
+        offs = seg.duration / per * np.arange(1, samples_per_segment)
+        c, s = np.cos(0.5 * offs), np.sin(0.5 * offs)
+        block = slice(k * per + 1, (k + 1) * per + 1)
+        units[block] = (c[:, None, None] * eye - 1j * s[:, None, None] * pl.pauli_dot(seg.axis)) @ bp[k]
+        times[block] = bt[k] + offs
+        times[block.stop - 1], units[block.stop - 1] = bt[k + 1], bp[k + 1]
+    return times, units
+
+
+def matrix_series_columns(s0, schedule, samples_per_segment):
+    """``phases._series_columns`` from matrices: ``sp = Tr(U rho)`` and the
+    transported state ``U rho U+`` by einsum, the ball from the matrix
+    decode ``geometry._so3_arrays``; the dynamical rates and the zero
+    search are the core's."""
+    if samples_per_segment < 2:
+        raise pl.DomainError("samples_per_segment must be >= 2")
+    rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
+    pauli, bounds = pl.phases._exact_inputs(s0, schedule)
+    times, units = matrix_unitary_samples(schedule, samples_per_segment)
+    sps = np.einsum("kij,ji->k", units, rho)
+    rhot = np.einsum("kij,jl,kml->kim", units, rho, units.conj())
+    blochs = (2.0 * rhot[:, 0, 1].real, 2.0 * rhot[:, 1, 0].imag,
+              (rhot[:, 0, 0] - rhot[:, 1, 1]).real)
+    raw = np.where(np.abs(sps) > pl.ORTHOGONALITY_EPS, np.angle(sps), math.nan)
+    dyn = np.zeros(len(times))
+    acc, per = 0.0, samples_per_segment - 1
+    for k, rate in enumerate(pl.phases._dynamical_rates(bounds, pauli)):
+        sl = slice(k * per + 1, (k + 1) * per + 1)
+        dyn[sl] = acc + rate * (times[sl] - times[k * per])
+        acc = float(dyn[(k + 1) * per])
+    axes, angles = pl.geometry._so3_arrays(units)
+    zeros = pl.geometry.overlap_zero_times(schedule, pauli, bounds)
+    flags = np.zeros(len(times), dtype=int)
+    for z in zeros:
+        flags[min(int(np.searchsorted(times, z)), len(times) - 1)] = 1
+    columns = (times, sps.real, sps.imag, np.where(raw == -math.pi, math.pi, raw),
+               loop_unwrap_skipnan(raw), dyn, *blochs, *axes.T, angles)
+    return columns, flags, zeros

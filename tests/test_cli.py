@@ -412,6 +412,27 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "--steps" in capsys.readouterr().err
 
+    def test_steps_past_the_largest_array_exit_3(self, tmp_path, capsys):
+        # numpy refuses the shape before it allocates anything
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main(["run", sched, "--steps", str(10**30)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {4 * (10**30 - 1) + 1} samples do not fit in memory\n"
+
+    def test_samples_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        import phaselab.phases  # noqa: F401 (loaded before numpy is patched)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        assert main(["run", sched, "--steps", "1000000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {4 * (10**12 - 1) + 1} samples do not fit in memory\n"
+
     @pytest.mark.parametrize("command", ["run", "breakdown", "readout"])
     def test_durations_summing_past_float_max_exit_2(self, tmp_path, capsys, command):
         sched = write(tmp_path, "o.sched", "phaselab-schedule v1\nstate schmidt 0.3 0\n"

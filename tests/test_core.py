@@ -8,6 +8,7 @@ matrix forms (``np.trace``, ``pauli_dot``, ``eigh``) as oracles.
 
 import contextlib
 import io
+import json
 import math
 import os
 
@@ -18,10 +19,12 @@ from hypothesis import strategies as st
 import phaselab as pl
 from helpers import (
     cyclic_completion,
+    matrix_boundaries,
     matrix_dynamical_phase,
     matrix_overlap_zero_times,
     matrix_phase_breakdown,
     matrix_readout_probability,
+    matrix_series_columns,
     matrix_topological_crossings,
 )
 from phaselab.cli import main
@@ -103,6 +106,18 @@ def schedules(draw):
     return pl.RotationSchedule(segs, qubit, state)
 
 
+@st.composite
+def series_schedules(draw):
+    """``schedules()``, half of them with a segment of 2 to 5 more turns
+    appended."""
+    sched = draw(schedules())
+    if draw(st.booleans()):
+        turns = 2.0 * math.pi * draw(st.integers(2, 5)) + draw(DURATIONS)
+        sched = pl.RotationSchedule(sched.segments + (segment(draw(AXES), turns),),
+                                    sched.evolved_qubit, sched.initial)
+    return sched
+
+
 class TestCoreAgainstMatrixOracles:
     @settings(max_examples=200, deadline=None)
     @given(schedules())
@@ -130,7 +145,7 @@ class TestCoreAgainstMatrixOracles:
     @given(schedules())
     def test_ball_border_crossings_at_the_maximally_mixed_state(self, sched):
         # so3_path searches the overlap with rho = I/2, Pauli components (1, 0, 0, 0)
-        want = matrix_overlap_zero_times(sched, np.eye(2) / 2.0, pl.schedule._boundaries(sched))
+        want = matrix_overlap_zero_times(sched, np.eye(2) / 2.0, matrix_boundaries(sched))
         got = pl.so3_path(sched, 2).crossings
         assert len(got) == len(want)
         assert all(abs(a - b) <= 1e-9 for a, b in zip(got, want))
@@ -180,3 +195,40 @@ class TestCrossingFlagsUnchanged:
             flags = np.loadtxt(out, delimiter=",", skiprows=1, usecols=13)
             assert np.flatnonzero(flags).tolist() == flagged, name
             assert stdout.getvalue().splitlines()[-1] == summary, name
+
+    def test_run_summary_is_the_breakdown_total(self, tmp_path):
+        # the last sample of the series is the core's Tr(B_n rho)
+        for name in CROSSING_FLAGS:
+            path = self._schedule_file(name, tmp_path)
+            outs = []
+            for argv in (["run", path], ["breakdown", path]):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    assert main(argv) == 0
+                outs.append(stdout.getvalue())
+            total = repr(json.loads(outs[1])["total"])
+            assert outs[0].splitlines()[0] == f"final total phase: {total}", name
+
+
+class TestSeriesAgainstMatrixOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(series_schedules(), st.integers(2, 50))
+    def test_quaternion_series_matches_the_matrix_series(self, sched, steps):
+        s0 = sched.initial
+        got = outcome(pl.phases._series_columns, s0, sched, steps)
+        want = outcome(matrix_series_columns, s0, sched, steps)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] is want[1]
+            return
+        (cols, flags, zeros), (ocols, oflags, ozeros) = got[1], want[1]
+        for i in (0, 5):  # t, phase_dyn
+            assert np.array_equal(cols[i], ocols[i])
+        assert np.array_equal(flags, oflags) and list(zeros) == list(ozeros)
+        for i in (3, 4):  # NaN positions of the principal and unwrapped phases
+            assert np.array_equal(np.isnan(cols[i]), np.isnan(ocols[i]))
+        for i in (1, 2, 6, 7, 8):  # sp and Bloch
+            assert np.max(np.abs(cols[i] - ocols[i])) <= 1e-12
+        for row in zip(*cols[9:], *ocols[9:]):
+            assert pl.SO3Point(np.array(row[:3]), row[3]).same_rotation(
+                pl.SO3Point(np.array(row[4:7]), row[7]))

@@ -248,6 +248,17 @@ class TestSampling:
                     got = min(pairs, key=lambda p: abs(p[0] - tb))[1]
                     assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_segments_end_on_the_exact_boundary_quaternions(self):
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            sched = random_schedule(rng, max_segments=4)
+            bounds = pl.schedule._quaternions(sched)
+            for spp in (2, 4, 8, 50):  # (d / 3) * 3 is not always d
+                times, quats = pl.schedule._unitary_samples(sched, spp, bounds)
+                ends = slice(None, None, spp - 1)
+                assert times[ends].tolist() == bounds[0]
+                assert list(zip(*quats[:, ends].tolist())) == bounds[1]
+
     def test_builtin_plus_boundary_products(self):
         sched = pl.RotationSchedule(tuple(pl.builtin_plus()), 1, pl.schmidt_state(0.5, 0.0))
         pairs = pl.cumulative_unitaries(sched, 2)
