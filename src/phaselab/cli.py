@@ -19,7 +19,8 @@ import json
 import math
 import sys
 
-from .core import CYCLIC_EPS, _final_overlap, _schmidt, phase_breakdown, readout_probability
+from .core import (CYCLIC_EPS, _breakdown, _final_overlap, _quaternions, _reduced, _schmidt,
+                   phase_breakdown, readout_probability)
 from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
 from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
                        parse_schedule)
@@ -114,9 +115,10 @@ def _cmd_run(args) -> int:
 
     sched = _load(args.schedule_file)
     cols, flags, crossings = _series_columns(sched.initial, sched, args.steps)
-    _warn_if_not_cyclic(abs(complex(cols[1][-1], cols[2][-1])))
     if args.out:
         _write_table(args.out, RUN_FIELDS, [c.tolist() for c in (*cols, flags)], args.format)
+    # after the write, so that a failed write's error is the first stderr line
+    _warn_if_not_cyclic(abs(complex(cols[1][-1], cols[2][-1])))
     parity = "odd" if crossings.size % 2 else "even"
     print(f"final total phase: {float(cols[3][-1])!r}")
     print(f"crossings: {crossings.size} ({parity})")
@@ -174,12 +176,14 @@ def _cmd_sweep(args) -> int:
     duration = 2.0 * math.pi * min(args.turns, 2**1023)
     if not math.isfinite(duration):
         raise ValidationError("turns too large: 2 pi turns overflows a float")
-    segments = (RotationSegment(_AXES[args.axis], duration),)
+    # every grid point turns qubit 1 of its own Schmidt state by the same
+    # segment, so the schedule and its boundary products are built once
+    sched = RotationSchedule((RotationSegment(_AXES[args.axis], duration),), 1, ())
+    bounds = _quaternions(sched)
     rows = []
     for lam in lams:  # lambda0-major grid order
         for th in thetas:
-            sched = RotationSchedule(segments, 1, _schmidt(lam, th))
-            b = phase_breakdown(sched.initial, sched)
+            b = _breakdown(sched, _reduced(_schmidt(lam, th), 1), bounds)
             rows.append((lam, th, b.total, b.dynamical, b.geometric, b.crossings,
                          b.closure_residual))
     _write_table(args.out, SWEEP_FIELDS, list(zip(*rows)))

@@ -131,11 +131,11 @@ def _quaternions(schedule):
     return times, quats, axes
 
 
-def _exact_inputs(s0, schedule):
-    """``(rho, bounds)`` of the exact core: the Pauli components
-    ``(t, bx, by, bz)`` of the evolved qubit's reduced state
-    ``rho = (t I + b . sigma) / 2``, with ``b`` its Bloch vector and
-    ``t = Tr rho`` (1 up to rounding), and ``_quaternions(schedule)``.
+def _reduced(s0, qubit: int) -> tuple:
+    """The Pauli components ``(t, bx, by, bz)`` of the reduced state
+    ``rho = (t I + b . sigma) / 2`` of qubit ``qubit`` (1 or 2) of the
+    two-qubit state ``s0``, with ``b`` its Bloch vector and ``t = Tr rho``
+    (1 up to rounding).
 
     With amplitudes ``a_ij``, keeping qubit 1 gives ``rho = A A+`` for
     ``A = [[a00, a01], [a10, a11]]``, keeping qubit 2 ``rho = A^T A*``:
@@ -143,14 +143,20 @@ def _exact_inputs(s0, schedule):
     twice the off-diagonal inner product.
     """
     a00, a01, a10, a11 = _floats(s0, complex)
-    if schedule.evolved_qubit == 2:
+    if qubit == 2:
         a01, a10 = a10, a01
-    elif schedule.evolved_qubit != 1:
+    elif qubit != 1:
         raise DomainError("keep must be 1 or 2")
     p0 = (a00.real * a00.real + a00.imag * a00.imag) + (a01.real * a01.real + a01.imag * a01.imag)
     p1 = (a10.real * a10.real + a10.imag * a10.imag) + (a11.real * a11.real + a11.imag * a11.imag)
     off = a00 * a10.conjugate() + a01 * a11.conjugate()
-    return (p0 + p1, 2.0 * off.real, -2.0 * off.imag, p0 - p1), _quaternions(schedule)
+    return p0 + p1, 2.0 * off.real, -2.0 * off.imag, p0 - p1
+
+
+def _exact_inputs(s0, schedule):
+    """``(rho, bounds)`` of the exact core: ``_reduced`` of the evolved
+    qubit and ``_quaternions(schedule)``."""
+    return _reduced(s0, schedule.evolved_qubit), _quaternions(schedule)
 
 
 class ZeroTimes(Sequence):
@@ -225,7 +231,13 @@ def overlap_zero_times(schedule, rho, bounds) -> ZeroTimes:
     ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap is
     ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
-    times, quats, axes = bounds
+    return ZeroTimes(bounds[0], _zero_runs(schedule, rho, bounds))
+
+
+def _zero_runs(schedule, rho, bounds) -> list:
+    """The ``(k, tau, count)`` runs of :func:`overlap_zero_times`; their
+    counts sum to the number of crossings."""
+    _, quats, axes = bounds
     zs = [complex(*_overlap(q, rho)) for q in quats]
     at_zero = [abs(z) <= CROSSING_EPS for z in zs]
     runs = []
@@ -253,7 +265,7 @@ def overlap_zero_times(schedule, rho, bounds) -> ZeroTimes:
         hi = last - int(at_zero[k + 1] and tau + 2.0 * math.pi * last > seg.duration - math.pi)
         if hi >= lo:
             runs.append((k, tau + 2.0 * math.pi * lo, hi - lo + 1))
-    return ZeroTimes(times, runs)
+    return runs
 
 
 @dataclass(frozen=True)
@@ -307,23 +319,23 @@ def dynamical_phase(s0, schedule) -> float:
     return _dynamical(schedule, bounds, rho)
 
 
-def _geometric(q, rho, dyn: float) -> float:
+def _geometric(w: float, z: complex, rho, dyn: float) -> float:
     """``principal(sum_i w_i a_i - dyn)`` on the eigenstates ``+-b/r`` of
     ``rho = (t I + b . sigma) / 2``, with weights ``(t +- r)/2`` and
-    ``<v+-|B|v+-> = w -+ i v . b/r`` for ``B = (w, v)``; the dynamical
+    ``<v+-|B|v+-> = w -+ i v . b/r`` for ``B = (w, v)`` and
+    ``z = Tr(B rho) = w t - i v . b`` (see :func:`_overlap`); the dynamical
     phase is linear in the density matrix, so the eigenstates' own
     ``w_i dyn_i`` sum to ``dyn``, the mixed state's."""
     t, bx, by, bz = rho
     r = math.sqrt(bx * bx + by * by + bz * bz)
     if r <= 1e-9:  # the eigenvalue gap of rho is r
         raise DegenerateSpectrum(f"eigenvalue gap {r:.3e} is <= 1e-9")
-    z = complex(*_overlap(q, rho))
     # one shared reference, so that at U_T = -I both eigenstate args land
     # on the same side of the +-pi cut as the mixed total phase
     tot = principal(cmath.phase(z))
     weighted = 0.0
     for sign in (1.0, -1.0):
-        zi = complex(q[0], sign * z.imag / r)  # w -+ i v . b / r
+        zi = complex(w, sign * z.imag / r)  # w -+ i v . b / r
         if abs(zi) <= ORTHOGONALITY_EPS:
             raise OrthogonalStep("an eigenstate ends orthogonal to its start")
         arg = principal(cmath.phase(zi))
@@ -347,15 +359,44 @@ def geometric_phase_mixed(s0, schedule) -> float:
     to its start.
     """
     rho, bounds = _exact_inputs(s0, schedule)
-    return _geometric(bounds[1][-1], rho, _dynamical(schedule, bounds, rho))
+    final = bounds[1][-1]
+    return _geometric(final[0], complex(*_overlap(final, rho)), rho,
+                      _dynamical(schedule, bounds, rho))
+
+
+def _crossings(schedule, rho, bounds) -> tuple[int, str]:
+    count = sum(n for _, _, n in _zero_runs(schedule, rho, bounds))
+    return count, ("odd" if count % 2 else "even")
 
 
 def topological_crossings(s0, schedule) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
     its parity, ``"even"`` or ``"odd"``; exact (see
     :func:`~phaselab.geometry.overlap_zero_times`)."""
-    count = overlap_zero_times(schedule, *_exact_inputs(s0, schedule)).size
-    return count, ("odd" if count % 2 else "even")
+    return _crossings(schedule, *_exact_inputs(s0, schedule))
+
+
+def _breakdown(schedule, rho, bounds) -> PhaseBreakdown:
+    """:func:`phase_breakdown` of the reduced state ``rho`` (Pauli
+    components, see :func:`_reduced`) with ``bounds`` equal to
+    ``_quaternions(schedule)``; ``sweep`` builds ``bounds`` once for its
+    whole grid."""
+    final = bounds[1][-1]
+    v = complex(*_overlap(final, rho))
+    if abs(abs(v) - 1.0) > CYCLIC_EPS:
+        raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
+    total = principal(cmath.phase(v))
+    dyn = _dynamical(schedule, bounds, rho)
+    try:
+        geo = _geometric(final[0], v, rho, dyn)
+        degenerate = False
+        residual = abs(principal(total - dyn - geo))
+    except DegenerateSpectrum:
+        geo = 0.0
+        degenerate = True
+        residual = math.nan
+    count, parity = _crossings(schedule, rho, bounds)
+    return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
 
 
 def phase_breakdown(s0, schedule) -> PhaseBreakdown:
@@ -367,24 +408,7 @@ def phase_breakdown(s0, schedule) -> PhaseBreakdown:
     maximally entangled input the geometric phase is reported as 0 with
     ``degenerate=True`` and a NaN closure residual.
     """
-    rho, bounds = _exact_inputs(s0, schedule)
-    final = bounds[1][-1]
-    v = complex(*_overlap(final, rho))
-    if abs(abs(v) - 1.0) > CYCLIC_EPS:
-        raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
-    total = principal(cmath.phase(v))
-    dyn = _dynamical(schedule, bounds, rho)
-    try:
-        geo = _geometric(final, rho, dyn)
-        degenerate = False
-        residual = abs(principal(total - dyn - geo))
-    except DegenerateSpectrum:
-        geo = 0.0
-        degenerate = True
-        residual = math.nan
-    count = overlap_zero_times(schedule, rho, bounds).size
-    parity = "odd" if count % 2 else "even"
-    return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
+    return _breakdown(schedule, *_exact_inputs(s0, schedule))
 
 
 def _final_overlap(s0, schedule) -> complex:

@@ -287,9 +287,12 @@ def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
 
 def unitary_at(schedule: RotationSchedule, t: float):
     """Cumulative unitary (a 2x2 ndarray) at an arbitrary time along the
-    schedule."""
+    schedule; times before 0 or past the end give the first or last
+    boundary product, and NaN raises DomainError."""
     from .qstate import _su2_matrix
 
+    if math.isnan(t):
+        raise DomainError(f"time {t} is not a number")
     bt, bq, axes = _quaternions(schedule)
     if t <= 0.0:
         return _su2_matrix(bq[0])

@@ -387,6 +387,12 @@ class TestExitCodes:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.sched")]) == 2
 
+    def test_unwritable_out_error_comes_first(self, tmp_path, capsys):
+        # a non-cyclic schedule warns, but a failed write is the error line
+        sched = write(tmp_path, "n.sched", NOT_CYCLIC)
+        assert main(["run", sched, "--steps", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("body,token", [
         ("state schmidt 0.3 0.0\nsegment 0 0 1 inf\n", "inf"),
         ("state schmidt 0.3 0.0\nsegment nan 0 1 1.0\n", "nan"),

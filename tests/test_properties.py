@@ -7,6 +7,8 @@ non-finite numbers, numbers at the float limits, spellings Python's
 unknown keywords, comments, tabs and CRLF line ends. The identities are
 the n pi theorem on cyclic schedules, the parity law on maximally
 entangled states and the gauge invariance of the overlap-product phase.
+Every ``sweep`` row equals the public ``phase_breakdown`` of its grid
+point, bit for bit.
 """
 
 import contextlib
@@ -21,7 +23,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from phaselab.cli import main
+from helpers import reference_sweep_rows, reference_table_bytes
+from phaselab.cli import SWEEP_FIELDS, main
 
 ODD_TOKENS = st.sampled_from([
     "nan", "-inf", "inf", "Infinity", "1e309", "-1e308", "1e308", "1.7976931348623157e308",
@@ -250,3 +253,30 @@ class TestPaperIdentities:
         else:  # an open path picks up the end points' phase difference
             want = before - (phases[len(path) - 1] - phases[0])
             assert abs(pl.principal(after - want)) <= 1e-12
+
+
+# lambda0 ends at the degenerate 0.5 and the product-state 0 and 1 half
+# the time, so grids hold those rows
+LAMBDA0 = weighted((1, st.sampled_from([0.0, 0.5, 1.0])), (1, st.floats(0.0, 1.0)))
+THETA = weighted((1, st.sampled_from([0.0, math.pi / 2, math.pi, 2.0 * math.pi])),
+                 (1, st.floats(-10.0, 10.0)))
+SWEEP_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+
+
+class TestSweepRows:
+    @settings(max_examples=200, deadline=None)
+    @given(LAMBDA0, LAMBDA0, st.integers(1, 5), THETA, THETA, st.integers(1, 4),
+           st.sampled_from(sorted(SWEEP_AXES)), st.integers(1, 3))
+    def test_rows_equal_phase_breakdown_bit_for_bit(self, l0, l1, n, t0, t1, m, axis, turns):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "sweep.csv")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["sweep", f"--lambda0={l0!r}:{l1!r}:{n}", f"--theta={t0!r}:{t1!r}:{m}",
+                             "--axis", axis, "--turns", str(turns), "--out", out])
+            assert code == 0
+            with open(out, "rb") as fh:
+                got = fh.read()
+        # NaN residuals (degenerate rows) are written as nan
+        rows = reference_sweep_rows(np.linspace(l0, l1, n), np.linspace(t0, t1, m),
+                                    SWEEP_AXES[axis], turns)
+        assert got == reference_table_bytes(SWEEP_FIELDS, rows)

@@ -273,6 +273,14 @@ class TestSampling:
         for t, u in pl.cumulative_unitaries(sched, 9):
             assert np.max(np.abs(pl.unitary_at(sched, t) - u)) < 1e-12
 
+    def test_unitary_at_clamps_infinite_times_and_rejects_nan(self):
+        sched = random_schedule(np.random.default_rng(45), max_segments=3)
+        pairs = pl.cumulative_unitaries(sched, 2)
+        assert np.array_equal(pl.unitary_at(sched, -math.inf), pairs[0][1])
+        assert np.array_equal(pl.unitary_at(sched, math.inf), pairs[-1][1])
+        with pytest.raises(pl.DomainError, match="nan"):
+            pl.unitary_at(sched, math.nan)
+
     def test_samples_per_segment_validated(self):
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS, 1.0),), 1, pl.schmidt_state(0.5, 0.0))
