@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from .core import (CYCLIC_EPS, _breakdown, _final_overlap, _quaternions, _reduced, _schmidt,
@@ -177,13 +178,12 @@ def _cmd_sweep(args) -> int:
     if not math.isfinite(duration):
         raise ValidationError("turns too large: 2 pi turns overflows a float")
     # every grid point turns qubit 1 of its own Schmidt state by the same
-    # segment, so the schedule and its boundary products are built once
-    sched = RotationSchedule((RotationSegment(_AXES[args.axis], duration),), 1, ())
-    bounds = _quaternions(sched)
+    # segment, so its boundary record is built once
+    bounds = _quaternions((RotationSegment(_AXES[args.axis], duration),))
     rows = []
     for lam in lams:  # lambda0-major grid order
         for th in thetas:
-            b = _breakdown(sched, _reduced(_schmidt(lam, th), 1), bounds)
+            b = _breakdown(_reduced(_schmidt(lam, th), 1), bounds)
             rows.append((lam, th, b.total, b.dynamical, b.geometric, b.crossings,
                          b.closure_residual))
     _write_table(args.out, SWEEP_FIELDS, list(zip(*rows)))
@@ -242,6 +242,7 @@ def _build_parser() -> _Parser:
     br.set_defaults(func=_cmd_breakdown)
 
     sw = sub.add_parser("sweep", help="fixed-axis grid sweep over (lambda0, theta)")
+    sw._negative_number_matcher = re.compile(r"^-\.?\d")  # ranges such as -1:1:3
     sw.add_argument("--lambda0", required=True, metavar="A:B:N")
     sw.add_argument("--theta", required=True, metavar="A:B:M")
     sw.add_argument("--axis", choices=("x", "y", "z"), default="z")

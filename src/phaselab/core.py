@@ -115,20 +115,24 @@ def _rotated(q, b) -> tuple:
     return bx + 2.0 * (w * cx + dx), by + 2.0 * (w * cy + dy), bz + 2.0 * (w * cz + dz)
 
 
-def _quaternions(schedule):
-    """Cumulative end times, the boundary products B_k, k = 0..n, as unit
-    quaternions ``(w, vx, vy, vz)`` with ``B_k = w I - i v . sigma``, and
-    the segment axes, all in plain floats. Segment k is
-    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` is their
-    :func:`_product`."""
-    times = [0.0]
+def _totals(values, start=0.0) -> list:
+    """``[start, start + v_0, ...]``, added left to right (from 3.12, ``sum`` is not)."""
+    return list(accumulate(values, initial=start))
+
+
+def _quaternions(segments):
+    """The boundary record ``(times, quats, axes, durations)`` of ``segments``
+    in plain floats: end times (:func:`_totals`), the boundary products B_k,
+    k = 0..n, as unit quaternions ``(w, vx, vy, vz)`` with
+    ``B_k = w I - i v . sigma``, axes and durations. Segment k is
+    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` their :func:`_product`."""
+    axes = [_unit_axis(seg.axis) for seg in segments]
+    durations = [seg.duration for seg in segments]
     quats = [(1.0, 0.0, 0.0, 0.0)]
-    axes = [_unit_axis(seg.axis) for seg in schedule.segments]
-    for seg, n in zip(schedule.segments, axes):
-        c, s = math.cos(seg.duration / 2.0), math.sin(seg.duration / 2.0)
-        times.append(times[-1] + seg.duration)
+    for d, n in zip(durations, axes):
+        c, s = math.cos(d / 2.0), math.sin(d / 2.0)
         quats.append(_product(c, *(s * x for x in n), quats[-1]))
-    return times, quats, axes
+    return _totals(durations), quats, axes, durations
 
 
 def _reduced(s0, qubit: int) -> tuple:
@@ -155,8 +159,8 @@ def _reduced(s0, qubit: int) -> tuple:
 
 def _exact_inputs(s0, schedule):
     """``(rho, bounds)`` of the exact core: ``_reduced`` of the evolved
-    qubit and ``_quaternions(schedule)``."""
-    return _reduced(s0, schedule.evolved_qubit), _quaternions(schedule)
+    qubit and the boundary record ``_quaternions(schedule.segments)``."""
+    return _reduced(s0, schedule.evolved_qubit), _quaternions(schedule.segments)
 
 
 class ZeroTimes(Sequence):
@@ -210,11 +214,11 @@ def _slope(n, q, rho) -> complex:
                    -(nx * vx + ny * vy + nz * vz) * t)
 
 
-def overlap_zero_times(schedule, rho, bounds) -> ZeroTimes:
+def overlap_zero_times(rho, bounds) -> ZeroTimes:
     """Times in (0, T) where ``Tr(U(t) rho)`` passes through zero, exact
     and in one pass over the segments; ``rho`` is the Pauli components
     ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2`` and ``bounds``
-    is ``_quaternions(schedule)``.
+    is the boundary record :func:`_quaternions`.
 
     On segment k, ``U(t_k + tau) = exp(-i tau (n_k . sigma) / 2) B_k``, so
     the overlap is ``z(tau) = a cos(tau/2) + b sin(tau/2)`` with
@@ -231,18 +235,18 @@ def overlap_zero_times(schedule, rho, bounds) -> ZeroTimes:
     ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap is
     ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
-    return ZeroTimes(bounds[0], _zero_runs(schedule, rho, bounds))
+    return ZeroTimes(bounds[0], _zero_runs(rho, bounds))
 
 
-def _zero_runs(schedule, rho, bounds) -> list:
+def _zero_runs(rho, bounds) -> list:
     """The ``(k, tau, count)`` runs of :func:`overlap_zero_times`; their
     counts sum to the number of crossings."""
-    _, quats, axes = bounds
+    _, quats, axes, durations = bounds
     zs = [complex(*_overlap(q, rho)) for q in quats]
     at_zero = [abs(z) <= CROSSING_EPS for z in zs]
     runs = []
     entered = None  # (segment, slope factor) where the current zero began
-    for k, (n, seg) in enumerate(zip(axes, schedule.segments)):
+    for k, (n, d) in enumerate(zip(axes, durations)):
         c = _slope(n, quats[k], rho)  # z'(0) = -i c / 2
         if k and at_zero[k] and entered is None:
             entered = (k, _slope(axes[k - 1], quats[k], rho))
@@ -256,13 +260,13 @@ def _zero_runs(schedule, rho, bounds) -> list:
         tau = math.atan2((a * b.conjugate()).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2))
         tau += math.pi  # the first minimum, in (0, 2 pi]
         z = a * math.cos(0.5 * tau) + b * math.sin(0.5 * tau)
-        if tau >= seg.duration or abs(z) > CROSSING_EPS:
+        if tau >= d or abs(z) > CROSSING_EPS:
             continue  # every minimum has the same |z|
         # zeros are 2 pi apart: a minimum within pi of a zero junction is
         # that junction's zero
-        last = math.ceil((seg.duration - tau) / (2.0 * math.pi)) - 1
+        last = math.ceil((d - tau) / (2.0 * math.pi)) - 1
         lo = int(at_zero[k] and tau < math.pi)
-        hi = last - int(at_zero[k + 1] and tau + 2.0 * math.pi * last > seg.duration - math.pi)
+        hi = last - int(at_zero[k + 1] and tau + 2.0 * math.pi * last > d - math.pi)
         if hi >= lo:
             runs.append((k, tau + 2.0 * math.pi * lo, hi - lo + 1))
     return runs
@@ -291,15 +295,15 @@ class PhaseBreakdown:
 def _dynamical_rates(bounds, rho) -> list[float]:
     """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with ``b_k``
     the Bloch vector ``b`` of ``rho`` (see :func:`_exact_inputs`)
-    :func:`_rotated` by the boundary quaternion ``B_k``; ``bounds`` is
-    ``_quaternions(schedule)``.
+    :func:`_rotated` by the boundary quaternion ``B_k``; ``bounds`` is the
+    boundary record :func:`_quaternions`.
 
     Each segment's generator commutes with its own evolution, so its
     expectation is constant within the segment; segment k contributes
     ``rate_k * d_k`` to the dynamical phase. A maximally mixed reduced
     state (``b = 0``) has rates of exactly 0.
     """
-    _, quats, axes = bounds
+    quats, axes = bounds[1:3]
     rates = []
     for (nx, ny, nz), q in zip(axes, quats):
         bx, by, bz = _rotated(q, rho[1:])
@@ -307,16 +311,14 @@ def _dynamical_rates(bounds, rho) -> list[float]:
     return rates
 
 
-def _dynamical(schedule, bounds, rho) -> float:
-    rates = _dynamical_rates(bounds, rho)
-    return sum(r * seg.duration for r, seg in zip(rates, schedule.segments))
+def _dynamical(rho, bounds) -> float:
+    return _totals(r * d for r, d in zip(_dynamical_rates(bounds, rho), bounds[3]))[-1]
 
 
 def dynamical_phase(s0, schedule) -> float:
     """``-sum_k <H_k> dt_k``, exact per segment: ``-(1/2) (axis . bloch at
     segment start) * duration`` summed over the segments."""
-    rho, bounds = _exact_inputs(s0, schedule)
-    return _dynamical(schedule, bounds, rho)
+    return _dynamical(*_exact_inputs(s0, schedule))
 
 
 def _geometric(w: float, z: complex, rho, dyn: float) -> float:
@@ -360,12 +362,11 @@ def geometric_phase_mixed(s0, schedule) -> float:
     """
     rho, bounds = _exact_inputs(s0, schedule)
     final = bounds[1][-1]
-    return _geometric(final[0], complex(*_overlap(final, rho)), rho,
-                      _dynamical(schedule, bounds, rho))
+    return _geometric(final[0], complex(*_overlap(final, rho)), rho, _dynamical(rho, bounds))
 
 
-def _crossings(schedule, rho, bounds) -> tuple[int, str]:
-    count = sum(n for _, _, n in _zero_runs(schedule, rho, bounds))
+def _crossings(rho, bounds) -> tuple[int, str]:
+    count = sum(n for _, _, n in _zero_runs(rho, bounds))
     return count, ("odd" if count % 2 else "even")
 
 
@@ -373,20 +374,20 @@ def topological_crossings(s0, schedule) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
     its parity, ``"even"`` or ``"odd"``; exact (see
     :func:`~phaselab.geometry.overlap_zero_times`)."""
-    return _crossings(schedule, *_exact_inputs(s0, schedule))
+    return _crossings(*_exact_inputs(s0, schedule))
 
 
-def _breakdown(schedule, rho, bounds) -> PhaseBreakdown:
+def _breakdown(rho, bounds) -> PhaseBreakdown:
     """:func:`phase_breakdown` of the reduced state ``rho`` (Pauli
-    components, see :func:`_reduced`) with ``bounds`` equal to
-    ``_quaternions(schedule)``; ``sweep`` builds ``bounds`` once for its
-    whole grid."""
+    components, see :func:`_reduced`) on the boundary record ``bounds``
+    (:func:`_quaternions`); ``sweep`` builds ``bounds`` once for its whole
+    grid."""
     final = bounds[1][-1]
     v = complex(*_overlap(final, rho))
     if abs(abs(v) - 1.0) > CYCLIC_EPS:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = principal(cmath.phase(v))
-    dyn = _dynamical(schedule, bounds, rho)
+    dyn = _dynamical(rho, bounds)
     try:
         geo = _geometric(final[0], v, rho, dyn)
         degenerate = False
@@ -395,7 +396,7 @@ def _breakdown(schedule, rho, bounds) -> PhaseBreakdown:
         geo = 0.0
         degenerate = True
         residual = math.nan
-    count, parity = _crossings(schedule, rho, bounds)
+    count, parity = _crossings(rho, bounds)
     return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
 
 
@@ -408,7 +409,7 @@ def phase_breakdown(s0, schedule) -> PhaseBreakdown:
     maximally entangled input the geometric phase is reported as 0 with
     ``degenerate=True`` and a NaN closure residual.
     """
-    return _breakdown(schedule, *_exact_inputs(s0, schedule))
+    return _breakdown(*_exact_inputs(s0, schedule))
 
 
 def _final_overlap(s0, schedule) -> complex:

@@ -235,12 +235,12 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     crossing times come from :func:`overlap_zero_times`. A tangential
     touch of the border counts as zero crossings.
     """
-    bounds = _quaternions(schedule)
-    times, quats = _unitary_samples(schedule, samples_per_segment, bounds)
+    bounds = _quaternions(schedule.segments)
+    times, quats = _unitary_samples(bounds, samples_per_segment)
     axes, angles = _ball(quats[0], quats[1:].T)
     samples = [
         (t, SO3Point(axis, angle), half)
         for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), quats[0].tolist())
     ]
-    crossings = overlap_zero_times(schedule, (1.0, 0.0, 0.0, 0.0), bounds)
+    crossings = overlap_zero_times((1.0, 0.0, 0.0, 0.0), bounds)
     return SO3Path(tuple(samples), crossings)

@@ -183,7 +183,7 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
     the first sample at or after each zero in ``zeros``.
     """
     rho, bounds = _exact_inputs(s0, schedule)
-    times, quats = _unitary_samples(schedule, samples_per_segment, bounds)
+    times, quats = _unitary_samples(bounds, samples_per_segment)
     # Tr(U rho) with the core's abs and atan2 (numpy's differ in the last
     # bit): the last phase is the exact total bit for bit. The principal
     # column folds -pi onto pi; the unwrap takes the raw angles, since
@@ -202,7 +202,7 @@ def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
         dyn_vals[sl] = acc + rate * (times[sl] - times[i0])
         acc = float(dyn_vals[i0 + spp - 1])
     axes, ball_angles = _ball(quats[0], quats[1:].T)
-    crossing_times = overlap_zero_times(schedule, rho, bounds)
+    crossing_times = overlap_zero_times(rho, bounds)
     flags = np.zeros(len(times), dtype=int)
     for k, tau, n in crossing_times.runs:
         # every sample with a zero since the one before it is some zero's

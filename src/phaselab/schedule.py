@@ -30,7 +30,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import _divided, _floats, _product, _quaternions, _rescaled, _schmidt, _two_qubit
+from .core import (_divided, _floats, _product, _quaternions, _rescaled, _schmidt, _totals,
+                   _two_qubit)
 from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError, ZeroNorm
 
 __all__ = [
@@ -209,7 +210,7 @@ def parse_schedule(text: str) -> RotationSchedule:
             segments.extend(builtin_plus() if fields[1] == "plus" else builtin_minus())
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
-        end = sum((seg.duration for seg in segments[counted:]), end)
+        end = _totals((seg.duration for seg in segments[counted:]), end)[-1]
         counted = len(segments)
         if not math.isfinite(end):
             raise ValidationError("durations sum past the largest float", line=lineno)
@@ -236,34 +237,33 @@ def serialize_schedule(schedule: RotationSchedule) -> str:
 
 
 def total_duration(schedule: RotationSchedule) -> float:
-    return float(sum(seg.duration for seg in schedule.segments))
+    return _totals(seg.duration for seg in schedule.segments)[-1]
 
 
-def _unitary_samples(schedule: RotationSchedule, samples_per_segment: int, bounds):
+def _unitary_samples(bounds, samples_per_segment: int):
     """Sampled times (M,) and cumulative unitaries ``w I - i v . sigma`` as
     a (4, M) array of quaternion columns ``(w, vx, vy, vz)``.
 
-    Segment k contributes ``samples_per_segment - 1`` new samples
-    ``(cos(tau/2), sin(tau/2) n_k) B_k``; its last one is the exact
-    boundary quaternion, independent of the sampling density. ``bounds``
-    is ``_quaternions(schedule)``. Raises DomainError when the samples do
-    not fit in memory, NotSpecialUnitary when ``det = w^2 + v . v`` of one
-    differs from 1 by more than 1e-9.
+    Segment k of the boundary record ``bounds`` (``core._quaternions``) adds
+    ``samples_per_segment - 1`` samples ``(cos(tau/2), sin(tau/2) n_k) B_k``,
+    the last the exact boundary quaternion at any sampling density. Raises
+    DomainError when the samples do not fit in memory, NotSpecialUnitary
+    when ``det = w^2 + v . v`` of one differs from 1 by more than 1e-9.
     """
     import numpy as np
 
     if samples_per_segment < 2:
         raise DomainError("samples_per_segment must be >= 2")
-    bt, bq, axes = bounds
+    bt, bq, axes, durations = bounds
     per = samples_per_segment - 1
-    size = len(schedule.segments) * per + 1
+    size = len(durations) * per + 1
     try:
         times, quats = np.empty(size), np.empty((4, size))
     except (MemoryError, ValueError):  # ValueError: past numpy's largest array
         raise DomainError(f"{size} samples do not fit in memory") from None
     times[0], quats[:, 0] = 0.0, bq[0]
-    for k, (seg, (nx, ny, nz)) in enumerate(zip(schedule.segments, axes)):
-        delta = seg.duration / per
+    for k, (d, (nx, ny, nz)) in enumerate(zip(durations, axes)):
+        delta = d / per
         offs = delta * np.arange(1, samples_per_segment)
         half = 0.5 * offs
         s = np.sin(half)
@@ -281,7 +281,7 @@ def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
     the total duration, with exact products at segment boundaries."""
     from .qstate import _su2_matrix
 
-    times, quats = _unitary_samples(schedule, samples_per_segment, _quaternions(schedule))
+    times, quats = _unitary_samples(_quaternions(schedule.segments), samples_per_segment)
     return [(float(t), u) for t, u in zip(times, _su2_matrix(quats))]
 
 
@@ -293,11 +293,9 @@ def unitary_at(schedule: RotationSchedule, t: float):
 
     if math.isnan(t):
         raise DomainError(f"time {t} is not a number")
-    bt, bq, axes = _quaternions(schedule)
-    if t <= 0.0:
-        return _su2_matrix(bq[0])
-    if t >= bt[-1]:
-        return _su2_matrix(bq[-1])
+    bt, bq, axes, _ = _quaternions(schedule.segments)
+    if not 0.0 < t < bt[-1]:
+        return _su2_matrix(bq[0] if t <= 0.0 else bq[-1])
     k = bisect_right(bt, t) - 1
     half = (t - bt[k]) / 2.0
     s = math.sin(half)

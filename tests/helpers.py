@@ -404,7 +404,7 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
         dyn[sl] = acc + rate * (times[sl] - times[k * per])
         acc = float(dyn[(k + 1) * per])
     axes, angles = pl.geometry._so3_arrays(units)
-    zeros = pl.geometry.overlap_zero_times(schedule, pauli, bounds)
+    zeros = pl.geometry.overlap_zero_times(pauli, bounds)
     flags = np.zeros(len(times), dtype=int)
     for z in zeros:
         flags[min(int(np.searchsorted(times, z)), len(times) - 1)] = 1

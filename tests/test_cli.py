@@ -54,6 +54,29 @@ segment 0 0 one 1.0
 """
 
 
+# Cyclic schedules of segment pairs ``a`` and ``2 pi - a`` about one axis,
+# as ``(lambda0, theta, qubit, pairs)``, and their ``breakdown`` stdout as
+# Python 3.11 prints it. Every sum along a schedule is a left-to-right fold,
+# so every Python prints these bytes; a float ``sum``, compensated from 3.12
+# on, moves the dynamical and geometric phases by ulps there.
+FOLD_CASES = [
+    ((0.79, 2.34, 1, [((0.2, -0.1, -0.7), 5.84), ((-1.0, 0.5, 0.9), 1.16)]),
+     '{"total": 3.3776359857941453e-17, "dynamical": 0.14325040155983082, '
+     '"geometric": -0.1432504015598308, "crossings": 0, "parity": "even", '
+     '"degenerate": false, "closure_residual": 0.0}\n'),
+    ((0.31, 5.89, 2, [((0.3, 0.2, -1.0), 3.37), ((-0.5, 0.3, -0.1), 4.94),
+                      ((0.3, 0.6, -0.3), 3.94)]),
+     '{"total": 3.141592653589793, "dynamical": -1.8121963179878655, '
+     '"geometric": -1.3293963356019276, "crossings": 0, "parity": "even", '
+     '"degenerate": false, "closure_residual": 0.0}\n'),
+    ((0.62, 0.43, 2, [((-0.7, -0.5, -0.4), 1.14), ((-0.4, -0.5, -0.0), 0.39),
+                      ((0.8, -0.3, 0.9), 4.19)]),
+     '{"total": 3.141592653589793, "dynamical": -0.22891175633175953, '
+     '"geometric": -2.9126808972580336, "crossings": 1, "parity": "odd", '
+     '"degenerate": false, "closure_residual": 0.0}\n'),
+]
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -194,6 +217,24 @@ class TestBreakdown:
         assert main(["breakdown", sched]) == 3
         assert "not cyclic" in capsys.readouterr().err.lower()
 
+    def test_no_segments_prints_a_float_dynamical_phase(self, tmp_path, capsys):
+        sched = write(tmp_path, "e.sched", EMPTY)
+        assert main(["breakdown", sched]) == 0
+        out = capsys.readouterr().out
+        assert '"dynamical": 0.0,' in out
+        assert type(json.loads(out)["dynamical"]) is float
+
+    @pytest.mark.parametrize("case, want", FOLD_CASES)
+    def test_cyclic_pairs_print_the_same_bytes_on_every_python(self, tmp_path, capsys,
+                                                               case, want):
+        lam, theta, qubit, pairs = case
+        lines = [pl.HEADER, f"state schmidt {lam!r} {theta!r}", f"evolve-qubit {qubit}"]
+        for axis, a in pairs:
+            lines += [f"segment {' '.join(map(repr, axis))} {d!r}" for d in (a, 2 * math.pi - a)]
+        sched = write(tmp_path, "f.sched", "\n".join(lines) + "\n")
+        assert main(["breakdown", sched]) == 0
+        assert capsys.readouterr().out == want
+
     def test_matches_run_final_row(self, tmp_path, capsys):
         sched = write(tmp_path, "l.sched", LAM03_Z)
         out = tmp_path / "series.csv"
@@ -327,6 +368,15 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: turns too large: 2 pi turns overflows a float\n")
         assert not out.exists()
+
+    def test_range_may_start_with_a_minus_sign(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--lambda0", "0:1:2", "--theta", "-1:1:3", "--out", str(a)]) == 0
+        assert main(["sweep", "--lambda0", "0:1:2", "--theta=-1:1:3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        capsys.readouterr()
+        assert main(["sweep", "--lambda0", "0:1:2", "--theta", "-x", "--out", str(a)]) == 1
+        assert capsys.readouterr().err == "usage error: argument --theta: expected one argument\n"
 
     def test_range_spanning_past_float_max_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

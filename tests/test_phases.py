@@ -134,6 +134,11 @@ class TestDynamicalPhase:
             s = pl.schmidt_state(1.0, float(theta))
             assert abs(pl.dynamical_phase(s, z_turn_schedule(s)) + math.pi * math.cos(theta)) < 1e-12
 
+    def test_no_segments_is_a_float_zero(self):
+        s = pl.schmidt_state(0.3, 0.2)
+        got = pl.dynamical_phase(s, pl.RotationSchedule((), 1, s))
+        assert type(got) is float and got == 0.0
+
     def test_mes_builtins_vanish(self):
         mes = pl.schmidt_state(0.5, 0.0)
         for segs in (pl.builtin_plus(), pl.builtin_minus()):
@@ -315,7 +320,7 @@ class TestTopologicalCrossings:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns + 1.0),), 1, s)
         assert pl.topological_crossings(s, sched) == (turns, "even")
-        zeros = pl.geometry.overlap_zero_times(sched, *pl.phases._exact_inputs(s, sched))
+        zeros = pl.geometry.overlap_zero_times(*pl.phases._exact_inputs(s, sched))
         assert len(zeros) == zeros.size == turns
         assert abs(zeros[0] - math.pi) < 1e-9
         assert abs(zeros[5] - 11 * math.pi) < 1e-9

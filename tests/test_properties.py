@@ -8,7 +8,8 @@ unknown keywords, comments, tabs and CRLF line ends. The identities are
 the n pi theorem on cyclic schedules, the parity law on maximally
 entangled states and the gauge invariance of the overlap-product phase.
 Every ``sweep`` row equals the public ``phase_breakdown`` of its grid
-point, bit for bit.
+point, bit for bit, and ``total_duration`` is the end time of the core's
+boundary record, bit for bit.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 import phaselab as pl
 from helpers import reference_sweep_rows, reference_table_bytes
 from phaselab.cli import SWEEP_FIELDS, main
+from phaselab.core import _quaternions
 
 ODD_TOKENS = st.sampled_from([
     "nan", "-inf", "inf", "Infinity", "1e309", "-1e308", "1e308", "1.7976931348623157e308",
@@ -253,6 +255,17 @@ class TestPaperIdentities:
         else:  # an open path picks up the end points' phase difference
             want = before - (phases[len(path) - 1] - phases[0])
             assert abs(pl.principal(after - want)) <= 1e-12
+
+
+class TestBoundaryRecord:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(pl.RotationSegment, AXES, SHORT | st.floats(1.0, 1e6)),
+                    max_size=8))
+    def test_total_duration_is_the_end_time_bit_for_bit(self, segs):
+        # both are one left-to-right fold; a float sum, compensated from
+        # Python 3.12 on, differs from it in the last bits
+        sched = pl.RotationSchedule(tuple(segs), 1, pl.schmidt_state(0.3, 0.0))
+        assert pl.total_duration(sched) == _quaternions(sched.segments)[0][-1]
 
 
 # lambda0 ends at the degenerate 0.5 and the product-state 0 and 1 half

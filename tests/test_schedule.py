@@ -252,9 +252,9 @@ class TestSampling:
         rng = np.random.default_rng(45)
         for _ in range(20):
             sched = random_schedule(rng, max_segments=4)
-            bounds = pl.schedule._quaternions(sched)
+            bounds = pl.schedule._quaternions(sched.segments)
             for spp in (2, 4, 8, 50):  # (d / 3) * 3 is not always d
-                times, quats = pl.schedule._unitary_samples(sched, spp, bounds)
+                times, quats = pl.schedule._unitary_samples(bounds, spp)
                 ends = slice(None, None, spp - 1)
                 assert times[ends].tolist() == bounds[0]
                 assert list(zip(*quats[:, ends].tolist())) == bounds[1]
