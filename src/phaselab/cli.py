@@ -14,14 +14,16 @@ Exit codes: 0 success, 1 usage, 2 parse/validation, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
 import re
 import sys
 
-from .core import (CYCLIC_EPS, _breakdown, _final_overlap, _quaternions, _reduced, _schmidt,
-                   phase_breakdown, readout_probability)
+from .core import (CYCLIC_EPS, ORTHOGONALITY_EPS, _breakdown, _click_probability, _crossings,
+                   _exact_inputs, _final_overlap, _quaternions, _reduced, _schmidt,
+                   phase_breakdown, principal)
 from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
 from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
                        parse_schedule)
@@ -112,26 +114,31 @@ def _load(path) -> RotationSchedule:
 
 
 def _cmd_run(args) -> int:
-    from .phases import _series_columns  # the sampled series is numpy's
-
     sched = _load(args.schedule_file)
-    cols, flags, crossings = _series_columns(sched.initial, sched, args.steps)
+    # the summary is the exact core's, so only --out samples (and needs numpy)
+    rho, bounds = _exact_inputs(sched.initial, sched)
+    v = _final_overlap(rho, bounds)
+    count, parity = _crossings(rho, bounds)
     if args.out:
+        from .phases import _series_columns
+
+        cols, flags, _ = _series_columns(rho, bounds, args.steps)
         _write_table(args.out, RUN_FIELDS, [c.tolist() for c in (*cols, flags)], args.format)
     # after the write, so that a failed write's error is the first stderr line
-    _warn_if_not_cyclic(abs(complex(cols[1][-1], cols[2][-1])))
-    parity = "odd" if crossings.size % 2 else "even"
-    print(f"final total phase: {float(cols[3][-1])!r}")
-    print(f"crossings: {crossings.size} ({parity})")
+    _warn_if_not_cyclic(abs(v))
+    total = principal(cmath.phase(v)) if abs(v) > ORTHOGONALITY_EPS else math.nan
+    print(f"final total phase: {total!r}")
+    print(f"crossings: {count} ({parity})")
     return 0
 
 
 def _cmd_breakdown(args) -> int:
     sched = _load(args.schedule_file)
-    payload = dict(vars(phase_breakdown(sched.initial, sched)))
-    if math.isnan(payload["closure_residual"]):
-        payload["closure_residual"] = None
-    print(json.dumps(payload))
+    b = phase_breakdown(sched.initial, sched)
+    residual = None if math.isnan(b.closure_residual) else b.closure_residual
+    print(json.dumps({"total": b.total, "dynamical": b.dynamical, "geometric": b.geometric,
+                      "crossings": b.crossings, "parity": b.parity,
+                      "degenerate": b.degenerate, "closure_residual": residual}))
     return 0
 
 
@@ -193,8 +200,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_readout(args) -> int:
     sched = _load(args.schedule_file)
-    _warn_if_not_cyclic(abs(_final_overlap(sched.initial, sched)))
-    p = readout_probability(sched.initial, sched)
+    v = _final_overlap(*_exact_inputs(sched.initial, sched))
+    _warn_if_not_cyclic(abs(v))
+    p = _click_probability(v)
     print(f"click probability: {p!r}")
     print(f"|cos(total phase)|: {abs(1.0 - 2.0 * p)!r}")
     return 0

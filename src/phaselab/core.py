@@ -6,10 +6,11 @@ Each boundary product of a schedule is a unit quaternion,
 ``(t, bx, by, bz)``. Every exact quantity (total, dynamical and geometric
 phase, the crossing search, the readout probability) is then a few float
 operations on 3-vectors. The state and axis formulas the schedule parser
-uses live here too. Nothing in this module imports numpy, so the
-``breakdown``, ``sweep`` and ``readout`` commands start without it;
-``phases``, ``geometry``, ``schedule`` and ``qstate`` re-export these
-objects under their public names.
+uses live here too. Nothing in this module imports numpy or
+``dataclasses``, so the ``breakdown``, ``sweep`` and ``readout`` commands
+and ``run`` without ``--out`` start without them; ``phases``,
+``geometry``, ``schedule`` and ``qstate`` re-export these objects under
+their public names.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import cmath
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep, ZeroNorm
@@ -33,6 +33,35 @@ CYCLIC_EPS = 1e-6
 
 _TWO_PI = 2.0 * math.pi
 _AXIS_TOL = 1e-9
+
+
+class _Frozen:
+    """Base of the immutable record classes: fields named in each
+    subclass's ``__slots__``, set once by its ``__init__``. Assigning or
+    deleting any attribute raises AttributeError; ``repr`` reads
+    ``Class(field=value, ...)``; copies and pickles call the constructor.
+    Equality and hashing are by identity unless a subclass defines them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+_set = object.__setattr__  # how an ``__init__`` sets a field past ``_Frozen.__setattr__``
 
 
 def principal(x: float) -> float:
@@ -272,24 +301,39 @@ def _zero_runs(rho, bounds) -> list:
     return runs
 
 
-@dataclass(frozen=True)
-class PhaseBreakdown:
-    """Phase decomposition of one cyclic run; angles in (-pi, pi] radians.
+class PhaseBreakdown(_Frozen):
+    """Phase decomposition of one cyclic run, in radians.
 
-    ``closure_residual`` is the mod-2pi distance of
+    ``total`` and ``geometric`` are principal values in (-pi, pi];
+    ``dynamical`` is the unwrapped integral ``-int <H> dt``, which may lie
+    outside it. ``closure_residual`` is the mod-2pi distance of
     ``total - dynamical - geometric`` from zero; the exact geometric
     form closes by construction, so it reads rounding. For degenerate runs
     (maximally entangled input, where the geometric phase is reported as
-    the flagged value 0) it is NaN.
+    the flagged value 0) it is NaN. Immutable, and equal to another
+    breakdown with the same field values (never to a plain tuple).
     """
 
-    total: float
-    dynamical: float
-    geometric: float
-    crossings: int
-    parity: str
-    degenerate: bool
-    closure_residual: float
+    __slots__ = ("total", "dynamical", "geometric", "crossings", "parity", "degenerate",
+                 "closure_residual")
+
+    def __init__(self, total, dynamical, geometric, crossings, parity, degenerate,
+                 closure_residual):
+        _set(self, "total", total)
+        _set(self, "dynamical", dynamical)
+        _set(self, "geometric", geometric)
+        _set(self, "crossings", crossings)
+        _set(self, "parity", parity)
+        _set(self, "degenerate", degenerate)
+        _set(self, "closure_residual", closure_residual)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def _dynamical_rates(bounds, rho) -> list[float]:
@@ -412,16 +456,20 @@ def phase_breakdown(s0, schedule) -> PhaseBreakdown:
     return _breakdown(*_exact_inputs(s0, schedule))
 
 
-def _final_overlap(s0, schedule) -> complex:
-    """``<s0|U_T|s0> = Tr(B_n rho)``, read from the final boundary
-    quaternion (see :func:`_overlap`)."""
-    rho, bounds = _exact_inputs(s0, schedule)
+def _final_overlap(rho, bounds) -> complex:
+    """``<s0|U_T|s0> = Tr(B_n rho)`` of the reduced state ``rho`` on the
+    boundary record ``bounds`` (see :func:`_exact_inputs`), read from the
+    final boundary quaternion (see :func:`_overlap`)."""
     return complex(*_overlap(bounds[1][-1], rho))
+
+
+def _click_probability(v: complex) -> float:
+    """``(1 - Re v) / 2`` clipped to [0, 1], for the final overlap ``v``."""
+    return min(1.0, max(0.0, 0.5 * (1.0 - v.real)))
 
 
 def readout_probability(s0, schedule) -> float:
     """Ancilla click probability of the conditional-rotation interferometer,
     ``(1 - Re <s0|U_total|s0>) / 2`` (equal to ``||(U - I)|s0>||^2 / 4``),
     with ``<s0|U_total|s0>`` from :func:`_final_overlap`."""
-    v = _final_overlap(s0, schedule)
-    return min(1.0, max(0.0, 0.5 * (1.0 - v.real)))
+    return _click_probability(_final_overlap(*_exact_inputs(s0, schedule)))

@@ -174,15 +174,16 @@ def _unwrap_skipnan(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_columns(s0, schedule: RotationSchedule, samples_per_segment: int):
-    """The sampled time series as columns: ``(columns, flags, zeros)``.
+def _series_columns(rho, bounds, samples_per_segment: int):
+    """The sampled time series as columns: ``(columns, flags, zeros)``, of
+    the reduced state ``rho`` on the boundary record ``bounds`` (see
+    :func:`_exact_inputs`).
 
     ``columns`` holds 13 float arrays: time, overlap real and imaginary
     parts, principal and unwrapped total phase, dynamical phase, Bloch
     x, y, z, ball axis x, y, z and ball angle; ``flags`` (int array) marks
     the first sample at or after each zero in ``zeros``.
     """
-    rho, bounds = _exact_inputs(s0, schedule)
     times, quats = _unitary_samples(bounds, samples_per_segment)
     # Tr(U rho) with the core's abs and atan2 (numpy's differ in the last
     # bit): the last phase is the exact total bit for bit. The principal
@@ -229,7 +230,8 @@ def phase_samples(
     of the initial-state overlap (the ones ``topological_crossings``
     counts), as a :class:`~phaselab.geometry.ZeroTimes` sequence.
     """
-    cols, flags, crossing_times = _series_columns(s0, schedule, samples_per_segment)
+    cols, flags, crossing_times = _series_columns(*_exact_inputs(s0, schedule),
+                                                  samples_per_segment)
     t, re, im, tot, unw, dyn, bx, by, bz, ax, ay, az, angle = (c.tolist() for c in cols)
     samples = [
         PhaseSample(t[i], complex(re[i], im[i]), tot[i], unw[i], dyn[i],

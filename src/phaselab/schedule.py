@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .core import (_divided, _floats, _product, _quaternions, _rescaled, _schmidt, _totals,
-                   _two_qubit)
+from .core import (_divided, _floats, _Frozen, _product, _quaternions, _rescaled, _schmidt,
+                   _set, _totals, _two_qubit)
 from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError, ZeroNorm
 
 __all__ = [
@@ -57,37 +56,36 @@ _PLUS_TABLE = ((-1, -1, -1), (1, -1, -1), (-1, -1, 1), (-1, 1, 1))
 _MINUS_TABLE = ((-1, -1, -1), (1, -1, -1), (-1, -1, -1), (1, -1, -1))
 
 
-@dataclass(frozen=True, eq=False)
-class RotationSegment:
+class RotationSegment(_Frozen):
     """One fixed-axis rotation: unit axis, duration = rotation angle > 0.
 
     ``axis`` is held as a tuple of three floats; any sequence of numbers,
-    an ndarray too, is accepted and converted.
+    an ndarray too, is accepted and converted. Immutable; equal only to
+    itself.
     """
 
-    axis: tuple
-    duration: float
+    __slots__ = ("axis", "duration")
 
-    def __post_init__(self):
-        object.__setattr__(self, "axis", _floats(self.axis))
+    def __init__(self, axis, duration):
+        _set(self, "axis", _floats(axis))
+        _set(self, "duration", duration)
 
 
-@dataclass(frozen=True, eq=False)
-class RotationSchedule:
+class RotationSchedule(_Frozen):
     """Ordered segments acting on one designated qubit of an initial state.
 
     A schedule owns its initial state, so a schedule file is a complete,
-    reproducible experiment description. Immutable after construction.
+    reproducible experiment description. Immutable; equal only to itself.
     ``initial`` is held as a tuple of four complex amplitudes; any sequence
     of numbers, an ndarray too, is accepted and converted.
     """
 
-    segments: tuple
-    evolved_qubit: int
-    initial: tuple
+    __slots__ = ("segments", "evolved_qubit", "initial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "initial", _floats(self.initial, complex))
+    def __init__(self, segments, evolved_qubit, initial):
+        _set(self, "segments", segments)
+        _set(self, "evolved_qubit", evolved_qubit)
+        _set(self, "initial", _floats(initial, complex))
 
 
 def builtin_plus() -> list[RotationSegment]:
@@ -179,7 +177,7 @@ def parse_schedule(text: str) -> RotationSchedule:
     initial = None
     qubit = 1
     segments: list[RotationSegment] = []
-    end, counted = 0.0, 0  # total duration so far, summed as _quaternions sums it
+    end = 0.0  # total duration so far, summed as _quaternions sums it
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -192,26 +190,28 @@ def parse_schedule(text: str) -> RotationSchedule:
             continue
         fields = line.split()
         key = fields[0]
-        if key == "state":
+        if key == "segment":
+            added = [_parse_segment(fields, lineno)]
+        elif key == "builtin":
+            if len(fields) != 2 or fields[1] not in ("plus", "minus"):
+                raise ParseError(lineno, "builtin takes 'plus' or 'minus'")
+            added = builtin_plus() if fields[1] == "plus" else builtin_minus()
+        elif key == "state":
             if initial is not None:
                 raise ValidationError("duplicate state declaration", line=lineno)
             initial = _parse_state(fields, lineno)
+            continue
         elif key == "evolve-qubit":
             if len(fields) != 2:
                 raise ParseError(lineno, "evolve-qubit takes exactly one argument")
             if fields[1] not in ("1", "2"):
                 raise ValidationError("evolved qubit must be 1 or 2", line=lineno)
             qubit = int(fields[1])
-        elif key == "segment":
-            segments.append(_parse_segment(fields, lineno))
-        elif key == "builtin":
-            if len(fields) != 2 or fields[1] not in ("plus", "minus"):
-                raise ParseError(lineno, "builtin takes 'plus' or 'minus'")
-            segments.extend(builtin_plus() if fields[1] == "plus" else builtin_minus())
+            continue
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
-        end = _totals((seg.duration for seg in segments[counted:]), end)[-1]
-        counted = len(segments)
+        segments.extend(added)
+        end = _totals((seg.duration for seg in added), end)[-1]
         if not math.isfinite(end):
             raise ValidationError("durations sum past the largest float", line=lineno)
     if not header_seen:

@@ -423,6 +423,27 @@ class TestReadout:
         assert main(["readout", sched]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv,code", [
+        (["readout", "{sched}"], 0),
+        (["run", "{sched}"], 0),
+        (["run", "{sched}", "--steps", "20", "--out", "{out}"], 0),
+        (["breakdown", "{sched}"], 3),
+    ])
+    def test_one_boundary_record_per_command(self, tmp_path, capsys, monkeypatch, argv, code):
+        # the warning, the probability and the summary share one record
+        calls = []
+        record = pl.core._quaternions
+
+        def counted(segments):
+            calls.append(segments)
+            return record(segments)
+
+        monkeypatch.setattr(pl.core, "_quaternions", counted)
+        sched = write(tmp_path, "n.sched", NOT_CYCLIC)
+        argv = [a.format(sched=sched, out=tmp_path / "series.csv") for a in argv]
+        assert main(argv) == code
+        assert len(calls) == 1
+
 
 class TestExitCodes:
     def test_usage_error_exit_1(self, capsys):
@@ -471,10 +492,20 @@ class TestExitCodes:
     def test_steps_past_the_largest_array_exit_3(self, tmp_path, capsys):
         # numpy refuses the shape before it allocates anything
         sched = write(tmp_path, "m.sched", MES_MINUS)
-        assert main(["run", sched, "--steps", str(10**30)]) == 3
+        out = tmp_path / "series.csv"
+        assert main(["run", sched, "--steps", str(10**30), "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {4 * (10**30 - 1) + 1} samples do not fit in memory\n"
+        assert not out.exists()
+
+    def test_steps_without_out_are_only_validated(self, tmp_path, capsys):
+        # without --out nothing is sampled, so no --steps is too large
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main(["run", sched]) == 0
+        default = capsys.readouterr()
+        assert main(["run", sched, "--steps", str(10**30)]) == 0
+        assert capsys.readouterr() == default
 
     def test_samples_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -484,7 +515,8 @@ class TestExitCodes:
         import phaselab.phases  # noqa: F401 (loaded before numpy is patched)
 
         monkeypatch.setattr(np, "empty", refuse)
-        assert main(["run", sched, "--steps", "1000000000000"]) == 3
+        assert main(["run", sched, "--steps", "1000000000000", "--out",
+                     str(tmp_path / "series.csv")]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {4 * (10**12 - 1) + 1} samples do not fit in memory\n"

@@ -7,12 +7,15 @@ matrix forms (``np.trace``, ``pauli_dot``, ``eigh``) as oracles.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +46,10 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except pl.PhaseLabError as exc:
         return "raised", type(exc)
+
+
+def series_columns(s0, sched, steps):
+    return pl.phases._series_columns(*pl.core._exact_inputs(s0, sched), steps)
 
 
 def segment(axis, duration):
@@ -215,7 +222,7 @@ class TestSeriesAgainstMatrixOracle:
     @given(series_schedules(), st.integers(2, 50))
     def test_quaternion_series_matches_the_matrix_series(self, sched, steps):
         s0 = sched.initial
-        got = outcome(pl.phases._series_columns, s0, sched, steps)
+        got = outcome(series_columns, s0, sched, steps)
         want = outcome(matrix_series_columns, s0, sched, steps)
         assert got[0] == want[0]
         if got[0] == "raised":
@@ -232,3 +239,40 @@ class TestSeriesAgainstMatrixOracle:
         for row in zip(*cols[9:], *ocols[9:]):
             assert pl.SO3Point(np.array(row[:3]), row[3]).same_rotation(
                 pl.SO3Point(np.array(row[4:7]), row[7]))
+
+
+class TestPhaseBreakdownValue:
+    """``PhaseBreakdown`` is an immutable value: dataclass-style ``repr``,
+    equality and hashing by value, and never equal to a plain tuple."""
+
+    FIELDS = (math.pi, 0.25, -0.5, 3, "odd", False, 1e-16)
+
+    def test_repr(self):
+        b = pl.PhaseBreakdown(*self.FIELDS[:6], math.nan)
+        assert repr(b) == ("PhaseBreakdown(total=3.141592653589793, dynamical=0.25, "
+                           "geometric=-0.5, crossings=3, parity='odd', degenerate=False, "
+                           "closure_residual=nan)")
+
+    def test_value_equality_and_hash(self):
+        a = pl.PhaseBreakdown(*self.FIELDS)
+        b = pl.PhaseBreakdown(total=math.pi, dynamical=0.25, geometric=-0.5, crossings=3,
+                              parity="odd", degenerate=False, closure_residual=1e-16)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != pl.PhaseBreakdown(*self.FIELDS[:3], 4, "even", False, 1e-16)
+        assert a != self.FIELDS and self.FIELDS != a
+        assert (a == self.FIELDS) is False
+        assert a.total == math.pi and a.parity == "odd" and a.closure_residual == 1e-16
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        b = pl.PhaseBreakdown(*self.FIELDS)
+        for field in ("total", "crossings", "closure_residual"):
+            with pytest.raises(AttributeError):
+                setattr(b, field, 0)
+            with pytest.raises(AttributeError):
+                delattr(b, field)
+        assert b == pl.PhaseBreakdown(*self.FIELDS)
+
+    def test_copy_and_pickle_are_equal(self):
+        b = pl.PhaseBreakdown(*self.FIELDS)
+        assert copy.copy(b) == b and copy.deepcopy(b) == b
+        assert pickle.loads(pickle.dumps(b)) == b

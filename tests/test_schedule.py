@@ -1,9 +1,13 @@
 """Builtin trajectory tables, the schedule file format, and sampling."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import phaselab as pl
@@ -181,6 +185,39 @@ class TestParser:
                 "segment 0 0 1 7e307\n")
         assert pl.total_duration(pl.parse_schedule(text)) == 1.7e308
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.one_of(st.floats(1e-3, 10.0), st.floats(1e307, 1.7976931348623157e308))
+        .map(lambda d: f"segment 0 0 1 {d!r}"),
+        st.sampled_from(["builtin plus", "builtin minus", "evolve-qubit 2", "# note", ""]),
+    ), max_size=12))
+    def test_running_total_is_the_left_fold(self, body):
+        # the overflow error names the line whose segments first make the
+        # left-to-right fold infinite; otherwise the fold is total_duration
+        lines = ["phaselab-schedule v1", "state schmidt 0.5 0", *body]
+        end, overflow = 0.0, None
+        for lineno, line in enumerate(lines, start=1):
+            if line.startswith("segment"):
+                end = end + float(line.split()[-1])
+            elif line.startswith("builtin"):
+                for d in [STEP] * 4:
+                    end = end + d
+            if overflow is None and math.isinf(end):
+                overflow = lineno
+        text = "\n".join(lines) + "\n"
+        if overflow is not None:
+            with pytest.raises(pl.ValidationError, match=f"^line {overflow}: durations sum past"):
+                pl.parse_schedule(text)
+        else:
+            assert pl.total_duration(pl.parse_schedule(text)) == end
+
+    def test_running_total_rounds_as_the_fold_does(self):
+        # each 9e291 is below half an ulp of the largest float, so the fold
+        # stays finite where an exact sum of the durations would overflow
+        text = ("phaselab-schedule v1\nstate schmidt 0.5 0\nsegment 0 0 1 1.7976931348623157e308\n"
+                + "evolve-qubit 1\nsegment 0 0 1 9e291\n" * 3)
+        assert pl.total_duration(pl.parse_schedule(text)) == 1.7976931348623157e308
+
     @pytest.mark.parametrize("big", ["1e200", "1.7976931348623157e308"])
     def test_huge_axis_and_amplitudes_normalized(self, big):
         text = (f"phaselab-schedule v1\nstate amplitudes {big} 0 0 0 0 0 -{big} 0\n"
@@ -286,3 +323,52 @@ class TestSampling:
             (pl.RotationSegment(Z_AXIS, 1.0),), 1, pl.schmidt_state(0.5, 0.0))
         with pytest.raises(pl.DomainError):
             pl.cumulative_unitaries(sched, 1)
+
+
+class TestValueClasses:
+    """``RotationSegment`` and ``RotationSchedule``: converting constructors,
+    dataclass-style ``repr``, identity equality and hashing, no assignment."""
+
+    def test_constructors_convert(self):
+        seg = pl.RotationSegment(np.array([0, 0, 1]), 1.5)
+        assert seg.axis == (0.0, 0.0, 1.0) and type(seg.axis[0]) is float
+        assert seg.duration == 1.5
+        sched = pl.RotationSchedule(segments=(seg,), evolved_qubit=2, initial=[1, 0, 0, 0])
+        assert sched.initial == (1 + 0j, 0j, 0j, 0j) and type(sched.initial[1]) is complex
+        assert sched.segments == (seg,) and sched.evolved_qubit == 2
+
+    def test_repr(self):
+        seg = pl.RotationSegment((0.0, 0.0, 1.0), 1.5)
+        assert repr(seg) == "RotationSegment(axis=(0.0, 0.0, 1.0), duration=1.5)"
+        sched = pl.RotationSchedule((seg,), 1, (1, 0, 0, 0))
+        assert repr(sched) == (
+            "RotationSchedule(segments=(RotationSegment(axis=(0.0, 0.0, 1.0), duration=1.5),),"
+            " evolved_qubit=1, initial=((1+0j), 0j, 0j, 0j))")
+
+    def test_identity_equality_and_hash(self):
+        a, b = (pl.RotationSegment((0.0, 0.0, 1.0), 1.5) for _ in range(2))
+        assert a == a and a != b and len({a, b}) == 2
+        s, t = (pl.RotationSchedule((a,), 1, (1, 0, 0, 0)) for _ in range(2))
+        assert s == s and s != t and len({s, t}) == 2
+        assert hash(a) == object.__hash__(a) and hash(s) == object.__hash__(s)
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda: pl.RotationSegment((0.0, 0.0, 1.0), 1.5), "axis"),
+        (lambda: pl.RotationSegment((0.0, 0.0, 1.0), 1.5), "duration"),
+        (lambda: pl.RotationSchedule((), 1, (1, 0, 0, 0)), "segments"),
+        (lambda: pl.RotationSchedule((), 1, (1, 0, 0, 0)), "initial"),
+    ])
+    def test_fields_cannot_be_assigned_or_deleted(self, make, field):
+        obj = make()
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, field) is not None
+
+    def test_copy_and_pickle_keep_the_fields(self):
+        sched = pl.RotationSchedule((pl.RotationSegment((0.0, 0.0, 1.0), 1.5),), 2, (0, 1, 0, 0))
+        for again in (copy.copy(sched), copy.deepcopy(sched), pickle.loads(pickle.dumps(sched))):
+            assert again is not sched and repr(again) == repr(sched)

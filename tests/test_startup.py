@@ -1,10 +1,11 @@
-"""Startup guard: the exact commands never import numpy.
+"""Startup guard: the exact commands never import numpy or ``dataclasses``.
 
 ``import phaselab.cli`` and the ``breakdown``, ``sweep`` and ``readout``
-commands, their error exits included, run on the plain-float core
-(``phaselab.core``). Each check runs in a fresh interpreter with
-``PYTHONPATH`` set to this checkout's ``src``, since the test process
-itself has numpy loaded.
+commands and ``run`` without ``--out``, their error exits included, run
+on the plain-float core (``phaselab.core``), and load neither numpy nor
+``dataclasses`` and the ``inspect`` it imports. Each check runs in a
+fresh interpreter with ``PYTHONPATH`` set to this checkout's ``src``,
+since the test process itself has numpy loaded.
 """
 
 import json
@@ -44,8 +45,8 @@ def fresh(code: str, tmp_path) -> dict:
         _report = {}
         def emit(key, value):
             _report[key] = value
-        def numpy_loaded():
-            return "numpy" in sys.modules
+        def heavy_loaded():
+            return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
         def run(argv):
             from phaselab.cli import main
             out, err = io.StringIO(), io.StringIO()
@@ -67,29 +68,44 @@ def test_exact_commands_never_import_numpy(tmp_path):
     mes_minus = os.path.join(DEMOS, "mes_minus.sched")
     mes_plus = os.path.join(DEMOS, "mes_plus.sched")
     report = fresh(f"""
-        emit("before", numpy_loaded())
+        emit("before", heavy_loaded())
         import phaselab.cli
-        emit("import phaselab.cli", numpy_loaded())
+        emit("import phaselab.cli", heavy_loaded())
         for name, argv in [
             ("breakdown", ["breakdown", {mes_minus!r}]),
             ("sweep", ["sweep", "--lambda0", "0:1:11", "--theta", "0:{math.pi!r}:9",
                        "--out", "sweep.csv"]),
             ("readout", ["readout", {mes_plus!r}]),
+            ("run", ["run", {mes_minus!r}]),
+            ("run --steps", ["run", {mes_minus!r}, "--steps", "{10**30}"]),
+            ("readout not cyclic", ["readout", {str(open_)!r}]),
+            ("run not cyclic", ["run", {str(open_)!r}]),
             ("parse error", ["breakdown", {str(bad)!r}]),
+            ("run parse error", ["run", {str(bad)!r}]),
             ("not cyclic", ["breakdown", {str(open_)!r}]),
+            ("sweep range error", ["sweep", "--lambda0", "0:2:3", "--theta", "0:1:2",
+                                   "--out", "sweep.csv"]),
+            ("usage error", ["readout"]),
         ]:
-            emit(name, [run(argv), numpy_loaded()])
+            emit(name, [run(argv), heavy_loaded()])
         emit("run --out", [run(["run", {mes_minus!r}, "--steps", "20", "--out", "series.csv"]),
                            open("series.csv").read().count("\\n")])
         """, tmp_path)
     assert report == {
-        "before": False,
-        "import phaselab.cli": False,
-        "breakdown": [0, False],
-        "sweep": [0, False],
-        "readout": [0, False],
-        "parse error": [2, False],
-        "not cyclic": [3, False],
+        "before": [],
+        "import phaselab.cli": [],
+        "breakdown": [0, []],
+        "sweep": [0, []],
+        "readout": [0, []],
+        "run": [0, []],
+        "run --steps": [0, []],
+        "readout not cyclic": [0, []],
+        "run not cyclic": [0, []],
+        "parse error": [2, []],
+        "run parse error": [2, []],
+        "not cyclic": [3, []],
+        "sweep range error": [2, []],
+        "usage error": [1, []],
         "run --out": [0, 1 + 1 + 4 * 19],
     }
 
@@ -97,7 +113,7 @@ def test_exact_commands_never_import_numpy(tmp_path):
 def test_package_names_load_on_first_access(tmp_path):
     report = fresh("""
         import phaselab
-        emit("import phaselab", numpy_loaded())
+        emit("import phaselab", heavy_loaded())
         emit("schmidt_state", type(phaselab.schmidt_state(0.3, 0.0)).__module__)
         emit("so3_path", phaselab.so3_path.__module__)
         emit("__all__", phaselab.__all__)
@@ -105,7 +121,7 @@ def test_package_names_load_on_first_access(tmp_path):
         exec("from phaselab import *", namespace)
         emit("star", sorted(set(namespace) - {"__builtins__"}))
         """, tmp_path)
-    assert report["import phaselab"] is False
+    assert report["import phaselab"] == []
     assert report["schmidt_state"] == "numpy"
     assert report["so3_path"] == "phaselab.geometry"
     assert report["__all__"] == PUBLIC_NAMES
