@@ -23,8 +23,8 @@ import sys
 
 from .core import (CYCLIC_EPS, ORTHOGONALITY_EPS, _breakdown, _click_probability, _crossings,
                    _exact_inputs, _final_overlap, _quaternions, _reduced, _schmidt,
-                   phase_breakdown, principal)
-from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
+                   _zero_runs, phase_breakdown, principal)
+from .errors import DomainError, NotCyclic, ParseError, PhaseLabError, ValidationError
 from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
                        parse_schedule)
 
@@ -67,36 +67,115 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_cells(values):
-    """``values`` with NaN written as ``null`` and infinities as JSON spells
-    them; a finite sum means every value is finite."""
-    if math.isfinite(sum(values)):
-        return values
-    return [x if math.isfinite(x) else "null" if math.isnan(x) else json.dumps(x)
-            for x in values]
+# A table is written in blocks of this many rows, so the writer holds the
+# cells of one block, never the whole table, as strings.
+_BLOCK_ROWS = 1024
+# orjson formats floats about 15x faster than ``repr``, but importing it
+# takes 8-11 ms (it loads datetime, uuid, zoneinfo, platform and sysconfig)
+# against ``repr``'s 0.7-1.0 us a cell (Python 3.11, 2 cores of a Xeon
+# host): it pays from about 10**4 cells on, and 2**14 leaves a margin.
+# Every ``run --out`` at the default --steps writes more, and ``sweep`` on
+# the README grid (693 cells) and the exact commands never import it.
+_FAST_CELLS = 2**14
+# each format's spelling of the non-finite floats, keyed by repr's
+_NONFINITE = {"csv": {"nan": "nan", "inf": "inf", "-inf": "-inf"},
+              "json": {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}}
+
+
+@functools.cache
+def _orjson_dumps():
+    """orjson's ``dumps`` of numpy arrays and lists, or None without orjson."""
+    try:
+        import orjson
+    except ImportError:
+        return None
+    return functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
+@functools.cache
+def _respeller():
+    """The function that spells orjson's comma-joined number text as
+    ``repr`` spells it. Both write the shortest round-trip digits and differ
+    in notation only, so each token in exponent notation, below 1e-4 or
+    with 17 or more integer digits is respelled from its value."""
+    token = re.compile(r",(-?0\.0000[^,]*|-?\d{17,}\.[^,]*|[^,]*e[^,]*)")
+    return lambda text: token.sub(lambda m: "," + repr(float(m[1])), "," + text)[1:]
+
+
+def _has_big(block) -> bool:
+    """Whether a value of ``block`` is 1e16 or more in magnitude, which a
+    token of 17 or more integer digits needs."""
+    if hasattr(block, "dtype"):
+        return bool((abs(block) >= 1e16).any())
+    return any(abs(x) >= 1e16 for x in block)
+
+
+def _column_cells(block, dumps, nonfinite: dict) -> list:
+    """The cells of one column block (a numpy array or a sequence of floats
+    and ints): floats as ``repr`` spells them, ints as ints, and nan, inf
+    and -inf as ``nonfinite`` maps ``repr``'s spelling. The text is orjson's
+    when ``dumps`` is given, else ``repr`` of the block as a list."""
+    if dumps is not None:
+        if hasattr(block, "flags") and not block.flags.c_contiguous:
+            block = block.copy()
+        try:
+            text = dumps(block)[1:-1].decode()
+        except TypeError:  # orjson's JSONEncodeError: an int past 64 bits
+            pass
+        else:
+            if "e" in text or "0.0000" in text or _has_big(block):
+                text = _respeller()(text)
+            cells = text.split(",")
+            if "null" in text:  # orjson writes nan and both infinities so
+                cells = [nonfinite[repr(float(x))] if c == "null" else c
+                         for c, x in zip(cells, block)]
+            return cells
+    text = repr(block.tolist() if hasattr(block, "tolist") else list(block))[1:-1]
+    cells = text.split(", ")
+    if "n" in text:  # no finite float or int has an n
+        cells = [nonfinite.get(c, c) for c in cells]
+    return cells
 
 
 def _write_table(path, fields, cols, fmt="csv"):
-    """Write equal-length columns (lists of floats or ints) as CSV or JSON
-    rows, streamed with one %-template per row.
+    """Write equal-length columns (numpy arrays, or sequences of floats and
+    ints) as CSV or JSON rows.
 
-    Floats are written with shortest round-trip ``repr`` and ints as ints
-    (``str`` of a Python float is its ``repr``). JSON matches ``json.dump``
-    of a list of per-row objects, with NaN written as ``null``.
+    Floats are written with shortest round-trip ``repr`` and ints as ints.
+    CSV spells non-finite floats ``nan``, ``inf`` and ``-inf``; JSON matches
+    ``json.dump`` of a list of per-row objects, with NaN written as ``null``.
+    The rows go out in blocks of ``_BLOCK_ROWS``: each column block becomes
+    its cells in one call, ``repr`` of the list or, from ``_FAST_CELLS``
+    cells in the table on, orjson's text (see :func:`_column_cells`), and
+    the cells fill their slots of the block's parts list by slice, between
+    separators at fixed strides. The bytes are those of formatting each row
+    with ``repr`` whichever way the cells were made.
     """
     if fmt == "csv":
-        head, sep, tail = ",".join(fields) + "\n", "", ""
-        template = ",".join(["%s"] * len(fields)) + "\n"
+        head, tail = ",".join(fields) + "\n", ""
+        leads = ["", *[","] * (len(fields) - 1)]
+        end = "\n"
     else:
-        cols = [_json_cells(values) for values in cols]
-        head, sep, tail = "[", ", ", "]\n"
-        template = "{" + ", ".join(f"{json.dumps(f)}: %s" for f in fields) + "}"
-    rows = zip(*cols)
-    first = next(rows, None)
+        head, tail = "[", "]\n"
+        leads = [", {" + json.dumps(fields[0]) + ": ",
+                 *(f", {json.dumps(f)}: " for f in fields[1:])]
+        end = "}"
+    # one row is lead, cell, lead, cell, ..., end; the first row has no ", "
+    template = [part for lead in leads for part in (lead, None)] + [end]
+    stride = len(template)
+    nonfinite = _NONFINITE[fmt]
+    rows = len(cols[0])
+    dumps = _orjson_dumps() if rows * len(cols) >= _FAST_CELLS else None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head if first is None else head + template % first)
-        later = sep + template
-        fh.writelines(later % row for row in rows)
+        fh.write(head)
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            parts = template * (stop - start)
+            for c, col in enumerate(cols):
+                parts[2 * c + 1::stride] = _column_cells(col[start:stop], dumps, nonfinite)
+            if start == 0:
+                parts[0] = leads[0].removeprefix(", ")
+            fh.write("".join(parts))
         fh.write(tail)
 
 
@@ -118,12 +197,18 @@ def _cmd_run(args) -> int:
     # the summary is the exact core's, so only --out samples (and needs numpy)
     rho, bounds = _exact_inputs(sched.initial, sched)
     v = _final_overlap(rho, bounds)
-    count, parity = _crossings(rho, bounds)
     if args.out:
         from .phases import _series_columns
 
-        cols, flags, _ = _series_columns(rho, bounds, args.steps)
-        _write_table(args.out, RUN_FIELDS, [c.tolist() for c in (*cols, flags)], args.format)
+        try:
+            cols, flags, zeros = _series_columns(rho, bounds, args.steps)
+            _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
+        except MemoryError:
+            raise DomainError("samples do not fit in memory") from None
+        runs = zeros.runs  # the series' crossing flags and the count share one search
+    else:
+        runs = _zero_runs(rho, bounds)
+    count, parity = _crossings(runs)
     # after the write, so that a failed write's error is the first stderr line
     _warn_if_not_cyclic(abs(v))
     total = principal(cmath.phase(v)) if abs(v) > ORTHOGONALITY_EPS else math.nan

@@ -409,8 +409,9 @@ def geometric_phase_mixed(s0, schedule) -> float:
     return _geometric(final[0], complex(*_overlap(final, rho)), rho, _dynamical(rho, bounds))
 
 
-def _crossings(rho, bounds) -> tuple[int, str]:
-    count = sum(n for _, _, n in _zero_runs(rho, bounds))
+def _crossings(runs) -> tuple[int, str]:
+    """The crossing count and parity of the :func:`_zero_runs` ``runs``."""
+    count = sum(n for _, _, n in runs)
     return count, ("odd" if count % 2 else "even")
 
 
@@ -418,7 +419,7 @@ def topological_crossings(s0, schedule) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
     its parity, ``"even"`` or ``"odd"``; exact (see
     :func:`~phaselab.geometry.overlap_zero_times`)."""
-    return _crossings(*_exact_inputs(s0, schedule))
+    return _crossings(_zero_runs(*_exact_inputs(s0, schedule)))
 
 
 def _breakdown(rho, bounds) -> PhaseBreakdown:
@@ -440,7 +441,7 @@ def _breakdown(rho, bounds) -> PhaseBreakdown:
         geo = 0.0
         degenerate = True
         residual = math.nan
-    count, parity = _crossings(rho, bounds)
+    count, parity = _crossings(_zero_runs(rho, bounds))
     return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
 
 

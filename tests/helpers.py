@@ -229,6 +229,35 @@ def reference_table_bytes(fields, rows, fmt="csv") -> bytes:
     return text.encode("utf-8")
 
 
+def _template_json_cells(values):
+    if math.isfinite(sum(values)):
+        return values
+    return [x if math.isfinite(x) else "null" if math.isnan(x) else json.dumps(x)
+            for x in values]
+
+
+def template_table_bytes(fields, cols, fmt="csv") -> bytes:
+    """The row-template writer the blocked ``cli._write_table`` replaced:
+    columns as lists, one ``%s`` template per row, so each cell is ``str``
+    of a Python float or int."""
+    cols = [np.asarray(c).tolist() if isinstance(c, np.ndarray) else list(c) for c in cols]
+    if fmt == "csv":
+        head, sep, tail = ",".join(fields) + "\n", "", ""
+        template = ",".join(["%s"] * len(fields)) + "\n"
+    else:
+        cols = [_template_json_cells(values) for values in cols]
+        head, sep, tail = "[", ", ", "]\n"
+        template = "{" + ", ".join(f"{json.dumps(f)}: %s" for f in fields) + "}"
+    rows = zip(*cols)
+    first = next(rows, None)
+    buf = io.StringIO()
+    buf.write(head if first is None else head + template % first)
+    later = sep + template
+    buf.writelines(later % row for row in rows)
+    buf.write(tail)
+    return buf.getvalue().encode("utf-8")
+
+
 def reference_run_rows(schedule, steps):
     """``run --out`` rows built from the public ``phase_samples``."""
     samples, flags, _ = pl.phase_samples(schedule.initial, schedule, steps)

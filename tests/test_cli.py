@@ -10,6 +10,7 @@ import pytest
 
 import phaselab as pl
 from helpers import reference_run_rows, reference_sweep_rows, reference_table_bytes
+from phaselab import cli
 from phaselab.cli import RUN_FIELDS, SWEEP_FIELDS, main
 
 DEMO_SCHEDULES = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules")
@@ -444,6 +445,29 @@ class TestReadout:
         assert main(argv) == code
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv,summary", [
+        (["run", "{sched}"], "crossings: 1 (odd)\n"),
+        (["run", "{sched}", "--steps", "20", "--out", "{out}"], "crossings: 1 (odd)\n"),
+        (["breakdown", "{sched}"], '"crossings": 1, "parity": "odd"'),
+    ])
+    def test_one_crossing_search_per_command(self, tmp_path, capsys, monkeypatch, argv,
+                                             summary):
+        # run --out counts its summary's crossings from the series' zeros
+        calls = []
+        search = pl.core._zero_runs
+
+        def counted(rho, bounds):
+            calls.append(bounds)
+            return search(rho, bounds)
+
+        monkeypatch.setattr(pl.core, "_zero_runs", counted)
+        monkeypatch.setattr(cli, "_zero_runs", counted)
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        argv = [a.format(sched=sched, out=tmp_path / "series.csv") for a in argv]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert summary in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_usage_error_exit_1(self, capsys):
@@ -520,6 +544,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {4 * (10**12 - 1) + 1} samples do not fit in memory\n"
+
+    @pytest.mark.parametrize("stage", ["series", "writer"])
+    def test_series_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, stage):
+        # past the sampler, the series temporaries and the writer's blocks
+        # may still run out of memory
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        import phaselab.phases
+
+        if stage == "series":
+            monkeypatch.setattr(phaselab.phases, "_series_columns", refuse)
+        else:
+            monkeypatch.setattr(cli, "_write_table", refuse)
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main(["run", sched, "--out", str(tmp_path / "series.csv")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: samples do not fit in memory\n"
 
     @pytest.mark.parametrize("command", ["run", "breakdown", "readout"])
     def test_durations_summing_past_float_max_exit_2(self, tmp_path, capsys, command):

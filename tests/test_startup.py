@@ -1,11 +1,14 @@
-"""Startup guard: the exact commands never import numpy or ``dataclasses``.
+"""Startup guard: the exact commands never import numpy, ``dataclasses``
+or orjson.
 
 ``import phaselab.cli`` and the ``breakdown``, ``sweep`` and ``readout``
 commands and ``run`` without ``--out``, their error exits included, run
 on the plain-float core (``phaselab.core``), and load neither numpy nor
-``dataclasses`` and the ``inspect`` it imports. Each check runs in a
-fresh interpreter with ``PYTHONPATH`` set to this checkout's ``src``,
-since the test process itself has numpy loaded.
+``dataclasses`` and the ``inspect`` it imports. Nor do they load orjson,
+which the table writer imports only for large tables, as ``run --out``
+writes at the default ``--steps``. Each check runs in a fresh interpreter
+with ``PYTHONPATH`` set to this checkout's ``src``, since the test
+process itself has numpy loaded.
 """
 
 import json
@@ -46,7 +49,8 @@ def fresh(code: str, tmp_path) -> dict:
         def emit(key, value):
             _report[key] = value
         def heavy_loaded():
-            return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+            return [name for name in ("numpy", "dataclasses", "inspect", "orjson")
+                    if name in sys.modules]
         def run(argv):
             from phaselab.cli import main
             out, err = io.StringIO(), io.StringIO()
@@ -89,7 +93,9 @@ def test_exact_commands_never_import_numpy(tmp_path):
         ]:
             emit(name, [run(argv), heavy_loaded()])
         emit("run --out", [run(["run", {mes_minus!r}, "--steps", "20", "--out", "series.csv"]),
-                           open("series.csv").read().count("\\n")])
+                           open("series.csv").read().count("\\n"), "orjson" in sys.modules])
+        emit("run --out default", [run(["run", {mes_minus!r}, "--out", "series.csv"]),
+                                   "orjson" in sys.modules])
         """, tmp_path)
     assert report == {
         "before": [],
@@ -106,7 +112,8 @@ def test_exact_commands_never_import_numpy(tmp_path):
         "not cyclic": [3, []],
         "sweep range error": [2, []],
         "usage error": [1, []],
-        "run --out": [0, 1 + 1 + 4 * 19],
+        "run --out": [0, 1 + 1 + 4 * 19, False],
+        "run --out default": [0, True],
     }
 
 

@@ -1,0 +1,183 @@
+"""The blocked table writer of ``run --out`` and ``sweep``.
+
+Each column block becomes its cells in one call, from ``repr`` of the
+list or, in tables of ``_FAST_CELLS`` cells or more, from orjson's text
+with its notation respelled. Either way every cell must read as
+``repr`` spells it (ints as ints, non-finite floats as the format spells
+them), and the file must be byte-identical to the row-template writer the
+blocked one replaced (``helpers.template_table_bytes``).
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import template_table_bytes
+from phaselab import cli
+
+B = cli._BLOCK_ROWS
+FORMATS = ("csv", "json")
+
+
+def oracle_cell(x, fmt) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if fmt == "json" and not math.isfinite(x):
+        return "null" if math.isnan(x) else json.dumps(x)
+    return repr(x)
+
+
+def paths():
+    return [("fast", cli._orjson_dumps()), ("small", None)]
+
+
+def cells(values, fmt, dumps):
+    return cli._column_cells(values, dumps, cli._NONFINITE[fmt])
+
+
+def neighbours(x, n=40):
+    """``x`` and its ``n`` float neighbours on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+CORPUS = [
+    *neighbours(1e-5), *neighbours(1e-4), *neighbours(1e16),
+    *neighbours(-1e-5), *neighbours(-1e-4), *neighbours(-1e16),
+    5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 2.0**53, 0.0, -0.0, math.nan, math.inf, -math.inf,
+]
+INTS = [0, 1, -1, 2**53, 2**63 - 1, -(2**63)]
+
+
+def test_orjson_is_installed():
+    # the fast path is what these tests check; without orjson it is repr
+    assert cli._orjson_dumps() is not None
+
+
+class TestCells:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("path,dumps", paths())
+    def test_corpus(self, fmt, path, dumps):
+        want = [oracle_cell(x, fmt) for x in CORPUS]
+        assert cells(np.array(CORPUS), fmt, dumps) == want
+        assert cells(CORPUS, fmt, dumps) == want
+        assert cells(np.array(INTS), fmt, dumps) == [str(i) for i in INTS]
+        assert cells(INTS, fmt, dumps) == [str(i) for i in INTS]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64), st.sampled_from(FORMATS))
+    def test_floats_read_as_repr(self, values, fmt):
+        want = [oracle_cell(x, fmt) for x in values]
+        for _, dumps in paths():
+            assert cells(np.array(values), fmt, dumps) == want
+            assert cells(values, fmt, dumps) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64),
+           st.sampled_from(FORMATS))
+    def test_int_columns_read_as_ints(self, values, fmt):
+        for _, dumps in paths():
+            assert cells(np.array(values, dtype=np.int64), fmt, dumps) == [str(v) for v in values]
+            assert cells(values, fmt, dumps) == [str(v) for v in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.integers()), min_size=1, max_size=32),
+           st.sampled_from(FORMATS))
+    def test_mixed_lists_and_big_ints(self, values, fmt):
+        # orjson refuses ints past 64 bits; such a block is written by repr
+        want = [oracle_cell(x, fmt) for x in values]
+        for _, dumps in paths():
+            assert cells(values, fmt, dumps) == want
+
+    def test_strided_block_takes_the_fast_path(self):
+        # orjson takes only C-contiguous arrays, and ball axes are strided
+        seen = []
+
+        def dumps(block):
+            seen.append(block.flags.c_contiguous)
+            return cli._orjson_dumps()(block)
+
+        a = np.arange(30.0).reshape(10, 3) * 1e-5
+        want = [repr(float(x)) for x in a[:, 1]]
+        assert cells(a.T[1], "csv", dumps) == want
+        assert seen == [True]
+
+    def test_big_values_in_positional_notation(self):
+        # a formatter that writes 1e16 and up positionally, as orjson may
+        def dumps(block):
+            return ("[" + ",".join(format(x, ".1f") for x in block) + "]").encode()
+
+        values = [1e16, -2.5e16, 1.7976931348623157e308]
+        want = [repr(x) for x in values]
+        assert cells(values, "csv", dumps) == want
+        assert cells(np.array(values), "csv", dumps) == want
+
+    @pytest.mark.parametrize("token,want", [
+        ("10000000000000000.0", "1e+16"),
+        ("-12345678901234568.0", "-1.2345678901234568e+16"),
+        ("1000000000000000.0", "1000000000000000.0"),
+        ("-9999999999999998.0", "-9999999999999998.0"),
+        ("0.00001", "1e-05"),
+        ("-0.000015", "-1.5e-05"),
+        ("1.5e-5", "1.5e-05"),
+        ("1e16", "1e+16"),
+        ("0.0001", "0.0001"),
+        ("-0.0", "-0.0"),
+        ("12345678901234567890", "12345678901234567890"),
+        ("null", "null"),
+    ])
+    def test_respelling_takes_any_notation(self, token, want):
+        respell = cli._respeller()
+        assert respell(token) == want
+        assert respell(f"{token},0.5,{token}") == f"{want},0.5,{want}"
+
+
+def table(rows, rng):
+    """Seven float columns and an int column (index 4), with nan, inf and
+    -inf in the first, a middle (3) and the last column."""
+    scale = 10.0 ** rng.integers(-8, 18, size=(7, rows))
+    floats = rng.standard_normal((7, rows)) * scale
+    if rows:
+        for c in (0, 3, 6):
+            floats[c, rng.integers(0, rows, size=3)] = [math.nan, math.inf, -math.inf]
+    ints = rng.integers(0, 2, size=rows)
+    cols = [*floats[:4], ints, *floats[4:]]
+    return [f"c{i}" for i in range(8)], cols
+
+
+class TestWriter:
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("fast_cells", [0, 10**18])
+    def test_matches_the_row_template_writer(self, tmp_path, monkeypatch, rows, fmt, fast_cells):
+        monkeypatch.setattr(cli, "_FAST_CELLS", fast_cells)
+        fields, cols = table(rows, np.random.default_rng(rows))
+        want = template_table_bytes(fields, cols, fmt)
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, fields, cols, fmt)
+        assert out.read_bytes() == want
+        cli._write_table(out, fields, [c.tolist() for c in cols], fmt)
+        assert out.read_bytes() == want
+
+    def test_without_orjson_writes_by_repr(self, tmp_path, monkeypatch):
+        fields, cols = table(B + 1, np.random.default_rng(5))
+        monkeypatch.setattr(cli, "_FAST_CELLS", 0)
+        monkeypatch.setitem(sys.modules, "orjson", None)  # import fails
+        cli._orjson_dumps.cache_clear()
+        try:
+            assert cli._orjson_dumps() is None
+            cli._write_table(tmp_path / "t.csv", fields, cols)
+        finally:
+            cli._orjson_dumps.cache_clear()
+        assert (tmp_path / "t.csv").read_bytes() == template_table_bytes(fields, cols)
