@@ -257,8 +257,10 @@ def overlap_zero_times(rho, bounds) -> ZeroTimes:
     ``P - R``, at ``tau = phi + pi + 2 pi m``. Interior minima with
     ``|z| <= CROSSING_EPS`` are crossings, counted by arithmetic rather
     than one by one. A zero at a junction counts once: as a crossing when
-    the one-sided slopes agree, ``Re(z'_L conj z'_R) > 0``, else as a
-    tangential touch. Segments on which ``z`` vanishes throughout join
+    the one-sided slopes agree,
+    ``Re(z'_L conj z'_R) > ORTHOGONALITY_EPS |z'_L| |z'_R|``, else as a
+    tangential touch; slopes at right angles, whose product rounding puts
+    on either side of 0, are a touch. Segments on which ``z`` vanishes throughout join
     their junctions into one zero, judged by the slopes on entering and
     on leaving it. A zero at the schedule's end is not a crossing. With
     ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap is
@@ -282,7 +284,8 @@ def _zero_runs(rho, bounds) -> list:
         if entered is not None:
             if abs(c) <= CROSSING_EPS:
                 continue  # z vanishes on this whole segment
-            if (entered[1] * c.conjugate()).real > 0.0:
+            e = entered[1]
+            if (e * c.conjugate()).real > ORTHOGONALITY_EPS * abs(e) * abs(c):
                 runs.append((entered[0], 0.0, 1))
             entered = None
         a, b = zs[k], -1j * c

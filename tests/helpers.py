@@ -317,7 +317,8 @@ def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
         if entered is not None:
             if abs(c) <= pl.CROSSING_EPS:
                 continue
-            if (entered[1] * c.conjugate()).real > 0.0:
+            e = entered[1]
+            if (e * c.conjugate()).real > pl.ORTHOGONALITY_EPS * abs(e) * abs(c):
                 zeros.append(times[entered[0]])
             entered = None
         a, b = zs[k], -1j * c

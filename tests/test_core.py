@@ -166,6 +166,19 @@ class TestCoreAgainstMatrixOracles:
         assert b.degenerate and (b.crossings, b.parity) == (
             matrix_phase_breakdown(mes, sched).crossings, matrix_phase_breakdown(mes, sched).parity)
 
+    def test_junction_zero_with_slopes_at_right_angles_is_a_touch(self):
+        # a product state turned to its antipode about y, nudged about x and
+        # back, then returned about -y: at both antipode junctions the slopes
+        # are at right angles, and rounding alone made the last one a crossing
+        s0 = pl.make_two_qubit(0.0, -math.sin(0.5), 0.0, math.cos(0.5))
+        y_axis, nudge = (0.0, 1.0, 0.0), 0.0546875
+        sched = pl.RotationSchedule(
+            (segment(y_axis, math.pi), segment(X_AXIS, nudge),
+             segment((-1.0, 0.0, 0.0), nudge), segment((0.0, -1.0, 0.0), math.pi)), 1, s0)
+        assert pl.topological_crossings(s0, sched) == (0, "even")
+        assert matrix_topological_crossings(s0, sched) == (0, "even")
+        assert pl.phase_breakdown(s0, sched).crossings == 0
+
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "schedules")
 BUILTIN = "phaselab-schedule v1\nstate schmidt 0.3 0.0\nbuiltin {}\n"
