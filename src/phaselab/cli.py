@@ -8,22 +8,21 @@ needed), so identical invocations produce byte-identical files. Undefined
 phases appear as the literal ``nan`` in CSV and ``null`` in JSON. Angles
 are radians throughout.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 parse/validation, 3 numeric failure or out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
 import re
 import sys
 
-from .core import (CYCLIC_EPS, ORTHOGONALITY_EPS, _breakdown, _click_probability, _crossings,
-                   _exact_inputs, _final_overlap, _quaternions, _reduced, _schmidt,
-                   _zero_runs, phase_breakdown, principal)
+from .core import (CYCLIC_EPS, _breakdown, _click_probability, _crossings, _exact_inputs,
+                   _final_overlap, _overlap_phase, _quaternions, _reduced, _schmidt, _zero_runs,
+                   phase_breakdown)
 from .errors import DomainError, NotCyclic, ParseError, PhaseLabError, ValidationError
 from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
                        parse_schedule)
@@ -211,8 +210,7 @@ def _cmd_run(args) -> int:
     count, parity = _crossings(runs)
     # after the write, so that a failed write's error is the first stderr line
     _warn_if_not_cyclic(abs(v))
-    total = principal(cmath.phase(v)) if abs(v) > ORTHOGONALITY_EPS else math.nan
-    print(f"final total phase: {total!r}")
+    print(f"final total phase: {_overlap_phase(v)!r}")
     print(f"crossings: {count} ({parity})")
     return 0
 
@@ -368,6 +366,9 @@ def main(argv=None) -> int:
         return 3
     except PhaseLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

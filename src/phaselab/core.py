@@ -233,6 +233,17 @@ def _overlap(q, rho) -> tuple:
     return w * t, 0.0 - (vx * bx + vy * by + vz * bz)  # never -0.0
 
 
+def _final_overlap(rho, bounds) -> complex:
+    """``<s0|U_T|s0> = Tr(B_n rho)`` of the reduced state ``rho`` on the
+    boundary record ``bounds`` (see :func:`_exact_inputs`), read from the
+    final boundary quaternion (see :func:`_overlap`)."""
+    return complex(*_overlap(bounds[1][-1], rho))
+
+
+def _overlap_phase(z: complex) -> float:
+    return math.nan if abs(z) <= ORTHOGONALITY_EPS else principal(cmath.phase(z))
+
+
 def _slope(n, q, rho) -> complex:
     """``Tr((n . sigma) B rho) = w n . b + (n x v) . b - i (n . v) t``."""
     w, vx, vy, vz = q
@@ -339,27 +350,27 @@ class PhaseBreakdown(_Frozen):
         return hash(self._values())
 
 
-def _dynamical_rates(bounds, rho) -> list[float]:
-    """Per-segment dynamical-phase rate ``-(1/2) n_k . b_k``, with ``b_k``
-    the Bloch vector ``b`` of ``rho`` (see :func:`_exact_inputs`)
-    :func:`_rotated` by the boundary quaternion ``B_k``; ``bounds`` is the
-    boundary record :func:`_quaternions`.
+def _dynamical_fold(rho, bounds) -> tuple[list, list]:
+    """``(rates, ends)``: the per-segment rates ``-(1/2) n_k . b_k``, with ``b_k``
+    the Bloch vector of ``rho`` :func:`_rotated` by ``B_k``, and the dynamical
+    phase at every segment end, ``[0.0, ..., dyn]``, one :func:`_totals` fold
+    of ``rate_k * d_k``; ``bounds`` is the boundary record :func:`_quaternions`.
 
     Each segment's generator commutes with its own evolution, so its
     expectation is constant within the segment; segment k contributes
     ``rate_k * d_k`` to the dynamical phase. A maximally mixed reduced
     state (``b = 0``) has rates of exactly 0.
     """
-    quats, axes = bounds[1:3]
+    quats, axes, durations = bounds[1:]
     rates = []
     for (nx, ny, nz), q in zip(axes, quats):
         bx, by, bz = _rotated(q, rho[1:])
         rates.append(DYNAMICAL_SIGN * 0.5 * (nx * bx + ny * by + nz * bz))
-    return rates
+    return rates, _totals(r * d for r, d in zip(rates, durations))
 
 
 def _dynamical(rho, bounds) -> float:
-    return _totals(r * d for r, d in zip(_dynamical_rates(bounds, rho), bounds[3]))[-1]
+    return _dynamical_fold(rho, bounds)[1][-1]
 
 
 def dynamical_phase(s0, schedule) -> float:
@@ -408,8 +419,7 @@ def geometric_phase_mixed(s0, schedule) -> float:
     to its start.
     """
     rho, bounds = _exact_inputs(s0, schedule)
-    final = bounds[1][-1]
-    return _geometric(final[0], complex(*_overlap(final, rho)), rho, _dynamical(rho, bounds))
+    return _geometric(bounds[1][-1][0], _final_overlap(rho, bounds), rho, _dynamical(rho, bounds))
 
 
 def _crossings(runs) -> tuple[int, str]:
@@ -430,14 +440,13 @@ def _breakdown(rho, bounds) -> PhaseBreakdown:
     components, see :func:`_reduced`) on the boundary record ``bounds``
     (:func:`_quaternions`); ``sweep`` builds ``bounds`` once for its whole
     grid."""
-    final = bounds[1][-1]
-    v = complex(*_overlap(final, rho))
+    v = _final_overlap(rho, bounds)
     if abs(abs(v) - 1.0) > CYCLIC_EPS:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = principal(cmath.phase(v))
     dyn = _dynamical(rho, bounds)
     try:
-        geo = _geometric(final[0], v, rho, dyn)
+        geo = _geometric(bounds[1][-1][0], v, rho, dyn)
         degenerate = False
         residual = abs(principal(total - dyn - geo))
     except DegenerateSpectrum:
@@ -458,13 +467,6 @@ def phase_breakdown(s0, schedule) -> PhaseBreakdown:
     ``degenerate=True`` and a NaN closure residual.
     """
     return _breakdown(*_exact_inputs(s0, schedule))
-
-
-def _final_overlap(rho, bounds) -> complex:
-    """``<s0|U_T|s0> = Tr(B_n rho)`` of the reduced state ``rho`` on the
-    boundary record ``bounds`` (see :func:`_exact_inputs`), read from the
-    final boundary quaternion (see :func:`_overlap`)."""
-    return complex(*_overlap(bounds[1][-1], rho))
 
 
 def _click_probability(v: complex) -> float:

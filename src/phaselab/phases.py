@@ -16,7 +16,6 @@ two hold modulo 2 pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,9 +27,10 @@ from .core import (  # noqa: F401 (the exact core's names, re-exported)
     DYNAMICAL_SIGN,
     ORTHOGONALITY_EPS,
     PhaseBreakdown,
-    _dynamical_rates,
+    _dynamical_fold,
     _exact_inputs,
     _overlap,
+    _overlap_phase,
     _rotated,
     _unit_axis,
     dynamical_phase,
@@ -83,10 +83,6 @@ class PhaseSample:
     dyn: float
     bloch: np.ndarray
     so3: SO3Point
-
-
-def _overlap_phase(z: complex) -> float:
-    return math.nan if abs(z) <= ORTHOGONALITY_EPS else principal(cmath.phase(z))
 
 
 def total_phase(initial, current) -> float:
@@ -194,14 +190,14 @@ def _series_columns(rho, bounds, samples_per_segment: int):
     angles = map(math.atan2, sp_im.tolist(), sp_re.tolist())
     raw_vals = np.where(defined, np.fromiter(angles, float, len(times)), math.nan)
     principal_vals = np.where(raw_vals == -math.pi, math.pi, raw_vals)
+    # segment k's samples go on from the core's fold at its start; its last is the fold at its end
+    per = samples_per_segment - 1
+    rates, ends = _dynamical_fold(rho, bounds)
     dyn_vals = np.zeros(len(times))
-    acc = 0.0
-    spp = samples_per_segment
-    for k, rate in enumerate(_dynamical_rates(bounds, rho)):
-        i0 = k * (spp - 1)
-        sl = slice(i0 + 1, i0 + spp)
-        dyn_vals[sl] = acc + rate * (times[sl] - times[i0])
-        acc = float(dyn_vals[i0 + spp - 1])
+    for k, rate in enumerate(rates):
+        sl = slice(k * per + 1, (k + 1) * per)
+        dyn_vals[sl] = ends[k] + rate * (times[sl] - times[k * per])
+        dyn_vals[(k + 1) * per] = ends[k + 1]
     axes, ball_angles = _ball(quats[0], quats[1:].T)
     crossing_times = overlap_zero_times(rho, bounds)
     flags = np.zeros(len(times), dtype=int)
@@ -209,7 +205,7 @@ def _series_columns(rho, bounds, samples_per_segment: int):
         # every sample with a zero since the one before it is some zero's
         # first sample at or after; the zeros next to each sample of the
         # segment reach them all, however many turns it makes
-        seg_t = times[k * (spp - 1):(k + 1) * (spp - 1) + 1] - bounds[0][k] - tau
+        seg_t = times[k * per:(k + 1) * per + 1] - bounds[0][k] - tau
         m = np.floor(seg_t / _TWO_PI)[:, None] + np.array([-1.0, 0.0, 1.0])
         m = np.unique(np.clip(m, 0.0, float(n - 1)))
         idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))

@@ -415,8 +415,9 @@ def matrix_unitary_samples(schedule, samples_per_segment):
 def matrix_series_columns(s0, schedule, samples_per_segment):
     """``phases._series_columns`` from matrices: ``sp = Tr(U rho)`` and the
     transported state ``U rho U+`` by einsum, the ball from the matrix
-    decode ``geometry._so3_arrays``; the dynamical rates and the zero
-    search are the core's."""
+    decode ``geometry._so3_arrays``; the dynamical rates, the dynamical
+    phase at segment ends (``core._dynamical_fold``) and the zero search
+    are the core's."""
     if samples_per_segment < 2:
         raise pl.DomainError("samples_per_segment must be >= 2")
     rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
@@ -428,11 +429,12 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
               (rhot[:, 0, 0] - rhot[:, 1, 1]).real)
     raw = np.where(np.abs(sps) > pl.ORTHOGONALITY_EPS, np.angle(sps), math.nan)
     dyn = np.zeros(len(times))
-    acc, per = 0.0, samples_per_segment - 1
-    for k, rate in enumerate(pl.phases._dynamical_rates(bounds, pauli)):
+    per = samples_per_segment - 1
+    rates, ends = pl.phases._dynamical_fold(pauli, bounds)
+    for k, rate in enumerate(rates):
         sl = slice(k * per + 1, (k + 1) * per + 1)
-        dyn[sl] = acc + rate * (times[sl] - times[k * per])
-        acc = float(dyn[(k + 1) * per])
+        dyn[sl] = ends[k] + rate * (times[sl] - times[k * per])
+        dyn[(k + 1) * per] = ends[k + 1]
     axes, angles = pl.geometry._so3_arrays(units)
     zeros = pl.geometry.overlap_zero_times(pauli, bounds)
     flags = np.zeros(len(times), dtype=int)

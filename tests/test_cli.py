@@ -169,6 +169,34 @@ class TestRun:
         samples, _, _ = pl.phase_samples(s.initial, s)
         assert all(-math.pi < x.total_principal <= math.pi for x in samples)
 
+    @pytest.mark.parametrize("source", [
+        "mes_minus", "mes_plus", "partial_z_turn",
+        "state schmidt 0.3 0\nbuiltin plus\n", "state schmidt 0.3 0\nbuiltin minus\n",
+    ])
+    def test_last_phase_dyn_is_breakdowns_dynamical(self, tmp_path, capsys, source):
+        # each segment end of the series is the core's dynamical fold, so the
+        # last row carries breakdown's dynamical phase bit for bit
+        if "\n" in source:
+            sched = write(tmp_path, "s.sched", "phaselab-schedule v1\n" + source)
+        else:
+            sched = os.path.join(DEMO_SCHEDULES, source + ".sched")
+        assert main(["breakdown", sched]) == 0
+        dynamical = json.loads(capsys.readouterr().out)["dynamical"]
+        out = tmp_path / "series.csv"
+        assert main(["run", sched, "--out", str(out)]) == 0
+        last = out.read_text().splitlines()[-1].split(",")
+        assert last[RUN_FIELDS.index("phase_dyn")] == repr(dynamical)
+
+    def test_orthogonal_final_state_summary_is_nan(self, tmp_path, capsys):
+        # a half turn of a maximally entangled state ends orthogonal to its start
+        sched = write(tmp_path, "h.sched", "phaselab-schedule v1\nstate schmidt 0.5 0\n"
+                      "segment 0 0 1 3.141592653589793\n")
+        assert main(["run", sched]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "final total phase: nan\ncrossings: 0 (even)\n"
+        assert captured.err == ("warning: schedule is not cyclic "
+                                "(final overlap magnitude 0.000000000)\n")
+
     def test_principal_column_in_range(self, tmp_path):
         sched = write(tmp_path, "m.sched", MES_MINUS)
         out = tmp_path / "series.csv"
@@ -563,6 +591,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: samples do not fit in memory\n"
+
+    @pytest.mark.parametrize("command,stage", [
+        ("run", "_load"), ("breakdown", "_load"), ("readout", "_load"), ("sweep", "_linspace"),
+    ])
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, command, stage):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, refuse)
+        if command == "sweep":
+            argv = ["sweep", "--lambda0", "0:1:3", "--theta", "0:1:3",
+                    "--out", str(tmp_path / "sweep.csv")]
+        else:
+            argv = [command, write(tmp_path, "m.sched", MES_MINUS)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     @pytest.mark.parametrize("command", ["run", "breakdown", "readout"])
     def test_durations_summing_past_float_max_exit_2(self, tmp_path, capsys, command):

@@ -254,6 +254,24 @@ class TestSeriesAgainstMatrixOracle:
                 pl.SO3Point(np.array(row[4:7]), row[7]))
 
 
+class TestSeriesDynamicalPhase:
+    @settings(max_examples=200, deadline=None)
+    @given(series_schedules(), st.integers(2, 50))
+    def test_segment_ends_are_the_core_fold(self, sched, steps):
+        rho, bounds = pl.core._exact_inputs(sched.initial, sched)
+        got = outcome(pl.phases._series_columns, rho, bounds, steps)
+        if got[0] == "raised":
+            return
+        rates, ends = pl.core._dynamical_fold(rho, bounds)
+        fold = [0.0]
+        for rate, d in zip(rates, bounds[3]):  # left to right, one segment at a time
+            fold.append(fold[-1] + rate * d)
+        assert list(map(float.hex, ends)) == list(map(float.hex, fold))
+        dyn = got[1][0][5].tolist()
+        assert list(map(float.hex, dyn[::steps - 1])) == list(map(float.hex, ends))
+        assert dyn[-1].hex() == pl.dynamical_phase(sched.initial, sched).hex()
+
+
 class TestPhaseBreakdownValue:
     """``PhaseBreakdown`` is an immutable value: dataclass-style ``repr``,
     equality and hashing by value, and never equal to a plain tuple."""
