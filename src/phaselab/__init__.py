@@ -7,13 +7,15 @@ supporting geometry: Bloch vectors and balls, the five base coordinates
 of a pure two-qubit state, concurrence, purification, and the rotation
 ball of radius pi with antipodal boundary identification.
 
-Importing the package loads no numpy: ``qstate``, ``geometry`` and
-``phases``, and the names they export, load on first access.
+Importing the package loads no numpy: the exact API (``core``) and the
+schedule API are bound at import; ``qstate``, ``geometry`` and ``phases``,
+and the names they export, load on first access.
 """
 
 from importlib import import_module
 
-from . import errors, schedule
+from . import core, errors, schedule
+from .core import *  # noqa: F403
 from .errors import *  # noqa: F403 (its public names are the exception types)
 from .schedule import *  # noqa: F403
 
@@ -33,6 +35,7 @@ def _load_lazy() -> None:
         *qstate.__all__,
         *geometry.__all__,
         *schedule.__all__,
+        *core.__all__,
         *phases.__all__,
         "__version__",
     ]

@@ -23,7 +23,7 @@ import sys
 from .core import (CYCLIC_EPS, _breakdown, _click_probability, _crossings, _exact_inputs,
                    _final_overlap, _overlap_phase, _quaternions, _reduced, _schmidt, _zero_runs,
                    phase_breakdown)
-from .errors import DomainError, NotCyclic, ParseError, PhaseLabError, ValidationError
+from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
 from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
                        parse_schedule)
 
@@ -199,11 +199,8 @@ def _cmd_run(args) -> int:
     if args.out:
         from .phases import _series_columns
 
-        try:
-            cols, flags, zeros = _series_columns(rho, bounds, args.steps)
-            _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
-        except MemoryError:
-            raise DomainError("samples do not fit in memory") from None
+        cols, flags, zeros = _series_columns(rho, bounds, args.steps)
+        _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
         runs = zeros.runs  # the series' crossing flags and the count share one search
     else:
         runs = _zero_runs(rho, bounds)

@@ -7,10 +7,9 @@ Each boundary product of a schedule is a unit quaternion,
 phase, the crossing search, the readout probability) is then a few float
 operations on 3-vectors. The state and axis formulas the schedule parser
 uses live here too. Nothing in this module imports numpy or
-``dataclasses``, so the ``breakdown``, ``sweep`` and ``readout`` commands
-and ``run`` without ``--out`` start without them; ``phases``,
-``geometry``, ``schedule`` and ``qstate`` re-export these objects under
-their public names.
+``dataclasses``, so the ``breakdown``, ``sweep`` and ``readout`` commands,
+``run`` without ``--out`` and the exact library calls start without them.
+The public names in ``__all__`` are bound on ``phaselab`` at import.
 """
 
 from __future__ import annotations
@@ -22,6 +21,19 @@ from collections.abc import Sequence
 from itertools import accumulate
 
 from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep, ZeroNorm
+
+__all__ = [
+    "ORTHOGONALITY_EPS",
+    "CROSSING_EPS",
+    "DYNAMICAL_SIGN",
+    "principal",
+    "PhaseBreakdown",
+    "dynamical_phase",
+    "geometric_phase_mixed",
+    "topological_crossings",
+    "phase_breakdown",
+    "readout_probability",
+]
 
 ORTHOGONALITY_EPS = 1e-9
 #: Largest overlap magnitude counted as a zero (an orthogonality crossing).

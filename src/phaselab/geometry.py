@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (  # noqa: F401 (the exact crossing search, re-exported)
-    ZeroTimes,
-    _quaternions,
-    overlap_zero_times,
-)
+from .core import _quaternions, overlap_zero_times
 from .errors import DegenerateSpectrum, NotSpecialUnitary
 from .schedule import RotationSchedule, _unitary_samples
 
@@ -97,12 +93,13 @@ def purity_radius(rho) -> float:
     return math.sqrt(min(1.0, max(0.0, 2.0 * p2 - 1.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Purification:
     """Weighted eigen-decomposition of a qubit density matrix.
 
     ``weight_m >= weight_n``, the states are orthonormal, and their Bloch
-    vectors point in opposite directions.
+    vectors point in opposite directions. Equal only to itself, and hashed
+    by identity.
     """
 
     weight_m: float

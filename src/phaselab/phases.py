@@ -21,59 +21,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (  # noqa: F401 (the exact core's names, re-exported)
-    _TWO_PI,
-    CROSSING_EPS,
-    DYNAMICAL_SIGN,
-    ORTHOGONALITY_EPS,
-    PhaseBreakdown,
-    _dynamical_fold,
-    _exact_inputs,
-    _overlap,
-    _overlap_phase,
-    _rotated,
-    _unit_axis,
-    dynamical_phase,
-    geometric_phase_mixed,
-    overlap_zero_times,
-    phase_breakdown,
-    principal,
-    readout_probability,
-    topological_crossings,
-)
+from .core import (_TWO_PI, ORTHOGONALITY_EPS, _dynamical_fold, _exact_inputs, _overlap,
+                   _overlap_phase, _rotated, _unit_axis, overlap_zero_times, principal)
 from .errors import DomainError, OrthogonalStep
 from .geometry import SO3Point, _ball
 from .qstate import inner_product
 from .schedule import DEFAULT_SAMPLES, RotationSchedule, _unitary_samples
 
 __all__ = [
-    "ORTHOGONALITY_EPS",
-    "CROSSING_EPS",
-    "DEFAULT_SAMPLES",
-    "DYNAMICAL_SIGN",
-    "principal",
     "PhaseSample",
-    "PhaseBreakdown",
     "total_phase",
     "mixed_total_phase",
     "sp_formula",
-    "dynamical_phase",
     "geometric_phase_pure",
-    "geometric_phase_mixed",
-    "topological_crossings",
-    "phase_breakdown",
     "fixed_axis_closed_forms",
-    "readout_probability",
     "phase_samples",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSample:
     """One time sample of a run: overlap, phases, Bloch and ball tracks.
 
     ``total_principal`` and ``total_unwrapped`` are NaN exactly when the
-    overlap magnitude is at or below the orthogonality threshold.
+    overlap magnitude is at or below the orthogonality threshold. Equal
+    only to itself, and hashed by identity.
     """
 
     time: float
@@ -224,7 +196,7 @@ def phase_samples(
     a list of PhaseSample, crossing_flags marks the first sample at or
     after each crossing time, and crossing_times are the exact zero times
     of the initial-state overlap (the ones ``topological_crossings``
-    counts), as a :class:`~phaselab.geometry.ZeroTimes` sequence.
+    counts), as a :class:`~phaselab.core.ZeroTimes` sequence.
     """
     cols, flags, crossing_times = _series_columns(*_exact_inputs(s0, schedule),
                                                   samples_per_segment)

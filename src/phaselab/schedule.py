@@ -35,6 +35,7 @@ from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError,
 
 __all__ = [
     "HEADER",
+    "DEFAULT_SAMPLES",
     "RotationSegment",
     "RotationSchedule",
     "builtin_plus",
@@ -277,8 +278,10 @@ def _unitary_samples(bounds, samples_per_segment: int):
 
 
 def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
-    """Strictly increasing ``(time, cumulative unitary)`` samples from 0 to
-    the total duration, with exact products at segment boundaries."""
+    """Non-decreasing ``(time, cumulative unitary)`` samples from 0 to the
+    total duration, with exact products at segment boundaries. A segment
+    too short for its samples to differ repeats times: ``5e-324`` at 3
+    samples gives times ``0.0, 0.0, 5e-324``."""
     from .qstate import _su2_matrix
 
     times, quats = _unitary_samples(_quaternions(schedule.segments), samples_per_segment)

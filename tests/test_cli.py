@@ -573,36 +573,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {4 * (10**12 - 1) + 1} samples do not fit in memory\n"
 
-    @pytest.mark.parametrize("stage", ["series", "writer"])
-    def test_series_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, stage):
-        # past the sampler, the series temporaries and the writer's blocks
-        # may still run out of memory
-        def refuse(*args, **kwargs):
-            raise MemoryError
-
-        import phaselab.phases
-
-        if stage == "series":
-            monkeypatch.setattr(phaselab.phases, "_series_columns", refuse)
-        else:
-            monkeypatch.setattr(cli, "_write_table", refuse)
-        sched = write(tmp_path, "m.sched", MES_MINUS)
-        assert main(["run", sched, "--out", str(tmp_path / "series.csv")]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: samples do not fit in memory\n"
-
     @pytest.mark.parametrize("command,stage", [
         ("run", "_load"), ("breakdown", "_load"), ("readout", "_load"), ("sweep", "_linspace"),
+        # past the sampler, the series temporaries and the writer's blocks
+        # may still run out of memory
+        ("run --out", "_series_columns"), ("run --out", "_write_table"),
     ])
     def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch, command, stage):
         def refuse(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, stage, refuse)
+        import phaselab.phases
+
+        monkeypatch.setattr(phaselab.phases if stage == "_series_columns" else cli, stage, refuse)
         if command == "sweep":
             argv = ["sweep", "--lambda0", "0:1:3", "--theta", "0:1:3",
                     "--out", str(tmp_path / "sweep.csv")]
+        elif command == "run --out":
+            argv = ["run", write(tmp_path, "m.sched", MES_MINUS),
+                    "--out", str(tmp_path / "series.csv")]
         else:
             argv = [command, write(tmp_path, "m.sched", MES_MINUS)]
         assert main(argv) == 3

@@ -196,6 +196,14 @@ class TestPurify:
         lead = np.argmax(np.abs(p1.state_m))
         assert p1.state_m[lead].imag == 0.0 and p1.state_m[lead].real > 0
 
+    def test_equal_only_to_itself_and_hashable(self):
+        # ndarray fields: equality and hashing are by identity, never elementwise
+        rho = pl.reduced_density(pl.schmidt_state(0.3, 0.7), 1)
+        p1, p2 = pl.purify(rho), pl.purify(rho)
+        assert not p1 == p2 and p1 != p2
+        assert p1 == p1
+        assert len({hash(p1), hash(p2)}) == 2 and p1 in {p1}
+
 
 class TestSU2ToSO3:
     def test_identity_center(self):

@@ -565,6 +565,15 @@ class TestPhaseSamples:
         steps = np.abs(np.diff(vals))
         assert np.max(steps) < 0.1  # no artificial 2 pi jumps
 
+    def test_samples_equal_only_themselves_and_hashable(self):
+        # ndarray fields: equality and hashing are by identity, never elementwise
+        s = pl.schmidt_state(0.3, 0.0)
+        first, _, _ = pl.phase_samples(s, z_turn_schedule(s), 5)
+        again, _, _ = pl.phase_samples(s, z_turn_schedule(s), 5)
+        assert not first[2] == again[2] and first[2] != again[2]
+        assert first[2] == first[2]
+        assert len({hash(first[2]), hash(again[2])}) == 2 and first[2] in {first[2]}
+
 
 # principal values as np.angle gives them, in [-pi, pi], with NaN gaps;
 # the sampled edges make exact +-pi and +-2pi jumps and signed zeros common

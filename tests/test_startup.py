@@ -1,22 +1,26 @@
-"""Startup guard: the exact commands never import numpy, ``dataclasses``
-or orjson.
+"""Startup guard: the exact commands and the exact library API never
+import numpy, ``dataclasses`` or orjson.
 
 ``import phaselab.cli`` and the ``breakdown``, ``sweep`` and ``readout``
 commands and ``run`` without ``--out``, their error exits included, run
 on the plain-float core (``phaselab.core``), and load neither numpy nor
 ``dataclasses`` and the ``inspect`` it imports. Nor do they load orjson,
 which the table writer imports only for large tables, as ``run --out``
-writes at the default ``--steps``. Each check runs in a fresh interpreter
+writes at the default ``--steps``. The same holds for the core's names
+read from ``phaselab`` itself. Each check runs in a fresh interpreter
 with ``PYTHONPATH`` set to this checkout's ``src``, since the test
 process itself has numpy loaded.
 """
 
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+
+import phaselab as pl
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -29,14 +33,13 @@ PUBLIC_NAMES = [
     "SIGMA_Z", "pauli_dot", "make_two_qubit", "schmidt_state", "evolution_operator",
     "apply_local", "reduced_density", "inner_product", "bloch_of_pure", "bloch_of_density",
     "hopf_coords", "concurrence", "ball_radius", "purity_radius", "Purification", "purify",
-    "SO3Point", "SO3Path", "su2_to_so3", "so3_path", "HEADER", "RotationSegment",
-    "RotationSchedule", "builtin_plus", "builtin_minus", "parse_schedule",
+    "SO3Point", "SO3Path", "su2_to_so3", "so3_path", "HEADER", "DEFAULT_SAMPLES",
+    "RotationSegment", "RotationSchedule", "builtin_plus", "builtin_minus", "parse_schedule",
     "serialize_schedule", "cumulative_unitaries", "unitary_at", "total_duration",
-    "ORTHOGONALITY_EPS", "CROSSING_EPS", "DEFAULT_SAMPLES", "DYNAMICAL_SIGN", "principal",
-    "PhaseSample", "PhaseBreakdown", "total_phase", "mixed_total_phase", "sp_formula",
-    "dynamical_phase", "geometric_phase_pure", "geometric_phase_mixed",
-    "topological_crossings", "phase_breakdown", "fixed_axis_closed_forms",
-    "readout_probability", "phase_samples", "__version__",
+    "ORTHOGONALITY_EPS", "CROSSING_EPS", "DYNAMICAL_SIGN", "principal", "PhaseBreakdown",
+    "dynamical_phase", "geometric_phase_mixed", "topological_crossings", "phase_breakdown",
+    "readout_probability", "PhaseSample", "total_phase", "mixed_total_phase", "sp_formula",
+    "geometric_phase_pure", "fixed_axis_closed_forms", "phase_samples", "__version__",
 ]
 
 
@@ -116,6 +119,37 @@ def test_exact_commands_never_import_numpy(tmp_path):
         "run --out default": [0, True],
     }
 
+
+def _exact_calls(pl, path, degenerate):
+    """The exact API's results on one schedule file, read from ``phaselab``."""
+    with open(path, encoding="utf-8") as fh:
+        s = pl.parse_schedule(fh.read())
+    b = pl.phase_breakdown(s.initial, s)
+    row = [[b.total, b.dynamical, b.geometric, b.crossings, b.parity, b.degenerate],
+           pl.readout_probability(s.initial, s), list(pl.topological_crossings(s.initial, s)),
+           pl.dynamical_phase(s.initial, s)]
+    if not degenerate:
+        row += [pl.geometric_phase_mixed(s.initial, s), pl.principal(b.total + 7.0)]
+    return row
+
+
+def test_exact_library_api_never_imports_numpy(tmp_path):
+    mes_minus = os.path.join(DEMOS, "mes_minus.sched")
+    partial = os.path.join(DEMOS, "partial_z_turn.sched")
+    report = fresh(inspect.getsource(_exact_calls) + textwrap.dedent(f"""
+        import phaselab as pl
+        emit("mes_minus", _exact_calls(pl, {mes_minus!r}, True))
+        emit("partial", _exact_calls(pl, {partial!r}, False))
+        emit("names", [pl.PhaseBreakdown.__name__, pl.ORTHOGONALITY_EPS, pl.CROSSING_EPS,
+                       pl.DYNAMICAL_SIGN, pl.DEFAULT_SAMPLES])
+        emit("heavy", heavy_loaded())
+        """), tmp_path)
+    assert report == {
+        "mes_minus": _exact_calls(pl, mes_minus, True),
+        "partial": _exact_calls(pl, partial, False),
+        "names": ["PhaseBreakdown", 1e-9, 1e-6, -1.0, 2000],
+        "heavy": [],
+    }
 
 def test_package_names_load_on_first_access(tmp_path):
     report = fresh("""
