@@ -196,14 +196,12 @@ def _cmd_run(args) -> int:
     # the summary is the exact core's, so only --out samples (and needs numpy)
     rho, bounds = _exact_inputs(sched.initial, sched)
     v = _final_overlap(rho, bounds)
+    runs = _zero_runs(rho, bounds)  # the series' crossing flags and the count share one search
     if args.out:
         from .phases import _series_columns
 
-        cols, flags, zeros = _series_columns(rho, bounds, args.steps)
+        cols, flags = _series_columns(rho, bounds, runs, args.steps)
         _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
-        runs = zeros.runs  # the series' crossing flags and the count share one search
-    else:
-        runs = _zero_runs(rho, bounds)
     count, parity = _crossings(runs)
     # after the write, so that a failed write's error is the first stderr line
     _warn_if_not_cyclic(abs(v))

@@ -191,7 +191,7 @@ def _reduced(s0, qubit: int) -> tuple:
     if qubit == 2:
         a01, a10 = a10, a01
     elif qubit != 1:
-        raise DomainError("keep must be 1 or 2")
+        raise DomainError("qubit must be 1 or 2")
     p0 = (a00.real * a00.real + a00.imag * a00.imag) + (a01.real * a01.real + a01.imag * a01.imag)
     p1 = (a10.real * a10.real + a10.imag * a10.imag) + (a11.real * a11.real + a11.imag * a11.imag)
     off = a00 * a10.conjugate() + a01 * a11.conjugate()
@@ -208,10 +208,11 @@ class ZeroTimes(Sequence):
     """Zero times held as runs ``start_k + tau + 2 pi m``, ``m < count``,
     so that a segment of many turns costs O(1) however many zeros it has.
 
-    ``runs`` holds ``(k, tau, count)`` with ``k`` the segment index and
-    ``starts`` the segment start times; ``size`` is the number of zeros,
-    also past ``sys.maxsize`` where ``len`` overflows. Takes integer
-    indices and compares equal to any sequence of the same floats.
+    ``runs`` holds the :func:`_zero_runs` runs ``(k, tau, count)``, with
+    ``k`` the segment index, and ``starts`` the segment start times;
+    ``size`` is the number of zeros, also past ``sys.maxsize`` where
+    ``len`` overflows. Takes integer indices and compares equal to any
+    sequence of the same floats.
     """
 
     def __init__(self, starts, runs):
@@ -266,9 +267,11 @@ def _slope(n, q, rho) -> complex:
                    -(nx * vx + ny * vy + nz * vz) * t)
 
 
-def overlap_zero_times(rho, bounds) -> ZeroTimes:
-    """Times in (0, T) where ``Tr(U(t) rho)`` passes through zero, exact
-    and in one pass over the segments; ``rho`` is the Pauli components
+def _zero_runs(rho, bounds) -> list:
+    """The times in (0, T) where ``Tr(U(t) rho)`` passes through zero, as
+    ``(k, tau, count)`` runs of zeros ``t_k + tau + 2 pi m``, ``m < count``,
+    on segment k; the counts sum to the number of crossings. Exact and in
+    one pass over the segments; ``rho`` is the Pauli components
     ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2`` and ``bounds``
     is the boundary record :func:`_quaternions`.
 
@@ -289,12 +292,6 @@ def overlap_zero_times(rho, bounds) -> ZeroTimes:
     ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap is
     ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
-    return ZeroTimes(bounds[0], _zero_runs(rho, bounds))
-
-
-def _zero_runs(rho, bounds) -> list:
-    """The ``(k, tau, count)`` runs of :func:`overlap_zero_times`; their
-    counts sum to the number of crossings."""
     _, quats, axes, durations = bounds
     zs = [complex(*_overlap(q, rho)) for q in quats]
     at_zero = [abs(z) <= CROSSING_EPS for z in zs]
@@ -442,8 +439,7 @@ def _crossings(runs) -> tuple[int, str]:
 
 def topological_crossings(s0, schedule) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
-    its parity, ``"even"`` or ``"odd"``; exact (see
-    :func:`~phaselab.geometry.overlap_zero_times`)."""
+    its parity, ``"even"`` or ``"odd"``; exact (see :func:`_zero_runs`)."""
     return _crossings(_zero_runs(*_exact_inputs(s0, schedule)))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _quaternions, overlap_zero_times
+from .core import ZeroTimes, _quaternions, _zero_runs
 from .errors import DegenerateSpectrum, NotSpecialUnitary
 from .schedule import RotationSchedule, _unitary_samples
 
@@ -188,37 +188,26 @@ def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
     return axes, t
 
 
-def _so3_arrays(units) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ball` of a stack of SU(2) elements ``w I - i v . sigma``
-    (M, 2, 2); :func:`su2_to_so3` is the one-matrix case. Raises
-    NotSpecialUnitary when any det(u) != 1 within 1e-9."""
-    m = np.asarray(units, dtype=complex)
-    if np.any(np.abs(np.linalg.det(m) - 1.0) > 1e-9):
-        raise NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
-    w = (m[:, 0, 0] + m[:, 1, 1]).real / 2.0
-    v = np.stack(
-        [
-            -(m[:, 0, 1].imag + m[:, 1, 0].imag) / 2.0,
-            (m[:, 1, 0].real - m[:, 0, 1].real) / 2.0,
-            (m[:, 1, 1].imag - m[:, 0, 0].imag) / 2.0,
-        ],
-        axis=1,
-    )
-    return _ball(w, v)
-
-
 def su2_to_so3(u) -> SO3Point:
-    """Axis-angle image of an SU(2) element in the radius-pi ball (see
-    :func:`_so3_arrays`). Raises NotSpecialUnitary when det(u) != 1
-    within 1e-9."""
-    axes, angles = _so3_arrays(np.asarray(u, dtype=complex)[None])
+    """Axis-angle image of an SU(2) element ``w I - i v . sigma`` in the
+    radius-pi ball (see :func:`_ball`). Raises NotSpecialUnitary when
+    det(u) != 1 within 1e-9."""
+    m = np.asarray(u, dtype=complex)
+    if abs(np.linalg.det(m) - 1.0) > 1e-9:
+        raise NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
+    w = (m[0, 0] + m[1, 1]).real / 2.0
+    v = np.array([[-(m[0, 1].imag + m[1, 0].imag) / 2.0,
+                   (m[1, 0].real - m[0, 1].real) / 2.0,
+                   (m[1, 1].imag - m[0, 0].imag) / 2.0]])
+    axes, angles = _ball(np.array([w]), v)
     return SO3Point(axes[0], float(angles[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SO3Path:
     """Sampled ball trajectory: ``(time, point, cos_half_angle)`` triples
-    plus the exact transversal border-crossing times."""
+    plus the exact transversal border-crossing times. Equal only to
+    itself, and hashed by identity."""
 
     samples: tuple
     crossings: Sequence
@@ -229,7 +218,7 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
 
     A border crossing is a transversal sign change of
     ``cos_half_angle = Re(Tr U)/2``, the overlap with ``rho = I/2``; the
-    crossing times come from :func:`overlap_zero_times`. A tangential
+    crossing times come from :func:`~phaselab.core._zero_runs`. A tangential
     touch of the border counts as zero crossings.
     """
     bounds = _quaternions(schedule.segments)
@@ -239,5 +228,5 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
         (t, SO3Point(axis, angle), half)
         for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), quats[0].tolist())
     ]
-    crossings = overlap_zero_times((1.0, 0.0, 0.0, 0.0), bounds)
+    crossings = ZeroTimes(bounds[0], _zero_runs((1.0, 0.0, 0.0, 0.0), bounds))
     return SO3Path(tuple(samples), crossings)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_TWO_PI, ORTHOGONALITY_EPS, _dynamical_fold, _exact_inputs, _overlap,
-                   _overlap_phase, _rotated, _unit_axis, overlap_zero_times, principal)
+from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _dynamical_fold, _exact_inputs,
+                   _overlap, _overlap_phase, _rotated, _unit_axis, _zero_runs, principal)
 from .errors import DomainError, OrthogonalStep
 from .geometry import SO3Point, _ball
 from .qstate import inner_product
@@ -142,15 +142,15 @@ def _unwrap_skipnan(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_columns(rho, bounds, samples_per_segment: int):
-    """The sampled time series as columns: ``(columns, flags, zeros)``, of
-    the reduced state ``rho`` on the boundary record ``bounds`` (see
-    :func:`_exact_inputs`).
+def _series_columns(rho, bounds, runs, samples_per_segment: int):
+    """The sampled time series as columns: ``(columns, flags)``, of the
+    reduced state ``rho`` on the boundary record ``bounds`` (see
+    :func:`_exact_inputs`), with ``runs`` their :func:`_zero_runs`.
 
     ``columns`` holds 13 float arrays: time, overlap real and imaginary
     parts, principal and unwrapped total phase, dynamical phase, Bloch
     x, y, z, ball axis x, y, z and ball angle; ``flags`` (int array) marks
-    the first sample at or after each zero in ``zeros``.
+    the first sample at or after each zero of ``runs``.
     """
     times, quats = _unitary_samples(bounds, samples_per_segment)
     # Tr(U rho) with the core's abs and atan2 (numpy's differ in the last
@@ -171,9 +171,8 @@ def _series_columns(rho, bounds, samples_per_segment: int):
         dyn_vals[sl] = ends[k] + rate * (times[sl] - times[k * per])
         dyn_vals[(k + 1) * per] = ends[k + 1]
     axes, ball_angles = _ball(quats[0], quats[1:].T)
-    crossing_times = overlap_zero_times(rho, bounds)
     flags = np.zeros(len(times), dtype=int)
-    for k, tau, n in crossing_times.runs:
+    for k, tau, n in runs:
         # every sample with a zero since the one before it is some zero's
         # first sample at or after; the zeros next to each sample of the
         # segment reach them all, however many turns it makes
@@ -184,7 +183,7 @@ def _series_columns(rho, bounds, samples_per_segment: int):
         flags[np.minimum(idx, len(times) - 1)] = 1
     columns = (times, sp_re, sp_im, principal_vals, _unwrap_skipnan(raw_vals),
                dyn_vals, *_rotated(quats, rho[1:]), *axes.T, ball_angles)
-    return columns, flags, crossing_times
+    return columns, flags
 
 
 def phase_samples(
@@ -196,10 +195,12 @@ def phase_samples(
     a list of PhaseSample, crossing_flags marks the first sample at or
     after each crossing time, and crossing_times are the exact zero times
     of the initial-state overlap (the ones ``topological_crossings``
-    counts), as a :class:`~phaselab.core.ZeroTimes` sequence.
+    counts, the :func:`~phaselab.core._zero_runs` runs), as a
+    :class:`~phaselab.core.ZeroTimes` sequence.
     """
-    cols, flags, crossing_times = _series_columns(*_exact_inputs(s0, schedule),
-                                                  samples_per_segment)
+    rho, bounds = _exact_inputs(s0, schedule)
+    runs = _zero_runs(rho, bounds)
+    cols, flags = _series_columns(rho, bounds, runs, samples_per_segment)
     t, re, im, tot, unw, dyn, bx, by, bz, ax, ay, az, angle = (c.tolist() for c in cols)
     samples = [
         PhaseSample(t[i], complex(re[i], im[i]), tot[i], unw[i], dyn[i],
@@ -207,4 +208,4 @@ def phase_samples(
                     SO3Point(np.array([ax[i], ay[i], az[i]]), angle[i]))
         for i in range(len(t))
     ]
-    return samples, flags.tolist(), crossing_times
+    return samples, flags.tolist(), ZeroTimes(bounds[0], runs)

@@ -302,7 +302,7 @@ def _matrix_inputs(s0, schedule):
 def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
     """Zero times of ``Tr(U(t) rho)`` from the matrix boundary products,
     with the same per-segment closed form and junction rules as the core
-    (see ``geometry.overlap_zero_times``), listed one by one."""
+    (see ``core._zero_runs``), listed one by one."""
     times, prods = bounds
     segs = schedule.segments
     zs = [complex(np.trace(u @ rho)) for u in prods]
@@ -415,7 +415,7 @@ def matrix_unitary_samples(schedule, samples_per_segment):
 def matrix_series_columns(s0, schedule, samples_per_segment):
     """``phases._series_columns`` from matrices: ``sp = Tr(U rho)`` and the
     transported state ``U rho U+`` by einsum, the ball from the matrix
-    decode ``geometry._so3_arrays``; the dynamical rates, the dynamical
+    decode ``per_matrix_so3`` of each unit; the dynamical rates, the dynamical
     phase at segment ends (``core._dynamical_fold``) and the zero search
     are the core's."""
     if samples_per_segment < 2:
@@ -435,8 +435,9 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
         sl = slice(k * per + 1, (k + 1) * per + 1)
         dyn[sl] = ends[k] + rate * (times[sl] - times[k * per])
         dyn[(k + 1) * per] = ends[k + 1]
-    axes, angles = pl.geometry._so3_arrays(units)
-    zeros = pl.geometry.overlap_zero_times(pauli, bounds)
+    balls = [per_matrix_so3(u) for u in units]
+    axes, angles = np.array([a for a, _ in balls]), np.array([t for _, t in balls])
+    zeros = pl.core.ZeroTimes(bounds[0], pl.core._zero_runs(pauli, bounds))
     flags = np.zeros(len(times), dtype=int)
     for z in zeros:
         flags[min(int(np.searchsorted(times, z)), len(times) - 1)] = 1

@@ -407,6 +407,17 @@ class TestSweep:
         assert main(["sweep", "--lambda0", "0:1:2", "--theta", "-x", "--out", str(a)]) == 1
         assert capsys.readouterr().err == "usage error: argument --theta: expected one argument\n"
 
+    @pytest.mark.parametrize("args,message", [
+        (["--lambda0", "0:1:2", "--turns", "0"], "turns must be >= 1"),
+        (["--lambda0", "0:1:0"], "lambda0 range count must be >= 1"),
+    ], ids=["turns", "lambda0-count"])
+    def test_value_out_of_range_is_validation_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", *args, "--theta", "0:1:2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_range_spanning_past_float_max_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--lambda0", "0:1:2", "--theta=-1e308:1e308:3", "--out", str(out)])
@@ -527,6 +538,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {1 + body.count(chr(10))}" in err  # the last line
         assert repr(token) in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("state", "state needs a kind: 'schmidt' or 'amplitudes'"),
+        ("state amplitudes 1 0 0 0", "state amplitudes takes 8 numbers (re im, four times)"),
+        ("state bell", "unknown state kind 'bell'"),
+    ])
+    def test_malformed_state_line_exit_2_names_line(self, tmp_path, capsys, line, message):
+        sched = write(tmp_path, "st.sched", f"phaselab-schedule v1\n{line}\n")
+        assert main(["breakdown", sched]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["run", "{sched}", "--steps", "1"],

@@ -49,7 +49,12 @@ def outcome(fn, *args):
 
 
 def series_columns(s0, sched, steps):
-    return pl.phases._series_columns(*pl.core._exact_inputs(s0, sched), steps)
+    """``phases._series_columns`` with the zero times of its runs:
+    ``(columns, flags, zeros)``, as ``matrix_series_columns`` returns."""
+    rho, bounds = pl.core._exact_inputs(s0, sched)
+    runs = pl.core._zero_runs(rho, bounds)
+    return (*pl.phases._series_columns(rho, bounds, runs, steps),
+            pl.core.ZeroTimes(bounds[0], runs))
 
 
 def segment(axis, duration):
@@ -259,7 +264,8 @@ class TestSeriesDynamicalPhase:
     @given(series_schedules(), st.integers(2, 50))
     def test_segment_ends_are_the_core_fold(self, sched, steps):
         rho, bounds = pl.core._exact_inputs(sched.initial, sched)
-        got = outcome(pl.phases._series_columns, rho, bounds, steps)
+        got = outcome(pl.phases._series_columns, rho, bounds, pl.core._zero_runs(rho, bounds),
+                      steps)
         if got[0] == "raised":
             return
         rates, ends = pl.core._dynamical_fold(rho, bounds)

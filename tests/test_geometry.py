@@ -16,7 +16,6 @@ from helpers import (
     random_state,
     random_su2,
 )
-from phaselab.geometry import _so3_arrays
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -273,10 +272,10 @@ def bits(a) -> bytes:
 class TestSO3Kernel:
     def test_stack_matches_per_matrix_oracle_bitwise(self):
         stack = kernel_cases(np.random.default_rng(32))
-        axes, angles = _so3_arrays(stack)
+        points = [pl.su2_to_so3(u) for u in stack]
         want = [per_matrix_so3(u) for u in stack]
-        assert bits(axes) == bits([a for a, _ in want])
-        assert bits(angles) == bits([t for _, t in want])
+        assert bits([p.axis for p in points]) == bits([a for a, _ in want])
+        assert bits([p.angle for p in points]) == bits([t for _, t in want])
 
     def test_one_matrix_case_matches_oracle(self):
         for u in kernel_cases(np.random.default_rng(33))[::7]:
@@ -290,12 +289,12 @@ class TestSO3Kernel:
         stack = np.array([random_su2(rng) for _ in range(50)])
         stack[17] = stack[17] * np.exp(0.5j)  # unitary, det e^{i}
         with pytest.raises(pl.NotSpecialUnitary):
-            _so3_arrays(stack)
+            [pl.su2_to_so3(u) for u in stack]
         stack[17] = np.diag([1.0, 1.0 + 2e-9])
         with pytest.raises(pl.NotSpecialUnitary):
-            _so3_arrays(stack)
+            [pl.su2_to_so3(u) for u in stack]
         stack[17] = np.diag([1.0, 1.0 + 5e-10])  # within the 1e-9 tolerance
-        _so3_arrays(stack)
+        [pl.su2_to_so3(u) for u in stack]
 
     def test_so3_path_samples_unchanged(self):
         rng = np.random.default_rng(36)
@@ -343,3 +342,12 @@ class TestSO3Path:
         path = pl.so3_path(sched, 3)
         ws = [w for _, _, w in path.samples]
         assert_allclose(ws, [1.0, math.cos(math.pi / 2), -1.0], atol=1e-12)
+
+    def test_equal_only_to_itself_and_hashable(self):
+        # SO3Point samples compare within a tolerance and have no hash:
+        # equality and hashing of a path are by identity
+        sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, pl.schmidt_state(0.5, 0.0))
+        p1, p2 = pl.so3_path(sched, 5), pl.so3_path(sched, 5)
+        assert hash(p1) == hash(p1) and p1 == p1 and p1 in {p1}
+        assert not p1 == p2 and p1 != p2
+        assert len({hash(p1), hash(p2)}) == 2

@@ -253,6 +253,13 @@ class TestGeometricPhaseMixed:
         with pytest.raises(pl.DegenerateSpectrum):
             pl.geometric_phase_mixed(mes, z_turn_schedule(mes))
 
+    def test_eigenstate_ending_orthogonal_raises(self):
+        # |00> turned by pi about x ends on |10>: <v|B|v> = cos(pi/2) ~ 6e-17
+        sched = pl.parse_schedule("phaselab-schedule v1\nstate schmidt 1 0\n"
+                                  "segment 1 0 0 3.141592653589793\n")
+        with pytest.raises(pl.OrthogonalStep, match="ends orthogonal to its start"):
+            pl.geometric_phase_mixed(sched.initial, sched)
+
     def test_empty_schedule_zero(self):
         s = pl.schmidt_state(0.3, 0.2)
         sched = pl.RotationSchedule((), 1, s)
@@ -320,7 +327,8 @@ class TestTopologicalCrossings:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns + 1.0),), 1, s)
         assert pl.topological_crossings(s, sched) == (turns, "even")
-        zeros = pl.geometry.overlap_zero_times(*pl.phases._exact_inputs(s, sched))
+        rho, bounds = pl.core._exact_inputs(s, sched)
+        zeros = pl.core.ZeroTimes(bounds[0], pl.core._zero_runs(rho, bounds))
         assert len(zeros) == zeros.size == turns
         assert abs(zeros[0] - math.pi) < 1e-9
         assert abs(zeros[5] - 11 * math.pi) < 1e-9
@@ -411,6 +419,12 @@ class TestPhaseBreakdown:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(np.array([1.0, 0.0, 0.0]), 1.0),), 1, s)
         with pytest.raises(pl.NotCyclic):
+            pl.phase_breakdown(s, sched)
+
+    def test_evolved_qubit_outside_one_and_two_raises(self):
+        s = pl.schmidt_state(0.3, 0.0)
+        sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 3, s)
+        with pytest.raises(pl.DomainError, match=r"^qubit must be 1 or 2$"):
             pl.phase_breakdown(s, sched)
 
     def test_closure_on_random_cyclic_runs(self):

@@ -115,6 +115,10 @@ class TestEvolutionOperator:
         with pytest.raises(pl.DomainError):
             pl.evolution_operator([1.0, 1.0, 0.0], 1.0)
 
+    def test_non_numeric_axis_rejected(self):
+        with pytest.raises(pl.DomainError, match="axis must be a unit 3-vector"):
+            pl.evolution_operator("abc", 1.0)
+
 
 class TestApplyLocal:
     def test_identity(self):
