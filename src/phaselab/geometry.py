@@ -147,16 +147,11 @@ class SO3Point:
         return self.axis * self.angle
 
     def same_rotation(self, other: "SO3Point", atol: float = 1e-9) -> bool:
-        """Angles within ``atol`` and axes or ball coordinates within
-        ``atol``; near the identity the axis is ill-conditioned, so there
-        the ball coordinates decide."""
         if abs(self.angle - other.angle) > atol:
             return False
         if self.angle <= atol and other.angle <= atol:
             return True
         if float(np.linalg.norm(self.axis - other.axis)) <= atol:
-            return True
-        if float(np.linalg.norm(self.displacement() - other.displacement())) <= atol:
             return True
         near_pi = abs(self.angle - math.pi) <= atol
         return near_pi and float(np.linalg.norm(self.axis + other.axis)) <= atol
