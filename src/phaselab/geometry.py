@@ -1,6 +1,6 @@
 """Geometric maps for qubit states.
 
-Bloch vectors of pure and mixed single-qubit states, the five base
+The Bloch vector of a pure single-qubit state, the five base
 coordinates of a pure two-qubit state (a point on the unit 4-sphere),
 concurrence and the derived Bloch-ball radius, purification of a qubit
 density matrix into two antipodal weighted pure states, and the
@@ -24,11 +24,9 @@ from .schedule import RotationSchedule, _unitary_samples
 
 __all__ = [
     "bloch_of_pure",
-    "bloch_of_density",
     "hopf_coords",
     "concurrence",
     "ball_radius",
-    "purity_radius",
     "Purification",
     "purify",
     "SO3Point",
@@ -43,19 +41,6 @@ def bloch_of_pure(q) -> np.ndarray:
     a0, a1 = np.asarray(q, dtype=complex)
     cross = np.conj(a0) * a1
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2])
-
-
-def bloch_of_density(rho) -> np.ndarray:
-    """Expectation values (<sx>, <sy>, <sz>) of a qubit density matrix.
-
-    The y component is written with the lower off-diagonal entry,
-    ``2 Im rho[1,0]``, so that ``bloch_of_density(|q><q|)`` agrees with
-    ``bloch_of_pure(q)`` for every state.
-    """
-    r = np.asarray(rho, dtype=complex)
-    return np.array(
-        [2.0 * r[0, 1].real, 2.0 * r[1, 0].imag, (r[0, 0] - r[1, 1]).real]
-    )
 
 
 def hopf_coords(state) -> np.ndarray:
@@ -83,14 +68,6 @@ def ball_radius(state) -> float:
     """Radius ``sqrt(1 - C^2)`` of the reduced-state Bloch ball."""
     c = concurrence(state)
     return math.sqrt(max(0.0, 1.0 - c * c))
-
-
-def purity_radius(rho) -> float:
-    """Bloch-vector length ``sqrt(2 Tr rho^2 - 1)`` of a density matrix,
-    clamped to [0, 1]."""
-    r = np.asarray(rho, dtype=complex)
-    p2 = float(np.trace(r @ r).real)
-    return math.sqrt(min(1.0, max(0.0, 2.0 * p2 - 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +167,14 @@ def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
 
 def su2_to_so3(u) -> SO3Point:
     """Axis-angle image of an SU(2) element ``w I - i v . sigma`` in the
-    radius-pi ball (see :func:`_ball`). Raises NotSpecialUnitary when
-    det(u) != 1 within 1e-9."""
+    radius-pi ball (see :func:`_ball`). Raises NotSpecialUnitary unless
+    ``u`` is a 2x2 matrix ``[[a, b], [-conj b, conj a]]`` with det 1, each
+    within 1e-9."""
     m = np.asarray(u, dtype=complex)
+    if m.shape != (2, 2):
+        raise NotSpecialUnitary(f"expected a 2x2 matrix, got shape {m.shape}")
+    if max(abs(m[1, 1] - m[0, 0].conjugate()), abs(m[1, 0] + m[0, 1].conjugate())) > 1e-9:
+        raise NotSpecialUnitary("matrix is not [[a, b], [-conj b, conj a]] within 1e-9")
     if abs(np.linalg.det(m) - 1.0) > 1e-9:
         raise NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
     w = (m[0, 0] + m[1, 1]).real / 2.0

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _dynamical_fold, _exact_inputs,
-                   _overlap, _overlap_phase, _rotated, _unit_axis, _zero_runs, principal)
-from .errors import DomainError, OrthogonalStep
+                   _overlap, _overlap_phase, _rotated, _zero_runs)
+from .errors import DomainError
 from .geometry import SO3Point, _ball
 from .qstate import inner_product
 from .schedule import DEFAULT_SAMPLES, RotationSchedule, _unitary_samples
@@ -31,9 +31,6 @@ from .schedule import DEFAULT_SAMPLES, RotationSchedule, _unitary_samples
 __all__ = [
     "PhaseSample",
     "total_phase",
-    "mixed_total_phase",
-    "sp_formula",
-    "geometric_phase_pure",
     "fixed_axis_closed_forms",
     "phase_samples",
 ]
@@ -61,45 +58,6 @@ def total_phase(initial, current) -> float:
     """``arg <initial|current>`` in (-pi, pi]; NaN when the overlap
     magnitude is at or below 1e-9 (orthogonal states)."""
     return _overlap_phase(inner_product(initial, current))
-
-
-def mixed_total_phase(u, rho) -> float:
-    """``arg Tr(u rho)``; NaN when ``|Tr(u rho)| <= 1e-9``."""
-    return _overlap_phase(
-        complex(np.trace(np.asarray(u, dtype=complex) @ np.asarray(rho, dtype=complex))))
-
-
-def sp_formula(t: float, axis, bloch) -> complex:
-    """Closed-form overlap ``cos(t/2) - i (axis . bloch) sin(t/2)``.
-
-    Valid for a single segment started from the reference state, with
-    ``bloch`` the evolved qubit's reduced Bloch vector at the segment
-    start; it then equals ``<psi(0)|psi(t)>`` exactly.
-    """
-    nx, ny, nz = _unit_axis(axis)
-    bx, by, bz = map(float, bloch)
-    return complex(math.cos(t / 2.0), -(nx * bx + ny * by + nz * bz) * math.sin(t / 2.0))
-
-
-def geometric_phase_pure(path, closed: bool = True) -> float:
-    """Discrete overlap-product phase of a pure-state path,
-    ``-arg[<p0|p1><p1|p2> ... ]``, with the closing leg appended when
-    ``closed``; reported in (-pi, pi].
-
-    Gauge invariant by construction (per-state phase factors cancel
-    between adjacent legs) and converges to minus half the enclosed
-    signed solid angle as the mesh refines. Raises OrthogonalStep when
-    consecutive states are orthogonal.
-    """
-    arr = np.asarray(path, dtype=complex)
-    if arr.ndim != 2 or len(arr) < 3:
-        raise DomainError("path must contain at least 3 states")
-    legs = np.einsum("kj,kj->k", arr[:-1].conj(), arr[1:])
-    if closed:
-        legs = np.append(legs, np.vdot(arr[-1], arr[0]))
-    if np.any(np.abs(legs) <= ORTHOGONALITY_EPS):
-        raise OrthogonalStep("consecutive path states are orthogonal")
-    return principal(-float(np.sum(np.angle(legs))))
 
 
 def fixed_axis_closed_forms(lambda0: float, theta: float) -> tuple[float, float, float]:

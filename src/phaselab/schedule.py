@@ -42,7 +42,6 @@ __all__ = [
     "builtin_minus",
     "parse_schedule",
     "serialize_schedule",
-    "cumulative_unitaries",
     "unitary_at",
     "total_duration",
 ]
@@ -275,17 +274,6 @@ def _unitary_samples(bounds, samples_per_segment: int):
     if np.any(np.abs((quats * quats).sum(axis=0) - 1.0) > 1e-9):
         raise NotSpecialUnitary("det U = w^2 + v . v differs from 1 by more than 1e-9")
     return times, quats
-
-
-def cumulative_unitaries(schedule: RotationSchedule, samples_per_segment: int):
-    """Non-decreasing ``(time, cumulative unitary)`` samples from 0 to the
-    total duration, with exact products at segment boundaries. A segment
-    too short for its samples to differ repeats times: ``5e-324`` at 3
-    samples gives times ``0.0, 0.0, 5e-324``."""
-    from .qstate import _su2_matrix
-
-    times, quats = _unitary_samples(_quaternions(schedule.segments), samples_per_segment)
-    return [(float(t), u) for t, u in zip(times, _su2_matrix(quats))]
 
 
 def unitary_at(schedule: RotationSchedule, t: float):

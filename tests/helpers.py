@@ -75,6 +75,15 @@ def evolve(schedule, state=None) -> np.ndarray:
     return pl.apply_local(u, schedule.evolved_qubit, psi)
 
 
+def sampled_unitaries(schedule, samples_per_segment) -> list:
+    """The sampler's ``(time, cumulative unitary)`` pairs, the unitaries as
+    2x2 matrices: ``schedule._unitary_samples`` on the core's boundary
+    record."""
+    bounds = pl.core._quaternions(schedule.segments)
+    times, quats = pl.schedule._unitary_samples(bounds, samples_per_segment)
+    return list(zip(times.tolist(), pl.qstate._su2_matrix(quats)))
+
+
 def kron_apply(u, qubit, state) -> np.ndarray:
     """4x4 matrix-product oracle for apply_local."""
     eye = np.eye(2, dtype=complex)
@@ -89,6 +98,34 @@ def brute_partial_trace(state, keep) -> np.ndarray:
     if keep == 1:
         return np.einsum("ijkj->ik", proj)
     return np.einsum("ijil->jl", proj)
+
+
+def explicit_bloch(rho) -> np.ndarray:
+    """Bloch vector ``Tr(sigma rho)`` of a qubit density matrix, the traces
+    written out: ``[2 Re r01, 2 Im r10, Re(r00 - r11)]``."""
+    r = np.asarray(rho, dtype=complex)
+    return np.array([2.0 * r[0, 1].real, 2.0 * r[1, 0].imag, (r[0, 0] - r[1, 1]).real])
+
+
+def geometric_phase_pure(path, closed: bool = True) -> float:
+    """Discrete overlap-product phase of a pure-state path,
+    ``-arg[<p0|p1><p1|p2> ... ]``, with the closing leg appended when
+    ``closed``; reported in (-pi, pi].
+
+    Gauge invariant by construction (per-state phase factors cancel
+    between adjacent legs) and converges to minus half the enclosed
+    signed solid angle as the mesh refines. Raises OrthogonalStep when
+    consecutive states are orthogonal.
+    """
+    arr = np.asarray(path, dtype=complex)
+    if arr.ndim != 2 or len(arr) < 3:
+        raise pl.DomainError("path must contain at least 3 states")
+    legs = np.einsum("kj,kj->k", arr[:-1].conj(), arr[1:])
+    if closed:
+        legs = np.append(legs, np.vdot(arr[-1], arr[0]))
+    if np.any(np.abs(legs) <= pl.ORTHOGONALITY_EPS):
+        raise pl.OrthogonalStep("consecutive path states are orthogonal")
+    return pl.principal(-float(np.sum(np.angle(legs))))
 
 
 def triangle_solid_angle(a, b, c) -> float:
@@ -121,7 +158,7 @@ def sampled_geometric_phase(s0, schedule, steps_per_segment=2000) -> float:
 
     Each eigenstate of the evolved qubit's reduced density matrix is
     transported sample by sample and its closed overlap-product phase
-    taken with ``geometric_phase_pure``. The weighted sum needs real
+    taken with :func:`geometric_phase_pure`. The weighted sum needs real
     numbers, not classes mod 2pi, so each phase is moved onto the branch
     where it equals the eigenstate's total phase minus its dynamical
     phase; both come from the samples alone (the total phase on the
@@ -131,9 +168,7 @@ def sampled_geometric_phase(s0, schedule, steps_per_segment=2000) -> float:
     """
     rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
     pur = pl.purify(rho)
-    pairs = pl.cumulative_unitaries(schedule, steps_per_segment)
-    times = np.array([t for t, _ in pairs])
-    units = np.array([u for _, u in pairs])
+    times, units = matrix_unitary_samples(schedule, steps_per_segment)
     # the segment axis active on each sample interval
     ends = np.cumsum([seg.duration for seg in schedule.segments])
     mids = 0.5 * (times[1:] + times[:-1])
@@ -142,7 +177,7 @@ def sampled_geometric_phase(s0, schedule, steps_per_segment=2000) -> float:
     weighted = 0.0
     for weight, vec in ((pur.weight_m, pur.state_m), (pur.weight_n, pur.state_n)):
         path = units @ vec
-        barg = pl.geometric_phase_pure(path, closed=True)
+        barg = geometric_phase_pure(path, closed=True)
         cross = path[:, 0].conj() * path[:, 1]
         b = np.stack([2 * cross.real, 2 * cross.imag,
                       np.abs(path[:, 0]) ** 2 - np.abs(path[:, 1]) ** 2], axis=1)
@@ -159,7 +194,7 @@ def dense_crossing_count(s0, schedule, steps_per_segment=4000) -> int:
     than a right angle apart. A zero passes between them; a near miss
     needs a minimum below about one step to do the same."""
     rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
-    units = np.array([u for _, u in pl.cumulative_unitaries(schedule, steps_per_segment)])
+    _, units = matrix_unitary_samples(schedule, steps_per_segment)
     z = np.einsum("kij,ji->k", units, rho)
     z = z[np.abs(z) > 1e-12]
     return int(np.sum((z[:-1] * z[1:].conj()).real < 0.0))
@@ -335,10 +370,10 @@ def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
 
 
 def _matrix_dynamical(schedule, prods, rho) -> float:
-    b0 = pl.bloch_of_density(rho)
+    b0 = explicit_bloch(rho)
     return sum(
         pl.DYNAMICAL_SIGN * 0.25 * seg.duration
-        * float(np.dot(b0, pl.bloch_of_density(u.conj().T @ pl.pauli_dot(seg.axis) @ u)))
+        * float(np.dot(b0, explicit_bloch(u.conj().T @ pl.pauli_dot(seg.axis) @ u)))
         for seg, u in zip(schedule.segments, prods))
 
 

@@ -16,12 +16,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
 from helpers import (
     cyclic_completion,
+    explicit_bloch,
     matrix_boundaries,
     matrix_dynamical_phase,
     matrix_overlap_zero_times,
@@ -102,12 +103,12 @@ def schedules(draw):
     if kind == "spanning":
         segs = (segment(X_AXIS, math.pi), segment(Z_AXIS, draw(DURATIONS))) + segs
     elif kind == "eigenaxis":
-        b0 = pl.bloch_of_density(rho)
+        b0 = explicit_bloch(rho)
         segs = tuple(segment(sign * b0, d) for sign, d in draw(
             st.lists(st.tuples(st.sampled_from([1.0, -1.0]), DURATIONS), min_size=1, max_size=3)))
     elif kind == "antipode":
         u = pl.unitary_at(pl.RotationSchedule(segs, qubit, state), math.inf)
-        mid = pl.bloch_of_density(rho) + pl.bloch_of_density(u @ rho @ u.conj().T)
+        mid = explicit_bloch(rho) + explicit_bloch(u @ rho @ u.conj().T)
         axis = np.cross(mid, draw(st.tuples(unit, unit, unit)))
         if np.linalg.norm(axis) > 0.1:
             segs += (segment(axis, 2.0 * math.pi + draw(DURATIONS)),)
@@ -235,9 +236,31 @@ class TestCrossingFlagsUnchanged:
             assert outs[0].splitlines()[0] == f"final total phase: {total}", name
 
 
+# |sp| = 1e-9 at t = 2 + 2 pi up to rounding: the core's |sp| lands just
+# above ORTHOGONALITY_EPS, the oracle's 2.2e-17 below it
+THRESHOLD_TIE = pl.RotationSchedule(
+    (segment(X_AXIS, 1.0), segment((0.0, 1.0, 0.0), 0.5 * math.pi),
+     segment((0.0, -1.0, 0.0), 0.5 * math.pi), segment((-1.0, 0.0, 0.0), 1.0),
+     segment(X_AXIS, 2.0 * math.pi)),
+    1, pl.make_two_qubit(0j, -5e-10 + 0j, 0j, 1 + 0j))
+
+# three quarter turns about z nudged 1e-9 towards y after a quarter turn
+# about z: the last sample is a 1.4e-9 turn, whose axis the two roundings
+# decode 3e-8 apart
+NEAR_IDENTITY = pl.RotationSchedule(
+    (segment(Z_AXIS, 0.5 * math.pi), segment((0.0, 1e-9, 1.0), 1.5 * math.pi)),
+    1, pl.make_two_qubit(1, 0, 0, 1))
+
+# below this angle a rounding of 1e-16 in v moves the axis by more than
+# same_rotation's 1e-9
+NEAR_IDENTITY_ANGLE = 1e-6
+
+
 class TestSeriesAgainstMatrixOracle:
     @settings(max_examples=200, deadline=None)
     @given(series_schedules(), st.integers(2, 50))
+    @example(THRESHOLD_TIE, 3)
+    @example(NEAR_IDENTITY, 2)
     def test_quaternion_series_matches_the_matrix_series(self, sched, steps):
         s0 = sched.initial
         got = outcome(series_columns, s0, sched, steps)
@@ -250,13 +273,20 @@ class TestSeriesAgainstMatrixOracle:
         for i in (0, 5):  # t, phase_dyn
             assert np.array_equal(cols[i], ocols[i])
         assert np.array_equal(flags, oflags) and list(zeros) == list(ozeros)
-        for i in (3, 4):  # NaN positions of the principal and unwrapped phases
-            assert np.array_equal(np.isnan(cols[i]), np.isnan(ocols[i]))
+        # NaN positions of the principal and unwrapped phases, except where
+        # the oracle's |sp| is within 1e-12 of the threshold: there the two
+        # roundings may fall on either side of it
+        tie = np.abs(np.hypot(ocols[1], ocols[2]) - pl.ORTHOGONALITY_EPS) <= 1e-12
+        for i in (3, 4):
+            assert np.array_equal(np.isnan(cols[i])[~tie], np.isnan(ocols[i])[~tie])
         for i in (1, 2, 6, 7, 8):  # sp and Bloch
             assert np.max(np.abs(cols[i] - ocols[i])) <= 1e-12
         for row in zip(*cols[9:], *ocols[9:]):
-            assert pl.SO3Point(np.array(row[:3]), row[3]).same_rotation(
-                pl.SO3Point(np.array(row[4:7]), row[7]))
+            p, q = pl.SO3Point(np.array(row[:3]), row[3]), pl.SO3Point(np.array(row[4:7]), row[7])
+            # near the identity the axis is ill-conditioned, the ball coordinates are not
+            near = max(p.angle, q.angle) <= NEAR_IDENTITY_ANGLE
+            assert p.same_rotation(q) or (
+                near and np.linalg.norm(p.displacement() - q.displacement()) <= 1e-9)
 
 
 class TestSeriesDynamicalPhase:

@@ -9,15 +9,23 @@ from numpy.testing import assert_allclose
 import phaselab as pl
 from helpers import (
     brute_partial_trace,
+    explicit_bloch,
     per_matrix_so3,
     random_axis,
     random_qubit,
     random_schedule,
     random_state,
     random_su2,
+    sampled_unitaries,
 )
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def sampled_bloch(state, qubit=1) -> np.ndarray:
+    """The reduced state's Bloch vector as the sampled record starts it."""
+    samples, _, _ = pl.phase_samples(state, pl.RotationSchedule((), qubit, state), 2)
+    return samples[0].bloch
 
 
 class TestBlochOfPure:
@@ -42,32 +50,36 @@ class TestBlochOfPure:
         for _ in range(200):
             q = random_qubit(rng)
             rho = np.outer(q, q.conj())
-            assert_allclose(pl.bloch_of_pure(q), pl.bloch_of_density(rho), atol=1e-14)
+            assert_allclose(pl.bloch_of_pure(q), explicit_bloch(rho), atol=1e-14)
 
 
 class TestBlochOfDensity:
+    """The reduced state's Bloch vector in the sampled record (the Bloch
+    track of ``phase_samples``), against the explicit traces."""
+
     def test_maximally_mixed(self):
-        assert_allclose(pl.bloch_of_density(np.eye(2) / 2), [0, 0, 0], atol=0)
+        assert_allclose(sampled_bloch(pl.schmidt_state(0.5, 0.0)), [0, 0, 0], atol=0)
 
     def test_diagonal(self):
         lam = 0.3
-        assert_allclose(pl.bloch_of_density(np.diag([lam, 1 - lam])), [0, 0, 2 * lam - 1], atol=1e-15)
+        assert_allclose(sampled_bloch(pl.schmidt_state(lam, 0.0)), [0, 0, 2 * lam - 1], atol=1e-15)
 
     def test_schmidt_equator_sign_fixed_by_partial_trace(self):
         # the partial-trace oracle fixes x = (2 lambda0 - 1) sin(theta)
         s = pl.schmidt_state(0.3, math.pi / 2)
-        b = pl.bloch_of_density(pl.reduced_density(s, 1))
+        b = sampled_bloch(s)
         assert_allclose(b, [-0.4, 0.0, 0.0], atol=1e-14)
         assert abs(np.linalg.norm(b) - 0.4) < 1e-14
-        assert_allclose(b, pl.bloch_of_density(brute_partial_trace(s, 1)), atol=1e-15)
+        assert_allclose(b, explicit_bloch(brute_partial_trace(s, 1)), atol=1e-15)
 
     def test_length_from_purity(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
-            rho = pl.reduced_density(random_state(rng), 1)
-            b = pl.bloch_of_density(rho)
+            s = random_state(rng)
+            q = int(rng.integers(1, 3))
+            rho = brute_partial_trace(s, q)
             want = math.sqrt(max(0.0, 2 * float(np.trace(rho @ rho).real) - 1))
-            assert abs(np.linalg.norm(b) - want) < 1e-9
+            assert abs(np.linalg.norm(sampled_bloch(s, q)) - want) < 1e-9
 
 
 class TestHopfCoords:
@@ -95,7 +107,7 @@ class TestHopfCoords:
         rng = np.random.default_rng(24)
         for _ in range(200):
             s = random_state(rng)
-            want = pl.bloch_of_density(pl.reduced_density(s, 1))
+            want = explicit_bloch(brute_partial_trace(s, 1))
             assert_allclose(pl.hopf_coords(s)[:3], want, atol=1e-13)
 
 
@@ -133,13 +145,14 @@ class TestConcurrenceAndRadii:
         rng = np.random.default_rng(27)
         for _ in range(1000):
             s = random_state(rng)
-            b = pl.bloch_of_density(pl.reduced_density(s, 1))
+            b = explicit_bloch(brute_partial_trace(s, 1))
             assert abs(pl.ball_radius(s) - np.linalg.norm(b)) < 1e-9
 
     def test_purity_radius(self):
-        assert pl.purity_radius(np.eye(2) / 2) == 0.0
-        assert abs(pl.purity_radius(np.diag([1.0, 0.0])) - 1.0) < 1e-15
-        assert abs(pl.purity_radius(np.diag([0.3, 0.7])) - 0.4) < 1e-15
+        # the Bloch-vector length sqrt(2 Tr rho^2 - 1) of the sampled record
+        assert np.linalg.norm(sampled_bloch(pl.schmidt_state(0.5, 0.0))) == 0.0
+        assert abs(np.linalg.norm(sampled_bloch(pl.schmidt_state(1.0, 0.0))) - 1.0) < 1e-15
+        assert abs(np.linalg.norm(sampled_bloch(pl.schmidt_state(0.3, 0.0))) - 0.4) < 1e-15
 
 
 class TestPurify:
@@ -239,6 +252,12 @@ class TestSU2ToSO3:
         with pytest.raises(pl.NotSpecialUnitary):
             pl.su2_to_so3(np.diag([1.0, 2.0]).astype(complex))
 
+    @pytest.mark.parametrize("m", [np.eye(3), [[2.0, 0.0], [0.0, 0.5]], [[1.0, 1.0], [0.0, 1.0]]],
+                             ids=["3x3", "non-unitary-diagonal", "shear"])
+    def test_determinant_one_outside_su2_rejected(self, m):
+        with pytest.raises(pl.NotSpecialUnitary):
+            pl.su2_to_so3(m)
+
 
 def quaternion_su2(w, v) -> np.ndarray:
     """``w I - i v . sigma`` for a unit quaternion ``(w, v)``."""
@@ -301,7 +320,7 @@ class TestSO3Kernel:
         for _ in range(5):
             sched = random_schedule(rng, max_segments=4)
             path = pl.so3_path(sched, 60)
-            pairs = pl.cumulative_unitaries(sched, 60)
+            pairs = sampled_unitaries(sched, 60)
             assert len(path.samples) == len(pairs)
             for (t, point, half), (t0, u) in zip(path.samples, pairs):
                 axis, angle = per_matrix_so3(u)

@@ -11,10 +11,14 @@ from numpy.testing import assert_allclose
 
 import phaselab as pl
 from helpers import (
+    brute_partial_trace,
     dense_crossing_count,
     dynamical_quadrature,
     evolve,
+    explicit_bloch,
+    geometric_phase_pure,
     loop_unwrap_skipnan,
+    matrix_unitary_samples,
     random_axis,
     random_cyclic_schedule,
     random_mes,
@@ -62,14 +66,18 @@ class TestTotalPhase:
 
 
 class TestMixedTotalPhase:
+    """The sampled total phase ``arg Tr(U rho)``: ``total_principal`` of
+    ``phase_samples``."""
+
     def test_identity(self):
-        rho = pl.reduced_density(random_state(np.random.default_rng(53)), 1)
-        assert abs(pl.mixed_total_phase(np.eye(2, dtype=complex), rho)) < 1e-15
+        s = random_state(np.random.default_rng(53))
+        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        assert abs(samples[0].total_principal) < 1e-15
 
     def test_minus_identity(self):
-        rho = pl.reduced_density(random_state(np.random.default_rng(54)), 1)
-        got = pl.mixed_total_phase(-np.eye(2, dtype=complex), rho)
-        assert abs(pl.principal(got - math.pi)) < 1e-15
+        s = random_state(np.random.default_rng(54))
+        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)  # ends on U = -I
+        assert abs(pl.principal(samples[-1].total_principal - math.pi)) < 1e-15
 
     def test_trace_identity_with_pure_overlap(self):
         # arg<psi0|U x I|psi0> equals arg Tr[U rho_evolved] identically
@@ -77,33 +85,45 @@ class TestMixedTotalPhase:
         for _ in range(50):
             sched = random_schedule(rng)
             s, q = sched.initial, sched.evolved_qubit
-            rho = pl.reduced_density(s, q)
-            for t, u in pl.cumulative_unitaries(sched, 25):
+            samples, _, _ = pl.phase_samples(s, sched, 25)
+            _, units = matrix_unitary_samples(sched, 25)
+            for x, u in zip(samples, units, strict=True):
                 a = pl.total_phase(s, pl.apply_local(u, q, s))
-                b = pl.mixed_total_phase(u, rho)
+                b = x.total_principal
                 if math.isnan(a) or math.isnan(b):
                     assert math.isnan(a) == math.isnan(b)
                     continue
                 assert abs(pl.principal(a - b)) < 1e-10
 
     def test_maximally_mixed_orthogonality(self):
-        u = pl.evolution_operator(Z_AXIS, math.pi)  # traceless
-        assert math.isnan(pl.mixed_total_phase(u, np.eye(2) / 2))
+        s = pl.schmidt_state(0.5, 0.0)  # rho = I/2, and a half turn is traceless
+        sched = pl.RotationSchedule((pl.RotationSegment(Z_AXIS.copy(), math.pi),), 1, s)
+        samples, _, _ = pl.phase_samples(s, sched, 2)
+        assert math.isnan(samples[-1].total_principal)
 
 
 class TestSpFormula:
+    """The sampled overlap ``sp`` on one segment from the reference state,
+    against the pure overlap and its closed form
+    ``cos(t/2) - i (axis . b) sin(t/2)``, ``b`` the reduced Bloch vector."""
+
     def test_zero_time(self):
-        assert pl.sp_formula(0.0, Z_AXIS, [0.3, 0.0, 0.1]) == 1.0 + 0.0j
+        s = pl.make_two_qubit(1, 0, 0, 0)  # Tr rho is exactly 1
+        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        assert samples[0].sp == 1.0 + 0.0j
 
     def test_full_turn(self):
-        v = pl.sp_formula(2 * math.pi, Z_AXIS, [0.0, 0.0, 0.7])
-        assert abs(v + 1.0) < 1e-12
+        s = pl.schmidt_state(0.85, 0.0)  # b = (0, 0, 0.7)
+        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        assert abs(samples[-1].sp + 1.0) < 1e-12
 
     def test_half_turn_magnitude(self):
         theta = 0.8
         s = pl.schmidt_state(0.3, theta)
-        b = pl.bloch_of_density(pl.reduced_density(s, 1))
-        v = pl.sp_formula(math.pi, Z_AXIS, b)
+        b = explicit_bloch(pl.reduced_density(s, 1))
+        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        assert samples[1].time == math.pi
+        v = samples[1].sp
         assert abs(v.real) < 1e-15
         assert abs(abs(v) - abs(b[2])) < 1e-14
         # oracle: the actual inner product along a z rotation
@@ -118,14 +138,18 @@ class TestSpFormula:
             q = int(rng.integers(1, 3))
             axis = random_axis(rng)
             t = float(rng.uniform(0, 8))
-            b = pl.bloch_of_density(pl.reduced_density(s, q))
-            got = pl.sp_formula(t, axis, b)
+            b = explicit_bloch(pl.reduced_density(s, q))
+            sched = pl.RotationSchedule((pl.RotationSegment(axis, t),), q, s)
+            got = pl.phase_samples(s, sched, 2)[0][-1].sp
+            closed = complex(math.cos(t / 2), -float(np.dot(axis, b)) * math.sin(t / 2))
             want = pl.inner_product(s, pl.apply_local(pl.evolution_operator(axis, t), q, s))
-            assert abs(got - want) < 1e-10
+            assert abs(got - want) < 1e-10 and abs(got - closed) < 1e-10
 
     def test_bad_axis(self):
+        s = pl.schmidt_state(0.3, 0.0)
+        sched = pl.RotationSchedule((pl.RotationSegment([1.0, 1.0, 0.0], 1.0),), 1, s)
         with pytest.raises(pl.DomainError):
-            pl.sp_formula(1.0, [1.0, 1.0, 0.0], [0, 0, 1])
+            pl.phase_samples(s, sched, 2)
 
 
 class TestDynamicalPhase:
@@ -171,26 +195,29 @@ class TestDynamicalPhase:
 
 
 class TestGeometricPhasePure:
+    """The overlap-product oracle ``helpers.geometric_phase_pure``, which
+    ``sampled_geometric_phase`` builds on."""
+
     def test_constant_path(self):
         q = random_qubit(np.random.default_rng(58))
-        assert abs(pl.geometric_phase_pure([q, q, q, q])) < 1e-15
+        assert abs(geometric_phase_pure([q, q, q, q])) < 1e-15
 
     @pytest.mark.parametrize("theta", [0.4, 1.0, 2.0, 2.8])
     def test_latitude_loop(self, theta):
-        got = pl.geometric_phase_pure(latitude_path(theta, 100_000))
+        got = geometric_phase_pure(latitude_path(theta, 100_000))
         want = -math.pi * (1 - math.cos(theta))
         assert abs(pl.principal(got - want)) < 1e-4
 
     def test_equator_loop(self):
-        got = pl.geometric_phase_pure(latitude_path(math.pi / 2, 100_000))
+        got = geometric_phase_pure(latitude_path(math.pi / 2, 100_000))
         assert abs(pl.principal(got - math.pi)) < 1e-4
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(59)
         path = latitude_path(1.1, 300)
-        before = pl.geometric_phase_pure(path)
+        before = geometric_phase_pure(path)
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=len(path)))
-        after = pl.geometric_phase_pure(path * phases[:, None])
+        after = geometric_phase_pure(path * phases[:, None])
         assert abs(pl.principal(after - before)) < 1e-12
 
     def test_mesh_convergence_monotone(self):
@@ -198,11 +225,11 @@ class TestGeometricPhasePure:
         want = -math.pi * (1 - math.cos(theta))
         diffs = []
         for n in (100, 200, 400, 800):
-            a = pl.geometric_phase_pure(latitude_path(theta, n))
-            b = pl.geometric_phase_pure(latitude_path(theta, 2 * n))
+            a = geometric_phase_pure(latitude_path(theta, n))
+            b = geometric_phase_pure(latitude_path(theta, 2 * n))
             diffs.append(abs(a - b))
         assert all(x > y for x, y in zip(diffs, diffs[1:]))
-        assert abs(pl.geometric_phase_pure(latitude_path(theta, 100_000)) - want) < 1e-4
+        assert abs(geometric_phase_pure(latitude_path(theta, 100_000)) - want) < 1e-4
 
     def test_three_point_solid_angle_identity(self):
         # the three-state overlap product equals minus half the signed
@@ -214,18 +241,18 @@ class TestGeometricPhasePure:
             if min(abs(np.vdot(a, b)), abs(np.vdot(b, c)), abs(np.vdot(c, a))) < 0.1:
                 continue
             checked += 1
-            got = pl.geometric_phase_pure([a, b, c], closed=True)
+            got = geometric_phase_pure([a, b, c], closed=True)
             omega = triangle_solid_angle(
                 pl.bloch_of_pure(a), pl.bloch_of_pure(b), pl.bloch_of_pure(c))
             assert abs(pl.principal(got + omega / 2)) < 1e-10
 
     def test_orthogonal_step_raises(self):
         with pytest.raises(pl.OrthogonalStep):
-            pl.geometric_phase_pure([[1, 0], [0, 1], [1, 0]])
+            geometric_phase_pure([[1, 0], [0, 1], [1, 0]])
 
     def test_short_path_rejected(self):
         with pytest.raises(pl.DomainError):
-            pl.geometric_phase_pure([[1, 0], [0, 1]])
+            geometric_phase_pure([[1, 0], [0, 1]])
 
 
 class TestGeometricPhaseMixed:
@@ -566,10 +593,10 @@ class TestPhaseSamples:
         sched = random_schedule(rng, max_segments=3)
         s, q = sched.initial, sched.evolved_qubit
         samples, _, _ = pl.phase_samples(s, sched, 9)
-        for t, u in pl.cumulative_unitaries(sched, 9):
+        for t, u in zip(*matrix_unitary_samples(sched, 9)):
             here = [x for x in samples if x.time == t]
             assert here
-            want = pl.bloch_of_density(pl.reduced_density(pl.apply_local(u, q, s), q))
+            want = explicit_bloch(brute_partial_trace(pl.apply_local(u, q, s), q))
             assert_allclose(here[0].bloch, want, atol=1e-12)
 
     def test_unwrapped_continuity(self):

@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from helpers import reference_sweep_rows, reference_table_bytes
+from helpers import geometric_phase_pure, reference_sweep_rows, reference_table_bytes
 from phaselab.cli import SWEEP_FIELDS, main
 from phaselab.core import _quaternions
 
@@ -247,9 +247,9 @@ class TestPaperIdentities:
         if closed:
             legs = np.append(legs, np.vdot(path[-1], path[0]))
         assume(np.all(np.abs(legs) > 1e-2))  # far from orthogonal, so args are well conditioned
-        before = pl.geometric_phase_pure(path, closed)
-        after = pl.geometric_phase_pure(path * np.exp(1j * np.array(phases[:len(path)]))[:, None],
-                                        closed)
+        before = geometric_phase_pure(path, closed)
+        after = geometric_phase_pure(path * np.exp(1j * np.array(phases[:len(path)]))[:, None],
+                                     closed)
         if closed:
             assert abs(pl.principal(after - before)) <= 1e-12
         else:  # an open path picks up the end points' phase difference

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import phaselab as pl
-from helpers import evolve, random_schedule, random_state
+from helpers import evolve, random_schedule, random_state, sampled_unitaries
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 STEP = 2 * math.pi / 3
@@ -250,7 +250,7 @@ class TestParser:
 class TestSampling:
     def test_empty_schedule(self):
         sched = pl.RotationSchedule((), 1, pl.schmidt_state(0.5, 0.0))
-        pairs = pl.cumulative_unitaries(sched, 5)
+        pairs = sampled_unitaries(sched, 5)
         assert len(pairs) == 1
         assert pairs[0][0] == 0.0
         assert_allclose(pairs[0][1], np.eye(2), atol=0)
@@ -258,7 +258,7 @@ class TestSampling:
     def test_single_turn_three_samples(self):
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS, 2 * math.pi),), 1, pl.schmidt_state(0.5, 0.0))
-        pairs = pl.cumulative_unitaries(sched, 3)
+        pairs = sampled_unitaries(sched, 3)
         assert [t for t, _ in pairs] == [0.0, math.pi, 2 * math.pi]
         assert_allclose(pairs[0][1], np.eye(2), atol=0)
         assert_allclose(pairs[1][1], pl.evolution_operator(Z_AXIS, math.pi), atol=1e-15)
@@ -268,7 +268,7 @@ class TestSampling:
         rng = np.random.default_rng(42)
         for _ in range(20):
             sched = random_schedule(rng)
-            times = [t for t, _ in pl.cumulative_unitaries(sched, 7)]
+            times = [t for t, _ in sampled_unitaries(sched, 7)]
             assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_boundary_exactness_independent_of_sampling(self):
@@ -280,7 +280,7 @@ class TestSampling:
                 prods.append(pl.evolution_operator(seg.axis, seg.duration) @ prods[-1])
             boundaries = np.cumsum([0.0] + [s.duration for s in sched.segments])
             for spp in (2, 3, 17):
-                pairs = pl.cumulative_unitaries(sched, spp)
+                pairs = sampled_unitaries(sched, spp)
                 for tb, want in zip(boundaries, prods):
                     got = min(pairs, key=lambda p: abs(p[0] - tb))[1]
                     assert np.max(np.abs(got - want)) < 1e-12
@@ -298,7 +298,7 @@ class TestSampling:
 
     def test_builtin_plus_boundary_products(self):
         sched = pl.RotationSchedule(tuple(pl.builtin_plus()), 1, pl.schmidt_state(0.5, 0.0))
-        pairs = pl.cumulative_unitaries(sched, 2)
+        pairs = sampled_unitaries(sched, 2)
         want = np.eye(2, dtype=complex)
         for k, seg in enumerate(sched.segments):
             want = pl.evolution_operator(seg.axis, seg.duration) @ want
@@ -307,12 +307,12 @@ class TestSampling:
     def test_unitary_at_matches_samples(self):
         rng = np.random.default_rng(44)
         sched = random_schedule(rng, max_segments=3)
-        for t, u in pl.cumulative_unitaries(sched, 9):
+        for t, u in sampled_unitaries(sched, 9):
             assert np.max(np.abs(pl.unitary_at(sched, t) - u)) < 1e-12
 
     def test_unitary_at_clamps_infinite_times_and_rejects_nan(self):
         sched = random_schedule(np.random.default_rng(45), max_segments=3)
-        pairs = pl.cumulative_unitaries(sched, 2)
+        pairs = sampled_unitaries(sched, 2)
         assert np.array_equal(pl.unitary_at(sched, -math.inf), pairs[0][1])
         assert np.array_equal(pl.unitary_at(sched, math.inf), pairs[-1][1])
         with pytest.raises(pl.DomainError, match="nan"):
@@ -322,7 +322,7 @@ class TestSampling:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS, 1.0),), 1, pl.schmidt_state(0.5, 0.0))
         with pytest.raises(pl.DomainError):
-            pl.cumulative_unitaries(sched, 1)
+            sampled_unitaries(sched, 1)
 
 
 class TestValueClasses:

@@ -31,15 +31,15 @@ PUBLIC_NAMES = [
     "PhaseLabError", "ZeroNorm", "DomainError", "DegenerateSpectrum", "NotSpecialUnitary",
     "OrthogonalStep", "NotCyclic", "ParseError", "ValidationError", "SIGMA_X", "SIGMA_Y",
     "SIGMA_Z", "pauli_dot", "make_two_qubit", "schmidt_state", "evolution_operator",
-    "apply_local", "reduced_density", "inner_product", "bloch_of_pure", "bloch_of_density",
-    "hopf_coords", "concurrence", "ball_radius", "purity_radius", "Purification", "purify",
-    "SO3Point", "SO3Path", "su2_to_so3", "so3_path", "HEADER", "DEFAULT_SAMPLES",
-    "RotationSegment", "RotationSchedule", "builtin_plus", "builtin_minus", "parse_schedule",
-    "serialize_schedule", "cumulative_unitaries", "unitary_at", "total_duration",
-    "ORTHOGONALITY_EPS", "CROSSING_EPS", "DYNAMICAL_SIGN", "principal", "PhaseBreakdown",
-    "dynamical_phase", "geometric_phase_mixed", "topological_crossings", "phase_breakdown",
-    "readout_probability", "PhaseSample", "total_phase", "mixed_total_phase", "sp_formula",
-    "geometric_phase_pure", "fixed_axis_closed_forms", "phase_samples", "__version__",
+    "apply_local", "reduced_density", "inner_product", "bloch_of_pure", "hopf_coords",
+    "concurrence", "ball_radius", "Purification", "purify", "SO3Point", "SO3Path",
+    "su2_to_so3", "so3_path", "HEADER", "DEFAULT_SAMPLES", "RotationSegment",
+    "RotationSchedule", "builtin_plus", "builtin_minus", "parse_schedule",
+    "serialize_schedule", "unitary_at", "total_duration", "ORTHOGONALITY_EPS",
+    "CROSSING_EPS", "DYNAMICAL_SIGN", "principal", "PhaseBreakdown", "dynamical_phase",
+    "geometric_phase_mixed", "topological_crossings", "phase_breakdown",
+    "readout_probability", "PhaseSample", "total_phase", "fixed_axis_closed_forms",
+    "phase_samples", "__version__",
 ]
 
 
