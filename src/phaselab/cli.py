@@ -91,49 +91,60 @@ def _orjson_dumps():
     return functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-@functools.cache
-def _respeller():
-    """The function that spells orjson's comma-joined number text as
-    ``repr`` spells it. Both write the shortest round-trip digits and differ
-    in notation only, so each token in exponent notation, below 1e-4 or
-    with 17 or more integer digits is respelled from its value."""
-    token = re.compile(r",(-?0\.0000[^,]*|-?\d{17,}\.[^,]*|[^,]*e[^,]*)")
-    return lambda text: token.sub(lambda m: "," + repr(float(m[1])), "," + text)[1:]
-
-
-def _has_big(block) -> bool:
-    """Whether a value of ``block`` is 1e16 or more in magnitude, which a
-    token of 17 or more integer digits needs."""
-    if hasattr(block, "dtype"):
-        return bool((abs(block) >= 1e16).any())
-    return any(abs(x) >= 1e16 for x in block)
+def _plain(x):
+    """Whether the float ``x`` (each float of an array ``x``) is 0 or of
+    magnitude in [1e-4, 1e16). orjson spells a plain float as ``repr`` does;
+    others it may spell in another notation, and nan and inf as ``null``."""
+    mag = abs(x)
+    return (mag < 1e16) & ((mag >= 1e-4) | (x == 0))
 
 
 def _column_cells(block, dumps, nonfinite: dict) -> list:
     """The cells of one column block (a numpy array or a sequence of floats
     and ints): floats as ``repr`` spells them, ints as ints, and nan, inf
     and -inf as ``nonfinite`` maps ``repr``'s spelling. The text is orjson's
-    when ``dumps`` is given, else ``repr`` of the block as a list."""
+    when ``dumps`` is given, with each float cell that is not plain (see
+    :func:`_plain`) patched by index to ``repr``'s spelling, else ``repr``
+    of the block as a list."""
     if dumps is not None:
         if hasattr(block, "flags") and not block.flags.c_contiguous:
             block = block.copy()
         try:
-            text = dumps(block)[1:-1].decode()
+            cells = dumps(block)[1:-1].decode().split(",")
         except TypeError:  # orjson's JSONEncodeError: an int past 64 bits
             pass
         else:
-            if "e" in text or "0.0000" in text or _has_big(block):
-                text = _respeller()(text)
-            cells = text.split(",")
-            if "null" in text:  # orjson writes nan and both infinities so
-                cells = [nonfinite[repr(float(x))] if c == "null" else c
-                         for c, x in zip(cells, block)]
+            if not hasattr(block, "dtype"):
+                odd = [i for i, x in enumerate(block) if isinstance(x, float) and not _plain(x)]
+            else:
+                odd = (~_plain(block)).nonzero()[0].tolist() if block.dtype.kind == "f" else ()
+            for i in odd:
+                text = repr(float(block[i]))
+                cells[i] = nonfinite.get(text, text)
             return cells
     text = repr(block.tolist() if hasattr(block, "tolist") else list(block))[1:-1]
     cells = text.split(", ")
     if "n" in text:  # no finite float or int has an n
         cells = [nonfinite.get(c, c) for c in cells]
     return cells
+
+
+def _write_rows(fh, cols, start, stop, dumps) -> None:
+    """Write rows ``start:stop`` of float64 columns and a last int64 column
+    within 2**53 as CSV to the binary ``fh``: each run of plain rows (see
+    :func:`_plain`) in one orjson dump of the rows as floats, where a row's
+    last cell reads ``n.0``, and the other rows by ``repr``."""
+    import numpy as np
+
+    block = np.stack([c[start:stop] for c in cols], axis=1)
+    done = 0
+    for i in [*(~_plain(block).all(axis=1)).nonzero()[0].tolist(), len(block)]:
+        if i > done:  # "[[r00,...,f0.0],[r10,...,f1.0]]" -> "r00,...,f0\nr10,...,f1\n"
+            fh.write(dumps(block[done:i]).replace(b".0],[", b"\n")[2:-4] + b"\n")
+        if i < len(block):
+            row = [*block[i, :-1].tolist(), int(cols[-1][start + i])]
+            fh.write((",".join(_column_cells(row, None, _NONFINITE["csv"])) + "\n").encode())
+        done = i + 1
 
 
 def _write_table(path, fields, cols, fmt="csv"):
@@ -143,12 +154,14 @@ def _write_table(path, fields, cols, fmt="csv"):
     Floats are written with shortest round-trip ``repr`` and ints as ints.
     CSV spells non-finite floats ``nan``, ``inf`` and ``-inf``; JSON matches
     ``json.dump`` of a list of per-row objects, with NaN written as ``null``.
-    The rows go out in blocks of ``_BLOCK_ROWS``: each column block becomes
-    its cells in one call, ``repr`` of the list or, from ``_FAST_CELLS``
-    cells in the table on, orjson's text (see :func:`_column_cells`), and
-    the cells fill their slots of the block's parts list by slice, between
-    separators at fixed strides. The bytes are those of formatting each row
-    with ``repr`` whichever way the cells were made.
+    The rows go out in blocks of ``_BLOCK_ROWS``. From ``_FAST_CELLS``
+    cells in the table on, the cells are orjson's, which spells a plain
+    float (``x == 0`` or ``1e-4 <= |x| < 1e16``) as ``repr`` does, and only
+    the others are written by ``repr``: by row in CSV of ``run --out``'s
+    shape (see :func:`_write_rows`), else by index in each column block
+    (see :func:`_column_cells`), whose cells fill their slots of the
+    block's parts list by slice. The bytes are those of formatting each
+    row with ``repr`` whichever way the cells were made.
     """
     if fmt == "csv":
         head, tail = ",".join(fields) + "\n", ""
@@ -165,17 +178,24 @@ def _write_table(path, fields, cols, fmt="csv"):
     nonfinite = _NONFINITE[fmt]
     rows = len(cols[0])
     dumps = _orjson_dumps() if rows * len(cols) >= _FAST_CELLS else None
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
+    *floats, last = cols  # in run --out's shape, CSV goes by rows (see _write_rows)
+    by_rows = (dumps is not None and fmt == "csv" and getattr(last, "dtype", None) == "int64"
+               and all(getattr(c, "dtype", None) == "float64" for c in floats)
+               and -2**53 <= last.min(initial=0) and last.max(initial=0) <= 2**53)
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
         for start in range(0, rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, rows)
+            if by_rows:
+                _write_rows(fh, cols, start, stop, dumps)
+                continue
             parts = template * (stop - start)
             for c, col in enumerate(cols):
                 parts[2 * c + 1::stride] = _column_cells(col[start:stop], dumps, nonfinite)
             if start == 0:
                 parts[0] = leads[0].removeprefix(", ")
-            fh.write("".join(parts))
-        fh.write(tail)
+            fh.write("".join(parts).encode())
+        fh.write(tail.encode())
 
 
 def _warn_if_not_cyclic(magnitude: float) -> None:

@@ -233,7 +233,10 @@ class ZeroTimes(Sequence):
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        if other is self:
+            return True
+        size = other.size if isinstance(other, ZeroTimes) else len(other)
+        return self.size == size and all(a == b for a, b in zip(self, other))
 
 
 def _overlap(q, rho) -> tuple:

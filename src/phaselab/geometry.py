@@ -168,11 +168,13 @@ def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
 def su2_to_so3(u) -> SO3Point:
     """Axis-angle image of an SU(2) element ``w I - i v . sigma`` in the
     radius-pi ball (see :func:`_ball`). Raises NotSpecialUnitary unless
-    ``u`` is a 2x2 matrix ``[[a, b], [-conj b, conj a]]`` with det 1, each
-    within 1e-9."""
+    ``u`` is a finite 2x2 matrix ``[[a, b], [-conj b, conj a]]`` with det 1,
+    each within 1e-9."""
     m = np.asarray(u, dtype=complex)
     if m.shape != (2, 2):
         raise NotSpecialUnitary(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():  # nan fails every tolerance check below unseen
+        raise NotSpecialUnitary("matrix has a non-finite entry")
     if max(abs(m[1, 1] - m[0, 0].conjugate()), abs(m[1, 0] + m[0, 1].conjugate())) > 1e-9:
         raise NotSpecialUnitary("matrix is not [[a, b], [-conj b, conj a]] within 1e-9")
     if abs(np.linalg.det(m) - 1.0) > 1e-9:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +255,21 @@ NEAR_IDENTITY = pl.RotationSchedule(
 # below this angle a rounding of 1e-16 in v moves the axis by more than
 # same_rotation's 1e-9
 NEAR_IDENTITY_ANGLE = 1e-6
+
+
+class TestZeroTimesEquality:
+    """``ZeroTimes`` compares its ``size``, which may pass ``sys.maxsize``
+    where ``len`` raises OverflowError."""
+
+    def test_size_past_maxsize_against_a_list(self):
+        zeros = pl.core.ZeroTimes([0.0], [(0, 1.0, 2**70)])
+        assert zeros.size > sys.maxsize
+        assert not zeros == [1.0]
+        assert zeros != pl.core.ZeroTimes([0.0], [(0, 1.0, 1)])
+
+    def test_size_past_maxsize_against_itself(self):
+        zeros = pl.core.ZeroTimes([0.0], [(0, 1.0, 2**70)])
+        assert zeros == zeros
 
 
 class TestSeriesAgainstMatrixOracle:

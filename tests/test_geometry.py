@@ -258,6 +258,13 @@ class TestSU2ToSO3:
         with pytest.raises(pl.NotSpecialUnitary):
             pl.su2_to_so3(m)
 
+    @pytest.mark.parametrize("m", [[[math.nan, 0.0], [0.0, math.nan]],
+                                   [[math.inf, 0.0], [0.0, math.inf]]], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, m):
+        # nan compares False with every tolerance, so it used to decode as the identity
+        with pytest.raises(pl.NotSpecialUnitary, match="non-finite"):
+            pl.su2_to_so3(m)
+
 
 def quaternion_su2(w, v) -> np.ndarray:
     """``w I - i v . sigma`` for a unit quaternion ``(w, v)``."""

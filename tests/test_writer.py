@@ -1,22 +1,30 @@
 """The blocked table writer of ``run --out`` and ``sweep``.
 
-Each column block becomes its cells in one call, from ``repr`` of the
-list or, in tables of ``_FAST_CELLS`` cells or more, from orjson's text
-with its notation respelled. Either way every cell must read as
-``repr`` spells it (ints as ints, non-finite floats as the format spells
-them), and the file must be byte-identical to the row-template writer the
-blocked one replaced (``helpers.template_table_bytes``).
+In tables of ``_FAST_CELLS`` cells or more the cells come from orjson.
+A float is plain when it is 0 or ``1e-4 <= |x| < 1e16``; orjson spells a
+plain float as ``repr`` does, and every other float (nan and the
+infinities too) is written from its value by ``repr``. Column blocks
+patch their non-plain cells by index; CSV tables of the ``run --out``
+shape write each run of plain rows with one orjson dump and the other
+rows by ``repr``. Either way every cell must read as ``repr`` spells it
+(ints as ints, non-finite floats as the format spells them), and the file
+must be byte-identical to the row-template writer the blocked one
+replaced (``helpers.template_table_bytes``).
 """
 
 import json
 import math
+import os
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phaselab as pl
 from helpers import template_table_bytes
 from phaselab import cli
 
@@ -138,9 +146,35 @@ class TestCells:
         ("null", "null"),
     ])
     def test_respelling_takes_any_notation(self, token, want):
-        respell = cli._respeller()
-        assert respell(token) == want
-        assert respell(f"{token},0.5,{token}") == f"{want},0.5,{want}"
+        # a formatter that spells the value as ``token``: a plain float's
+        # token is kept, any other is respelled from the value, whatever
+        # its notation (JSON, where nan is ``null``)
+        value = (math.nan if token == "null" else
+                 int(token) if token.isdigit() else float(token))
+
+        def dumps(block):
+            return f"[{token},0.5,{token}]".encode()
+
+        assert cells([value, 0.5, value], "json", dumps) == [want, "0.5", want]
+        if not isinstance(value, int):
+            assert cells(np.array([value, 0.5, value]), "json", dumps) == [want, "0.5", want]
+
+    @pytest.mark.parametrize("x,plain", [
+        *[(edge * sign, True) for edge in (1e-4, math.nextafter(1e16, 0.0)) for sign in (1, -1)],
+        *[(edge * sign, False) for edge in (math.nextafter(1e-4, 0.0), 1e16) for sign in (1, -1)],
+        (math.nextafter(1e-4, 1.0), True), (-math.nextafter(1e-4, 1.0), True),
+        (math.nextafter(1e16, math.inf), False), (-math.nextafter(1e16, math.inf), False),
+        (0.0, True), (-0.0, True), (5e-324, False), (-5e-324, False),
+        (math.nan, False), (math.inf, False), (-math.inf, False),
+    ])
+    def test_plainness_at_its_edges(self, x, plain):
+        assert cli._plain(x) == plain
+        assert cli._plain(np.array([x, x])).tolist() == [plain, plain]
+        if plain:  # orjson's own spelling is kept
+            assert cli._orjson_dumps()(x).decode() == repr(x)
+        for fmt in FORMATS:  # and every other one patched
+            assert cells(np.array([0.5, x, 0.5]), fmt, cli._orjson_dumps())[1] == oracle_cell(x, fmt)
+            assert cells([0.5, x, 0.5], fmt, cli._orjson_dumps())[1] == oracle_cell(x, fmt)
 
 
 def table(rows, rng):
@@ -181,3 +215,65 @@ class TestWriter:
         finally:
             cli._orjson_dumps.cache_clear()
         assert (tmp_path / "t.csv").read_bytes() == template_table_bytes(fields, cols)
+
+
+NON_PLAIN = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e16, -1e16, 5e-324,
+                     math.nextafter(1e-4, 0.0), -1.7976931348623157e308]),
+    st.floats().filter(lambda x: not cli._plain(x)),
+)
+PLACEMENTS = {
+    "block edges": lambda rows, start: [0, B - 1, B, 2 * B - 1, rows - 1],
+    "consecutive": lambda rows, start: range(start, start + 4),
+    "every row": lambda rows, start: range(rows),
+    "only row": lambda rows, start: [0],
+}
+
+
+@st.composite
+def run_shaped_tables(draw):
+    """``run --out``-shaped columns, 13 float arrays and a 0/1 int array,
+    whose cells are plain except the drawn ones, placed on the rows of a
+    placement."""
+    placement = draw(st.sampled_from(sorted(PLACEMENTS)))
+    rows = 1 if placement == "only row" else draw(st.sampled_from([2, 5, B, B + 1, 2 * B + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floats = rng.uniform(1e-4, 1.0, (13, rows)) * 10.0 ** rng.integers(0, 16, (13, rows))
+    floats *= rng.choice([-1.0, 1.0], (13, rows))
+    floats[rng.integers(0, 13, rows), np.arange(rows)] = rng.choice([0.0, -0.0], rows)
+    values = draw(st.lists(NON_PLAIN, min_size=1, max_size=8))
+    start = draw(st.integers(0, rows - 1))
+    for n, r in enumerate(PLACEMENTS[placement](rows, start)):
+        if r < rows:
+            floats[rng.integers(0, 13), r] = values[n % len(values)]
+    return [*floats, rng.integers(0, 2, rows)]
+
+
+class TestRunShapedTables:
+    @settings(max_examples=60, deadline=None)
+    @given(run_shaped_tables())
+    def test_match_the_row_template_writer(self, cols):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_FAST_CELLS", 0), \
+                mock.patch.object(cli, "_write_rows", wraps=cli._write_rows) as by_rows:
+            for fmt in FORMATS:
+                out = os.path.join(tmp, f"t.{fmt}")
+                cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
+                with open(out, "rb") as fh:
+                    assert fh.read() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
+                assert by_rows.called == (fmt == "csv")  # JSON goes by column blocks
+                by_rows.reset_mock()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", ["mes_minus", "mes_plus", "partial_z_turn"])
+    def test_run_out_of_each_demo(self, tmp_path, capsys, name, fmt):
+        path = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules", name + ".sched")
+        with open(path, encoding="utf-8") as fh:
+            sched = pl.parse_schedule(fh.read())
+        rho, bounds = pl.core._exact_inputs(sched.initial, sched)
+        runs = pl.core._zero_runs(rho, bounds)
+        cols, flags = pl.phases._series_columns(rho, bounds, runs, pl.DEFAULT_SAMPLES)
+        out = tmp_path / f"series.{fmt}"
+        with mock.patch.object(cli, "_write_rows", wraps=cli._write_rows) as by_rows:
+            assert cli.main(["run", path, "--out", str(out), "--format", fmt]) == 0
+        assert by_rows.called == (fmt == "csv")
+        assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, (*cols, flags), fmt)
