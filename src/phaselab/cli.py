@@ -73,17 +73,16 @@ _BLOCK_ROWS = 1024
 # takes 8-11 ms (it loads datetime, uuid, zoneinfo, platform and sysconfig)
 # against ``repr``'s 0.7-1.0 us a cell (Python 3.11, 2 cores of a Xeon
 # host): it pays from about 10**4 cells on, and 2**14 leaves a margin.
-# Every ``run --out`` at the default --steps writes more, and ``sweep`` on
-# the README grid (693 cells) and the exact commands never import it.
+# Every ``run --out`` at the default --steps writes more. ``sweep`` writes by
+# ``repr`` at any size: the same process wall at 51x51, 30 ms more at 101x101.
 _FAST_CELLS = 2**14
-# each format's spelling of the non-finite floats, keyed by repr's
-_NONFINITE = {"csv": {"nan": "nan", "inf": "inf", "-inf": "-inf"},
-              "json": {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}}
+# JSON's spelling of the non-finite floats, keyed by repr's
+_NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @functools.cache
 def _orjson_dumps():
-    """orjson's ``dumps`` of numpy arrays and lists, or None without orjson."""
+    """orjson's ``dumps`` of numpy arrays, or None without orjson."""
     try:
         import orjson
     except ImportError:
@@ -99,103 +98,74 @@ def _plain(x):
     return (mag < 1e16) & ((mag >= 1e-4) | (x == 0))
 
 
-def _column_cells(block, dumps, nonfinite: dict) -> list:
-    """The cells of one column block (a numpy array or a sequence of floats
-    and ints): floats as ``repr`` spells them, ints as ints, and nan, inf
-    and -inf as ``nonfinite`` maps ``repr``'s spelling. The text is orjson's
-    when ``dumps`` is given, with each float cell that is not plain (see
-    :func:`_plain`) patched by index to ``repr``'s spelling, else ``repr``
-    of the block as a list."""
-    if dumps is not None:
-        if hasattr(block, "flags") and not block.flags.c_contiguous:
-            block = block.copy()
-        try:
-            cells = dumps(block)[1:-1].decode().split(",")
-        except TypeError:  # orjson's JSONEncodeError: an int past 64 bits
-            pass
-        else:
-            if not hasattr(block, "dtype"):
-                odd = [i for i, x in enumerate(block) if isinstance(x, float) and not _plain(x)]
-            else:
-                odd = (~_plain(block)).nonzero()[0].tolist() if block.dtype.kind == "f" else ()
-            for i in odd:
-                text = repr(float(block[i]))
-                cells[i] = nonfinite.get(text, text)
-            return cells
-    text = repr(block.tolist() if hasattr(block, "tolist") else list(block))[1:-1]
-    cells = text.split(", ")
-    if "n" in text:  # no finite float or int has an n
-        cells = [nonfinite.get(c, c) for c in cells]
+def _column_cells(block, dumps) -> list:
+    """The JSON cells of one column block, a float64 or int64 array: floats
+    as ``repr`` spells them, nan, inf and -inf as JSON does, ints as ints.
+    The text is orjson's when ``dumps`` is given, with each float cell that
+    is not plain (see :func:`_plain`) patched by index to ``repr``'s
+    spelling, else ``repr`` of the block as a list."""
+    if dumps is None:
+        text = repr(block.tolist())[1:-1]
+        cells = text.split(", ")
+        return [_NONFINITE.get(c, c) for c in cells] if "n" in text else cells
+    if not block.flags.c_contiguous:  # orjson takes only C-contiguous arrays
+        block = block.copy()
+    cells = dumps(block)[1:-1].decode().split(",")
+    if block.dtype.kind == "f":
+        for i in (~_plain(block)).nonzero()[0].tolist():
+            text = repr(float(block[i]))
+            cells[i] = _NONFINITE.get(text, text)
     return cells
 
 
-def _write_rows(fh, cols, start, stop, dumps) -> None:
-    """Write rows ``start:stop`` of float64 columns and a last int64 column
-    within 2**53 as CSV to the binary ``fh``: each run of plain rows (see
-    :func:`_plain`) in one orjson dump of the rows as floats, where a row's
-    last cell reads ``n.0``, and the other rows by ``repr``."""
-    import numpy as np
-
-    block = np.stack([c[start:stop] for c in cols], axis=1)
-    done = 0
-    for i in [*(~_plain(block).all(axis=1)).nonzero()[0].tolist(), len(block)]:
-        if i > done:  # "[[r00,...,f0.0],[r10,...,f1.0]]" -> "r00,...,f0\nr10,...,f1\n"
-            fh.write(dumps(block[done:i]).replace(b".0],[", b"\n")[2:-4] + b"\n")
-        if i < len(block):
-            row = [*block[i, :-1].tolist(), int(cols[-1][start + i])]
-            fh.write((",".join(_column_cells(row, None, _NONFINITE["csv"])) + "\n").encode())
-        done = i + 1
+def _csv_rows(block, dumps) -> bytes:
+    """The CSV lines of a ``(rows, 14)`` float block of ``run --out``'s
+    columns, the last the 0/1 crossing flags: each run of plain rows (see
+    :func:`_plain`) from one orjson dump, every other run, and every row
+    without ``dumps``, from ``repr`` of its rows as lists."""
+    plain = _plain(block).all(axis=1) & (dumps is not None)
+    cuts = [0, *((plain[1:] != plain[:-1]).nonzero()[0] + 1).tolist(), len(block)]
+    texts = (dumps(block[a:b]) if plain[a] else
+             repr(block[a:b].tolist()).replace(", ", ",").encode() for a, b in zip(cuts, cuts[1:]))
+    # "[[r00,...,f0.0],[r10,...,f1.0]]" -> "r00,...,f0\nr10,...,f1\n"
+    return b"".join(t.replace(b".0],[", b"\n")[2:-4] + b"\n" for t in texts)
 
 
 def _write_table(path, fields, cols, fmt="csv"):
-    """Write equal-length columns (numpy arrays, or sequences of floats and
-    ints) as CSV or JSON rows.
+    """Write ``run --out``'s columns, 13 float64 arrays and the int64 0/1
+    crossing flags, as CSV or JSON rows, in blocks of ``_BLOCK_ROWS``.
 
-    Floats are written with shortest round-trip ``repr`` and ints as ints.
-    CSV spells non-finite floats ``nan``, ``inf`` and ``-inf``; JSON matches
-    ``json.dump`` of a list of per-row objects, with NaN written as ``null``.
-    The rows go out in blocks of ``_BLOCK_ROWS``. From ``_FAST_CELLS``
-    cells in the table on, the cells are orjson's, which spells a plain
-    float (``x == 0`` or ``1e-4 <= |x| < 1e16``) as ``repr`` does, and only
-    the others are written by ``repr``: by row in CSV of ``run --out``'s
-    shape (see :func:`_write_rows`), else by index in each column block
-    (see :func:`_column_cells`), whose cells fill their slots of the
-    block's parts list by slice. The bytes are those of formatting each
-    row with ``repr`` whichever way the cells were made.
+    Floats read as shortest round-trip ``repr`` and ints as ints. CSV spells
+    non-finite floats ``nan``, ``inf`` and ``-inf``; JSON matches ``json.dump``
+    of a list of per-row objects, with NaN as ``null``. From ``_FAST_CELLS``
+    cells on, the plain cells are orjson's (see :func:`_plain`). CSV goes by
+    rows (:func:`_csv_rows`), JSON by column blocks (:func:`_column_cells`).
     """
-    if fmt == "csv":
-        head, tail = ",".join(fields) + "\n", ""
-        leads = ["", *[","] * (len(fields) - 1)]
-        end = "\n"
-    else:
-        head, tail = "[", "]\n"
-        leads = [", {" + json.dumps(fields[0]) + ": ",
-                 *(f", {json.dumps(f)}: " for f in fields[1:])]
-        end = "}"
-    # one row is lead, cell, lead, cell, ..., end; the first row has no ", "
-    template = [part for lead in leads for part in (lead, None)] + [end]
-    stride = len(template)
-    nonfinite = _NONFINITE[fmt]
     rows = len(cols[0])
     dumps = _orjson_dumps() if rows * len(cols) >= _FAST_CELLS else None
-    *floats, last = cols  # in run --out's shape, CSV goes by rows (see _write_rows)
-    by_rows = (dumps is not None and fmt == "csv" and getattr(last, "dtype", None) == "int64"
-               and all(getattr(c, "dtype", None) == "float64" for c in floats)
-               and -2**53 <= last.min(initial=0) and last.max(initial=0) <= 2**53)
+    blocks = range(0, rows, _BLOCK_ROWS)
     with open(path, "wb") as fh:
-        fh.write(head.encode())
-        for start in range(0, rows, _BLOCK_ROWS):
+        if fmt == "csv":
+            import numpy as np
+
+            fh.write((",".join(fields) + "\n").encode())
+            for start in blocks:
+                block = np.stack([c[start:start + _BLOCK_ROWS] for c in cols], axis=1)
+                fh.write(_csv_rows(block, dumps))
+            return
+        # a row is ", {key: ", cell, ", key: ", cell, ..., "}"; the first has no ", "
+        template = [part for f in fields for part in (f", {json.dumps(f)}: ", None)] + ["}"]
+        template[0] = ", {" + template[0][2:]
+        fh.write(b"[")
+        for start in blocks:
             stop = min(start + _BLOCK_ROWS, rows)
-            if by_rows:
-                _write_rows(fh, cols, start, stop, dumps)
-                continue
             parts = template * (stop - start)
             for c, col in enumerate(cols):
-                parts[2 * c + 1::stride] = _column_cells(col[start:stop], dumps, nonfinite)
+                parts[2 * c + 1::len(template)] = _column_cells(col[start:stop], dumps)
             if start == 0:
-                parts[0] = leads[0].removeprefix(", ")
+                parts[0] = parts[0].removeprefix(", ")
             fh.write("".join(parts).encode())
-        fh.write(tail.encode())
+        fh.write(b"]\n")
 
 
 def _warn_if_not_cyclic(magnitude: float) -> None:
@@ -291,7 +261,11 @@ def _cmd_sweep(args) -> int:
             b = _breakdown(_reduced(_schmidt(lam, th), 1), bounds)
             rows.append((lam, th, b.total, b.dynamical, b.geometric, b.crossings,
                          b.closure_residual))
-    _write_table(args.out, SWEEP_FIELDS, list(zip(*rows)))
+    with open(args.out, "wb") as fh:
+        fh.write((",".join(SWEEP_FIELDS) + "\n").encode())
+        for start in range(0, len(rows), _BLOCK_ROWS):  # repr spells nan and inf as CSV does
+            text = repr(rows[start:start + _BLOCK_ROWS])[2:-2]  # "a, b), (c, d"
+            fh.write((text.replace("), (", "\n").replace(", ", ",") + "\n").encode())
     print(f"wrote {len(rows)} grid points to {args.out}")
     return 0
 

@@ -101,15 +101,16 @@ def _divided(parts: tuple, norm: float) -> tuple:
 
 
 def _unit_axis(axis) -> tuple:
-    """``axis`` as three floats; DomainError unless it is a unit 3-vector
-    (``|axis| = 1`` within 1e-9)."""
+    """``axis`` as three floats scaled to unit length (see :func:`_divided`);
+    DomainError unless it is a unit 3-vector (``|axis| = 1`` within 1e-9)."""
     try:
         n = _floats(axis)
     except (TypeError, ValueError):
         n = ()
-    if len(n) != 3 or abs(math.hypot(*n) - 1.0) > _AXIS_TOL:
+    norm = math.hypot(*n)
+    if len(n) != 3 or abs(norm - 1.0) > _AXIS_TOL:
         raise DomainError("axis must be a unit 3-vector (|axis| = 1 within 1e-9)")
-    return n
+    return _divided(n, norm)
 
 
 def _two_qubit(amps) -> tuple:
@@ -233,7 +234,8 @@ class ZeroTimes(Sequence):
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
-        if other is self:
+        if other is self or (isinstance(other, ZeroTimes) and other.starts == self.starts
+                             and other.runs == self.runs):
             return True
         size = other.size if isinstance(other, ZeroTimes) else len(other)
         return self.size == size and all(a == b for a, b in zip(self, other))

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pickle
+import subprocess
 import sys
 
 import numpy as np
@@ -259,7 +260,8 @@ NEAR_IDENTITY_ANGLE = 1e-6
 
 class TestZeroTimesEquality:
     """``ZeroTimes`` compares its ``size``, which may pass ``sys.maxsize``
-    where ``len`` raises OverflowError."""
+    where ``len`` raises OverflowError, and two ``ZeroTimes`` of equal
+    ``starts`` and ``runs`` compare equal without a loop over the zeros."""
 
     def test_size_past_maxsize_against_a_list(self):
         zeros = pl.core.ZeroTimes([0.0], [(0, 1.0, 2**70)])
@@ -270,6 +272,42 @@ class TestZeroTimesEquality:
     def test_size_past_maxsize_against_itself(self):
         zeros = pl.core.ZeroTimes([0.0], [(0, 1.0, 2**70)])
         assert zeros == zeros
+
+    def test_equal_runs_past_maxsize(self):
+        # two distinct sequences of 2**70 equal zeros compare by their runs,
+        # not element by element; a fresh interpreter, so a hang fails
+        code = ("from phaselab.core import ZeroTimes as Z\n"
+                "a, b = Z([0.0], [(0, 1.0, 2**70)]), Z([0.0], [(0, 1.0, 2**70)])\n"
+                "print(a == b, a == Z([0.0], [(0, 1.5, 2**70)]), a == Z([1.0], [(0, 1.0, 2**70)]))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pl.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert proc.stdout.split() == ["True", "False", "False"], proc.stderr
+
+
+class TestAxisNearUnit:
+    """An axis within 1e-9 of unit length, which the exact core accepts, is
+    scaled to unit length, so the sampled path accepts it too."""
+
+    @pytest.mark.parametrize("axis,durations", [
+        ((0.0, 0.0, 1.0 + 9e-10), [2.0 * math.pi]),
+        ((0.0, 0.0, 1.0 + 4e-10), [math.pi, math.pi]),
+    ])
+    def test_sampled_path_agrees_with_the_exact_core(self, axis, durations):
+        s0 = pl.schmidt_state(0.3, 0.0)
+        sched = pl.RotationSchedule(tuple(pl.RotationSegment(axis, d) for d in durations), 1, s0)
+        samples, _, _ = pl.phase_samples(s0, sched, 50)
+        assert samples[-1].total_principal == pl.phase_breakdown(s0, sched).total
+        unit = pl.RotationSchedule(tuple(pl.RotationSegment((0.0, 0.0, 1.0), d)
+                                         for d in durations), 1, s0)
+        got, want = pl.so3_path(sched, 50), pl.so3_path(unit, 50)
+        assert [(t, c) for t, _, c in got.samples] == [(t, c) for t, _, c in want.samples]
+        assert got.crossings == want.crossings
+
+    def test_unit_axis_kept_bit_for_bit(self):
+        axis = (0.6, 0.0, 0.8000000000001)  # |axis| - 1 about 8e-14
+        assert pl.core._unit_axis(axis) == axis
+        assert pl.core._unit_axis((0.0, 0.0, 1.0 + 9e-10)) == (0.0, 0.0, 1.0)
 
 
 class TestSeriesAgainstMatrixOracle:

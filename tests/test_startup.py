@@ -5,8 +5,9 @@ import numpy, ``dataclasses`` or orjson.
 commands and ``run`` without ``--out``, their error exits included, run
 on the plain-float core (``phaselab.core``), and load neither numpy nor
 ``dataclasses`` and the ``inspect`` it imports. Nor do they load orjson,
-which the table writer imports only for large tables, as ``run --out``
-writes at the default ``--steps``. The same holds for the core's names
+which ``run --out``'s writer imports only for large tables, as it writes
+at the default ``--steps``; ``sweep`` writes by ``repr`` at any grid size,
+so a 51x51 grid loads neither. The same holds for the core's names
 read from ``phaselab`` itself. Each check runs in a fresh interpreter
 with ``PYTHONPATH`` set to this checkout's ``src``, since the test
 process itself has numpy loaded.
@@ -82,6 +83,8 @@ def test_exact_commands_never_import_numpy(tmp_path):
             ("breakdown", ["breakdown", {mes_minus!r}]),
             ("sweep", ["sweep", "--lambda0", "0:1:11", "--theta", "0:{math.pi!r}:9",
                        "--out", "sweep.csv"]),
+            ("sweep 51x51", ["sweep", "--lambda0", "0:1:51", "--theta", "0:{math.pi!r}:51",
+                             "--axis", "x", "--turns", "3", "--out", "big.csv"]),
             ("readout", ["readout", {mes_plus!r}]),
             ("run", ["run", {mes_minus!r}]),
             ("run --steps", ["run", {mes_minus!r}, "--steps", "{10**30}"]),
@@ -105,6 +108,7 @@ def test_exact_commands_never_import_numpy(tmp_path):
         "import phaselab.cli": [],
         "breakdown": [0, []],
         "sweep": [0, []],
+        "sweep 51x51": [0, []],
         "readout": [0, []],
         "run": [0, []],
         "run --steps": [0, []],

@@ -1,17 +1,20 @@
-"""The blocked table writer of ``run --out`` and ``sweep``.
+"""The table writers of ``run --out`` and ``sweep``.
 
-In tables of ``_FAST_CELLS`` cells or more the cells come from orjson.
-A float is plain when it is 0 or ``1e-4 <= |x| < 1e16``; orjson spells a
-plain float as ``repr`` does, and every other float (nan and the
-infinities too) is written from its value by ``repr``. Column blocks
-patch their non-plain cells by index; CSV tables of the ``run --out``
-shape write each run of plain rows with one orjson dump and the other
-rows by ``repr``. Either way every cell must read as ``repr`` spells it
-(ints as ints, non-finite floats as the format spells them), and the file
-must be byte-identical to the row-template writer the blocked one
-replaced (``helpers.template_table_bytes``).
+``sweep`` writes its rows by ``repr`` at any grid size. ``run --out``
+writes through ``cli._write_table``: in tables of ``_FAST_CELLS`` cells
+or more the cells come from orjson. A float is plain when it is 0 or
+``1e-4 <= |x| < 1e16``; orjson spells a plain float as ``repr`` does, and
+every other float (nan and the infinities too) is written from its value
+by ``repr``. CSV goes by rows: each run of plain rows of a stacked block
+is one orjson dump and every other run is ``repr`` of its rows
+(``cli._csv_rows``). JSON goes by column blocks, whose non-plain cells are
+patched by index (``cli._column_cells``). Either way every cell must read
+as ``repr`` spells it (ints as ints, non-finite floats as the format
+spells them), and the file must be byte-identical to the row-template
+writer the blocked one replaced (``helpers.template_table_bytes``).
 """
 
+import itertools
 import json
 import math
 import os
@@ -25,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from helpers import template_table_bytes
+from helpers import reference_sweep_rows, reference_table_bytes, template_table_bytes
 from phaselab import cli
 
 B = cli._BLOCK_ROWS
@@ -45,8 +48,17 @@ def paths():
     return [("fast", cli._orjson_dumps()), ("small", None)]
 
 
-def cells(values, fmt, dumps):
-    return cli._column_cells(values, dumps, cli._NONFINITE[fmt])
+def cells(values, fmt, dumps, column=1):
+    """The cells the writer makes of ``values``: JSON's column function on
+    their array, or CSV's row function on a ``(len(values), 14)`` block
+    holding them in ``column`` (13 is the flags), its other cells plain."""
+    values = np.asarray(values)
+    if fmt == "json":
+        return cli._column_cells(values, dumps)
+    block = np.full((len(values), 14), 0.5)
+    block[:, 13] = 1.0
+    block[:, column] = values
+    return [line.split(",")[column] for line in cli._csv_rows(block, dumps).decode().splitlines()]
 
 
 def neighbours(x, n=40):
@@ -66,6 +78,8 @@ CORPUS = [
     -1.7976931348623157e308, 2.0**53, 0.0, -0.0, math.nan, math.inf, -math.inf,
 ]
 INTS = [0, 1, -1, 2**53, 2**63 - 1, -(2**63)]
+# the CSV row function reads the flags as floats, exact within 2**53
+ROW_INTS = [i for i in INTS if abs(i) <= 2**53]
 
 
 def test_orjson_is_installed():
@@ -78,35 +92,26 @@ class TestCells:
     @pytest.mark.parametrize("path,dumps", paths())
     def test_corpus(self, fmt, path, dumps):
         want = [oracle_cell(x, fmt) for x in CORPUS]
-        assert cells(np.array(CORPUS), fmt, dumps) == want
         assert cells(CORPUS, fmt, dumps) == want
-        assert cells(np.array(INTS), fmt, dumps) == [str(i) for i in INTS]
-        assert cells(INTS, fmt, dumps) == [str(i) for i in INTS]
+        ints = INTS if fmt == "json" else ROW_INTS
+        assert cells(np.array(ints), fmt, dumps, column=13) == [str(i) for i in ints]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=64), st.sampled_from(FORMATS))
     def test_floats_read_as_repr(self, values, fmt):
         want = [oracle_cell(x, fmt) for x in values]
         for _, dumps in paths():
-            assert cells(np.array(values), fmt, dumps) == want
             assert cells(values, fmt, dumps) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64),
            st.sampled_from(FORMATS))
     def test_int_columns_read_as_ints(self, values, fmt):
+        if fmt == "csv":  # into the row function's range
+            values = [v >> 10 for v in values]
         for _, dumps in paths():
-            assert cells(np.array(values, dtype=np.int64), fmt, dumps) == [str(v) for v in values]
-            assert cells(values, fmt, dumps) == [str(v) for v in values]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.one_of(st.floats(), st.integers()), min_size=1, max_size=32),
-           st.sampled_from(FORMATS))
-    def test_mixed_lists_and_big_ints(self, values, fmt):
-        # orjson refuses ints past 64 bits; such a block is written by repr
-        want = [oracle_cell(x, fmt) for x in values]
-        for _, dumps in paths():
-            assert cells(values, fmt, dumps) == want
+            got = cells(np.array(values, dtype=np.int64), fmt, dumps, column=13)
+            assert got == [str(v) for v in values]
 
     def test_strided_block_takes_the_fast_path(self):
         # orjson takes only C-contiguous arrays, and ball axes are strided
@@ -118,18 +123,20 @@ class TestCells:
 
         a = np.arange(30.0).reshape(10, 3) * 1e-5
         want = [repr(float(x)) for x in a[:, 1]]
-        assert cells(a.T[1], "csv", dumps) == want
+        assert cells(a.T[1], "json", dumps) == want
         assert seen == [True]
 
     def test_big_values_in_positional_notation(self):
-        # a formatter that writes 1e16 and up positionally, as orjson may
+        # a formatter that writes 1e16 and up positionally, as orjson may;
+        # in CSV the rows holding them never reach it
         def dumps(block):
-            return ("[" + ",".join(format(x, ".1f") for x in block) + "]").encode()
+            return repr(np.vectorize(lambda x: format(x, ".1f"))(block).tolist()).replace(
+                "'", "").replace(", ", ",").encode()
 
-        values = [1e16, -2.5e16, 1.7976931348623157e308]
+        values = [1e16, -2.5e16, 1.7976931348623157e308, 0.5]
         want = [repr(x) for x in values]
-        assert cells(values, "csv", dumps) == want
-        assert cells(np.array(values), "csv", dumps) == want
+        for fmt in FORMATS:
+            assert cells(values, fmt, dumps) == want
 
     @pytest.mark.parametrize("token,want", [
         ("10000000000000000.0", "1e+16"),
@@ -142,22 +149,18 @@ class TestCells:
         ("1e16", "1e+16"),
         ("0.0001", "0.0001"),
         ("-0.0", "-0.0"),
-        ("12345678901234567890", "12345678901234567890"),
         ("null", "null"),
     ])
     def test_respelling_takes_any_notation(self, token, want):
         # a formatter that spells the value as ``token``: a plain float's
         # token is kept, any other is respelled from the value, whatever
         # its notation (JSON, where nan is ``null``)
-        value = (math.nan if token == "null" else
-                 int(token) if token.isdigit() else float(token))
+        value = math.nan if token == "null" else float(token)
 
         def dumps(block):
             return f"[{token},0.5,{token}]".encode()
 
-        assert cells([value, 0.5, value], "json", dumps) == [want, "0.5", want]
-        if not isinstance(value, int):
-            assert cells(np.array([value, 0.5, value]), "json", dumps) == [want, "0.5", want]
+        assert cells(np.array([value, 0.5, value]), "json", dumps) == [want, "0.5", want]
 
     @pytest.mark.parametrize("x,plain", [
         *[(edge * sign, True) for edge in (1e-4, math.nextafter(1e16, 0.0)) for sign in (1, -1)],
@@ -172,22 +175,20 @@ class TestCells:
         assert cli._plain(np.array([x, x])).tolist() == [plain, plain]
         if plain:  # orjson's own spelling is kept
             assert cli._orjson_dumps()(x).decode() == repr(x)
-        for fmt in FORMATS:  # and every other one patched
-            assert cells(np.array([0.5, x, 0.5]), fmt, cli._orjson_dumps())[1] == oracle_cell(x, fmt)
+        for fmt in FORMATS:  # and every other one written by repr
             assert cells([0.5, x, 0.5], fmt, cli._orjson_dumps())[1] == oracle_cell(x, fmt)
 
 
 def table(rows, rng):
-    """Seven float columns and an int column (index 4), with nan, inf and
-    -inf in the first, a middle (3) and the last column."""
-    scale = 10.0 ** rng.integers(-8, 18, size=(7, rows))
-    floats = rng.standard_normal((7, rows)) * scale
+    """``run --out``-shaped columns, 13 float arrays and a 0/1 int array,
+    with nan, inf and -inf in the first, a middle (6) and the last float
+    column."""
+    scale = 10.0 ** rng.integers(-8, 18, size=(13, rows))
+    floats = rng.standard_normal((13, rows)) * scale
     if rows:
-        for c in (0, 3, 6):
+        for c in (0, 6, 12):
             floats[c, rng.integers(0, rows, size=3)] = [math.nan, math.inf, -math.inf]
-    ints = rng.integers(0, 2, size=rows)
-    cols = [*floats[:4], ints, *floats[4:]]
-    return [f"c{i}" for i in range(8)], cols
+    return cli.RUN_FIELDS, [*floats, rng.integers(0, 2, size=rows)]
 
 
 class TestWriter:
@@ -197,12 +198,9 @@ class TestWriter:
     def test_matches_the_row_template_writer(self, tmp_path, monkeypatch, rows, fmt, fast_cells):
         monkeypatch.setattr(cli, "_FAST_CELLS", fast_cells)
         fields, cols = table(rows, np.random.default_rng(rows))
-        want = template_table_bytes(fields, cols, fmt)
         out = tmp_path / f"t.{fmt}"
         cli._write_table(out, fields, cols, fmt)
-        assert out.read_bytes() == want
-        cli._write_table(out, fields, [c.tolist() for c in cols], fmt)
-        assert out.read_bytes() == want
+        assert out.read_bytes() == template_table_bytes(fields, cols, fmt)
 
     def test_without_orjson_writes_by_repr(self, tmp_path, monkeypatch):
         fields, cols = table(B + 1, np.random.default_rng(5))
@@ -211,10 +209,12 @@ class TestWriter:
         cli._orjson_dumps.cache_clear()
         try:
             assert cli._orjson_dumps() is None
-            cli._write_table(tmp_path / "t.csv", fields, cols)
+            for fmt in FORMATS:
+                cli._write_table(tmp_path / f"t.{fmt}", fields, cols, fmt)
         finally:
             cli._orjson_dumps.cache_clear()
-        assert (tmp_path / "t.csv").read_bytes() == template_table_bytes(fields, cols)
+        for fmt in FORMATS:
+            assert (tmp_path / f"t.{fmt}").read_bytes() == template_table_bytes(fields, cols, fmt)
 
 
 NON_PLAIN = st.one_of(
@@ -253,11 +253,13 @@ class TestRunShapedTables:
     @settings(max_examples=60, deadline=None)
     @given(run_shaped_tables())
     def test_match_the_row_template_writer(self, cols):
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_FAST_CELLS", 0), \
-                mock.patch.object(cli, "_write_rows", wraps=cli._write_rows) as by_rows:
-            for fmt in FORMATS:
+        # with orjson's cells and, past any table's size, by repr
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_csv_rows", wraps=cli._csv_rows) as by_rows:
+            for fast_cells, fmt in itertools.product([0, 10**18], FORMATS):
                 out = os.path.join(tmp, f"t.{fmt}")
-                cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
+                with mock.patch.object(cli, "_FAST_CELLS", fast_cells):
+                    cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
                 with open(out, "rb") as fh:
                     assert fh.read() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
                 assert by_rows.called == (fmt == "csv")  # JSON goes by column blocks
@@ -273,7 +275,29 @@ class TestRunShapedTables:
         runs = pl.core._zero_runs(rho, bounds)
         cols, flags = pl.phases._series_columns(rho, bounds, runs, pl.DEFAULT_SAMPLES)
         out = tmp_path / f"series.{fmt}"
-        with mock.patch.object(cli, "_write_rows", wraps=cli._write_rows) as by_rows:
+        with mock.patch.object(cli, "_csv_rows", wraps=cli._csv_rows) as by_rows:
             assert cli.main(["run", path, "--out", str(out), "--format", fmt]) == 0
         assert by_rows.called == (fmt == "csv")
         assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, (*cols, flags), fmt)
+
+
+class TestSweepTable:
+    """``sweep`` writes its rows by ``repr`` at any grid size, with nan for
+    the closure residual of a degenerate (lambda0 = 0.5) row."""
+
+    @pytest.mark.parametrize("lam,theta,axis,turns", [
+        ("0:1:11", f"0:{math.pi!r}:9", "z", 1),  # the README grid, one block
+        ("0:1:33", "-1:1:33", "x", 2),  # 1089 rows, past one block
+        ("0:1:51", f"0:{math.pi!r}:51", "x", 3),  # 18207 cells, past _FAST_CELLS
+    ])
+    def test_matches_the_reference_writer(self, tmp_path, capsys, lam, theta, axis, turns):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--lambda0", lam, "--theta", theta, "--axis", axis,
+                         "--turns", str(turns), "--out", str(out)]) == 0
+        (l0, l1, n), (t0, t1, m) = (spec.split(":") for spec in (lam, theta))
+        rows = reference_sweep_rows(np.linspace(float(l0), float(l1), int(n)),
+                                    np.linspace(float(t0), float(t1), int(m)),
+                                    {"x": (1.0, 0.0, 0.0), "z": (0.0, 0.0, 1.0)}[axis], turns)
+        got = out.read_bytes()
+        assert got == reference_table_bytes(cli.SWEEP_FIELDS, rows)
+        assert any(math.isnan(row[-1]) for row in rows) and b",nan\n" in got
