@@ -21,7 +21,7 @@ import re
 import sys
 
 from .core import (CYCLIC_EPS, _breakdown, _click_probability, _crossings, _exact_inputs,
-                   _final_overlap, _overlap_phase, _quaternions, _reduced, _schmidt, _zero_runs,
+                   _final_overlap, _overlap_phase, _quaternions, _reduced, _scan, _schmidt,
                    phase_breakdown)
 from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
 from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
@@ -185,12 +185,13 @@ def _cmd_run(args) -> int:
     sched = _load(args.schedule_file)
     # the summary is the exact core's, so only --out samples (and needs numpy)
     rho, bounds = _exact_inputs(sched.initial, sched)
-    v = _final_overlap(rho, bounds)
-    runs = _zero_runs(rho, bounds)  # the series' crossing flags and the count share one search
+    # the series' dynamical phase and crossing flags and the summary share one scan
+    overlaps, rates, ends, runs = _scan(rho, bounds)
+    v = overlaps[-1]
     if args.out:
         from .phases import _series_columns
 
-        cols, flags = _series_columns(rho, bounds, runs, args.steps)
+        cols, flags = _series_columns(rho, bounds, rates, ends, runs, args.steps)
         _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
     count, parity = _crossings(runs)
     # after the write, so that a failed write's error is the first stderr line
@@ -258,9 +259,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     for lam in lams:  # lambda0-major grid order
         for th in thetas:
-            b = _breakdown(_reduced(_schmidt(lam, th), 1), bounds)
-            rows.append((lam, th, b.total, b.dynamical, b.geometric, b.crossings,
-                         b.closure_residual))
+            tot, dyn, geo, n, _, res = _breakdown(_reduced(_schmidt(lam, th), 1), bounds)
+            rows.append((lam, th, tot, dyn, geo, n, res))
     with open(args.out, "wb") as fh:
         fh.write((",".join(SWEEP_FIELDS) + "\n").encode())
         for start in range(0, len(rows), _BLOCK_ROWS):  # repr spells nan and inf as CSV does

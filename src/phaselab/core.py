@@ -45,6 +45,7 @@ CYCLIC_EPS = 1e-6
 
 _TWO_PI = 2.0 * math.pi
 _AXIS_TOL = 1e-9
+_PARITY = ("even", "odd")
 
 
 class _Frozen:
@@ -108,7 +109,7 @@ def _unit_axis(axis) -> tuple:
     except (TypeError, ValueError):
         n = ()
     norm = math.hypot(*n)
-    if len(n) != 3 or abs(norm - 1.0) > _AXIS_TOL:
+    if len(n) != 3 or not abs(norm - 1.0) <= _AXIS_TOL:
         raise DomainError("axis must be a unit 3-vector (|axis| = 1 within 1e-9)")
     return _divided(n, norm)
 
@@ -167,9 +168,12 @@ def _quaternions(segments):
     in plain floats: end times (:func:`_totals`), the boundary products B_k,
     k = 0..n, as unit quaternions ``(w, vx, vy, vz)`` with
     ``B_k = w I - i v . sigma``, axes and durations. Segment k is
-    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` their :func:`_product`."""
+    ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` their :func:`_product`.
+    DomainError unless every duration is positive and finite."""
     axes = [_unit_axis(seg.axis) for seg in segments]
     durations = [seg.duration for seg in segments]
+    if not all(0.0 < d < math.inf for d in durations):
+        raise DomainError("durations must be positive and finite")
     quats = [(1.0, 0.0, 0.0, 0.0)]
     for d, n in zip(durations, axes):
         c, s = math.cos(d / 2.0), math.sin(d / 2.0)
@@ -177,18 +181,18 @@ def _quaternions(segments):
     return _totals(durations), quats, axes, durations
 
 
-def _reduced(s0, qubit: int) -> tuple:
+def _reduced(s0: tuple, qubit: int) -> tuple:
     """The Pauli components ``(t, bx, by, bz)`` of the reduced state
     ``rho = (t I + b . sigma) / 2`` of qubit ``qubit`` (1 or 2) of the
-    two-qubit state ``s0``, with ``b`` its Bloch vector and ``t = Tr rho``
-    (1 up to rounding).
+    two-qubit state ``s0`` (four complex), with ``b`` its Bloch vector and
+    ``t = Tr rho`` (1 up to rounding).
 
     With amplitudes ``a_ij``, keeping qubit 1 gives ``rho = A A+`` for
     ``A = [[a00, a01], [a10, a11]]``, keeping qubit 2 ``rho = A^T A*``:
     the diagonal is the two row (or column) weights and ``b_x - i b_y`` is
     twice the off-diagonal inner product.
     """
-    a00, a01, a10, a11 = _floats(s0, complex)
+    a00, a01, a10, a11 = s0
     if qubit == 2:
         a01, a10 = a10, a01
     elif qubit != 1:
@@ -200,8 +204,9 @@ def _reduced(s0, qubit: int) -> tuple:
 
 
 def _exact_inputs(s0, schedule):
-    """``(rho, bounds)`` of the exact core: ``_reduced`` of the evolved
-    qubit and the boundary record ``_quaternions(schedule.segments)``."""
+    """``(rho, bounds)`` of the exact core: ``_reduced`` of the evolved qubit
+    of ``s0`` and the boundary record ``_quaternions(schedule.segments)``."""
+    s0 = _floats(s0, complex)  # once, at the public boundary
     return _reduced(s0, schedule.evolved_qubit), _quaternions(schedule.segments)
 
 
@@ -209,7 +214,7 @@ class ZeroTimes(Sequence):
     """Zero times held as runs ``start_k + tau + 2 pi m``, ``m < count``,
     so that a segment of many turns costs O(1) however many zeros it has.
 
-    ``runs`` holds the :func:`_zero_runs` runs ``(k, tau, count)``, with
+    ``runs`` holds the :func:`_scan` runs ``(k, tau, count)``, with
     ``k`` the segment index, and ``starts`` the segment start times;
     ``size`` is the number of zeros, also past ``sys.maxsize`` where
     ``len`` overflows. Takes integer indices and compares equal to any
@@ -272,40 +277,54 @@ def _slope(n, q, rho) -> complex:
                    -(nx * vx + ny * vy + nz * vz) * t)
 
 
-def _zero_runs(rho, bounds) -> list:
-    """The times in (0, T) where ``Tr(U(t) rho)`` passes through zero, as
-    ``(k, tau, count)`` runs of zeros ``t_k + tau + 2 pi m``, ``m < count``,
-    on segment k; the counts sum to the number of crossings. Exact and in
-    one pass over the segments; ``rho`` is the Pauli components
-    ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2`` and ``bounds``
-    is the boundary record :func:`_quaternions`.
+def _scan(rho, bounds) -> tuple:
+    """``(overlaps, rates, ends, runs)`` of the reduced state ``rho``, Pauli
+    components ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2``, on
+    the boundary record ``bounds`` (:func:`_quaternions`), in one pass over
+    the segments. ``overlaps`` are the boundary overlaps ``Tr(B_k rho)``
+    (:func:`_overlap`), the last ``<s0|U_T|s0>``. Segment k's generator
+    commutes with its own evolution, so its expectation is constant on it:
+    ``rates`` holds ``-(1/2) n_k . b_k``, with ``b_k`` the Bloch vector of
+    ``rho`` :func:`_rotated` by ``B_k`` (exactly 0 for ``b = 0``), and
+    ``ends`` the dynamical phase at every segment end, ``[0.0, ..., dyn]``,
+    adding ``rate_k * d_k`` left to right as :func:`_totals` does.
 
-    On segment k, ``U(t_k + tau) = exp(-i tau (n_k . sigma) / 2) B_k``, so
-    the overlap is ``z(tau) = a cos(tau/2) + b sin(tau/2)`` with
-    ``a = Tr(B_k rho)`` and ``b = -i Tr((n_k . sigma) B_k rho)``, both in
-    closed form on the quaternion of ``B_k``, and
-    ``|z|^2 = P + R cos(tau - phi)`` has its minima, all of depth
-    ``P - R``, at ``tau = phi + pi + 2 pi m``. Interior minima with
-    ``|z| <= CROSSING_EPS`` are crossings, counted by arithmetic rather
-    than one by one. A zero at a junction counts once: as a crossing when
-    the one-sided slopes agree,
+    ``runs`` holds the times in (0, T) where ``Tr(U(t) rho)`` passes
+    through zero, as ``(k, tau, count)`` runs of zeros
+    ``t_k + tau + 2 pi m``, ``m < count``, on segment k; the counts sum to
+    the number of crossings. On segment k,
+    ``U(t_k + tau) = exp(-i tau (n_k . sigma) / 2) B_k``, so the overlap is
+    ``z(tau) = a cos(tau/2) + b sin(tau/2)`` with ``a = Tr(B_k rho)`` and
+    ``b = -i Tr((n_k . sigma) B_k rho)``, both in closed form on the
+    quaternion of ``B_k``, and ``|z|^2 = P + R cos(tau - phi)`` has its
+    minima, all of depth ``P - R``, at ``tau = phi + pi + 2 pi m``.
+    Interior minima with ``|z| <= CROSSING_EPS`` are crossings, counted by
+    arithmetic rather than one by one. A zero at a junction counts once: as
+    a crossing when the one-sided slopes agree,
     ``Re(z'_L conj z'_R) > ORTHOGONALITY_EPS |z'_L| |z'_R|``, else as a
     tangential touch; slopes at right angles, whose product rounding puts
-    on either side of 0, are a touch. Segments on which ``z`` vanishes throughout join
-    their junctions into one zero, judged by the slopes on entering and
-    on leaving it. A zero at the schedule's end is not a crossing. With
-    ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap is
-    ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
+    on either side of 0, are a touch. Segments on which ``z`` vanishes
+    throughout join their junctions into one zero, judged by the slopes on
+    entering and on leaving it. A zero at the schedule's end is not a
+    crossing. With ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap
+    is ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
     _, quats, axes, durations = bounds
-    zs = [complex(*_overlap(q, rho)) for q in quats]
-    at_zero = [abs(z) <= CROSSING_EPS for z in zs]
-    runs = []
+    z = complex(*_overlap(quats[0], rho))
+    overlaps, rates, ends, runs = [z], [], [0.0], []
+    at_end = abs(z) <= CROSSING_EPS
     entered = None  # (segment, slope factor) where the current zero began
-    for k, (n, d) in enumerate(zip(axes, durations)):
-        c = _slope(n, quats[k], rho)  # z'(0) = -i c / 2
-        if k and at_zero[k] and entered is None:
-            entered = (k, _slope(axes[k - 1], quats[k], rho))
+    for k, (q, n, d) in enumerate(zip(quats, axes, durations)):
+        nx, ny, nz = n
+        bx, by, bz = _rotated(q, rho[1:])
+        rates.append(DYNAMICAL_SIGN * 0.5 * (nx * bx + ny * by + nz * bz))
+        ends.append(ends[-1] + rates[-1] * d)
+        a, z = z, complex(*_overlap(quats[k + 1], rho))
+        overlaps.append(z)
+        at_start, at_end = at_end, abs(z) <= CROSSING_EPS
+        c = _slope(n, q, rho)  # z'(0) = -i c / 2
+        if k and at_start and entered is None:
+            entered = (k, _slope(axes[k - 1], q, rho))
         if entered is not None:
             if abs(c) <= CROSSING_EPS:
                 continue  # z vanishes on this whole segment
@@ -313,20 +332,20 @@ def _zero_runs(rho, bounds) -> list:
             if (e * c.conjugate()).real > ORTHOGONALITY_EPS * abs(e) * abs(c):
                 runs.append((entered[0], 0.0, 1))
             entered = None
-        a, b = zs[k], -1j * c
+        b = -1j * c
         tau = math.atan2((a * b.conjugate()).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2))
         tau += math.pi  # the first minimum, in (0, 2 pi]
-        z = a * math.cos(0.5 * tau) + b * math.sin(0.5 * tau)
-        if tau >= d or abs(z) > CROSSING_EPS:
-            continue  # every minimum has the same |z|
+        m = a * math.cos(0.5 * tau) + b * math.sin(0.5 * tau)
+        if not (tau < d and abs(m) <= CROSSING_EPS):
+            continue  # every minimum has the same |z|; NaN has none
         # zeros are 2 pi apart: a minimum within pi of a zero junction is
         # that junction's zero
         last = math.ceil((d - tau) / (2.0 * math.pi)) - 1
-        lo = int(at_zero[k] and tau < math.pi)
-        hi = last - int(at_zero[k + 1] and tau + 2.0 * math.pi * last > d - math.pi)
+        lo = int(at_start and tau < math.pi)
+        hi = last - int(at_end and tau + 2.0 * math.pi * last > d - math.pi)
         if hi >= lo:
             runs.append((k, tau + 2.0 * math.pi * lo, hi - lo + 1))
-    return runs
+    return overlaps, rates, ends, runs
 
 
 class PhaseBreakdown(_Frozen):
@@ -364,49 +383,26 @@ class PhaseBreakdown(_Frozen):
         return hash(self._values())
 
 
-def _dynamical_fold(rho, bounds) -> tuple[list, list]:
-    """``(rates, ends)``: the per-segment rates ``-(1/2) n_k . b_k``, with ``b_k``
-    the Bloch vector of ``rho`` :func:`_rotated` by ``B_k``, and the dynamical
-    phase at every segment end, ``[0.0, ..., dyn]``, one :func:`_totals` fold
-    of ``rate_k * d_k``; ``bounds`` is the boundary record :func:`_quaternions`.
-
-    Each segment's generator commutes with its own evolution, so its
-    expectation is constant within the segment; segment k contributes
-    ``rate_k * d_k`` to the dynamical phase. A maximally mixed reduced
-    state (``b = 0``) has rates of exactly 0.
-    """
-    quats, axes, durations = bounds[1:]
-    rates = []
-    for (nx, ny, nz), q in zip(axes, quats):
-        bx, by, bz = _rotated(q, rho[1:])
-        rates.append(DYNAMICAL_SIGN * 0.5 * (nx * bx + ny * by + nz * bz))
-    return rates, _totals(r * d for r, d in zip(rates, durations))
-
-
-def _dynamical(rho, bounds) -> float:
-    return _dynamical_fold(rho, bounds)[1][-1]
-
-
 def dynamical_phase(s0, schedule) -> float:
     """``-sum_k <H_k> dt_k``, exact per segment: ``-(1/2) (axis . bloch at
     segment start) * duration`` summed over the segments."""
-    return _dynamical(*_exact_inputs(s0, schedule))
+    return _scan(*_exact_inputs(s0, schedule))[2][-1]
 
 
-def _geometric(w: float, z: complex, rho, dyn: float) -> float:
+def _geometric(w: float, z: complex, rho, dyn: float, tot: float) -> float:
     """``principal(sum_i w_i a_i - dyn)`` on the eigenstates ``+-b/r`` of
     ``rho = (t I + b . sigma) / 2``, with weights ``(t +- r)/2`` and
     ``<v+-|B|v+-> = w -+ i v . b/r`` for ``B = (w, v)`` and
-    ``z = Tr(B rho) = w t - i v . b`` (see :func:`_overlap`); the dynamical
+    ``z = Tr(B rho) = w t - i v . b`` (see :func:`_overlap`), whose phase
+    ``principal(cmath.phase(z))`` is ``tot``; the dynamical
     phase is linear in the density matrix, so the eigenstates' own
     ``w_i dyn_i`` sum to ``dyn``, the mixed state's."""
     t, bx, by, bz = rho
     r = math.sqrt(bx * bx + by * by + bz * bz)
     if r <= 1e-9:  # the eigenvalue gap of rho is r
         raise DegenerateSpectrum(f"eigenvalue gap {r:.3e} is <= 1e-9")
-    # one shared reference, so that at U_T = -I both eigenstate args land
-    # on the same side of the +-pi cut as the mixed total phase
-    tot = principal(cmath.phase(z))
+    # tot is the one shared reference, so that at U_T = -I both eigenstate
+    # args land on the same side of the +-pi cut as the mixed total phase
     weighted = 0.0
     for sign in (1.0, -1.0):
         zi = complex(w, sign * z.imag / r)  # w -+ i v . b / r
@@ -433,41 +429,44 @@ def geometric_phase_mixed(s0, schedule) -> float:
     to its start.
     """
     rho, bounds = _exact_inputs(s0, schedule)
-    return _geometric(bounds[1][-1][0], _final_overlap(rho, bounds), rho, _dynamical(rho, bounds))
+    overlaps, _, ends, _ = _scan(rho, bounds)
+    v = overlaps[-1]
+    return _geometric(bounds[1][-1][0], v, rho, ends[-1], principal(cmath.phase(v)))
 
 
 def _crossings(runs) -> tuple[int, str]:
-    """The crossing count and parity of the :func:`_zero_runs` ``runs``."""
+    """The crossing count and parity of the :func:`_scan` ``runs``."""
     count = sum(n for _, _, n in runs)
-    return count, ("odd" if count % 2 else "even")
+    return count, _PARITY[count % 2]
 
 
 def topological_crossings(s0, schedule) -> tuple[int, str]:
     """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
-    its parity, ``"even"`` or ``"odd"``; exact (see :func:`_zero_runs`)."""
-    return _crossings(_zero_runs(*_exact_inputs(s0, schedule)))
+    its parity, ``"even"`` or ``"odd"``; exact (see :func:`_scan`)."""
+    return _crossings(_scan(*_exact_inputs(s0, schedule))[3])
 
 
-def _breakdown(rho, bounds) -> PhaseBreakdown:
-    """:func:`phase_breakdown` of the reduced state ``rho`` (Pauli
-    components, see :func:`_reduced`) on the boundary record ``bounds``
-    (:func:`_quaternions`); ``sweep`` builds ``bounds`` once for its whole
-    grid."""
-    v = _final_overlap(rho, bounds)
-    if abs(abs(v) - 1.0) > CYCLIC_EPS:
+def _breakdown(rho, bounds) -> tuple:
+    """``(total, dynamical, geometric, crossings, degenerate,
+    closure_residual)``, the :func:`phase_breakdown` fields but the parity,
+    of the reduced state ``rho`` (Pauli components, see :func:`_reduced`)
+    on the boundary record ``bounds`` (:func:`_quaternions`); ``sweep``
+    builds ``bounds`` once for its whole grid."""
+    overlaps, _, ends, runs = _scan(rho, bounds)
+    v = overlaps[-1]
+    if not abs(abs(v) - 1.0) <= CYCLIC_EPS:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = principal(cmath.phase(v))
-    dyn = _dynamical(rho, bounds)
+    dyn = ends[-1]
     try:
-        geo = _geometric(bounds[1][-1][0], v, rho, dyn)
+        geo = _geometric(bounds[1][-1][0], v, rho, dyn, total)
         degenerate = False
         residual = abs(principal(total - dyn - geo))
     except DegenerateSpectrum:
         geo = 0.0
         degenerate = True
         residual = math.nan
-    count, parity = _crossings(_zero_runs(rho, bounds))
-    return PhaseBreakdown(total, dyn, geo, count, parity, degenerate, residual)
+    return total, dyn, geo, _crossings(runs)[0], degenerate, residual
 
 
 def phase_breakdown(s0, schedule) -> PhaseBreakdown:
@@ -479,7 +478,8 @@ def phase_breakdown(s0, schedule) -> PhaseBreakdown:
     maximally entangled input the geometric phase is reported as 0 with
     ``degenerate=True`` and a NaN closure residual.
     """
-    return _breakdown(*_exact_inputs(s0, schedule))
+    total, dyn, geo, count, degenerate, residual = _breakdown(*_exact_inputs(s0, schedule))
+    return PhaseBreakdown(total, dyn, geo, count, _PARITY[count % 2], degenerate, residual)
 
 
 def _click_probability(v: complex) -> float:

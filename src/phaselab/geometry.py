@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ZeroTimes, _quaternions, _zero_runs
+from .core import ZeroTimes, _quaternions, _scan
 from .errors import DegenerateSpectrum, NotSpecialUnitary
 from .schedule import RotationSchedule, _unitary_samples
 
@@ -202,7 +202,7 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
 
     A border crossing is a transversal sign change of
     ``cos_half_angle = Re(Tr U)/2``, the overlap with ``rho = I/2``; the
-    crossing times come from :func:`~phaselab.core._zero_runs`. A tangential
+    crossing times come from :func:`~phaselab.core._scan`. A tangential
     touch of the border counts as zero crossings.
     """
     bounds = _quaternions(schedule.segments)
@@ -212,5 +212,5 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
         (t, SO3Point(axis, angle), half)
         for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), quats[0].tolist())
     ]
-    crossings = ZeroTimes(bounds[0], _zero_runs((1.0, 0.0, 0.0, 0.0), bounds))
+    crossings = ZeroTimes(bounds[0], _scan((1.0, 0.0, 0.0, 0.0), bounds)[3])
     return SO3Path(tuple(samples), crossings)

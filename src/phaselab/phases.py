@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _dynamical_fold, _exact_inputs,
-                   _overlap, _overlap_phase, _rotated, _zero_runs)
+from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _exact_inputs, _overlap,
+                   _overlap_phase, _rotated, _scan)
 from .errors import DomainError
 from .geometry import SO3Point, _ball
 from .qstate import inner_product
@@ -100,10 +100,11 @@ def _unwrap_skipnan(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_columns(rho, bounds, runs, samples_per_segment: int):
+def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int):
     """The sampled time series as columns: ``(columns, flags)``, of the
     reduced state ``rho`` on the boundary record ``bounds`` (see
-    :func:`_exact_inputs`), with ``runs`` their :func:`_zero_runs`.
+    :func:`_exact_inputs`), with ``rates``, ``ends`` and ``runs`` their
+    :func:`~phaselab.core._scan`.
 
     ``columns`` holds 13 float arrays: time, overlap real and imaginary
     parts, principal and unwrapped total phase, dynamical phase, Bloch
@@ -122,7 +123,6 @@ def _series_columns(rho, bounds, runs, samples_per_segment: int):
     principal_vals = np.where(raw_vals == -math.pi, math.pi, raw_vals)
     # segment k's samples go on from the core's fold at its start; its last is the fold at its end
     per = samples_per_segment - 1
-    rates, ends = _dynamical_fold(rho, bounds)
     dyn_vals = np.zeros(len(times))
     for k, rate in enumerate(rates):
         sl = slice(k * per + 1, (k + 1) * per)
@@ -153,12 +153,12 @@ def phase_samples(
     a list of PhaseSample, crossing_flags marks the first sample at or
     after each crossing time, and crossing_times are the exact zero times
     of the initial-state overlap (the ones ``topological_crossings``
-    counts, the :func:`~phaselab.core._zero_runs` runs), as a
+    counts, the :func:`~phaselab.core._scan` runs), as a
     :class:`~phaselab.core.ZeroTimes` sequence.
     """
     rho, bounds = _exact_inputs(s0, schedule)
-    runs = _zero_runs(rho, bounds)
-    cols, flags = _series_columns(rho, bounds, runs, samples_per_segment)
+    _, rates, ends, runs = _scan(rho, bounds)
+    cols, flags = _series_columns(rho, bounds, rates, ends, runs, samples_per_segment)
     t, re, im, tot, unw, dyn, bx, by, bz, ax, ay, az, angle = (c.tolist() for c in cols)
     samples = [
         PhaseSample(t[i], complex(re[i], im[i]), tot[i], unw[i], dyn[i],

@@ -337,7 +337,7 @@ def _matrix_inputs(s0, schedule):
 def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
     """Zero times of ``Tr(U(t) rho)`` from the matrix boundary products,
     with the same per-segment closed form and junction rules as the core
-    (see ``core._zero_runs``), listed one by one."""
+    (see ``core._scan``), listed one by one."""
     times, prods = bounds
     segs = schedule.segments
     zs = [complex(np.trace(u @ rho)) for u in prods]
@@ -451,8 +451,7 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
     """``phases._series_columns`` from matrices: ``sp = Tr(U rho)`` and the
     transported state ``U rho U+`` by einsum, the ball from the matrix
     decode ``per_matrix_so3`` of each unit; the dynamical rates, the dynamical
-    phase at segment ends (``core._dynamical_fold``) and the zero search
-    are the core's."""
+    phase at segment ends and the zero runs are the core's (``core._scan``)."""
     if samples_per_segment < 2:
         raise pl.DomainError("samples_per_segment must be >= 2")
     rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
@@ -465,14 +464,14 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
     raw = np.where(np.abs(sps) > pl.ORTHOGONALITY_EPS, np.angle(sps), math.nan)
     dyn = np.zeros(len(times))
     per = samples_per_segment - 1
-    rates, ends = pl.phases._dynamical_fold(pauli, bounds)
+    _, rates, ends, runs = pl.core._scan(pauli, bounds)
     for k, rate in enumerate(rates):
         sl = slice(k * per + 1, (k + 1) * per + 1)
         dyn[sl] = ends[k] + rate * (times[sl] - times[k * per])
         dyn[(k + 1) * per] = ends[k + 1]
     balls = [per_matrix_so3(u) for u in units]
     axes, angles = np.array([a for a, _ in balls]), np.array([t for _, t in balls])
-    zeros = pl.core.ZeroTimes(bounds[0], pl.core._zero_runs(pauli, bounds))
+    zeros = pl.core.ZeroTimes(bounds[0], runs)
     flags = np.zeros(len(times), dtype=int)
     for z in zeros:
         flags[min(int(np.searchsorted(times, z)), len(times) - 1)] = 1

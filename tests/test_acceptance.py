@@ -132,7 +132,7 @@ def test_criterion_5_trace_identity_and_sp_formula():
         sched = random_schedule(rng, max_segments=6)
         s, q = sched.initial, sched.evolved_qubit
         rho, bounds = pl.core._exact_inputs(s, sched)
-        cols, _ = pl.phases._series_columns(rho, bounds, pl.core._zero_runs(rho, bounds), 30)
+        cols, _ = pl.phases._series_columns(rho, bounds, *pl.core._scan(rho, bounds)[1:], 30)
         b0 = explicit_bloch(pl.reduced_density(s, q))
         first = sched.segments[0]
         _, units = matrix_unitary_samples(sched, 30)

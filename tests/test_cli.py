@@ -488,23 +488,27 @@ class TestReadout:
         (["run", "{sched}"], "crossings: 1 (odd)\n"),
         (["run", "{sched}", "--steps", "20", "--out", "{out}"], "crossings: 1 (odd)\n"),
         (["breakdown", "{sched}"], '"crossings": 1, "parity": "odd"'),
+        (["sweep", "--lambda0", "0:1:3", "--theta", "0:1:2", "--out", "{out}"],
+         "wrote 6 grid points"),
     ])
     def test_one_crossing_search_per_command(self, tmp_path, capsys, monkeypatch, argv,
                                              summary):
-        # run --out counts its summary's crossings from the series' zeros
+        # one scan per state: run --out counts its summary's crossings from
+        # the series' zeros, and sweep makes one per grid point
+        scans = 6 if argv[0] == "sweep" else 1
         calls = []
-        search = pl.core._zero_runs
+        scan = pl.core._scan
 
         def counted(rho, bounds):
             calls.append(bounds)
-            return search(rho, bounds)
+            return scan(rho, bounds)
 
-        monkeypatch.setattr(pl.core, "_zero_runs", counted)
-        monkeypatch.setattr(cli, "_zero_runs", counted)
+        monkeypatch.setattr(pl.core, "_scan", counted)
+        monkeypatch.setattr(cli, "_scan", counted)
         sched = write(tmp_path, "m.sched", MES_MINUS)
         argv = [a.format(sched=sched, out=tmp_path / "series.csv") for a in argv]
         assert main(argv) == 0
-        assert len(calls) == 1
+        assert len(calls) == scans
         assert summary in capsys.readouterr().out
 
 

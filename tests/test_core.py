@@ -55,8 +55,8 @@ def series_columns(s0, sched, steps):
     """``phases._series_columns`` with the zero times of its runs:
     ``(columns, flags, zeros)``, as ``matrix_series_columns`` returns."""
     rho, bounds = pl.core._exact_inputs(s0, sched)
-    runs = pl.core._zero_runs(rho, bounds)
-    return (*pl.phases._series_columns(rho, bounds, runs, steps),
+    _, rates, ends, runs = pl.core._scan(rho, bounds)
+    return (*pl.phases._series_columns(rho, bounds, rates, ends, runs, steps),
             pl.core.ZeroTimes(bounds[0], runs))
 
 
@@ -348,11 +348,10 @@ class TestSeriesDynamicalPhase:
     @given(series_schedules(), st.integers(2, 50))
     def test_segment_ends_are_the_core_fold(self, sched, steps):
         rho, bounds = pl.core._exact_inputs(sched.initial, sched)
-        got = outcome(pl.phases._series_columns, rho, bounds, pl.core._zero_runs(rho, bounds),
-                      steps)
+        _, rates, ends, runs = pl.core._scan(rho, bounds)
+        got = outcome(pl.phases._series_columns, rho, bounds, rates, ends, runs, steps)
         if got[0] == "raised":
             return
-        rates, ends = pl.core._dynamical_fold(rho, bounds)
         fold = [0.0]
         for rate, d in zip(rates, bounds[3]):  # left to right, one segment at a time
             fold.append(fold[-1] + rate * d)

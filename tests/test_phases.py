@@ -355,7 +355,7 @@ class TestTopologicalCrossings:
             (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns + 1.0),), 1, s)
         assert pl.topological_crossings(s, sched) == (turns, "even")
         rho, bounds = pl.core._exact_inputs(s, sched)
-        zeros = pl.core.ZeroTimes(bounds[0], pl.core._zero_runs(rho, bounds))
+        zeros = pl.core.ZeroTimes(bounds[0], pl.core._scan(rho, bounds)[3])
         assert len(zeros) == zeros.size == turns
         assert abs(zeros[0] - math.pi) < 1e-9
         assert abs(zeros[5] - 11 * math.pi) < 1e-9
@@ -464,6 +464,52 @@ class TestPhaseBreakdown:
             done += 1
             b = pl.phase_breakdown(sched.initial, sched)
             assert b.closure_residual < 1e-4
+
+
+class TestLibrarySegmentsValidated:
+    """Segments the schedule parser rejects raise DomainError from the
+    library too, at every entry point, and a NaN overlap is not cyclic."""
+
+    NAN_AXIS = (math.nan, 0.0, 1.0)
+    AXIS_ERROR = "axis must be a unit 3-vector"
+
+    @staticmethod
+    def schedule(axis, duration, s=None):
+        s = pl.schmidt_state(0.3, 0.7) if s is None else s
+        return pl.RotationSchedule((pl.RotationSegment(axis, duration),), 1, s)
+
+    def test_nan_axis_phase_breakdown(self):
+        sched = self.schedule(self.NAN_AXIS, 1.0)
+        with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
+            pl.phase_breakdown(sched.initial, sched)
+
+    def test_nan_axis_phase_samples(self):
+        sched = self.schedule(self.NAN_AXIS, 1.0)
+        with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
+            pl.phase_samples(sched.initial, sched, 3)
+
+    def test_nan_axis_so3_path(self):
+        with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
+            pl.so3_path(self.schedule(self.NAN_AXIS, 1.0), 3)
+
+    def test_nan_axis_evolution_operator(self):
+        with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
+            pl.evolution_operator(self.NAN_AXIS, 1.0)
+
+    def test_nan_axis_unitary_at(self):
+        with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
+            pl.unitary_at(self.schedule(self.NAN_AXIS, 1.0), 0.5)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, -2.0 * math.pi, 0.0])
+    def test_duration_outside_positive_finite_raises(self, duration):
+        sched = self.schedule(Z_AXIS, duration)
+        with pytest.raises(pl.DomainError, match="durations must be positive and finite"):
+            pl.phase_breakdown(sched.initial, sched)
+
+    def test_nan_final_overlap_is_not_cyclic(self):
+        sched = self.schedule(Z_AXIS, 2.0 * math.pi, (math.nan, 0.0, 0.0, 1.0))
+        with pytest.raises(pl.NotCyclic, match="magnitude nan"):
+            pl.phase_breakdown(sched.initial, sched)
 
 
 class TestClosedForms:

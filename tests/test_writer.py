@@ -272,8 +272,9 @@ class TestRunShapedTables:
         with open(path, encoding="utf-8") as fh:
             sched = pl.parse_schedule(fh.read())
         rho, bounds = pl.core._exact_inputs(sched.initial, sched)
-        runs = pl.core._zero_runs(rho, bounds)
-        cols, flags = pl.phases._series_columns(rho, bounds, runs, pl.DEFAULT_SAMPLES)
+        _, rates, ends, runs = pl.core._scan(rho, bounds)
+        cols, flags = pl.phases._series_columns(rho, bounds, rates, ends, runs,
+                                                pl.DEFAULT_SAMPLES)
         out = tmp_path / f"series.{fmt}"
         with mock.patch.object(cli, "_csv_rows", wraps=cli._csv_rows) as by_rows:
             assert cli.main(["run", path, "--out", str(out), "--format", fmt]) == 0
