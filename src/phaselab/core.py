@@ -115,9 +115,13 @@ def _unit_axis(axis) -> tuple:
 
 
 def _two_qubit(amps) -> tuple:
-    """Four complex amplitudes normalized to a unit two-qubit state (see
-    :func:`~phaselab.qstate.make_two_qubit`)."""
-    parts = tuple(p for a in _floats(amps, complex) for p in (a.real, a.imag))
+    """Four complex amplitudes scaled to a unit two-qubit state (see
+    :func:`_divided`); DomainError unless they are four finite numbers,
+    ZeroNorm when their norm is at or below 1e-9."""
+    amps = _floats(amps, complex)
+    if len(amps) != 4:
+        raise DomainError(f"a two-qubit state has 4 amplitudes, got {len(amps)}")
+    parts = tuple(p for a in amps for p in (a.real, a.imag))
     if not all(map(math.isfinite, parts)):
         raise DomainError("amplitudes must be finite")
     parts = _rescaled(parts)
@@ -205,9 +209,9 @@ def _reduced(s0: tuple, qubit: int) -> tuple:
 
 def _exact_inputs(s0, schedule):
     """``(rho, bounds)`` of the exact core: ``_reduced`` of the evolved qubit
-    of ``s0`` and the boundary record ``_quaternions(schedule.segments)``."""
-    s0 = _floats(s0, complex)  # once, at the public boundary
-    return _reduced(s0, schedule.evolved_qubit), _quaternions(schedule.segments)
+    of ``s0`` normalized by :func:`_two_qubit`, once, at the public boundary,
+    and the boundary record ``_quaternions(schedule.segments)``."""
+    return _reduced(_two_qubit(s0), schedule.evolved_qubit), _quaternions(schedule.segments)
 
 
 class ZeroTimes(Sequence):

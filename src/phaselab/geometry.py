@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ZeroTimes, _quaternions, _scan
-from .errors import DegenerateSpectrum, NotSpecialUnitary
+from .errors import DegenerateSpectrum
 from .schedule import RotationSchedule, _unitary_samples
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "purify",
     "SO3Point",
     "SO3Path",
-    "su2_to_so3",
     "so3_path",
 ]
 
@@ -124,9 +123,15 @@ class SO3Point:
         return self.axis * self.angle
 
     def same_rotation(self, other: "SO3Point", atol: float = 1e-9) -> bool:
+        """Whether ``other`` is this rotation within ``atol``: angles within
+        ``atol`` and axes or ball coordinates too, or both near the identity,
+        or antipodal points of the boundary."""
         if abs(self.angle - other.angle) > atol:
             return False
         if self.angle <= atol and other.angle <= atol:
+            return True
+        # near the identity the axis is ill-conditioned, the ball coordinates are not
+        if float(np.linalg.norm(self.displacement() - other.displacement())) <= atol:
             return True
         if float(np.linalg.norm(self.axis - other.axis)) <= atol:
             return True
@@ -163,28 +168,6 @@ def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
     t[center] = 0.0
     axes[center] = _CENTER_AXIS
     return axes, t
-
-
-def su2_to_so3(u) -> SO3Point:
-    """Axis-angle image of an SU(2) element ``w I - i v . sigma`` in the
-    radius-pi ball (see :func:`_ball`). Raises NotSpecialUnitary unless
-    ``u`` is a finite 2x2 matrix ``[[a, b], [-conj b, conj a]]`` with det 1,
-    each within 1e-9."""
-    m = np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise NotSpecialUnitary(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():  # nan fails every tolerance check below unseen
-        raise NotSpecialUnitary("matrix has a non-finite entry")
-    if max(abs(m[1, 1] - m[0, 0].conjugate()), abs(m[1, 0] + m[0, 1].conjugate())) > 1e-9:
-        raise NotSpecialUnitary("matrix is not [[a, b], [-conj b, conj a]] within 1e-9")
-    if abs(np.linalg.det(m) - 1.0) > 1e-9:
-        raise NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
-    w = (m[0, 0] + m[1, 1]).real / 2.0
-    v = np.array([[-(m[0, 1].imag + m[1, 0].imag) / 2.0,
-                   (m[1, 0].real - m[0, 1].real) / 2.0,
-                   (m[1, 1].imag - m[0, 0].imag) / 2.0]])
-    axes, angles = _ball(np.array([w]), v)
-    return SO3Point(axes[0], float(angles[0]))
 
 
 @dataclass(frozen=True, eq=False)

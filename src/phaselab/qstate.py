@@ -8,44 +8,17 @@ mutated and results are fresh arrays, so concurrent use is safe.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import _schmidt, _two_qubit, _unit_axis
+from .core import _schmidt
 from .errors import DomainError
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "pauli_dot",
-    "make_two_qubit",
     "schmidt_state",
-    "evolution_operator",
     "apply_local",
     "reduced_density",
     "inner_product",
 ]
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def pauli_dot(axis) -> np.ndarray:
-    """``axis . sigma`` as a 2x2 complex matrix."""
-    n = np.asarray(axis, dtype=float)
-    return n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-
-
-def make_two_qubit(a00, a01, a10, a11) -> np.ndarray:
-    """Normalized two-qubit state from four complex amplitudes.
-
-    Raises ZeroNorm when the input norm is at or below 1e-9; otherwise the
-    vector is rescaled to unit norm with relative amplitudes preserved.
-    """
-    return np.array(_two_qubit((a00, a01, a10, a11)), dtype=complex)
 
 
 def schmidt_state(lambda0: float, theta: float) -> np.ndarray:
@@ -56,19 +29,6 @@ def schmidt_state(lambda0: float, theta: float) -> np.ndarray:
     the result is exactly normalized for any ``theta`` in radians.
     """
     return np.array(_schmidt(lambda0, theta), dtype=complex)
-
-
-def evolution_operator(axis, t: float) -> np.ndarray:
-    """SU(2) rotation by angle ``t`` (radians) about a unit 3-vector axis.
-
-    Equals ``exp(-i t (axis . sigma) / 2)``:
-
-        [[cos(t/2) - i nz sin(t/2),  (-i nx - ny) sin(t/2)],
-         [(-i nx + ny) sin(t/2),     cos(t/2) + i nz sin(t/2)]]
-    """
-    nx, ny, nz = _unit_axis(axis)
-    s = math.sin(t / 2.0)
-    return _su2_matrix((math.cos(t / 2.0), s * nx, s * ny, s * nz))
 
 
 def _su2_matrix(q) -> np.ndarray:

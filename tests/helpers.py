@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 import phaselab as pl
+from matrices import evolution_operator, pauli_dot, quaternion_of, su2_to_so3
 
 
 def random_state(rng) -> np.ndarray:
@@ -26,7 +27,7 @@ def random_axis(rng) -> np.ndarray:
 
 
 def random_su2(rng) -> np.ndarray:
-    return pl.evolution_operator(random_axis(rng), float(rng.uniform(0.0, 2.0 * math.pi)))
+    return evolution_operator(random_axis(rng), float(rng.uniform(0.0, 2.0 * math.pi)))
 
 
 def random_mes(rng) -> np.ndarray:
@@ -142,14 +143,14 @@ def dynamical_quadrature(s0, schedule, steps_per_segment=20000) -> float:
     q = schedule.evolved_qubit
     acc = 0.0
     for seg in schedule.segments:
-        h = pl.pauli_dot(seg.axis) / 2.0
+        h = pauli_dot(seg.axis) / 2.0
         dt = seg.duration / steps_per_segment
         for k in range(steps_per_segment):
-            u = pl.evolution_operator(seg.axis, (k + 0.5) * dt)
+            u = evolution_operator(seg.axis, (k + 0.5) * dt)
             mid = pl.apply_local(u, q, psi)
             rho = pl.reduced_density(mid, q)
             acc -= float(np.trace(h @ rho).real) * dt
-        psi = pl.apply_local(pl.evolution_operator(seg.axis, seg.duration), q, psi)
+        psi = pl.apply_local(evolution_operator(seg.axis, seg.duration), q, psi)
     return acc
 
 
@@ -215,27 +216,12 @@ def loop_unwrap_skipnan(p) -> np.ndarray:
     return out
 
 
-def per_matrix_so3(u):
-    """One-matrix oracle for the SU(2) -> SO(3) kernel: ``(axis, angle)``
-    in the radius-pi ball, angles above pi folded, the identity on axis
-    (0, 0, 1); raises NotSpecialUnitary when det(u) != 1 within 1e-9."""
-    m = np.asarray(u, dtype=complex)
-    if abs(np.linalg.det(m) - 1.0) > 1e-9:
-        raise pl.NotSpecialUnitary("matrix determinant differs from 1 by more than 1e-9")
-    w = (m[0, 0] + m[1, 1]).real / 2.0
-    v = np.array([-(m[0, 1].imag + m[1, 0].imag) / 2.0,
-                  (m[1, 0].real - m[0, 1].real) / 2.0,
-                  (m[1, 1].imag - m[0, 0].imag) / 2.0])
-    s = float(np.linalg.norm(v))
-    if s <= 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    t = 2.0 * math.atan2(s, w)
-    axis = v / s
-    if t > math.pi:
-        t, axis = 2.0 * math.pi - t, -axis
-    if t <= 1e-12:
-        return np.array([0.0, 0.0, 1.0]), 0.0
-    return axis, t
+def so3_point(u):
+    """The program's rotation-ball point of an SU(2) matrix: ``geometry._ball``
+    on its quaternion."""
+    w, v = quaternion_of(u)
+    axes, angles = pl.geometry._ball(np.atleast_1d(w), np.atleast_2d(v))
+    return pl.SO3Point(axes[0], float(angles[0]))
 
 
 def _cell(x) -> str:
@@ -315,17 +301,17 @@ def reference_sweep_rows(lambdas, thetas, axis, turns=1):
 
 
 # Matrix oracles for the exact core: the 2x2-matrix forms of the exact
-# phase decomposition, on the boundary products B_k as matrices, with
-# np.trace, pauli_dot and the purification by eigh.
+# phase decomposition, on the boundary products B_k as matrices
+# (tests/matrices.py), with np.trace, pauli_dot and the purification by eigh.
 
 def matrix_boundaries(schedule):
     """Cumulative end times and the boundary products B_k, k = 0..n, as
-    2x2 matrices: products of ``evolution_operator`` matrices."""
+    2x2 matrices: products of :func:`matrices.evolution_operator` matrices."""
     times = [0.0]
     prods = [np.eye(2, dtype=complex)]
     for seg in schedule.segments:
         times.append(times[-1] + seg.duration)
-        prods.append(pl.evolution_operator(seg.axis, seg.duration) @ prods[-1])
+        prods.append(evolution_operator(seg.axis, seg.duration) @ prods[-1])
     return times, prods
 
 
@@ -346,9 +332,9 @@ def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
     entered = None
     for k, seg in enumerate(segs):
         m = prods[k] @ rho
-        c = complex(np.trace(pl.pauli_dot(seg.axis) @ m))
+        c = complex(np.trace(pauli_dot(seg.axis) @ m))
         if k and at_zero[k] and entered is None:
-            entered = (k, complex(np.trace(pl.pauli_dot(segs[k - 1].axis) @ m)))
+            entered = (k, complex(np.trace(pauli_dot(segs[k - 1].axis) @ m)))
         if entered is not None:
             if abs(c) <= pl.CROSSING_EPS:
                 continue
@@ -373,7 +359,7 @@ def _matrix_dynamical(schedule, prods, rho) -> float:
     b0 = explicit_bloch(rho)
     return sum(
         pl.DYNAMICAL_SIGN * 0.25 * seg.duration
-        * float(np.dot(b0, explicit_bloch(u.conj().T @ pl.pauli_dot(seg.axis) @ u)))
+        * float(np.dot(b0, explicit_bloch(u.conj().T @ pauli_dot(seg.axis) @ u)))
         for seg, u in zip(schedule.segments, prods))
 
 
@@ -441,7 +427,7 @@ def matrix_unitary_samples(schedule, samples_per_segment):
         offs = seg.duration / per * np.arange(1, samples_per_segment)
         c, s = np.cos(0.5 * offs), np.sin(0.5 * offs)
         block = slice(k * per + 1, (k + 1) * per + 1)
-        units[block] = (c[:, None, None] * eye - 1j * s[:, None, None] * pl.pauli_dot(seg.axis)) @ bp[k]
+        units[block] = (c[:, None, None] * eye - 1j * s[:, None, None] * pauli_dot(seg.axis)) @ bp[k]
         times[block] = bt[k] + offs
         times[block.stop - 1], units[block.stop - 1] = bt[k + 1], bp[k + 1]
     return times, units
@@ -450,7 +436,7 @@ def matrix_unitary_samples(schedule, samples_per_segment):
 def matrix_series_columns(s0, schedule, samples_per_segment):
     """``phases._series_columns`` from matrices: ``sp = Tr(U rho)`` and the
     transported state ``U rho U+`` by einsum, the ball from the matrix
-    decode ``per_matrix_so3`` of each unit; the dynamical rates, the dynamical
+    decode ``su2_to_so3`` of each unit; the dynamical rates, the dynamical
     phase at segment ends and the zero runs are the core's (``core._scan``)."""
     if samples_per_segment < 2:
         raise pl.DomainError("samples_per_segment must be >= 2")
@@ -469,7 +455,7 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
         sl = slice(k * per + 1, (k + 1) * per + 1)
         dyn[sl] = ends[k] + rate * (times[sl] - times[k * per])
         dyn[(k + 1) * per] = ends[k + 1]
-    balls = [per_matrix_so3(u) for u in units]
+    balls = [su2_to_so3(u) for u in units]
     axes, angles = np.array([a for a, _ in balls]), np.array([t for _, t in balls])
     zeros = pl.core.ZeroTimes(bounds[0], runs)
     flags = np.zeros(len(times), dtype=int)

@@ -19,6 +19,7 @@ from helpers import (
     random_segments,
     random_state,
     random_su2,
+    so3_point,
 )
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -184,7 +185,7 @@ def test_criterion_7_geometry_suite():
             worst_conc, abs(pl.concurrence(pl.apply_local(u, q, s)) - pl.concurrence(s)))
         b = explicit_bloch(pl.reduced_density(s, 1))
         worst_rad = max(worst_rad, abs(pl.ball_radius(s) - float(np.linalg.norm(b))))
-        antipodal_ok &= pl.su2_to_so3(u) == pl.su2_to_so3(-u)
+        antipodal_ok &= so3_point(u) == so3_point(-u)
         rho = pl.reduced_density(s, 1)
         try:
             p = pl.purify(rho)

@@ -553,6 +553,12 @@ class TestExitCodes:
         assert main(["breakdown", sched]) == 2
         assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
+    def test_state_norm_at_the_threshold_exit_2(self, tmp_path, capsys):
+        sched = write(tmp_path, "zero.sched", "phaselab-schedule v1\n"
+                      "state amplitudes 1e-9 0 0 0 0 0 0 0\nsegment 0 0 1 1.0\n")
+        assert main(["breakdown", sched]) == 2
+        assert capsys.readouterr().err == "error: line 2: state norm 1e-09 is not above 1e-9\n"
+
     @pytest.mark.parametrize("argv", [
         ["run", "{sched}", "--steps", "1"],
         ["breakdown", "{sched}", "--steps", "1"],

@@ -3,7 +3,8 @@ and the crossing flags it feeds into the sampled series.
 
 The exact functions run on the boundary products as unit quaternions and
 the reduced state as its Pauli components; ``tests/helpers.py`` keeps the
-matrix forms (``np.trace``, ``pauli_dot``, ``eigh``) as oracles.
+matrix forms (``np.trace``, ``pauli_dot``, ``eigh``) as oracles, on the
+numpy-only matrices of ``tests/matrices.py``.
 """
 
 import contextlib
@@ -33,6 +34,7 @@ from helpers import (
     matrix_series_columns,
     matrix_topological_crossings,
 )
+from matrices import make_two_qubit
 from phaselab.cli import main
 
 X_AXIS, Z_AXIS = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
@@ -82,7 +84,7 @@ PARTIAL = st.tuples(st.floats(0.0, 1.0), st.floats(-10.0, 10.0)).map(
     lambda p: pl.schmidt_state(*p))
 AMPLITUDES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).filter(
     lambda v: math.hypot(*v) > 0.1).map(
-    lambda v: pl.make_two_qubit(*(complex(v[i], v[i + 1]) for i in range(0, 8, 2))))
+    lambda v: make_two_qubit(*(complex(v[i], v[i + 1]) for i in range(0, 8, 2))))
 STATES = st.one_of(MES, PRODUCT, PARTIAL, AMPLITUDES)
 
 
@@ -178,7 +180,7 @@ class TestCoreAgainstMatrixOracles:
         # a product state turned to its antipode about y, nudged about x and
         # back, then returned about -y: at both antipode junctions the slopes
         # are at right angles, and rounding alone made the last one a crossing
-        s0 = pl.make_two_qubit(0.0, -math.sin(0.5), 0.0, math.cos(0.5))
+        s0 = make_two_qubit(0.0, -math.sin(0.5), 0.0, math.cos(0.5))
         y_axis, nudge = (0.0, 1.0, 0.0), 0.0546875
         sched = pl.RotationSchedule(
             (segment(y_axis, math.pi), segment(X_AXIS, nudge),
@@ -244,14 +246,14 @@ THRESHOLD_TIE = pl.RotationSchedule(
     (segment(X_AXIS, 1.0), segment((0.0, 1.0, 0.0), 0.5 * math.pi),
      segment((0.0, -1.0, 0.0), 0.5 * math.pi), segment((-1.0, 0.0, 0.0), 1.0),
      segment(X_AXIS, 2.0 * math.pi)),
-    1, pl.make_two_qubit(0j, -5e-10 + 0j, 0j, 1 + 0j))
+    1, make_two_qubit(0j, -5e-10 + 0j, 0j, 1 + 0j))
 
 # three quarter turns about z nudged 1e-9 towards y after a quarter turn
 # about z: the last sample is a 1.4e-9 turn, whose axis the two roundings
 # decode 3e-8 apart
 NEAR_IDENTITY = pl.RotationSchedule(
     (segment(Z_AXIS, 0.5 * math.pi), segment((0.0, 1e-9, 1.0), 1.5 * math.pi)),
-    1, pl.make_two_qubit(1, 0, 0, 1))
+    1, make_two_qubit(1, 0, 0, 1))
 
 # below this angle a rounding of 1e-16 in v moves the axis by more than
 # same_rotation's 1e-9

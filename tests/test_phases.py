@@ -28,6 +28,7 @@ from helpers import (
     sampled_geometric_phase,
     triangle_solid_angle,
 )
+from matrices import evolution_operator, make_two_qubit
 from phaselab.phases import _unwrap_skipnan
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -56,8 +57,8 @@ class TestTotalPhase:
         assert abs(pl.total_phase(s, cmath.exp(1j * math.pi / 3) * s) - math.pi / 3) < 1e-14
 
     def test_orthogonal_is_nan(self):
-        plus = pl.make_two_qubit(1, 0, 0, 1)
-        minus = pl.make_two_qubit(1, 0, 0, -1)
+        plus = make_two_qubit(1, 0, 0, 1)
+        minus = make_two_qubit(1, 0, 0, -1)
         assert math.isnan(pl.total_phase(plus, minus))
 
     def test_principal_range(self):
@@ -108,7 +109,7 @@ class TestSpFormula:
     ``cos(t/2) - i (axis . b) sin(t/2)``, ``b`` the reduced Bloch vector."""
 
     def test_zero_time(self):
-        s = pl.make_two_qubit(1, 0, 0, 0)  # Tr rho is exactly 1
+        s = make_two_qubit(1, 0, 0, 0)  # Tr rho is exactly 1
         samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
         assert samples[0].sp == 1.0 + 0.0j
 
@@ -127,7 +128,7 @@ class TestSpFormula:
         assert abs(v.real) < 1e-15
         assert abs(abs(v) - abs(b[2])) < 1e-14
         # oracle: the actual inner product along a z rotation
-        u = pl.evolution_operator(Z_AXIS, math.pi)
+        u = evolution_operator(Z_AXIS, math.pi)
         want = pl.inner_product(s, pl.apply_local(u, 1, s))
         assert abs(v - want) < 1e-14
 
@@ -142,7 +143,7 @@ class TestSpFormula:
             sched = pl.RotationSchedule((pl.RotationSegment(axis, t),), q, s)
             got = pl.phase_samples(s, sched, 2)[0][-1].sp
             closed = complex(math.cos(t / 2), -float(np.dot(axis, b)) * math.sin(t / 2))
-            want = pl.inner_product(s, pl.apply_local(pl.evolution_operator(axis, t), q, s))
+            want = pl.inner_product(s, pl.apply_local(evolution_operator(axis, t), q, s))
             assert abs(got - want) < 1e-10 and abs(got - closed) < 1e-10
 
     def test_bad_axis(self):
@@ -380,10 +381,10 @@ class TestTopologicalCrossings:
         rng = np.random.default_rng(69)
         for _ in range(30):
             q = random_qubit(rng)
-            s = pl.make_two_qubit(q[0], 0, q[1], 0)
+            s = make_two_qubit(q[0], 0, q[1], 0)
             n1, d1 = random_axis(rng), float(rng.uniform(0.3, 3.0))
             b0 = pl.bloch_of_pure(q)
-            w = b0 + pl.bloch_of_pure(pl.evolution_operator(n1, d1) @ q)
+            w = b0 + pl.bloch_of_pure(evolution_operator(n1, d1) @ q)
             r = random_axis(rng)
             n2 = r - np.dot(r, w) / np.dot(w, w) * w  # n2 . b1 = -n2 . b0
             turns = int(rng.integers(1, 4))
@@ -492,10 +493,6 @@ class TestLibrarySegmentsValidated:
         with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
             pl.so3_path(self.schedule(self.NAN_AXIS, 1.0), 3)
 
-    def test_nan_axis_evolution_operator(self):
-        with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
-            pl.evolution_operator(self.NAN_AXIS, 1.0)
-
     def test_nan_axis_unitary_at(self):
         with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
             pl.unitary_at(self.schedule(self.NAN_AXIS, 1.0), 0.5)
@@ -507,9 +504,69 @@ class TestLibrarySegmentsValidated:
             pl.phase_breakdown(sched.initial, sched)
 
     def test_nan_final_overlap_is_not_cyclic(self):
-        sched = self.schedule(Z_AXIS, 2.0 * math.pi, (math.nan, 0.0, 0.0, 1.0))
+        # the exact API rejects NaN amplitudes before the core sees them
+        # (TestLibraryStateContract), so the core's check gets a NaN state
+        rho = pl.core._reduced((complex(math.nan), 0j, 0j, 1 + 0j), 1)
+        bounds = pl.core._quaternions(self.schedule(Z_AXIS, 2.0 * math.pi).segments)
         with pytest.raises(pl.NotCyclic, match="magnitude nan"):
-            pl.phase_breakdown(sched.initial, sched)
+            pl.core._breakdown(rho, bounds)
+
+
+class TestLibraryStateContract:
+    """The exact API normalizes ``s0`` through ``core._two_qubit``: four
+    finite amplitudes of norm above 1e-9, scaled to unit norm, else
+    DomainError or ZeroNorm. Every case is one x segment of pi."""
+
+    EXACT = (pl.phase_breakdown, pl.topological_crossings, pl.dynamical_phase,
+             pl.geometric_phase_mixed, pl.readout_probability)
+    UNIT = (1.0, 0.0, 0.0, 0.0)
+    SCHED = pl.RotationSchedule((pl.RotationSegment((1.0, 0.0, 0.0), math.pi),), 1, UNIT)
+
+    @staticmethod
+    def outcome(f, s0, sched):
+        try:
+            return "value", f(s0, sched)
+        except pl.PhaseLabError as exc:
+            return type(exc), str(exc)
+
+    def assert_same_as_unit(self, s0):
+        for f in self.EXACT:
+            got = self.outcome(f, s0, self.SCHED)
+            assert got == self.outcome(f, self.UNIT, self.SCHED), f.__name__
+
+    def assert_raises_everywhere(self, s0, error, match):
+        for f in self.EXACT:
+            with pytest.raises(error, match=match):
+                f(s0, self.SCHED)
+
+    def test_amplitudes_whose_squares_overflow(self):
+        # the crossing search squared 1e78 into a bare OverflowError
+        self.assert_same_as_unit((1e78, 0.0, 0.0, 0.0))
+
+    def test_nan_amplitude_raises(self):
+        self.assert_raises_everywhere((math.nan, 0.0, 0.0, 0.0), pl.DomainError,
+                                      "amplitudes must be finite")
+
+    def test_zero_state_raises(self):
+        self.assert_raises_everywhere((0.0, 0.0, 0.0, 0.0), pl.ZeroNorm, "not above 1e-9")
+
+    def test_unnormalized_state_is_normalized(self):
+        self.assert_same_as_unit((2.0, 0.0, 0.0, 0.0))
+
+    def test_three_amplitudes_raise(self):
+        self.assert_raises_everywhere((1.0, 0.0, 0.0), pl.DomainError,
+                                      "a two-qubit state has 4 amplitudes, got 3")
+
+    # the norm threshold: ZeroNorm at norm <= 1e-9, and just above it the
+    # state scales to the unit state exactly
+    def test_norm_at_the_threshold_raises(self):
+        self.assert_raises_everywhere((1e-9, 0.0, 0.0, 0.0), pl.ZeroNorm, "not above 1e-9")
+
+    def test_norm_just_above_the_threshold_is_the_unit_state(self):
+        turn = pl.RotationSchedule((pl.RotationSegment((0.0, 0.0, 1.0), 2.0 * math.pi),), 1,
+                                   self.UNIT)
+        tiny = (math.nextafter(1e-9, 1.0), 0.0, 0.0, 0.0)
+        assert pl.phase_breakdown(tiny, turn) == pl.phase_breakdown(self.UNIT, turn)
 
 
 class TestClosedForms:

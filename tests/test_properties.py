@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import phaselab as pl
 from helpers import geometric_phase_pure, reference_sweep_rows, reference_table_bytes
+from matrices import evolution_operator, make_two_qubit, quaternion_of
 from phaselab.cli import SWEEP_FIELDS, main
 from phaselab.core import _quaternions
 
@@ -184,15 +185,7 @@ AXES = st.tuples(unit, unit, unit).filter(lambda v: math.hypot(*v) > 0.1).map(
 SHORT = st.floats(0.05, 7.0) | st.sampled_from([0.5, 1.0, 2.0, 3.0]).map(lambda k: k * math.pi)
 AMPLITUDES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).filter(
     lambda v: math.hypot(*v) > 0.1).map(
-    lambda v: pl.make_two_qubit(*(complex(v[i], v[i + 1]) for i in range(0, 8, 2))))
-
-
-def quaternion_of(u):
-    """``(w, v)`` of an SU(2) matrix ``u = w I - i v . sigma``."""
-    return ((u[0, 0] + u[1, 1]).real / 2.0,
-            np.array([-(u[0, 1].imag + u[1, 0].imag) / 2.0,
-                      (u[1, 0].real - u[0, 1].real) / 2.0,
-                      (u[1, 1].imag - u[0, 0].imag) / 2.0]))
+    lambda v: make_two_qubit(*(complex(v[i], v[i + 1]) for i in range(0, 8, 2))))
 
 
 @st.composite
@@ -226,7 +219,7 @@ class TestPaperIdentities:
                     min_size=1, max_size=5))
     def test_parity_law_on_maximally_entangled_states(self, theta, axis, angle, qubit, segs):
         # a local turn of qubit 2 keeps the state maximally entangled
-        mes = pl.apply_local(pl.evolution_operator(axis, angle), 2, pl.schmidt_state(0.5, theta))
+        mes = pl.apply_local(evolution_operator(axis, angle), 2, pl.schmidt_state(0.5, theta))
         sched = pl.RotationSchedule(tuple(segs), qubit, mes)
         assert pl.total_duration(sched) < 1e12
         re_trace = float(np.trace(pl.unitary_at(sched, math.inf)).real)

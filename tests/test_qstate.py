@@ -1,6 +1,15 @@
-"""State construction, evolution operators, local action and partial trace."""
+"""State construction, evolution operators, local action and partial trace.
 
+The evolution operator and the normalized state built from four
+amplitudes are the test-side matrices of ``tests/matrices.py``; the
+program normalizes a state with ``core._two_qubit``.
+"""
+
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,36 +18,44 @@ from scipy.linalg import expm
 
 import phaselab as pl
 from helpers import brute_partial_trace, kron_apply, random_axis, random_schedule, random_state
+from matrices import evolution_operator, make_two_qubit, pauli_dot
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def two_qubit(*amps):
+    return pl.core._two_qubit(amps)
+
+
 class TestMakeTwoQubit:
+    """The program's state normalization, which the exact API applies to
+    ``s0``."""
+
     def test_basis_state_passthrough(self):
-        s = pl.make_two_qubit(1, 0, 0, 0)
+        s = two_qubit(1, 0, 0, 0)
         assert_allclose(s, [1, 0, 0, 0], atol=0)
 
     def test_rescaling(self):
-        s = pl.make_two_qubit(2, 0, 0, 0)
+        s = two_qubit(2, 0, 0, 0)
         assert_allclose(s, [1, 0, 0, 0], atol=1e-15)
 
     def test_symmetric_pair(self):
-        s = pl.make_two_qubit(1, 0, 0, 1)
+        s = two_qubit(1, 0, 0, 1)
         r = 1 / math.sqrt(2)
         assert_allclose(s, [r, 0, 0, r], atol=1e-15)
 
     def test_amplitudes_whose_squares_overflow(self):
-        s = pl.make_two_qubit(1e300, 0, 0, 1e300j)
+        s = two_qubit(1e300, 0, 0, 1e300j)
         r = 1 / math.sqrt(2)
         assert_allclose(s, [r, 0, 0, 1j * r], atol=1e-15)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(pl.ZeroNorm):
-            pl.make_two_qubit(0, 0, 0, 1e-10)
+            two_qubit(0, 0, 0, 1e-10)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(pl.PhaseLabError):
-            pl.make_two_qubit(math.nan, 0, 0, 1)
+            two_qubit(math.nan, 0, 0, 1)
 
 
 class TestSchmidtState:
@@ -72,17 +89,17 @@ class TestSchmidtState:
 
 class TestEvolutionOperator:
     def test_identity_at_zero(self):
-        assert_allclose(pl.evolution_operator(Z_AXIS, 0.0), np.eye(2), atol=0)
+        assert_allclose(evolution_operator(Z_AXIS, 0.0), np.eye(2), atol=0)
 
     def test_full_turn_is_minus_identity(self):
-        assert_allclose(pl.evolution_operator(Z_AXIS, 2 * math.pi), -np.eye(2), atol=1e-12)
+        assert_allclose(evolution_operator(Z_AXIS, 2 * math.pi), -np.eye(2), atol=1e-12)
 
     def test_diagonal_axis_matches_matrix_exponential(self):
         axis = np.array([-1.0, -1.0, -1.0]) / math.sqrt(3.0)
         t = 2 * math.pi / 3
-        u = pl.evolution_operator(axis, t)
+        u = evolution_operator(axis, t)
         assert abs(u[0, 0] - (0.5 + 0.5j)) < 1e-12
-        oracle = expm(-1j * t * pl.pauli_dot(axis) / 2)
+        oracle = expm(-1j * t * pauli_dot(axis) / 2)
         assert_allclose(u, oracle, atol=1e-12)
 
     def test_random_against_matrix_exponential(self):
@@ -91,15 +108,15 @@ class TestEvolutionOperator:
             axis = random_axis(rng)
             t = float(rng.uniform(-10, 10))
             assert_allclose(
-                pl.evolution_operator(axis, t),
-                expm(-1j * t * pl.pauli_dot(axis) / 2),
+                evolution_operator(axis, t),
+                expm(-1j * t * pauli_dot(axis) / 2),
                 atol=1e-12,
             )
 
     def test_unitarity(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
-            u = pl.evolution_operator(random_axis(rng), float(rng.uniform(0, 4 * math.pi)))
+            u = evolution_operator(random_axis(rng), float(rng.uniform(0, 4 * math.pi)))
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
     def test_composition(self):
@@ -107,17 +124,18 @@ class TestEvolutionOperator:
         for _ in range(200):
             n = random_axis(rng)
             t1, t2 = rng.uniform(0, 5, size=2)
-            lhs = pl.evolution_operator(n, float(t1 + t2))
-            rhs = pl.evolution_operator(n, float(t2)) @ pl.evolution_operator(n, float(t1))
+            lhs = evolution_operator(n, float(t1 + t2))
+            rhs = evolution_operator(n, float(t2)) @ evolution_operator(n, float(t1))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    # the program's axis check, which every segment passes through
     def test_non_unit_axis_rejected(self):
         with pytest.raises(pl.DomainError):
-            pl.evolution_operator([1.0, 1.0, 0.0], 1.0)
+            pl.core._unit_axis([1.0, 1.0, 0.0])
 
     def test_non_numeric_axis_rejected(self):
         with pytest.raises(pl.DomainError, match="axis must be a unit 3-vector"):
-            pl.evolution_operator("abc", 1.0)
+            pl.core._unit_axis("abc")
 
 
 class TestApplyLocal:
@@ -133,7 +151,7 @@ class TestApplyLocal:
 
     def test_z_half_turn_on_bell_state(self):
         s = pl.schmidt_state(0.5, 0.0)
-        out = pl.apply_local(pl.evolution_operator(Z_AXIS, math.pi), 1, s)
+        out = pl.apply_local(evolution_operator(Z_AXIS, math.pi), 1, s)
         r = 1 / math.sqrt(2)
         assert_allclose(out, [-1j * r, 0, 0, 1j * r], atol=1e-15)
 
@@ -141,7 +159,7 @@ class TestApplyLocal:
         rng = np.random.default_rng(6)
         for _ in range(100):
             s = random_state(rng)
-            u = pl.evolution_operator(random_axis(rng), float(rng.uniform(0, 7)))
+            u = evolution_operator(random_axis(rng), float(rng.uniform(0, 7)))
             q = int(rng.integers(1, 3))
             assert_allclose(pl.apply_local(u, q, s), kron_apply(u, q, s), atol=1e-14)
 
@@ -151,7 +169,7 @@ class TestApplyLocal:
             sched = random_schedule(rng, max_segments=8)
             psi = sched.initial
             for seg in sched.segments:
-                u = pl.evolution_operator(seg.axis, seg.duration)
+                u = evolution_operator(seg.axis, seg.duration)
                 psi = pl.apply_local(u, sched.evolved_qubit, psi)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
@@ -189,7 +207,7 @@ class TestReducedDensity:
         rng = np.random.default_rng(9)
         for _ in range(200):
             s = random_state(rng)
-            u = pl.evolution_operator(random_axis(rng), float(rng.uniform(0, 7)))
+            u = evolution_operator(random_axis(rng), float(rng.uniform(0, 7)))
             before = np.linalg.eigvalsh(pl.reduced_density(s, 2))
             after = np.linalg.eigvalsh(pl.reduced_density(pl.apply_local(u, 1, s), 2))
             assert_allclose(after, before, atol=1e-12)
@@ -215,11 +233,40 @@ class TestInnerProduct:
         assert abs(pl.inner_product(s, -s) + 1.0) < 1e-14
 
     def test_orthogonal_bell_states(self):
-        plus = pl.make_two_qubit(1, 0, 0, 1)
-        minus = pl.make_two_qubit(1, 0, 0, -1)
+        plus = make_two_qubit(1, 0, 0, 1)
+        minus = make_two_qubit(1, 0, 0, -1)
         assert abs(pl.inner_product(plus, minus)) < 1e-15
 
     def test_conjugates_first_argument(self):
-        a = pl.make_two_qubit(1j, 0, 0, 0)
-        b = pl.make_two_qubit(1, 0, 0, 0)
+        a = make_two_qubit(1j, 0, 0, 0)
+        b = make_two_qubit(1, 0, 0, 0)
         assert pl.inner_product(a, b) == -1j
+
+
+class TestMatrixOracles:
+    """``tests/matrices.py`` imports nothing from phaselab, so the oracles
+    built on it share no code with the program, and its rotation agrees
+    with the program's."""
+
+    def test_imported_without_phaselab_and_agrees_with_unitary_at(self):
+        rng = np.random.default_rng(13)
+        cases = [(random_axis(rng).tolist(), float(rng.uniform(0.3, 6.0))) for _ in range(3)]
+        code = "\n".join([
+            "import json, sys",
+            "sys.modules['phaselab'] = None  # any import of phaselab now raises",
+            f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
+            "import matrices",
+            f"mats = [matrices.evolution_operator(n, t) for n, t in {cases!r}]",
+            "print(json.dumps([[[z.real, z.imag] for z in m.ravel().tolist()] for m in mats]))",
+            "print(json.dumps(sorted(name for name, module in sys.modules.items()",
+            "                        if name.startswith('phaselab') and module is not None)))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        mats, loaded = (json.loads(line) for line in proc.stdout.splitlines())
+        assert loaded == []
+        for (n, t), parts in zip(cases, mats, strict=True):
+            got = np.array([complex(re, im) for re, im in parts]).reshape(2, 2)
+            sched = pl.RotationSchedule((pl.RotationSegment(n, t),), 1, pl.schmidt_state(0.3, 0.7))
+            assert np.max(np.abs(got - pl.unitary_at(sched, t))) <= 1e-14

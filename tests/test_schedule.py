@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 import phaselab as pl
 from helpers import evolve, random_schedule, random_state, sampled_unitaries
+from matrices import evolution_operator
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 STEP = 2 * math.pi / 3
@@ -20,7 +21,7 @@ STEP = 2 * math.pi / 3
 def product_of(segments):
     m = np.eye(2, dtype=complex)
     for seg in segments:
-        m = pl.evolution_operator(seg.axis, seg.duration) @ m
+        m = evolution_operator(seg.axis, seg.duration) @ m
     return m
 
 
@@ -261,7 +262,7 @@ class TestSampling:
         pairs = sampled_unitaries(sched, 3)
         assert [t for t, _ in pairs] == [0.0, math.pi, 2 * math.pi]
         assert_allclose(pairs[0][1], np.eye(2), atol=0)
-        assert_allclose(pairs[1][1], pl.evolution_operator(Z_AXIS, math.pi), atol=1e-15)
+        assert_allclose(pairs[1][1], evolution_operator(Z_AXIS, math.pi), atol=1e-15)
         assert_allclose(pairs[2][1], -np.eye(2), atol=1e-12)
 
     def test_strictly_increasing_times(self):
@@ -277,13 +278,24 @@ class TestSampling:
             sched = random_schedule(rng, max_segments=4)
             prods = [np.eye(2, dtype=complex)]
             for seg in sched.segments:
-                prods.append(pl.evolution_operator(seg.axis, seg.duration) @ prods[-1])
+                prods.append(evolution_operator(seg.axis, seg.duration) @ prods[-1])
             boundaries = np.cumsum([0.0] + [s.duration for s in sched.segments])
             for spp in (2, 3, 17):
                 pairs = sampled_unitaries(sched, spp)
                 for tb, want in zip(boundaries, prods):
                     got = min(pairs, key=lambda p: abs(p[0] - tb))[1]
                     assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_boundary_quaternion_off_the_unit_sphere_raises(self):
+        # det U = w^2 + v . v of every sample must be 1 within 1e-9
+        bt, bq, axes, durations = pl.schedule._quaternions((pl.RotationSegment(Z_AXIS, 1.0),))
+
+        def scaled(k):
+            return bt, [bq[0], tuple(k * x for x in bq[1])], axes, durations
+
+        pl.schedule._unitary_samples(scaled(1.0 + 2.5e-10), 3)  # det 1 + 5e-10
+        with pytest.raises(pl.NotSpecialUnitary, match="differs from 1 by more than 1e-9"):
+            pl.schedule._unitary_samples(scaled(1.0 + 1e-9), 3)  # det 1 + 2e-9
 
     def test_segments_end_on_the_exact_boundary_quaternions(self):
         rng = np.random.default_rng(45)
@@ -301,7 +313,7 @@ class TestSampling:
         pairs = sampled_unitaries(sched, 2)
         want = np.eye(2, dtype=complex)
         for k, seg in enumerate(sched.segments):
-            want = pl.evolution_operator(seg.axis, seg.duration) @ want
+            want = evolution_operator(seg.axis, seg.duration) @ want
             assert np.max(np.abs(pairs[k + 1][1] - want)) < 1e-12
 
     def test_unitary_at_matches_samples(self):

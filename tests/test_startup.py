@@ -30,11 +30,10 @@ DEMOS = os.path.join(ROOT, "demos", "schedules")
 # phaselab.__all__ before the lazy package import, in order
 PUBLIC_NAMES = [
     "PhaseLabError", "ZeroNorm", "DomainError", "DegenerateSpectrum", "NotSpecialUnitary",
-    "OrthogonalStep", "NotCyclic", "ParseError", "ValidationError", "SIGMA_X", "SIGMA_Y",
-    "SIGMA_Z", "pauli_dot", "make_two_qubit", "schmidt_state", "evolution_operator",
+    "OrthogonalStep", "NotCyclic", "ParseError", "ValidationError", "schmidt_state",
     "apply_local", "reduced_density", "inner_product", "bloch_of_pure", "hopf_coords",
     "concurrence", "ball_radius", "Purification", "purify", "SO3Point", "SO3Path",
-    "su2_to_so3", "so3_path", "HEADER", "DEFAULT_SAMPLES", "RotationSegment",
+    "so3_path", "HEADER", "DEFAULT_SAMPLES", "RotationSegment",
     "RotationSchedule", "builtin_plus", "builtin_minus", "parse_schedule",
     "serialize_schedule", "unitary_at", "total_duration", "ORTHOGONALITY_EPS",
     "CROSSING_EPS", "DYNAMICAL_SIGN", "principal", "PhaseBreakdown", "dynamical_phase",
