@@ -28,7 +28,7 @@ for lam in (0.0, 0.1, 0.25, 0.4, 0.6, 0.75, 0.9, 1.0):
         theta = j * math.pi / 4
         state = pl.schmidt_state(lam, theta)
         sched = pl.RotationSchedule((pl.RotationSegment(Z, 2 * math.pi),), 1, state)
-        b = pl.phase_breakdown(state, sched)
+        b = pl.phase_breakdown(sched)
         cf_d, cf_g, _ = pl.fixed_axis_closed_forms(lam, theta)
         rows.append((lam, theta, b.dynamical, -cf_d, b.geometric,
                      pl.principal(-cf_g)))

@@ -28,8 +28,8 @@ for lam in (0.3, 0.4, 0.48, 0.5):
         final = pl.apply_local(
             pl.unitary_at(sched, pl.total_duration(sched)), 1, state)
         total = pl.total_phase(state, final)
-        count, _ = pl.topological_crossings(state, sched)
-        p = pl.readout_probability(state, sched)
+        count, _ = pl.topological_crossings(sched)
+        p = pl.readout_probability(sched)
         print(f"{lam:8.2f} {name:>10} {total:10.6f} {count:10d} {p:9.6f}")
 
 print("\nsharpening of the minus-trajectory phase swing")
@@ -37,7 +37,7 @@ print(f"{'lambda0':>8} {'max |d phase / dt|':>20}")
 for lam in (0.3, 0.4, 0.48):
     state = pl.schmidt_state(lam, 0.0)
     sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, state)
-    samples, _, _ = pl.phase_samples(state, sched, 4000)
+    samples, _, _ = pl.phase_samples(sched, 4000)
     t = np.array([s.time for s in samples])
     u = np.array([s.total_unwrapped for s in samples])
     keep = ~np.isnan(u)

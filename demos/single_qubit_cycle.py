@@ -26,8 +26,8 @@ for k in range(7):
     state = pl.schmidt_state(1.0, theta)
     sched = pl.RotationSchedule((pl.RotationSegment(Z, 2 * math.pi),), 1, state)
 
-    dyn = pl.dynamical_phase(state, sched)
-    geo = pl.geometric_phase_mixed(state, sched)
+    dyn = pl.dynamical_phase(sched)
+    geo = pl.geometric_phase_mixed(sched)
     final = pl.apply_local(pl.unitary_at(sched, 2 * math.pi), 1, state)
     total = pl.total_phase(state, final)
 

@@ -184,7 +184,7 @@ def _load(path) -> RotationSchedule:
 def _cmd_run(args) -> int:
     sched = _load(args.schedule_file)
     # the summary is the exact core's, so only --out samples (and needs numpy)
-    rho, bounds = _exact_inputs(sched.initial, sched)
+    rho, bounds = _exact_inputs(sched)
     # the series' dynamical phase and crossing flags and the summary share one scan
     overlaps, rates, ends, runs = _scan(rho, bounds)
     v = overlaps[-1]
@@ -203,7 +203,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_breakdown(args) -> int:
     sched = _load(args.schedule_file)
-    b = phase_breakdown(sched.initial, sched)
+    b = phase_breakdown(sched)
     residual = None if math.isnan(b.closure_residual) else b.closure_residual
     print(json.dumps({"total": b.total, "dynamical": b.dynamical, "geometric": b.geometric,
                       "crossings": b.crossings, "parity": b.parity,
@@ -272,7 +272,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_readout(args) -> int:
     sched = _load(args.schedule_file)
-    v = _final_overlap(*_exact_inputs(sched.initial, sched))
+    v = _final_overlap(*_exact_inputs(sched))
     _warn_if_not_cyclic(abs(v))
     p = _click_probability(v)
     print(f"click probability: {p!r}")

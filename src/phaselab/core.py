@@ -84,9 +84,15 @@ def principal(x: float) -> float:
 
 
 def _floats(values, kind=float) -> tuple:
-    """``values`` as a tuple of ``kind`` (float or complex); an ndarray is
-    read through its ``tolist``."""
-    return tuple(map(kind, values.tolist() if hasattr(values, "tolist") else values))
+    """``values`` as a tuple of ``kind`` (float or complex), an ndarray read through its
+    ``tolist``; DomainError for a string or bytes, or when iterating or converting fails."""
+    try:
+        values = values.tolist() if hasattr(values, "tolist") else values
+        if isinstance(values, (str, bytes, bytearray)):  # not read as its characters
+            raise TypeError(f"got {type(values).__name__}")
+        return tuple(map(kind, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"expected a sequence of numbers: {exc}") from None
 
 
 def _rescaled(parts: tuple) -> tuple:
@@ -106,7 +112,7 @@ def _unit_axis(axis) -> tuple:
     DomainError unless it is a unit 3-vector (``|axis| = 1`` within 1e-9)."""
     try:
         n = _floats(axis)
-    except (TypeError, ValueError):
+    except DomainError:
         n = ()
     norm = math.hypot(*n)
     if len(n) != 3 or not abs(norm - 1.0) <= _AXIS_TOL:
@@ -207,11 +213,11 @@ def _reduced(s0: tuple, qubit: int) -> tuple:
     return p0 + p1, 2.0 * off.real, -2.0 * off.imag, p0 - p1
 
 
-def _exact_inputs(s0, schedule):
-    """``(rho, bounds)`` of the exact core: ``_reduced`` of the evolved qubit
-    of ``s0`` normalized by :func:`_two_qubit`, once, at the public boundary,
-    and the boundary record ``_quaternions(schedule.segments)``."""
-    return _reduced(_two_qubit(s0), schedule.evolved_qubit), _quaternions(schedule.segments)
+def _exact_inputs(schedule):
+    """``(rho, bounds)``: the evolved qubit's :func:`_reduced` state of ``schedule.initial``
+    normalized by :func:`_two_qubit`, and the boundary record ``_quaternions(segments)``."""
+    return (_reduced(_two_qubit(schedule.initial), schedule.evolved_qubit),
+            _quaternions(schedule.segments))
 
 
 class ZeroTimes(Sequence):
@@ -387,10 +393,10 @@ class PhaseBreakdown(_Frozen):
         return hash(self._values())
 
 
-def dynamical_phase(s0, schedule) -> float:
-    """``-sum_k <H_k> dt_k``, exact per segment: ``-(1/2) (axis . bloch at
-    segment start) * duration`` summed over the segments."""
-    return _scan(*_exact_inputs(s0, schedule))[2][-1]
+def dynamical_phase(schedule) -> float:
+    """``-sum_k <H_k> dt_k`` of ``schedule.initial``, exact per segment:
+    ``-(1/2) (axis . bloch at segment start) * duration`` summed over the segments."""
+    return _scan(*_exact_inputs(schedule))[2][-1]
 
 
 def _geometric(w: float, z: complex, rho, dyn: float, tot: float) -> float:
@@ -417,9 +423,9 @@ def _geometric(w: float, z: complex, rho, dyn: float, tot: float) -> float:
     return principal(weighted - dyn)
 
 
-def geometric_phase_mixed(s0, schedule) -> float:
-    """Weighted sum of the two purified eigenstate geometric phases along
-    the schedule, reported in (-pi, pi]; exact and O(segments).
+def geometric_phase_mixed(schedule) -> float:
+    """Weighted sum of the two purified eigenstate geometric phases of
+    ``schedule.initial`` along ``schedule``, in (-pi, pi]; exact and O(segments).
 
     Each eigenstate ``v_i`` of the evolved qubit's initial reduced density
     matrix contributes its Pancharatnam open-path phase
@@ -432,7 +438,7 @@ def geometric_phase_mixed(s0, schedule) -> float:
     eigenvalue gap) and OrthogonalStep when an eigenstate ends orthogonal
     to its start.
     """
-    rho, bounds = _exact_inputs(s0, schedule)
+    rho, bounds = _exact_inputs(schedule)
     overlaps, _, ends, _ = _scan(rho, bounds)
     v = overlaps[-1]
     return _geometric(bounds[1][-1][0], v, rho, ends[-1], principal(cmath.phase(v)))
@@ -444,10 +450,10 @@ def _crossings(runs) -> tuple[int, str]:
     return count, _PARITY[count % 2]
 
 
-def topological_crossings(s0, schedule) -> tuple[int, str]:
-    """Count of transversal zeros of ``<psi(0)|psi(t)>`` along the path and
-    its parity, ``"even"`` or ``"odd"``; exact (see :func:`_scan`)."""
-    return _crossings(_scan(*_exact_inputs(s0, schedule))[3])
+def topological_crossings(schedule) -> tuple[int, str]:
+    """Count and parity (``"even"`` or ``"odd"``) of the transversal zeros of
+    ``<psi(0)|psi(t)>``, ``psi(0) = schedule.initial``; exact (see :func:`_scan`)."""
+    return _crossings(_scan(*_exact_inputs(schedule))[3])
 
 
 def _breakdown(rho, bounds) -> tuple:
@@ -473,16 +479,16 @@ def _breakdown(rho, bounds) -> tuple:
     return total, dyn, geo, _crossings(runs)[0], degenerate, residual
 
 
-def phase_breakdown(s0, schedule) -> PhaseBreakdown:
-    """Assemble total, dynamical, geometric phases and crossing data for a
-    cyclic schedule, exactly and in O(segments) from the boundary products.
+def phase_breakdown(schedule) -> PhaseBreakdown:
+    """Total, dynamical, geometric phases and crossing data of ``schedule.initial``
+    along a cyclic ``schedule``, exact and O(segments) from the boundary products.
 
     Raises NotCyclic when the evolution does not return the initial ray
     (final overlap magnitude differs from 1 by more than 1e-6). For a
     maximally entangled input the geometric phase is reported as 0 with
     ``degenerate=True`` and a NaN closure residual.
     """
-    total, dyn, geo, count, degenerate, residual = _breakdown(*_exact_inputs(s0, schedule))
+    total, dyn, geo, count, degenerate, residual = _breakdown(*_exact_inputs(schedule))
     return PhaseBreakdown(total, dyn, geo, count, _PARITY[count % 2], degenerate, residual)
 
 
@@ -491,8 +497,8 @@ def _click_probability(v: complex) -> float:
     return min(1.0, max(0.0, 0.5 * (1.0 - v.real)))
 
 
-def readout_probability(s0, schedule) -> float:
+def readout_probability(schedule) -> float:
     """Ancilla click probability of the conditional-rotation interferometer,
-    ``(1 - Re <s0|U_total|s0>) / 2`` (equal to ``||(U - I)|s0>||^2 / 4``),
-    with ``<s0|U_total|s0>`` from :func:`_final_overlap`."""
-    return _click_probability(_final_overlap(*_exact_inputs(s0, schedule)))
+    ``(1 - Re <s0|U_total|s0>) / 2`` (equal to ``||(U - I)|s0>||^2 / 4``) for
+    ``s0 = schedule.initial``, with ``<s0|U_total|s0>`` from :func:`_final_overlap`."""
+    return _click_probability(_final_overlap(*_exact_inputs(schedule)))

@@ -144,10 +144,8 @@ def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int):
     return columns, flags
 
 
-def phase_samples(
-    s0, schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES
-):
-    """Full diagnostic time series along a schedule.
+def phase_samples(schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES):
+    """Full diagnostic time series of ``schedule.initial`` along ``schedule``.
 
     Returns ``(samples, crossing_flags, crossing_times)`` where samples is
     a list of PhaseSample, crossing_flags marks the first sample at or
@@ -156,7 +154,7 @@ def phase_samples(
     counts, the :func:`~phaselab.core._scan` runs), as a
     :class:`~phaselab.core.ZeroTimes` sequence.
     """
-    rho, bounds = _exact_inputs(s0, schedule)
+    rho, bounds = _exact_inputs(schedule)
     _, rates, ends, runs = _scan(rho, bounds)
     cols, flags = _series_columns(rho, bounds, rates, ends, runs, samples_per_segment)
     t, re, im, tot, unw, dyn, bx, by, bz, ax, ay, az, angle = (c.tolist() for c in cols)

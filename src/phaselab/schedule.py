@@ -60,8 +60,8 @@ class RotationSegment(_Frozen):
     """One fixed-axis rotation: unit axis, duration = rotation angle > 0.
 
     ``axis`` is held as a tuple of three floats; any sequence of numbers,
-    an ndarray too, is accepted and converted. Immutable; equal only to
-    itself.
+    an ndarray too, is converted, and any other value raises DomainError.
+    Immutable; equal only to itself.
     """
 
     __slots__ = ("axis", "duration")
@@ -76,8 +76,8 @@ class RotationSchedule(_Frozen):
 
     A schedule owns its initial state, so a schedule file is a complete,
     reproducible experiment description. Immutable; equal only to itself.
-    ``initial`` is held as a tuple of four complex amplitudes; any sequence
-    of numbers, an ndarray too, is accepted and converted.
+    ``initial`` holds four complex amplitudes, converted from any sequence of numbers,
+    an ndarray too; any other value, a string or bytes too, raises DomainError.
     """
 
     __slots__ = ("segments", "evolved_qubit", "initial")
@@ -224,12 +224,8 @@ def parse_schedule(text: str) -> RotationSchedule:
 def serialize_schedule(schedule: RotationSchedule) -> str:
     """Canonical text form; ``parse_schedule(serialize_schedule(s))``
     reproduces ``s`` bitwise (floats use shortest round-trip notation)."""
-    lines = [HEADER]
-    amps = " ".join(
-        repr(float(part)) for a in schedule.initial for part in (a.real, a.imag)
-    )
-    lines.append(f"state amplitudes {amps}")
-    lines.append(f"evolve-qubit {schedule.evolved_qubit}")
+    amps = " ".join(repr(float(part)) for a in schedule.initial for part in (a.real, a.imag))
+    lines = [HEADER, f"state amplitudes {amps}", f"evolve-qubit {schedule.evolved_qubit}"]
     for seg in schedule.segments:
         axis = " ".join(repr(float(c)) for c in seg.axis)
         lines.append(f"segment {axis} {seg.duration!r}")

@@ -281,7 +281,7 @@ def template_table_bytes(fields, cols, fmt="csv") -> bytes:
 
 def reference_run_rows(schedule, steps):
     """``run --out`` rows built from the public ``phase_samples``."""
-    samples, flags, _ = pl.phase_samples(schedule.initial, schedule, steps)
+    samples, flags, _ = pl.phase_samples(schedule, steps)
     return [[s.time, s.sp.real, s.sp.imag, s.total_principal, s.total_unwrapped,
              s.dyn, *s.bloch, *s.so3.axis, s.so3.angle, flag]
             for s, flag in zip(samples, flags)]
@@ -294,7 +294,7 @@ def reference_sweep_rows(lambdas, thetas, axis, turns=1):
         for th in thetas:
             state = pl.schmidt_state(float(lam), float(th))
             seg = pl.RotationSegment(np.array(axis, dtype=float), 2.0 * math.pi * turns)
-            b = pl.phase_breakdown(state, pl.RotationSchedule((seg,), 1, state))
+            b = pl.phase_breakdown(pl.RotationSchedule((seg,), 1, state))
             rows.append([float(lam), float(th), b.total, b.dynamical, b.geometric,
                          b.crossings, b.closure_residual])
     return rows
@@ -441,7 +441,8 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
     if samples_per_segment < 2:
         raise pl.DomainError("samples_per_segment must be >= 2")
     rho = pl.reduced_density(np.asarray(s0, dtype=complex), schedule.evolved_qubit)
-    pauli, bounds = pl.phases._exact_inputs(s0, schedule)
+    pauli, bounds = pl.phases._exact_inputs(
+        pl.RotationSchedule(schedule.segments, schedule.evolved_qubit, s0))
     times, units = matrix_unitary_samples(schedule, samples_per_segment)
     sps = np.einsum("kij,ji->k", units, rho)
     rhot = np.einsum("kij,jl,kml->kim", units, rho, units.conj())

@@ -47,8 +47,8 @@ def test_criterion_1_single_qubit_cyclic_law():
         theta = k * math.pi / 6
         s = pl.schmidt_state(1.0, theta)
         sched = z_turn(s)
-        dyn = pl.dynamical_phase(s, sched)
-        geo = pl.geometric_phase_mixed(s, sched)
+        dyn = pl.dynamical_phase(sched)
+        geo = pl.geometric_phase_mixed(sched)
         tot = pl.total_phase(s, evolve(sched))
         worst_d = max(worst_d, abs(dyn - (-math.pi * math.cos(theta))))
         worst_g = max(worst_g, abs(pl.principal(geo - (-math.pi * (1 - math.cos(theta))))))
@@ -67,7 +67,7 @@ def test_criterion_2_fixed_axis_closed_forms():
         for j in range(9):
             theta = j * math.pi / 8
             s = pl.schmidt_state(lam, theta)
-            b = pl.phase_breakdown(s, z_turn(s))
+            b = pl.phase_breakdown(z_turn(s))
             cf_d, cf_g, _ = pl.fixed_axis_closed_forms(lam, theta)
             worst_d = max(worst_d, abs(pl.principal(b.dynamical - (-cf_d))))
             worst_g = max(worst_g, abs(pl.principal(b.geometric - (-cf_g))))
@@ -89,8 +89,8 @@ def test_criterion_3_homotopy_classes():
         minus = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, s)
         tp = pl.total_phase(s, evolve(plus))
         tm = pl.total_phase(s, evolve(minus))
-        cp, _ = pl.topological_crossings(s, plus)
-        cm, _ = pl.topological_crossings(s, minus)
+        cp, _ = pl.topological_crossings(plus)
+        cm, _ = pl.topological_crossings(minus)
         ok &= abs(pl.principal(tp)) < 1e-6
         ok &= abs(pl.principal(tm - math.pi)) < 1e-6
         if lam == 0.5:
@@ -109,7 +109,7 @@ def test_criterion_4_sharpening():
     for lam in (0.3, 0.4, 0.48):
         s = pl.schmidt_state(lam, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, s)
-        samples, _, _ = pl.phase_samples(s, sched, 4000)
+        samples, _, _ = pl.phase_samples(sched, 4000)
         t = np.array([x.time for x in samples])
         u = np.array([x.total_unwrapped for x in samples])
         keep = ~np.isnan(u)
@@ -132,7 +132,7 @@ def test_criterion_5_trace_identity_and_sp_formula():
     for _ in range(200):
         sched = random_schedule(rng, max_segments=6)
         s, q = sched.initial, sched.evolved_qubit
-        rho, bounds = pl.core._exact_inputs(s, sched)
+        rho, bounds = pl.core._exact_inputs(sched)
         cols, _ = pl.phases._series_columns(rho, bounds, *pl.core._scan(rho, bounds)[1:], 30)
         b0 = explicit_bloch(pl.reduced_density(s, q))
         first = sched.segments[0]
@@ -218,11 +218,11 @@ def test_criterion_8_readout_protocol():
     for sched in runs:
         s = sched.initial
         tp = pl.total_phase(s, evolve(sched))
-        p = pl.readout_probability(s, sched)
+        p = pl.readout_probability(sched)
         worst = max(worst, abs(p - 0.5 * (1 - math.cos(tp))))
     mes = pl.schmidt_state(0.5, 0.0)
-    p_minus = pl.readout_probability(mes, pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes))
-    p_plus = pl.readout_probability(mes, pl.RotationSchedule(tuple(pl.builtin_plus()), 1, mes))
+    p_minus = pl.readout_probability(pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes))
+    p_plus = pl.readout_probability(pl.RotationSchedule(tuple(pl.builtin_plus()), 1, mes))
     ok = worst < 1e-10 and abs(p_minus - 1.0) < 1e-10 and p_plus < 1e-10
     report("criterion 8: interferometric readout", ok,
            f"max |P - (1-cos)/2| {worst:.2e}, P(minus) {p_minus}, P(plus) {p_plus}")
@@ -240,7 +240,7 @@ def test_parity_law_on_random_mes_schedules():
             segs = segs + (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi),)
         q = int(rng.integers(1, 3))
         sched = pl.RotationSchedule(segs, q, mes)
-        _, parity = pl.topological_crossings(mes, sched)
+        _, parity = pl.topological_crossings(sched)
         tp = pl.total_phase(mes, evolve(sched))
         want = "odd" if abs(pl.principal(tp - math.pi)) < 1e-6 else "even"
         ok &= parity == want

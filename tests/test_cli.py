@@ -166,7 +166,7 @@ class TestRun:
         assert main(["run", sched]) == 0
         assert f"final total phase: {total!r}\n" in capsys.readouterr().out
         s = pl.parse_schedule(Z_TURN_PRODUCT)
-        samples, _, _ = pl.phase_samples(s.initial, s)
+        samples, _, _ = pl.phase_samples(s)
         assert all(-math.pi < x.total_principal <= math.pi for x in samples)
 
     @pytest.mark.parametrize("source", [
@@ -662,7 +662,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == ""
         mes = pl.schmidt_state(0.5, 0.0)
-        b = pl.phase_breakdown(mes, pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes))
+        b = pl.phase_breakdown(pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes))
         assert json.loads(captured.out) == {
             "total": b.total, "dynamical": b.dynamical, "geometric": b.geometric,
             "crossings": b.crossings, "parity": b.parity,

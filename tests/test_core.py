@@ -53,10 +53,10 @@ def outcome(fn, *args):
         return "raised", type(exc)
 
 
-def series_columns(s0, sched, steps):
+def series_columns(sched, steps):
     """``phases._series_columns`` with the zero times of its runs:
     ``(columns, flags, zeros)``, as ``matrix_series_columns`` returns."""
-    rho, bounds = pl.core._exact_inputs(s0, sched)
+    rho, bounds = pl.core._exact_inputs(sched)
     _, rates, ends, runs = pl.core._scan(rho, bounds)
     return (*pl.phases._series_columns(rho, bounds, rates, ends, runs, steps),
             pl.core.ZeroTimes(bounds[0], runs))
@@ -140,7 +140,7 @@ class TestCoreAgainstMatrixOracles:
     @given(schedules())
     def test_exact_functions_match_the_matrix_forms(self, sched):
         s0 = sched.initial
-        got, want = outcome(pl.phase_breakdown, s0, sched), outcome(matrix_phase_breakdown, s0, sched)
+        got, want = outcome(pl.phase_breakdown, sched), outcome(matrix_phase_breakdown, s0, sched)
         assert got[0] == want[0]
         if got[0] == "raised":
             assert got[1] is want[1]
@@ -152,11 +152,11 @@ class TestCoreAgainstMatrixOracles:
             assert math.isnan(b.closure_residual) == math.isnan(o.closure_residual)
             if not b.degenerate:
                 assert abs(b.closure_residual - o.closure_residual) <= PHASE_TOL
-        assert mod_2pi_distance(pl.dynamical_phase(s0, sched),
+        assert mod_2pi_distance(pl.dynamical_phase(sched),
                                 matrix_dynamical_phase(s0, sched)) <= PHASE_TOL
-        assert abs(pl.readout_probability(s0, sched)
+        assert abs(pl.readout_probability(sched)
                    - matrix_readout_probability(s0, sched)) <= PHASE_TOL
-        assert pl.topological_crossings(s0, sched) == matrix_topological_crossings(s0, sched)
+        assert pl.topological_crossings(sched) == matrix_topological_crossings(s0, sched)
 
     @settings(max_examples=100, deadline=None)
     @given(schedules())
@@ -171,8 +171,8 @@ class TestCoreAgainstMatrixOracles:
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(cyclic_completion(
             (segment(X_AXIS, math.pi), segment(Z_AXIS, 1.0))), 1, mes)
-        assert pl.topological_crossings(mes, sched) == matrix_topological_crossings(mes, sched)
-        b = pl.phase_breakdown(mes, sched)
+        assert pl.topological_crossings(sched) == matrix_topological_crossings(mes, sched)
+        b = pl.phase_breakdown(sched)
         assert b.degenerate and (b.crossings, b.parity) == (
             matrix_phase_breakdown(mes, sched).crossings, matrix_phase_breakdown(mes, sched).parity)
 
@@ -185,9 +185,9 @@ class TestCoreAgainstMatrixOracles:
         sched = pl.RotationSchedule(
             (segment(y_axis, math.pi), segment(X_AXIS, nudge),
              segment((-1.0, 0.0, 0.0), nudge), segment((0.0, -1.0, 0.0), math.pi)), 1, s0)
-        assert pl.topological_crossings(s0, sched) == (0, "even")
+        assert pl.topological_crossings(sched) == (0, "even")
         assert matrix_topological_crossings(s0, sched) == (0, "even")
-        assert pl.phase_breakdown(s0, sched).crossings == 0
+        assert pl.phase_breakdown(sched).crossings == 0
 
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "schedules")
@@ -298,8 +298,8 @@ class TestAxisNearUnit:
     def test_sampled_path_agrees_with_the_exact_core(self, axis, durations):
         s0 = pl.schmidt_state(0.3, 0.0)
         sched = pl.RotationSchedule(tuple(pl.RotationSegment(axis, d) for d in durations), 1, s0)
-        samples, _, _ = pl.phase_samples(s0, sched, 50)
-        assert samples[-1].total_principal == pl.phase_breakdown(s0, sched).total
+        samples, _, _ = pl.phase_samples(sched, 50)
+        assert samples[-1].total_principal == pl.phase_breakdown(sched).total
         unit = pl.RotationSchedule(tuple(pl.RotationSegment((0.0, 0.0, 1.0), d)
                                          for d in durations), 1, s0)
         got, want = pl.so3_path(sched, 50), pl.so3_path(unit, 50)
@@ -319,7 +319,7 @@ class TestSeriesAgainstMatrixOracle:
     @example(NEAR_IDENTITY, 2)
     def test_quaternion_series_matches_the_matrix_series(self, sched, steps):
         s0 = sched.initial
-        got = outcome(series_columns, s0, sched, steps)
+        got = outcome(series_columns, sched, steps)
         want = outcome(matrix_series_columns, s0, sched, steps)
         assert got[0] == want[0]
         if got[0] == "raised":
@@ -349,7 +349,7 @@ class TestSeriesDynamicalPhase:
     @settings(max_examples=200, deadline=None)
     @given(series_schedules(), st.integers(2, 50))
     def test_segment_ends_are_the_core_fold(self, sched, steps):
-        rho, bounds = pl.core._exact_inputs(sched.initial, sched)
+        rho, bounds = pl.core._exact_inputs(sched)
         _, rates, ends, runs = pl.core._scan(rho, bounds)
         got = outcome(pl.phases._series_columns, rho, bounds, rates, ends, runs, steps)
         if got[0] == "raised":
@@ -360,7 +360,7 @@ class TestSeriesDynamicalPhase:
         assert list(map(float.hex, ends)) == list(map(float.hex, fold))
         dyn = got[1][0][5].tolist()
         assert list(map(float.hex, dyn[::steps - 1])) == list(map(float.hex, ends))
-        assert dyn[-1].hex() == pl.dynamical_phase(sched.initial, sched).hex()
+        assert dyn[-1].hex() == pl.dynamical_phase(sched).hex()
 
 
 class TestPhaseBreakdownValue:

@@ -25,7 +25,7 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 def sampled_bloch(state, qubit=1) -> np.ndarray:
     """The reduced state's Bloch vector as the sampled record starts it."""
-    samples, _, _ = pl.phase_samples(state, pl.RotationSchedule((), qubit, state), 2)
+    samples, _, _ = pl.phase_samples(pl.RotationSchedule((), qubit, state), 2)
     return samples[0].bloch
 
 

@@ -72,12 +72,12 @@ class TestMixedTotalPhase:
 
     def test_identity(self):
         s = random_state(np.random.default_rng(53))
-        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
         assert abs(samples[0].total_principal) < 1e-15
 
     def test_minus_identity(self):
         s = random_state(np.random.default_rng(54))
-        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)  # ends on U = -I
+        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)  # ends on U = -I
         assert abs(pl.principal(samples[-1].total_principal - math.pi)) < 1e-15
 
     def test_trace_identity_with_pure_overlap(self):
@@ -86,7 +86,7 @@ class TestMixedTotalPhase:
         for _ in range(50):
             sched = random_schedule(rng)
             s, q = sched.initial, sched.evolved_qubit
-            samples, _, _ = pl.phase_samples(s, sched, 25)
+            samples, _, _ = pl.phase_samples(sched, 25)
             _, units = matrix_unitary_samples(sched, 25)
             for x, u in zip(samples, units, strict=True):
                 a = pl.total_phase(s, pl.apply_local(u, q, s))
@@ -99,7 +99,7 @@ class TestMixedTotalPhase:
     def test_maximally_mixed_orthogonality(self):
         s = pl.schmidt_state(0.5, 0.0)  # rho = I/2, and a half turn is traceless
         sched = pl.RotationSchedule((pl.RotationSegment(Z_AXIS.copy(), math.pi),), 1, s)
-        samples, _, _ = pl.phase_samples(s, sched, 2)
+        samples, _, _ = pl.phase_samples(sched, 2)
         assert math.isnan(samples[-1].total_principal)
 
 
@@ -110,19 +110,19 @@ class TestSpFormula:
 
     def test_zero_time(self):
         s = make_two_qubit(1, 0, 0, 0)  # Tr rho is exactly 1
-        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
         assert samples[0].sp == 1.0 + 0.0j
 
     def test_full_turn(self):
         s = pl.schmidt_state(0.85, 0.0)  # b = (0, 0, 0.7)
-        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
         assert abs(samples[-1].sp + 1.0) < 1e-12
 
     def test_half_turn_magnitude(self):
         theta = 0.8
         s = pl.schmidt_state(0.3, theta)
         b = explicit_bloch(pl.reduced_density(s, 1))
-        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 3)
+        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
         assert samples[1].time == math.pi
         v = samples[1].sp
         assert abs(v.real) < 1e-15
@@ -141,7 +141,7 @@ class TestSpFormula:
             t = float(rng.uniform(0, 8))
             b = explicit_bloch(pl.reduced_density(s, q))
             sched = pl.RotationSchedule((pl.RotationSegment(axis, t),), q, s)
-            got = pl.phase_samples(s, sched, 2)[0][-1].sp
+            got = pl.phase_samples(sched, 2)[0][-1].sp
             closed = complex(math.cos(t / 2), -float(np.dot(axis, b)) * math.sin(t / 2))
             want = pl.inner_product(s, pl.apply_local(evolution_operator(axis, t), q, s))
             assert abs(got - want) < 1e-10 and abs(got - closed) < 1e-10
@@ -150,31 +150,31 @@ class TestSpFormula:
         s = pl.schmidt_state(0.3, 0.0)
         sched = pl.RotationSchedule((pl.RotationSegment([1.0, 1.0, 0.0], 1.0),), 1, s)
         with pytest.raises(pl.DomainError):
-            pl.phase_samples(s, sched, 2)
+            pl.phase_samples(sched, 2)
 
 
 class TestDynamicalPhase:
     def test_single_qubit_latitude_law(self):
         for theta in np.linspace(0, math.pi, 7):
             s = pl.schmidt_state(1.0, float(theta))
-            assert abs(pl.dynamical_phase(s, z_turn_schedule(s)) + math.pi * math.cos(theta)) < 1e-12
+            assert abs(pl.dynamical_phase(z_turn_schedule(s)) + math.pi * math.cos(theta)) < 1e-12
 
     def test_no_segments_is_a_float_zero(self):
         s = pl.schmidt_state(0.3, 0.2)
-        got = pl.dynamical_phase(s, pl.RotationSchedule((), 1, s))
+        got = pl.dynamical_phase(pl.RotationSchedule((), 1, s))
         assert type(got) is float and got == 0.0
 
     def test_mes_builtins_vanish(self):
         mes = pl.schmidt_state(0.5, 0.0)
         for segs in (pl.builtin_plus(), pl.builtin_minus()):
             sched = pl.RotationSchedule(tuple(segs), 1, mes)
-            assert abs(pl.dynamical_phase(mes, sched)) < 1e-12
+            assert abs(pl.dynamical_phase(sched)) < 1e-12
 
     @pytest.mark.parametrize("lam", [0.3, 0.4])
     def test_builtin_plus_cancels_exactly(self, lam):
         s = pl.schmidt_state(lam, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_plus()), 1, s)
-        assert abs(pl.dynamical_phase(s, sched)) < 1e-12
+        assert abs(pl.dynamical_phase(sched)) < 1e-12
 
     @pytest.mark.parametrize("lam", [0.3, 0.4])
     def test_builtin_minus_exact_value(self, lam):
@@ -183,7 +183,7 @@ class TestDynamicalPhase:
         # confirmed by brute quadrature of -<H> dt
         s = pl.schmidt_state(lam, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, s)
-        got = pl.dynamical_phase(s, sched)
+        got = pl.dynamical_phase(sched)
         want = 4 * math.pi * (2 * lam - 1) / (3 * math.sqrt(3))
         assert abs(got - want) < 1e-12
         assert abs(got - dynamical_quadrature(s, sched, 400)) < 1e-9
@@ -191,7 +191,7 @@ class TestDynamicalPhase:
     def test_matches_quadrature_on_random_schedule(self):
         rng = np.random.default_rng(57)
         sched = random_schedule(rng, max_segments=3)
-        got = pl.dynamical_phase(sched.initial, sched)
+        got = pl.dynamical_phase(sched)
         assert abs(got - dynamical_quadrature(sched.initial, sched, 400)) < 1e-9
 
 
@@ -260,38 +260,38 @@ class TestGeometricPhaseMixed:
     def test_pure_product_reduces_to_latitude_law(self):
         for theta in (0.0, 0.7, 1.9, math.pi):
             s = pl.schmidt_state(1.0, theta)
-            got = pl.geometric_phase_mixed(s, z_turn_schedule(s))
+            got = pl.geometric_phase_mixed(z_turn_schedule(s))
             want = -math.pi * (1 - math.cos(theta))
             assert abs(pl.principal(got - want)) < 1e-5
 
     def test_equator_is_half_turn(self):
         s = pl.schmidt_state(0.3, math.pi / 2)
-        got = pl.geometric_phase_mixed(s, z_turn_schedule(s))
+        got = pl.geometric_phase_mixed(z_turn_schedule(s))
         assert abs(pl.principal(got - math.pi)) < 1e-5
 
     def test_weighted_branch_at_pole(self):
         # lambda0 = 0.3, theta = 0: the weighted value is -1.4 pi, whose
         # principal representative is +0.6 pi
         s = pl.schmidt_state(0.3, 0.0)
-        got = pl.geometric_phase_mixed(s, z_turn_schedule(s))
+        got = pl.geometric_phase_mixed(z_turn_schedule(s))
         assert abs(got - 0.6 * math.pi) < 1e-5
 
     def test_mes_raises_degenerate(self):
         mes = pl.schmidt_state(0.5, 0.0)
         with pytest.raises(pl.DegenerateSpectrum):
-            pl.geometric_phase_mixed(mes, z_turn_schedule(mes))
+            pl.geometric_phase_mixed(z_turn_schedule(mes))
 
     def test_eigenstate_ending_orthogonal_raises(self):
         # |00> turned by pi about x ends on |10>: <v|B|v> = cos(pi/2) ~ 6e-17
         sched = pl.parse_schedule("phaselab-schedule v1\nstate schmidt 1 0\n"
                                   "segment 1 0 0 3.141592653589793\n")
         with pytest.raises(pl.OrthogonalStep, match="ends orthogonal to its start"):
-            pl.geometric_phase_mixed(sched.initial, sched)
+            pl.geometric_phase_mixed(sched)
 
     def test_empty_schedule_zero(self):
         s = pl.schmidt_state(0.3, 0.2)
         sched = pl.RotationSchedule((), 1, s)
-        assert pl.geometric_phase_mixed(s, sched) == 0.0
+        assert pl.geometric_phase_mixed(sched) == 0.0
 
     def test_matches_sampled_overlap_product(self):
         # the exact Pancharatnam form against the sampled Bargmann oracle
@@ -302,7 +302,7 @@ class TestGeometricPhaseMixed:
             if pl.concurrence(sched.initial) > 1 - 1e-6:
                 continue
             done += 1
-            got = pl.geometric_phase_mixed(sched.initial, sched)
+            got = pl.geometric_phase_mixed(sched)
             want = sampled_geometric_phase(sched.initial, sched, 2000)
             assert abs(pl.principal(got - want)) < 1e-5
 
@@ -310,8 +310,8 @@ class TestGeometricPhaseMixed:
         # two full turns close with total 0; the decomposition must track it
         s = pl.schmidt_state(0.7, math.pi / 3)
         sched = z_turn_schedule(s, turns=2)
-        geo = pl.geometric_phase_mixed(s, sched)
-        dyn = pl.dynamical_phase(s, sched)
+        geo = pl.geometric_phase_mixed(sched)
+        dyn = pl.dynamical_phase(sched)
         assert abs(pl.principal(geo + dyn)) < 1e-5
 
 
@@ -319,32 +319,32 @@ class TestTopologicalCrossings:
     def test_builtin_minus_on_mes(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        assert pl.topological_crossings(mes, sched) == (1, "odd")
+        assert pl.topological_crossings(sched) == (1, "odd")
 
     def test_builtin_plus_on_mes_touch_not_crossing(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_plus()), 1, mes)
-        assert pl.topological_crossings(mes, sched) == (0, "even")
+        assert pl.topological_crossings(sched) == (0, "even")
 
     def test_builtin_minus_non_mes_never_vanishes(self):
         s = pl.schmidt_state(0.3, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, s)
-        assert pl.topological_crossings(s, sched) == (0, "even")
+        assert pl.topological_crossings(sched) == (0, "even")
 
     def test_single_z_turn_on_mes(self):
         mes = pl.schmidt_state(0.5, 0.0)
-        assert pl.topological_crossings(mes, z_turn_schedule(mes)) == (1, "odd")
+        assert pl.topological_crossings(z_turn_schedule(mes)) == (1, "odd")
 
     def test_product_equator_crossing_detected_generally(self):
         # product state on the equator: the overlap genuinely vanishes at
         # the half turn and the general dip detector must count it
         s = pl.schmidt_state(1.0, math.pi / 2)
-        assert pl.topological_crossings(s, z_turn_schedule(s)) == (1, "odd")
+        assert pl.topological_crossings(z_turn_schedule(s)) == (1, "odd")
 
     @pytest.mark.parametrize("turns", [2, 5])
     def test_multi_turn_segment_crosses_every_turn(self, turns):
         s = pl.schmidt_state(1.0, math.pi / 2)
-        assert pl.topological_crossings(s, z_turn_schedule(s, turns)) == (
+        assert pl.topological_crossings(z_turn_schedule(s, turns)) == (
             turns, "odd" if turns % 2 else "even")
 
     def test_long_segment_counts_in_closed_form(self):
@@ -354,8 +354,8 @@ class TestTopologicalCrossings:
         turns = 10**11
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns + 1.0),), 1, s)
-        assert pl.topological_crossings(s, sched) == (turns, "even")
-        rho, bounds = pl.core._exact_inputs(s, sched)
+        assert pl.topological_crossings(sched) == (turns, "even")
+        rho, bounds = pl.core._exact_inputs(sched)
         zeros = pl.core.ZeroTimes(bounds[0], pl.core._scan(rho, bounds)[3])
         assert len(zeros) == zeros.size == turns
         assert abs(zeros[0] - math.pi) < 1e-9
@@ -371,7 +371,7 @@ class TestTopologicalCrossings:
         for _ in range(30):
             mes = random_mes(rng)
             sched = random_schedule(rng, state=mes)
-            count, _ = pl.topological_crossings(mes, sched)
+            count, _ = pl.topological_crossings(sched)
             assert count == dense_crossing_count(mes, sched)
 
     def test_counts_match_dense_samples_through_antipode(self):
@@ -394,7 +394,7 @@ class TestTopologicalCrossings:
                                    2 * math.pi * turns + float(rng.uniform(0.1, 1.0))),
                 pl.RotationSegment(random_axis(rng), float(rng.uniform(0.3, 3.0))),
             ), 1, s)
-            count, _ = pl.topological_crossings(s, sched)
+            count, _ = pl.topological_crossings(sched)
             assert count >= turns
             assert count == dense_crossing_count(s, sched)
 
@@ -411,7 +411,7 @@ class TestTopologicalCrossings:
             pl.RotationSegment(Z_AXIS.copy(), half_turns * math.pi),
             pl.RotationSegment(np.array(last), 0.5 * math.pi),
         ), 1, mes)
-        count, _ = pl.topological_crossings(mes, sched)
+        count, _ = pl.topological_crossings(sched)
         assert count == dense_crossing_count(mes, sched) <= 1
 
 
@@ -419,7 +419,7 @@ class TestPhaseBreakdown:
     def test_mes_minus(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        b = pl.phase_breakdown(mes, sched)
+        b = pl.phase_breakdown(sched)
         assert abs(b.total - math.pi) < 1e-12
         assert abs(b.dynamical) < 1e-12
         assert b.geometric == 0.0
@@ -429,7 +429,7 @@ class TestPhaseBreakdown:
 
     def test_fixed_axis_chain(self):
         s = pl.schmidt_state(0.3, 0.0)
-        b = pl.phase_breakdown(s, z_turn_schedule(s))
+        b = pl.phase_breakdown(z_turn_schedule(s))
         assert abs(b.total - math.pi) < 1e-12
         assert abs(b.dynamical - 0.4 * math.pi) < 1e-12
         assert abs(b.geometric - 0.6 * math.pi) < 1e-4
@@ -438,7 +438,7 @@ class TestPhaseBreakdown:
 
     def test_product_equator(self):
         s = pl.schmidt_state(1.0, math.pi / 2)
-        b = pl.phase_breakdown(s, z_turn_schedule(s))
+        b = pl.phase_breakdown(z_turn_schedule(s))
         assert abs(b.dynamical) < 1e-12
         assert abs(abs(b.geometric) - math.pi) < 1e-5
 
@@ -447,13 +447,13 @@ class TestPhaseBreakdown:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(np.array([1.0, 0.0, 0.0]), 1.0),), 1, s)
         with pytest.raises(pl.NotCyclic):
-            pl.phase_breakdown(s, sched)
+            pl.phase_breakdown(sched)
 
     def test_evolved_qubit_outside_one_and_two_raises(self):
         s = pl.schmidt_state(0.3, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 3, s)
         with pytest.raises(pl.DomainError, match=r"^qubit must be 1 or 2$"):
-            pl.phase_breakdown(s, sched)
+            pl.phase_breakdown(sched)
 
     def test_closure_on_random_cyclic_runs(self):
         rng = np.random.default_rng(61)
@@ -463,7 +463,7 @@ class TestPhaseBreakdown:
             if pl.concurrence(sched.initial) > 1 - 1e-6:
                 continue
             done += 1
-            b = pl.phase_breakdown(sched.initial, sched)
+            b = pl.phase_breakdown(sched)
             assert b.closure_residual < 1e-4
 
 
@@ -482,12 +482,12 @@ class TestLibrarySegmentsValidated:
     def test_nan_axis_phase_breakdown(self):
         sched = self.schedule(self.NAN_AXIS, 1.0)
         with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
-            pl.phase_breakdown(sched.initial, sched)
+            pl.phase_breakdown(sched)
 
     def test_nan_axis_phase_samples(self):
         sched = self.schedule(self.NAN_AXIS, 1.0)
         with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
-            pl.phase_samples(sched.initial, sched, 3)
+            pl.phase_samples(sched, 3)
 
     def test_nan_axis_so3_path(self):
         with pytest.raises(pl.DomainError, match=self.AXIS_ERROR):
@@ -501,7 +501,7 @@ class TestLibrarySegmentsValidated:
     def test_duration_outside_positive_finite_raises(self, duration):
         sched = self.schedule(Z_AXIS, duration)
         with pytest.raises(pl.DomainError, match="durations must be positive and finite"):
-            pl.phase_breakdown(sched.initial, sched)
+            pl.phase_breakdown(sched)
 
     def test_nan_final_overlap_is_not_cyclic(self):
         # the exact API rejects NaN amplitudes before the core sees them
@@ -513,9 +513,10 @@ class TestLibrarySegmentsValidated:
 
 
 class TestLibraryStateContract:
-    """The exact API normalizes ``s0`` through ``core._two_qubit``: four
-    finite amplitudes of norm above 1e-9, scaled to unit norm, else
-    DomainError or ZeroNorm. Every case is one x segment of pi."""
+    """The exact API normalizes ``schedule.initial`` through
+    ``core._two_qubit``: four finite amplitudes of norm above 1e-9, scaled
+    to unit norm, else DomainError or ZeroNorm. Every case is one x
+    segment of pi, on the state under test."""
 
     EXACT = (pl.phase_breakdown, pl.topological_crossings, pl.dynamical_phase,
              pl.geometric_phase_mixed, pl.readout_probability)
@@ -523,21 +524,23 @@ class TestLibraryStateContract:
     SCHED = pl.RotationSchedule((pl.RotationSegment((1.0, 0.0, 0.0), math.pi),), 1, UNIT)
 
     @staticmethod
-    def outcome(f, s0, sched):
+    def outcome(f, sched):
         try:
-            return "value", f(s0, sched)
+            return "value", f(sched)
         except pl.PhaseLabError as exc:
             return type(exc), str(exc)
 
     def assert_same_as_unit(self, s0):
+        sched = pl.RotationSchedule(self.SCHED.segments, 1, s0)
         for f in self.EXACT:
-            got = self.outcome(f, s0, self.SCHED)
-            assert got == self.outcome(f, self.UNIT, self.SCHED), f.__name__
+            got = self.outcome(f, sched)
+            assert got == self.outcome(f, self.SCHED), f.__name__
 
     def assert_raises_everywhere(self, s0, error, match):
+        sched = pl.RotationSchedule(self.SCHED.segments, 1, s0)
         for f in self.EXACT:
             with pytest.raises(error, match=match):
-                f(s0, self.SCHED)
+                f(sched)
 
     def test_amplitudes_whose_squares_overflow(self):
         # the crossing search squared 1e78 into a bare OverflowError
@@ -565,8 +568,20 @@ class TestLibraryStateContract:
     def test_norm_just_above_the_threshold_is_the_unit_state(self):
         turn = pl.RotationSchedule((pl.RotationSegment((0.0, 0.0, 1.0), 2.0 * math.pi),), 1,
                                    self.UNIT)
-        tiny = (math.nextafter(1e-9, 1.0), 0.0, 0.0, 0.0)
-        assert pl.phase_breakdown(tiny, turn) == pl.phase_breakdown(self.UNIT, turn)
+        tiny = pl.RotationSchedule(turn.segments, 1, (math.nextafter(1e-9, 1.0), 0.0, 0.0, 0.0))
+        assert pl.phase_breakdown(tiny) == pl.phase_breakdown(turn)
+
+
+@pytest.mark.parametrize("f, extra", [
+    pytest.param(f, extra, id=f.__name__) for f, extra in (
+        (pl.phase_breakdown, ()), (pl.dynamical_phase, ()), (pl.geometric_phase_mixed, ()),
+        (pl.topological_crossings, ()), (pl.readout_probability, ()), (pl.phase_samples, (2,)))
+])
+def test_state_beside_the_schedule_is_a_type_error(f, extra):
+    # the schedule holds its state: the old (s0, schedule) form has no shim
+    sched = z_turn_schedule((1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(TypeError, match="positional argument"):
+        f(sched.initial, sched, *extra)
 
 
 class TestClosedForms:
@@ -598,14 +613,14 @@ class TestClosedForms:
 class TestReadout:
     def test_identity_schedule(self):
         s = pl.schmidt_state(0.3, 0.2)
-        assert pl.readout_probability(s, pl.RotationSchedule((), 1, s)) == 0.0
+        assert pl.readout_probability(pl.RotationSchedule((), 1, s)) == 0.0
 
     def test_half_turn_phase_clicks(self):
         mes = pl.schmidt_state(0.5, 0.0)
         minus = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
         plus = pl.RotationSchedule(tuple(pl.builtin_plus()), 1, mes)
-        assert abs(pl.readout_probability(mes, minus) - 1.0) < 1e-12
-        assert pl.readout_probability(mes, plus) < 1e-12
+        assert abs(pl.readout_probability(minus) - 1.0) < 1e-12
+        assert pl.readout_probability(plus) < 1e-12
 
     def test_four_vector_oracle(self):
         rng = np.random.default_rng(63)
@@ -615,7 +630,7 @@ class TestReadout:
             u = pl.unitary_at(sched, pl.total_duration(sched))
             diff = pl.apply_local(u, q, s) - s
             want = float(np.vdot(diff, diff).real) / 4.0
-            assert abs(pl.readout_probability(s, sched) - want) < 1e-12
+            assert abs(pl.readout_probability(sched) - want) < 1e-12
 
     def test_visibility_relation(self):
         rng = np.random.default_rng(64)
@@ -623,14 +638,14 @@ class TestReadout:
             sched = random_cyclic_schedule(rng, extra_turn=bool(rng.integers(0, 2)))
             s = sched.initial
             tp = pl.total_phase(s, evolve(sched))
-            p = pl.readout_probability(s, sched)
+            p = pl.readout_probability(sched)
             assert abs(p - 0.5 * (1 - math.cos(tp))) < 1e-10
 
 
 class TestPhaseSamples:
     def test_empty_schedule_single_row(self):
         s = pl.schmidt_state(0.3, 0.2)
-        samples, flags, crossings = pl.phase_samples(s, pl.RotationSchedule((), 1, s), 100)
+        samples, flags, crossings = pl.phase_samples(pl.RotationSchedule((), 1, s), 100)
         assert len(samples) == 1
         assert samples[0].total_principal == 0.0
         assert samples[0].dyn == 0.0
@@ -639,7 +654,7 @@ class TestPhaseSamples:
     def test_mes_minus_series(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        samples, flags, crossings = pl.phase_samples(mes, sched, 500)
+        samples, flags, crossings = pl.phase_samples(sched, 500)
         assert len(crossings) == 1 and sum(flags) == 1
         assert abs(crossings[0] - 4 * math.pi / 3) < 1e-8
         # principal phase is 0 before the border and pi after it
@@ -655,7 +670,7 @@ class TestPhaseSamples:
         # the first sample at or after it is the junction sample itself
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        samples, flags, crossings = pl.phase_samples(mes, sched, 500)
+        samples, flags, crossings = pl.phase_samples(sched, 500)
         junction = 2 * 499
         assert crossings == [samples[junction].time]
         assert flags[junction] == 1 and sum(flags) == 1
@@ -670,7 +685,7 @@ class TestPhaseSamples:
                 pl.RotationSegment(random_axis(rng), float(rng.uniform(0.3, 3.0))),
                 pl.RotationSegment(Z_AXIS.copy(), float(rng.uniform(2.0, 40.0))),
             ), 1, s)
-            samples, flags, crossings = pl.phase_samples(s, sched, steps)
+            samples, flags, crossings = pl.phase_samples(sched, steps)
             times = np.array([x.time for x in samples])
             want = [0] * len(times)
             for ct in crossings:
@@ -680,7 +695,7 @@ class TestPhaseSamples:
     def test_long_segment_series(self):
         s = pl.schmidt_state(1.0, math.pi / 2)
         sched = pl.RotationSchedule((pl.RotationSegment(Z_AXIS.copy(), 1e12),), 1, s)
-        samples, flags, crossings = pl.phase_samples(s, sched, 100)
+        samples, flags, crossings = pl.phase_samples(sched, 100)
         assert crossings.size == math.floor(1e12 / (2 * math.pi) + 0.5)
         # every sample interval spans many turns
         assert flags == [0] + [1] * 99
@@ -688,14 +703,14 @@ class TestPhaseSamples:
     def test_dyn_column_matches_exact_integral(self):
         rng = np.random.default_rng(65)
         sched = random_schedule(rng, max_segments=3)
-        samples, _, _ = pl.phase_samples(sched.initial, sched, 50)
-        assert abs(samples[-1].dyn - pl.dynamical_phase(sched.initial, sched)) < 1e-12
+        samples, _, _ = pl.phase_samples(sched, 50)
+        assert abs(samples[-1].dyn - pl.dynamical_phase(sched)) < 1e-12
 
     def test_bloch_track_matches_reduced_state(self):
         rng = np.random.default_rng(66)
         sched = random_schedule(rng, max_segments=3)
         s, q = sched.initial, sched.evolved_qubit
-        samples, _, _ = pl.phase_samples(s, sched, 9)
+        samples, _, _ = pl.phase_samples(sched, 9)
         for t, u in zip(*matrix_unitary_samples(sched, 9)):
             here = [x for x in samples if x.time == t]
             assert here
@@ -704,7 +719,7 @@ class TestPhaseSamples:
 
     def test_unwrapped_continuity(self):
         s = pl.schmidt_state(0.3, 0.0)
-        samples, _, _ = pl.phase_samples(s, z_turn_schedule(s), 2000)
+        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 2000)
         vals = [x.total_unwrapped for x in samples if not math.isnan(x.total_unwrapped)]
         steps = np.abs(np.diff(vals))
         assert np.max(steps) < 0.1  # no artificial 2 pi jumps
@@ -712,8 +727,8 @@ class TestPhaseSamples:
     def test_samples_equal_only_themselves_and_hashable(self):
         # ndarray fields: equality and hashing are by identity, never elementwise
         s = pl.schmidt_state(0.3, 0.0)
-        first, _, _ = pl.phase_samples(s, z_turn_schedule(s), 5)
-        again, _, _ = pl.phase_samples(s, z_turn_schedule(s), 5)
+        first, _, _ = pl.phase_samples(z_turn_schedule(s), 5)
+        again, _, _ = pl.phase_samples(z_turn_schedule(s), 5)
         assert not first[2] == again[2] and first[2] != again[2]
         assert first[2] == first[2]
         assert len({hash(first[2]), hash(again[2])}) == 2 and first[2] in {first[2]}

@@ -349,6 +349,26 @@ class TestValueClasses:
         assert sched.initial == (1 + 0j, 0j, 0j, 0j) and type(sched.initial[1]) is complex
         assert sched.segments == (seg,) and sched.evolved_qubit == 2
 
+    # a string or bytes is not read as its characters, and a value that is
+    # not a sequence of numbers raises DomainError, not a bare Python error
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: pl.RotationSegment("100", math.pi), id="str-axis"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, "1234"), id="str-state"),
+        pytest.param(lambda: pl.RotationSegment(b"100", math.pi), id="bytes-axis"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, b"1234"), id="bytes-state"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, bytearray(b"1234")), id="bytearray-state"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, np.array("1234")), id="str-ndarray-state"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, "abc"), id="malformed-str-state"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, ["a", 0, 0, 0]), id="str-amplitude"),
+        pytest.param(lambda: pl.RotationSegment(["a", 0, 0], math.pi), id="str-component"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, None), id="none-state"),
+        pytest.param(lambda: pl.RotationSegment(None, math.pi), id="none-axis"),
+        pytest.param(lambda: pl.RotationSegment([10**400, 0, 0], math.pi), id="int-past-float"),
+    ])
+    def test_non_numeric_values_raise_domain_error(self, make):
+        with pytest.raises(pl.DomainError, match="expected a sequence of numbers"):
+            make()
+
     def test_repr(self):
         seg = pl.RotationSegment((0.0, 0.0, 1.0), 1.5)
         assert repr(seg) == "RotationSegment(axis=(0.0, 0.0, 1.0), duration=1.5)"

@@ -127,12 +127,12 @@ def _exact_calls(pl, path, degenerate):
     """The exact API's results on one schedule file, read from ``phaselab``."""
     with open(path, encoding="utf-8") as fh:
         s = pl.parse_schedule(fh.read())
-    b = pl.phase_breakdown(s.initial, s)
+    b = pl.phase_breakdown(s)
     row = [[b.total, b.dynamical, b.geometric, b.crossings, b.parity, b.degenerate],
-           pl.readout_probability(s.initial, s), list(pl.topological_crossings(s.initial, s)),
-           pl.dynamical_phase(s.initial, s)]
+           pl.readout_probability(s), list(pl.topological_crossings(s)),
+           pl.dynamical_phase(s)]
     if not degenerate:
-        row += [pl.geometric_phase_mixed(s.initial, s), pl.principal(b.total + 7.0)]
+        row += [pl.geometric_phase_mixed(s), pl.principal(b.total + 7.0)]
     return row
 
 

@@ -271,7 +271,7 @@ class TestRunShapedTables:
         path = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules", name + ".sched")
         with open(path, encoding="utf-8") as fh:
             sched = pl.parse_schedule(fh.read())
-        rho, bounds = pl.core._exact_inputs(sched.initial, sched)
+        rho, bounds = pl.core._exact_inputs(sched)
         _, rates, ends, runs = pl.core._scan(rho, bounds)
         cols, flags = pl.phases._series_columns(rho, bounds, rates, ends, runs,
                                                 pl.DEFAULT_SAMPLES)
