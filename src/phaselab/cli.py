@@ -177,8 +177,8 @@ def _warn_if_not_cyclic(magnitude: float) -> None:
 
 
 def _load(path) -> RotationSchedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_schedule(fh.read())
+    with open(path, "rb") as fh:  # parse_schedule's splitlines ends lines at \r\n and \r too
+        return parse_schedule(fh.read().decode("utf-8"))
 
 
 def _cmd_run(args) -> int:
@@ -335,13 +335,23 @@ def _build_parser() -> _Parser:
     rd = sub.add_parser("readout", help="interferometric click probability")
     rd.add_argument("schedule_file")
     rd.set_defaults(func=_cmd_readout)
+    parser.commands = sub.choices  # each command name's subparser, for _parse
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """``argv`` parsed once. The top-level parser only hands what follows a command name to
+    its subparser, so that parses it directly: the same namespace, less ``command``."""
     parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    return sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run the command ``argv`` (default ``sys.argv[1:]``); return its exit code. The
+    top-level parser serves only argv that names no command: empty, ``-h`` or an unknown word."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

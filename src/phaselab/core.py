@@ -185,9 +185,9 @@ def _quaternions(segments):
     if not all(0.0 < d < math.inf for d in durations):
         raise DomainError("durations must be positive and finite")
     quats = [(1.0, 0.0, 0.0, 0.0)]
-    for d, n in zip(durations, axes):
+    for d, (nx, ny, nz) in zip(durations, axes):
         c, s = math.cos(d / 2.0), math.sin(d / 2.0)
-        quats.append(_product(c, *(s * x for x in n), quats[-1]))
+        quats.append(_product(c, s * nx, s * ny, s * nz, quats[-1]))
     return _totals(durations), quats, axes, durations
 
 
@@ -213,11 +213,19 @@ def _reduced(s0: tuple, qubit: int) -> tuple:
     return p0 + p1, 2.0 * off.real, -2.0 * off.imag, p0 - p1
 
 
+def _schedule_fields(schedule) -> tuple:
+    """``(segments, evolved_qubit, initial)``; DomainError naming any non-schedule's type."""
+    try:
+        return schedule.segments, schedule.evolved_qubit, schedule.initial
+    except AttributeError:
+        raise DomainError(f"expected a RotationSchedule, got {type(schedule).__name__}") from None
+
+
 def _exact_inputs(schedule):
     """``(rho, bounds)``: the evolved qubit's :func:`_reduced` state of ``schedule.initial``
     normalized by :func:`_two_qubit`, and the boundary record ``_quaternions(segments)``."""
-    return (_reduced(_two_qubit(schedule.initial), schedule.evolved_qubit),
-            _quaternions(schedule.segments))
+    segments, qubit, initial = _schedule_fields(schedule)
+    return _reduced(_two_qubit(initial), qubit), _quaternions(segments)
 
 
 class ZeroTimes(Sequence):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ZeroTimes, _quaternions, _scan
+from .core import ZeroTimes, _quaternions, _scan, _schedule_fields
 from .errors import DegenerateSpectrum
 from .schedule import RotationSchedule, _unitary_samples
 
@@ -188,7 +188,7 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     crossing times come from :func:`~phaselab.core._scan`. A tangential
     touch of the border counts as zero crossings.
     """
-    bounds = _quaternions(schedule.segments)
+    bounds = _quaternions(_schedule_fields(schedule)[0])
     times, quats = _unitary_samples(bounds, samples_per_segment)
     axes, angles = _ball(quats[0], quats[1:].T)
     samples = [

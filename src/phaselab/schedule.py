@@ -26,11 +26,10 @@ The ``evolve-qubit`` directive defaults to qubit 1 when omitted.
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_right
 
-from .core import (_divided, _floats, _Frozen, _product, _quaternions, _rescaled, _schmidt,
-                   _set, _totals, _two_qubit)
+from .core import (_divided, _floats, _Frozen, _product, _quaternions, _rescaled,
+                   _schedule_fields, _schmidt, _set, _totals, _two_qubit)
 from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError, ZeroNorm
 
 __all__ = [
@@ -100,23 +99,19 @@ def builtin_minus() -> list[RotationSegment]:
     return [RotationSegment([_DIAG * x for x in a], _BUILTIN_STEP) for a in _MINUS_TABLE]
 
 
-# The documented number grammar, ASCII only: float() and int() also take
-# underscores between digits and any Unicode decimal digit.
-_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
-_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
-
-
 def _number(token: str, kind=float):
     """``kind(token)`` for a token of the documented grammar: an optional
     sign and digits, then for floats an optional fraction and exponent.
     Spellings of inf and nan pass as floats, for callers to reject with
-    their own messages; any other token raises ValueError."""
-    if (_INTEGER if kind is int else _DECIMAL).fullmatch(token):
-        return kind(token)
-    x = float(token)
-    if kind is int or math.isfinite(x):
-        raise ValueError(f"not a number of the documented grammar: {token!r}")
-    return x
+    their own messages; any other token raises ValueError. Beyond the grammar,
+    ``float`` and ``int`` take only digit-group underscores, non-ASCII digits,
+    surrounding whitespace and those spellings: an ASCII token without ``_``
+    or surrounding whitespace that they take is of the grammar or non-finite."""
+    x = kind(token)
+    if (token.isascii() and "_" not in token and token.strip() == token
+            or kind is float and not math.isfinite(x)):
+        return x
+    raise ValueError(f"not a number of the documented grammar: {token!r}")
 
 
 def _float(token: str, lineno: int) -> float:
@@ -233,7 +228,7 @@ def serialize_schedule(schedule: RotationSchedule) -> str:
 
 
 def total_duration(schedule: RotationSchedule) -> float:
-    return _totals(seg.duration for seg in schedule.segments)[-1]
+    return _totals(seg.duration for seg in _schedule_fields(schedule)[0])[-1]
 
 
 def _unitary_samples(bounds, samples_per_segment: int):
@@ -280,7 +275,7 @@ def unitary_at(schedule: RotationSchedule, t: float):
 
     if math.isnan(t):
         raise DomainError(f"time {t} is not a number")
-    bt, bq, axes, _ = _quaternions(schedule.segments)
+    bt, bq, axes, _ = _quaternions(_schedule_fields(schedule)[0])
     if not 0.0 < t < bt[-1]:
         return _su2_matrix(bq[0] if t <= 0.0 else bq[-1])
     k = bisect_right(bt, t) - 1

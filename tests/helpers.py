@@ -4,6 +4,7 @@ import cmath
 import io
 import json
 import math
+import re
 
 import numpy as np
 
@@ -465,3 +466,20 @@ def matrix_series_columns(s0, schedule, samples_per_segment):
     columns = (times, sps.real, sps.imag, np.where(raw == -math.pi, math.pi, raw),
                loop_unwrap_skipnan(raw), dyn, *blochs, *axes.T, angles)
     return columns, flags, zeros
+
+
+# The documented number grammar as regular expressions, ASCII only
+_DECIMAL = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
+
+
+def regex_number(token: str, kind=float):
+    """The oracle of ``schedule._number``: ``kind(token)`` for a token the
+    grammar's expression matches whole, any spelling of inf or nan that
+    ``float`` takes as a float, and ValueError for every other token."""
+    if (_INTEGER if kind is int else _DECIMAL).fullmatch(token):
+        return kind(token)
+    x = float(token)
+    if kind is int or math.isfinite(x):
+        raise ValueError(f"not a number of the documented grammar: {token!r}")
+    return x

@@ -511,6 +511,26 @@ class TestReadout:
         assert len(calls) == scans
         assert summary in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "{sched}"], ["breakdown", "{sched}"], ["readout", "{sched}"],
+        ["sweep", "--lambda0", "0:1:3", "--theta", "0:1:2", "--out", "{out}"],
+    ])
+    def test_one_argv_parse_per_command(self, tmp_path, capsys, monkeypatch, argv):
+        # the command's own subparser parses the rest of argv, once; the
+        # top-level parser would parse argv only to hand that rest over
+        calls = []
+        parse = cli._Parser.parse_known_args
+
+        def counted(parser, args=None, namespace=None):
+            calls.append(parser.prog)
+            return parse(parser, args, namespace)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        argv = [a.format(sched=sched, out=tmp_path / "sweep.csv") for a in argv]
+        assert main(argv) == 0
+        assert calls == [f"phaselab {argv[0]}"]
+
 
 class TestExitCodes:
     def test_usage_error_exit_1(self, capsys):
@@ -647,6 +667,33 @@ class TestExitCodes:
         path.write_bytes(b"phaselab-schedule v1\n\xff\xfe\n")
         assert main(["breakdown", str(path)]) == 2
         assert "utf-8" in capsys.readouterr().err
+
+    def test_undecodable_byte_past_the_first_read_chunk(self, tmp_path, capsys):
+        # the offset is the byte's place in the whole file, as text mode gives it
+        path = tmp_path / "long.sched"
+        path.write_bytes(b"phaselab-schedule v1\r\n" + b"#" * 9000 + b"\r\n\xff\n")
+        with pytest.raises(UnicodeDecodeError) as text_mode:
+            with open(path, encoding="utf-8") as fh:
+                fh.read()
+        message = "'utf-8' codec can't decode byte 0xff in position 9024: invalid start byte"
+        assert str(text_mode.value) == message
+        assert main(["breakdown", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, code, err", [
+        (MES_MINUS.replace("evolve-qubit 1", "\n# a comment\n\nevolve-qubit 1  # qubit 1"), 0, ""),
+        (BAD_LINE.replace("phaselab-schedule v1", "\n# header next\nphaselab-schedule v1"), 2,
+         "error: line 5: not a number: 'one'\n"),
+    ])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends_read_as_lf(self, tmp_path, capsys, text, code, err, newline):
+        results = []
+        for name, end in (("lf.sched", "\n"), ("other.sched", newline)):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", end).encode())
+            results.append((main(["breakdown", str(path)]), capsys.readouterr()))
+        assert results[1] == results[0]
+        assert results[0][0] == code and results[0][1].err == err
 
     def test_validation_error_exit_2(self, tmp_path, capsys):
         sched = write(tmp_path, "v.sched",

@@ -572,16 +572,30 @@ class TestLibraryStateContract:
         assert pl.phase_breakdown(tiny) == pl.phase_breakdown(turn)
 
 
+# the exact and sampled functions, each with the arguments it takes after the schedule
+EXACT_AND_SAMPLED = (
+    (pl.phase_breakdown, ()), (pl.dynamical_phase, ()), (pl.geometric_phase_mixed, ()),
+    (pl.topological_crossings, ()), (pl.readout_probability, ()), (pl.phase_samples, (2,)))
+
+
 @pytest.mark.parametrize("f, extra", [
-    pytest.param(f, extra, id=f.__name__) for f, extra in (
-        (pl.phase_breakdown, ()), (pl.dynamical_phase, ()), (pl.geometric_phase_mixed, ()),
-        (pl.topological_crossings, ()), (pl.readout_probability, ()), (pl.phase_samples, (2,)))
-])
+    pytest.param(f, extra, id=f.__name__) for f, extra in EXACT_AND_SAMPLED])
 def test_state_beside_the_schedule_is_a_type_error(f, extra):
     # the schedule holds its state: the old (s0, schedule) form has no shim
     sched = z_turn_schedule((1.0, 0.0, 0.0, 0.0))
     with pytest.raises(TypeError, match="positional argument"):
         f(sched.initial, sched, *extra)
+
+
+@pytest.mark.parametrize("f, extra", [
+    pytest.param(f, extra, id=f.__name__) for f, extra in (
+        *EXACT_AND_SAMPLED, (pl.so3_path, (2,)), (pl.unitary_at, (1.0,)), (pl.total_duration, ()))
+])
+@pytest.mark.parametrize("value, name", [(None, "NoneType"), ((1.0, 0.0, 0.0, 0.0), "tuple")])
+def test_non_schedule_argument_raises_domain_error(f, extra, value, name):
+    # one check at the boundary, where a bare AttributeError used to escape
+    with pytest.raises(pl.DomainError, match=f"^expected a RotationSchedule, got {name}$"):
+        f(value, *extra)
 
 
 class TestClosedForms:

@@ -9,7 +9,9 @@ the n pi theorem on cyclic schedules, the parity law on maximally
 entangled states and the gauge invariance of the overlap-product phase.
 Every ``sweep`` row equals the public ``phase_breakdown`` of its grid
 point, bit for bit, and ``total_duration`` is the end time of the core's
-boundary record, bit for bit.
+boundary record, bit for bit. The command dispatch parses argv as the
+top-level parser does, and the number check agrees with the grammar's
+regular expressions.
 """
 
 import contextlib
@@ -20,14 +22,17 @@ import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from helpers import geometric_phase_pure, reference_sweep_rows, reference_table_bytes
+from helpers import (geometric_phase_pure, reference_sweep_rows, reference_table_bytes,
+                     regex_number)
 from matrices import evolution_operator, make_two_qubit, quaternion_of
+from phaselab import cli
 from phaselab.cli import SWEEP_FIELDS, main
 from phaselab.core import _quaternions
+from phaselab.schedule import _number
 
 ODD_TOKENS = st.sampled_from([
     "nan", "-inf", "inf", "Infinity", "1e309", "-1e308", "1e308", "1.7976931348623157e308",
@@ -188,6 +193,86 @@ class TestCliFuzz:
         assert [str(w.message) for w in caught] == []
         if code:
             assert err.getvalue().startswith(("usage error: ", "error: "))
+
+
+# each command's options (and --help), and its required arguments
+COMMAND_OPTIONS = {
+    "run": ["--steps", "--out", "--format", "--help"],
+    "breakdown": ["--steps", "--help"],
+    "sweep": ["--lambda0", "--theta", "--axis", "--turns", "--steps", "--out", "--help"],
+    "readout": ["--help"],
+}
+REQUIRED_ARGS = {"run": [["s.sched"]], "breakdown": [["s.sched"]], "readout": [["s.sched"]],
+                 "sweep": [["--lambda0", "0:1:3"], ["--theta=-1:1:3"], ["--out", "out.csv"]]}
+ARGV_VALUES = st.sampled_from(["2", "20", "1", "x", " 2", "1_0", "-1", "0:1:3", "-1:1:3", "0:1",
+                               "csv", "json", "xml", "z", "w", "s.sched", "out.csv", ""])
+ARGV_JUNK = st.sampled_from(["--", "-h", "-", "-x", "--bogus", "extra", "--=", "-hx"])
+
+
+@st.composite
+def command_argv(draw):
+    """A command name, then its option strings, their prefixes (``--`` too)
+    and ``=value`` forms, values, junk tokens, ``--`` and ``-h``."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    option = st.sampled_from(COMMAND_OPTIONS[command]).flatmap(
+        lambda opt: st.integers(2, len(opt)).map(lambda n: opt[:n]))
+    pair = st.tuples(option, ARGV_VALUES)
+    chunk = weighted((4, pair.map(list)), (1, pair.map(lambda p: ["=".join(p)])),
+                     (1, option.map(lambda o: [o])), (2, ARGV_VALUES.map(lambda v: [v])),
+                     (1, ARGV_JUNK.map(lambda j: [j])))
+    chunks = draw(st.lists(chunk, max_size=5))
+    for required in REQUIRED_ARGS[command]:  # each in about 4 of 5 draws
+        if not draw(chance(5)):
+            chunks.insert(draw(st.integers(0, len(chunks))), required)
+    return [command, *(token for c in chunks for token in c)]
+
+
+def parse_outcome(parse, argv):
+    """What ``parse(argv)`` gives: its namespace less ``command``, its usage
+    error text, or its exit code and stdout."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(argv)
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    return "namespace", {k: v for k, v in vars(args).items() if k != "command"}, out.getvalue()
+
+
+class TestCommandDispatch:
+    @settings(max_examples=400, deadline=None)
+    @given(command_argv())
+    def test_dispatch_parses_as_the_top_level_parser(self, argv):
+        assert parse_outcome(cli._parse, argv) == parse_outcome(cli._build_parser().parse_args,
+                                                                argv)
+
+
+# pieces of tokens, digits the most often: the grammar's characters and what
+# float and int take beyond it
+NUMBER_PIECES = weighted((1, st.sampled_from("0123456789")), (1, st.sampled_from([
+    "+", "-", ".", "e", "E", "_", " ", "\t", "\x0b", "\x1c", "\x85", "\u0661", "\uff11", "inf",
+    "nan", "x"])))
+
+
+class TestNumberGrammar:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(NUMBER_PIECES, min_size=1, max_size=8).map("".join),
+           st.sampled_from([float, int]))
+    @example("1_0", int)
+    @example("1_0.5e1", float)
+    @example("\u0661", float)
+    @example(" 2", int)
+    @example("-inf\x85", float)
+    def test_number_matches_the_regex_oracle(self, token, kind):
+        results = []
+        for number in (_number, regex_number):
+            try:
+                results.append(repr(number(token, kind)))
+            except ValueError:
+                results.append(ValueError)
+        assert results[0] == results[1]
 
 
 unit = st.floats(-1.0, 1.0)
