@@ -186,8 +186,7 @@ def _cmd_run(args) -> int:
     # the summary is the exact core's, so only --out samples (and needs numpy)
     rho, bounds = _exact_inputs(sched)
     # the series' dynamical phase and crossing flags and the summary share one scan
-    overlaps, rates, ends, runs = _scan(rho, bounds)
-    v = overlaps[-1]
+    v, rates, ends, runs = _scan(rho, bounds)
     if args.out:
         from .phases import _series_columns
 
@@ -259,7 +258,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for lam in lams:  # lambda0-major grid order
         for th in thetas:
-            tot, dyn, geo, n, _, res = _breakdown(_reduced(_schmidt(lam, th), 1), bounds)
+            tot, dyn, geo, n, _, _, res = _breakdown(_reduced(_schmidt(lam, th), 1), bounds)
             rows.append((lam, th, tot, dyn, geo, n, res))
     with open(args.out, "wb") as fh:
         fh.write((",".join(SWEEP_FIELDS) + "\n").encode())

@@ -95,6 +95,18 @@ def _floats(values, kind=float) -> tuple:
         raise DomainError(f"expected a sequence of numbers: {exc}") from None
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, an ndarray or numpy scalar read through its ``tolist``;
+    DomainError naming ``name`` for a string or bytes, or a value ``float`` rejects."""
+    try:
+        value = value.tolist() if hasattr(value, "tolist") else value
+        if isinstance(value, (str, bytes, bytearray)):  # not parsed as a number
+            raise TypeError(f"got {type(value).__name__}")
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a real number: {exc}") from None
+
+
 def _rescaled(parts: tuple) -> tuple:
     """Real components ``parts`` divided by the largest magnitude among them
     when the squares their norm sums would overflow, else ``parts``."""
@@ -179,9 +191,13 @@ def _quaternions(segments):
     k = 0..n, as unit quaternions ``(w, vx, vy, vz)`` with
     ``B_k = w I - i v . sigma``, axes and durations. Segment k is
     ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` their :func:`_product`.
-    DomainError unless every duration is positive and finite."""
-    axes = [_unit_axis(seg.axis) for seg in segments]
-    durations = [seg.duration for seg in segments]
+    DomainError unless ``segments`` is a sequence of segments and every
+    duration is positive and finite."""
+    try:
+        axes = [_unit_axis(seg.axis) for seg in segments]
+        durations = [seg.duration for seg in segments]
+    except (TypeError, AttributeError) as exc:
+        raise DomainError(f"segments must be a sequence of RotationSegment: {exc}") from None
     if not all(0.0 < d < math.inf for d in durations):
         raise DomainError("durations must be positive and finite")
     quats = [(1.0, 0.0, 0.0, 0.0)]
@@ -296,12 +312,12 @@ def _slope(n, q, rho) -> complex:
 
 
 def _scan(rho, bounds) -> tuple:
-    """``(overlaps, rates, ends, runs)`` of the reduced state ``rho``, Pauli
+    """``(v, rates, ends, runs)`` of the reduced state ``rho``, Pauli
     components ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2``, on
     the boundary record ``bounds`` (:func:`_quaternions`), in one pass over
-    the segments. ``overlaps`` are the boundary overlaps ``Tr(B_k rho)``
-    (:func:`_overlap`), the last ``<s0|U_T|s0>``. Segment k's generator
-    commutes with its own evolution, so its expectation is constant on it:
+    the segments. ``v = <s0|U_T|s0> = Tr(B_n rho)`` is the last boundary
+    overlap (:func:`_overlap`), as :func:`_final_overlap` reads it. Segment
+    k's generator commutes with its own evolution, so its expectation is constant on it:
     ``rates`` holds ``-(1/2) n_k . b_k``, with ``b_k`` the Bloch vector of
     ``rho`` :func:`_rotated` by ``B_k`` (exactly 0 for ``b = 0``), and
     ``ends`` the dynamical phase at every segment end, ``[0.0, ..., dyn]``,
@@ -329,7 +345,7 @@ def _scan(rho, bounds) -> tuple:
     """
     _, quats, axes, durations = bounds
     z = complex(*_overlap(quats[0], rho))
-    overlaps, rates, ends, runs = [z], [], [0.0], []
+    rates, ends, runs = [], [0.0], []
     at_end = abs(z) <= CROSSING_EPS
     entered = None  # (segment, slope factor) where the current zero began
     for k, (q, n, d) in enumerate(zip(quats, axes, durations)):
@@ -338,7 +354,6 @@ def _scan(rho, bounds) -> tuple:
         rates.append(DYNAMICAL_SIGN * 0.5 * (nx * bx + ny * by + nz * bz))
         ends.append(ends[-1] + rates[-1] * d)
         a, z = z, complex(*_overlap(quats[k + 1], rho))
-        overlaps.append(z)
         at_start, at_end = at_end, abs(z) <= CROSSING_EPS
         c = _slope(n, q, rho)  # z'(0) = -i c / 2
         if k and at_start and entered is None:
@@ -363,7 +378,7 @@ def _scan(rho, bounds) -> tuple:
         hi = last - int(at_end and tau + 2.0 * math.pi * last > d - math.pi)
         if hi >= lo:
             runs.append((k, tau + 2.0 * math.pi * lo, hi - lo + 1))
-    return overlaps, rates, ends, runs
+    return z, rates, ends, runs
 
 
 class PhaseBreakdown(_Frozen):
@@ -447,8 +462,7 @@ def geometric_phase_mixed(schedule) -> float:
     to its start.
     """
     rho, bounds = _exact_inputs(schedule)
-    overlaps, _, ends, _ = _scan(rho, bounds)
-    v = overlaps[-1]
+    v, _, ends, _ = _scan(rho, bounds)
     return _geometric(bounds[1][-1][0], v, rho, ends[-1], principal(cmath.phase(v)))
 
 
@@ -465,13 +479,11 @@ def topological_crossings(schedule) -> tuple[int, str]:
 
 
 def _breakdown(rho, bounds) -> tuple:
-    """``(total, dynamical, geometric, crossings, degenerate,
-    closure_residual)``, the :func:`phase_breakdown` fields but the parity,
-    of the reduced state ``rho`` (Pauli components, see :func:`_reduced`)
-    on the boundary record ``bounds`` (:func:`_quaternions`); ``sweep``
-    builds ``bounds`` once for its whole grid."""
-    overlaps, _, ends, runs = _scan(rho, bounds)
-    v = overlaps[-1]
+    """The seven :class:`PhaseBreakdown` fields, in field order, of the
+    reduced state ``rho`` (Pauli components, see :func:`_reduced`) on the
+    boundary record ``bounds`` (:func:`_quaternions`); ``sweep`` builds
+    ``bounds`` once for its whole grid."""
+    v, _, ends, runs = _scan(rho, bounds)
     if not abs(abs(v) - 1.0) <= CYCLIC_EPS:
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = principal(cmath.phase(v))
@@ -484,7 +496,7 @@ def _breakdown(rho, bounds) -> tuple:
         geo = 0.0
         degenerate = True
         residual = math.nan
-    return total, dyn, geo, _crossings(runs)[0], degenerate, residual
+    return (total, dyn, geo, *_crossings(runs), degenerate, residual)
 
 
 def phase_breakdown(schedule) -> PhaseBreakdown:
@@ -496,8 +508,7 @@ def phase_breakdown(schedule) -> PhaseBreakdown:
     maximally entangled input the geometric phase is reported as 0 with
     ``degenerate=True`` and a NaN closure residual.
     """
-    total, dyn, geo, count, degenerate, residual = _breakdown(*_exact_inputs(schedule))
-    return PhaseBreakdown(total, dyn, geo, count, _PARITY[count % 2], degenerate, residual)
+    return PhaseBreakdown(*_breakdown(*_exact_inputs(schedule)))
 
 
 def _click_probability(v: complex) -> float:

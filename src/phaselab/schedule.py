@@ -26,9 +26,10 @@ The ``evolve-qubit`` directive defaults to qubit 1 when omitted.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 
-from .core import (_divided, _floats, _Frozen, _product, _quaternions, _rescaled,
+from .core import (_divided, _floats, _Frozen, _product, _quaternions, _real, _rescaled,
                    _schedule_fields, _schmidt, _set, _totals, _two_qubit)
 from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError, ZeroNorm
 
@@ -58,16 +59,18 @@ _MINUS_TABLE = ((-1, -1, -1), (1, -1, -1), (-1, -1, -1), (1, -1, -1))
 class RotationSegment(_Frozen):
     """One fixed-axis rotation: unit axis, duration = rotation angle > 0.
 
-    ``axis`` is held as a tuple of three floats; any sequence of numbers,
-    an ndarray too, is converted, and any other value raises DomainError.
-    Immutable; equal only to itself.
+    ``axis`` is held as a tuple of three floats and ``duration`` as a float;
+    any sequence of numbers (any real number for ``duration``), an ndarray
+    or numpy scalar too, is converted, and any other value, a string or
+    bytes too, raises DomainError. The exact functions check the axis
+    length and the duration's range. Immutable; equal only to itself.
     """
 
     __slots__ = ("axis", "duration")
 
     def __init__(self, axis, duration):
         _set(self, "axis", _floats(axis))
-        _set(self, "duration", duration)
+        _set(self, "duration", _real(duration, "duration"))
 
 
 class RotationSchedule(_Frozen):
@@ -228,7 +231,8 @@ def serialize_schedule(schedule: RotationSchedule) -> str:
 
 
 def total_duration(schedule: RotationSchedule) -> float:
-    return _totals(seg.duration for seg in _schedule_fields(schedule)[0])[-1]
+    """The end time of the boundary record ``core._quaternions``; DomainError as it raises."""
+    return _quaternions(_schedule_fields(schedule)[0])[0][-1]
 
 
 def _unitary_samples(bounds, samples_per_segment: int):
@@ -238,15 +242,20 @@ def _unitary_samples(bounds, samples_per_segment: int):
     Segment k of the boundary record ``bounds`` (``core._quaternions``) adds
     ``samples_per_segment - 1`` samples ``(cos(tau/2), sin(tau/2) n_k) B_k``,
     the last the exact boundary quaternion at any sampling density. Raises
-    DomainError when the samples do not fit in memory, NotSpecialUnitary
-    when ``det = w^2 + v . v`` of one differs from 1 by more than 1e-9.
+    DomainError unless ``samples_per_segment`` is an integer >= 2 and the
+    samples fit in memory, NotSpecialUnitary when ``det = w^2 + v . v`` of
+    one differs from 1 by more than 1e-9.
     """
     import numpy as np
 
-    if samples_per_segment < 2:
+    try:
+        per = operator.index(samples_per_segment) - 1
+    except TypeError:
+        raise DomainError(f"samples_per_segment must be an integer, got "
+                          f"{type(samples_per_segment).__name__}") from None
+    if per < 1:
         raise DomainError("samples_per_segment must be >= 2")
     bt, bq, axes, durations = bounds
-    per = samples_per_segment - 1
     size = len(durations) * per + 1
     try:
         times, quats = np.empty(size), np.empty((4, size))
@@ -255,7 +264,7 @@ def _unitary_samples(bounds, samples_per_segment: int):
     times[0], quats[:, 0] = 0.0, bq[0]
     for k, (d, (nx, ny, nz)) in enumerate(zip(durations, axes)):
         delta = d / per
-        offs = delta * np.arange(1, samples_per_segment)
+        offs = delta * np.arange(1, per + 1)
         half = 0.5 * offs
         s = np.sin(half)
         block = slice(k * per + 1, (k + 1) * per + 1)
@@ -273,6 +282,7 @@ def unitary_at(schedule: RotationSchedule, t: float):
     boundary product, and NaN raises DomainError."""
     from .qstate import _su2_matrix
 
+    t = _real(t, "t")
     if math.isnan(t):
         raise DomainError(f"time {t} is not a number")
     bt, bq, axes, _ = _quaternions(_schedule_fields(schedule)[0])

@@ -398,3 +398,34 @@ class TestPhaseBreakdownValue:
         b = pl.PhaseBreakdown(*self.FIELDS)
         assert copy.copy(b) == b and copy.deepcopy(b) == b
         assert pickle.loads(pickle.dumps(b)) == b
+
+
+class TestThresholdEdges:
+    """The eigenvalue-gap and orthogonality thresholds are inclusive: a
+    value of exactly 1e-9 is degenerate (or orthogonal), the next float
+    above it is not. Both are exact: ``sqrt(g * g) == g`` and
+    ``abs(complex(g, 0.0)) == g`` at these values."""
+
+    Z_TURN = pl.core._quaternions((segment(Z_AXIS, 2.0 * math.pi),))
+    ABOVE = math.nextafter(1e-9, 1.0)
+
+    def breakdown(self, gap):
+        return pl.PhaseBreakdown(*pl.core._breakdown((1.0, 0.0, 0.0, gap), self.Z_TURN))
+
+    def test_eigenvalue_gap_at_the_threshold_is_degenerate(self):
+        b = self.breakdown(1e-9)
+        assert b.degenerate and b.geometric == 0.0 and math.isnan(b.closure_residual)
+
+    def test_eigenvalue_gap_just_above_the_threshold_is_not(self):
+        b = self.breakdown(self.ABOVE)
+        assert not b.degenerate and b.closure_residual == 0.0
+
+    def test_overlap_at_the_orthogonality_threshold_has_no_phase(self):
+        assert math.isnan(pl.core._overlap_phase(complex(1e-9, 0.0)))
+        assert pl.core._overlap_phase(complex(self.ABOVE, 0.0)) == 0.0
+
+
+def test_zero_times_compare_unequal_to_a_non_sequence():
+    zeros = pl.core.ZeroTimes([0.0], [(0, 1.0, 1)])
+    assert zeros.__eq__(5) is NotImplemented
+    assert zeros != 5 and not zeros == "1.0"

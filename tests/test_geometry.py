@@ -259,6 +259,25 @@ class TestSU2ToSO3:
         assert point == pl.SO3Point(tilted, 1.4e-9)
         assert point != pl.SO3Point(np.array([1.0, 0.0, 0.0]), 1.4e-9)
 
+    def test_different_angles_are_different_rotations(self):
+        point = pl.SO3Point(Z_AXIS, 1.0)
+        assert not point.same_rotation(pl.SO3Point(Z_AXIS, 1.0 + 2e-9))
+        assert point.same_rotation(pl.SO3Point(Z_AXIS, 1.0 + 2e-9), atol=1e-8)
+
+    def test_axes_within_atol_at_pi_are_the_same_rotation(self):
+        # at angle pi the ball coordinates are pi times further apart than
+        # the axes, so only the axis comparison sees the points agree
+        tilted = np.array([0.9e-3, 0.0, 1.0]) / math.hypot(0.9e-3, 1.0)
+        a, b = pl.SO3Point(Z_AXIS, math.pi), pl.SO3Point(tilted, math.pi)
+        assert np.linalg.norm(a.axis - b.axis) <= 1e-3
+        assert np.linalg.norm(a.displacement() - b.displacement()) > 1e-3
+        assert a.same_rotation(b, atol=1e-3)
+
+    def test_not_equal_to_other_types(self):
+        point = pl.SO3Point(Z_AXIS, 1.0)
+        assert point.__eq__(object()) is NotImplemented
+        assert point != object() and not point == (Z_AXIS, 1.0)
+
 
 def quaternion_su2(w, v) -> np.ndarray:
     """``w I - i v . sigma`` for a unit quaternion ``(w, v)``."""

@@ -576,6 +576,9 @@ class TestLibraryStateContract:
 EXACT_AND_SAMPLED = (
     (pl.phase_breakdown, ()), (pl.dynamical_phase, ()), (pl.geometric_phase_mixed, ()),
     (pl.topological_crossings, ()), (pl.readout_probability, ()), (pl.phase_samples, (2,)))
+# every function that takes a schedule, with the arguments it takes after it
+SCHEDULE_READERS = (
+    *EXACT_AND_SAMPLED, (pl.so3_path, (2,)), (pl.unitary_at, (1.0,)), (pl.total_duration, ()))
 
 
 @pytest.mark.parametrize("f, extra", [
@@ -588,14 +591,23 @@ def test_state_beside_the_schedule_is_a_type_error(f, extra):
 
 
 @pytest.mark.parametrize("f, extra", [
-    pytest.param(f, extra, id=f.__name__) for f, extra in (
-        *EXACT_AND_SAMPLED, (pl.so3_path, (2,)), (pl.unitary_at, (1.0,)), (pl.total_duration, ()))
-])
+    pytest.param(f, extra, id=f.__name__) for f, extra in SCHEDULE_READERS])
 @pytest.mark.parametrize("value, name", [(None, "NoneType"), ((1.0, 0.0, 0.0, 0.0), "tuple")])
 def test_non_schedule_argument_raises_domain_error(f, extra, value, name):
     # one check at the boundary, where a bare AttributeError used to escape
     with pytest.raises(pl.DomainError, match=f"^expected a RotationSchedule, got {name}$"):
         f(value, *extra)
+
+
+@pytest.mark.parametrize("f, extra", [
+    pytest.param(f, extra, id=f.__name__) for f, extra in SCHEDULE_READERS])
+@pytest.mark.parametrize("segments", [None, [1.0], 3], ids=repr)
+def test_segments_not_of_segments_raise_domain_error(f, extra, segments):
+    # read once, by core._quaternions, where a bare TypeError or
+    # AttributeError used to escape
+    sched = pl.RotationSchedule(segments, 1, (1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(pl.DomainError, match="^segments must be a sequence of RotationSegment: "):
+        f(sched, *extra)
 
 
 class TestClosedForms:
@@ -615,6 +627,11 @@ class TestClosedForms:
         pd, pg, _ = pl.fixed_axis_closed_forms(0.0, 0.0)
         assert abs(pd + math.pi) < 1e-15
         assert abs(pg - 2 * math.pi) < 1e-15  # 2 pi lambda1 at lambda0 = 0
+
+    @pytest.mark.parametrize("lam", [1.5, -0.1, math.nan])
+    def test_lambda0_outside_the_unit_interval(self, lam):
+        with pytest.raises(pl.DomainError, match=r"^lambda0 must lie in \[0, 1\]$"):
+            pl.fixed_axis_closed_forms(lam, 0.0)
 
     def test_identity_sum(self):
         rng = np.random.default_rng(62)

@@ -173,8 +173,18 @@ class TestApplyLocal:
                 psi = pl.apply_local(u, sched.evolved_qubit, psi)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("qubit", [0, 3])
+    def test_qubit_outside_one_and_two(self, qubit):
+        with pytest.raises(pl.DomainError, match="^qubit must be 1 or 2$"):
+            pl.apply_local(np.eye(2, dtype=complex), qubit, pl.schmidt_state(0.3, 0.0))
+
 
 class TestReducedDensity:
+    @pytest.mark.parametrize("keep", [0, 3])
+    def test_kept_qubit_outside_one_and_two(self, keep):
+        with pytest.raises(pl.DomainError, match="^keep must be 1 or 2$"):
+            pl.reduced_density(pl.schmidt_state(0.3, 0.0), keep)
+
     def test_basis_state(self):
         rho = pl.reduced_density(np.array([1, 0, 0, 0], dtype=complex), 1)
         assert_allclose(rho, [[1, 0], [0, 0]], atol=0)

@@ -152,6 +152,15 @@ class TestParser:
         with pytest.raises(pl.ParseError):
             pl.parse_schedule("phaselab-schedule v1\nrotate 0 0 1 1\n")
 
+    def test_schmidt_state_without_theta(self):
+        with pytest.raises(pl.ParseError, match="^line 2: state schmidt takes <lambda0> <theta>$"):
+            pl.parse_schedule("phaselab-schedule v1\nstate schmidt 0.5\n")
+
+    def test_file_of_comments_only_is_empty(self):
+        with pytest.raises(pl.ParseError, match="^line 1: empty schedule") as err:
+            pl.parse_schedule("# a comment\n\n   # another\n")
+        assert err.value.line == 1
+
     def test_missing_state(self):
         with pytest.raises(pl.ValidationError):
             pl.parse_schedule("phaselab-schedule v1\nsegment 0 0 1 1.0\n")
@@ -247,6 +256,14 @@ class TestParser:
             # and the serialized form is a fixed point
             assert pl.serialize_schedule(again) == text
 
+    def test_round_trip_of_a_numpy_duration(self):
+        seg = pl.RotationSegment(Z_AXIS, np.float64(2 * math.pi))
+        text = pl.serialize_schedule(pl.RotationSchedule((seg,), 1, (1, 0, 0, 0)))
+        assert text.endswith("\nsegment 0.0 0.0 1.0 6.283185307179586\n")
+        again = pl.parse_schedule(text)
+        assert again.segments[0].duration == 2 * math.pi
+        assert pl.serialize_schedule(again) == text
+
 
 class TestSampling:
     def test_empty_schedule(self):
@@ -322,6 +339,12 @@ class TestSampling:
         for t, u in sampled_unitaries(sched, 9):
             assert np.max(np.abs(pl.unitary_at(sched, t) - u)) < 1e-12
 
+    @pytest.mark.parametrize("t", ["x", b"1", None, 1j, [0.5]], ids=repr)
+    def test_unitary_at_time_must_be_a_real_number(self, t):
+        sched = random_schedule(np.random.default_rng(45), max_segments=3)
+        with pytest.raises(pl.DomainError, match="^t must be a real number"):
+            pl.unitary_at(sched, t)
+
     def test_unitary_at_clamps_infinite_times_and_rejects_nan(self):
         sched = random_schedule(np.random.default_rng(45), max_segments=3)
         pairs = sampled_unitaries(sched, 2)
@@ -335,6 +358,13 @@ class TestSampling:
             (pl.RotationSegment(Z_AXIS, 1.0),), 1, pl.schmidt_state(0.5, 0.0))
         with pytest.raises(pl.DomainError):
             sampled_unitaries(sched, 1)
+
+    @pytest.mark.parametrize("sample", [pl.phase_samples, pl.so3_path], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("samples", [2.5, 3.0, "3", None], ids=repr)
+    def test_samples_per_segment_must_be_an_integer(self, sample, samples):
+        sched = pl.RotationSchedule((pl.RotationSegment(Z_AXIS, 1.0),), 1, (1, 0, 0, 0))
+        with pytest.raises(pl.DomainError, match="^samples_per_segment must be an integer, got "):
+            sample(sched, samples)
 
 
 class TestValueClasses:
@@ -368,6 +398,25 @@ class TestValueClasses:
     def test_non_numeric_values_raise_domain_error(self, make):
         with pytest.raises(pl.DomainError, match="expected a sequence of numbers"):
             make()
+
+    @pytest.mark.parametrize("duration", [2, np.float64(1.5), np.int64(2), np.float32(0.5),
+                                          np.array(1.5)], ids=repr)
+    def test_duration_is_a_float(self, duration):
+        seg = pl.RotationSegment(Z_AXIS, duration)
+        assert type(seg.duration) is float and seg.duration == duration
+        # so the exact functions return floats too
+        dyn = pl.phase_breakdown(pl.RotationSchedule((seg,), 1, (1, 0, 0, 0))).dynamical
+        assert type(dyn) is float
+
+    # converted as an axis component is; the range check stays with the
+    # exact functions (TestLibrarySegmentsValidated in test_phases.py)
+    @pytest.mark.parametrize("duration", [
+        "1", b"1", bytearray(b"1"), np.str_("1"), np.array("1"), None, 1j, [1.0],
+        np.array([1.0]), np.array([1.0, 2.0]), pytest.param(10**400, id="int-past-float")],
+        ids=repr)
+    def test_non_real_duration_raises_domain_error(self, duration):
+        with pytest.raises(pl.DomainError, match="^duration must be a real number"):
+            pl.RotationSegment(Z_AXIS, duration)
 
     def test_repr(self):
         seg = pl.RotationSegment((0.0, 0.0, 1.0), 1.5)

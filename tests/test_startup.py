@@ -180,3 +180,14 @@ def test_star_import_in_a_fresh_interpreter(tmp_path):
         emit("dir", sorted(set({PUBLIC_NAMES!r}) - set(dir(phaselab))))
         """, tmp_path)
     assert report == {"names": ["so3_path", "schmidt_state", "phase_breakdown"], "dir": []}
+
+
+def test_dir_lists_the_lazy_names_in_a_fresh_interpreter(tmp_path):
+    report = fresh(f"""
+        import phaselab
+        emit("before", heavy_loaded())
+        names = dir(phaselab)
+        emit("lazy", ["purify" in names, "phase_samples" in names])
+        emit("missing", sorted(set({PUBLIC_NAMES!r}) - set(names)))
+        """, tmp_path)
+    assert report == {"before": [], "lazy": [True, True], "missing": []}
