@@ -38,9 +38,11 @@ print("\nthe minus trajectory in the rotation ball")
 mes = pl.schmidt_state(0.5, 0.0)
 sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
 path = pl.so3_path(sched, 400)
-for t, point, w in path.samples[:: len(path.samples) // 8]:
-    d = point.displacement()
-    print(f"t = {t:7.4f}  angle = {point.angle:6.4f}  "
+every = len(path.times) // 8
+displacements = path.axes * path.angles[:, None]  # ball coordinates axis * angle
+for t, angle, d, w in zip(path.times[::every], path.angles[::every], displacements[::every],
+                          path.cos_half_angle[::every]):
+    print(f"t = {t:7.4f}  angle = {angle:6.4f}  "
           f"displacement = ({d[0]:+.3f}, {d[1]:+.3f}, {d[2]:+.3f})  cos(half) = {w:+.4f}")
 print(f"border crossings at t = {[round(c, 6) for c in path.crossings]}"
       f"  (the border is reached exactly at 4 pi / 3 = {4 * math.pi / 3:.6f})")

@@ -37,9 +37,8 @@ print(f"{'lambda0':>8} {'max |d phase / dt|':>20}")
 for lam in (0.3, 0.4, 0.48):
     state = pl.schmidt_state(lam, 0.0)
     sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, state)
-    samples, _, _ = pl.phase_samples(sched, 4000)
-    t = np.array([s.time for s in samples])
-    u = np.array([s.total_unwrapped for s in samples])
+    series = pl.phase_samples(sched, 4000)
+    t, u = series.t, series.phase_total_unwrapped
     keep = ~np.isnan(u)
     slope = float(np.max(np.abs(np.diff(u[keep]) / np.diff(t[keep]))))
     print(f"{lam:8.2f} {slope:20.3f}")

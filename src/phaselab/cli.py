@@ -190,8 +190,8 @@ def _cmd_run(args) -> int:
     if args.out:
         from .phases import _series_columns
 
-        cols, flags = _series_columns(rho, bounds, rates, ends, runs, args.steps)
-        _write_table(args.out, RUN_FIELDS, (*cols, flags), args.format)
+        series = _series_columns(rho, bounds, rates, ends, runs, args.steps)
+        _write_table(args.out, RUN_FIELDS, [getattr(series, f) for f in RUN_FIELDS], args.format)
     count, parity = _crossings(runs)
     # after the write, so that a failed write's error is the first stderr line
     _warn_if_not_cyclic(abs(v))

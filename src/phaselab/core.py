@@ -6,10 +6,10 @@ Each boundary product of a schedule is a unit quaternion,
 ``(t, bx, by, bz)``. Every exact quantity (total, dynamical and geometric
 phase, the crossing search, the readout probability) is then a few float
 operations on 3-vectors. The state and axis formulas the schedule parser
-uses live here too. Nothing in this module imports numpy or
-``dataclasses``, so the ``breakdown``, ``sweep`` and ``readout`` commands,
-``run`` without ``--out`` and the exact library calls start without them.
-The public names in ``__all__`` are bound on ``phaselab`` at import.
+uses live here too, as does :class:`_Frozen`, the slots base of every record
+class. Nothing here imports numpy or ``dataclasses``, so the ``breakdown``,
+``sweep`` and ``readout`` commands, ``run`` without ``--out`` and the exact
+library calls start without them. ``__all__`` is bound on ``phaselab`` at import.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import accumulate
+from operator import pos
 
 from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep, ZeroNorm
 
@@ -49,13 +50,17 @@ _PARITY = ("even", "odd")
 
 
 class _Frozen:
-    """Base of the immutable record classes: fields named in each
-    subclass's ``__slots__``, set once by its ``__init__``. Assigning or
-    deleting any attribute raises AttributeError; ``repr`` reads
-    ``Class(field=value, ...)``; copies and pickles call the constructor.
+    """Base of the immutable record classes: fields named in each subclass's
+    ``__slots__``, set once by ``__init__``, by default positionally in slot
+    order. Assigning or deleting any attribute raises AttributeError; ``repr``
+    reads ``Class(field=value, ...)``; copies and pickles call the constructor.
     Equality and hashing are by identity unless a subclass defines them."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -84,13 +89,13 @@ def principal(x: float) -> float:
 
 
 def _floats(values, kind=float) -> tuple:
-    """``values`` as a tuple of ``kind`` (float or complex), an ndarray read through its
-    ``tolist``; DomainError for a string or bytes, or when iterating or converting fails."""
+    """``values`` as a tuple of ``kind`` (float or complex), an ndarray via ``tolist``;
+    DomainError for strings or bytes, whole or as items, or if iteration or conversion fails."""
     try:
         values = values.tolist() if hasattr(values, "tolist") else values
         if isinstance(values, (str, bytes, bytearray)):  # not read as its characters
             raise TypeError(f"got {type(values).__name__}")
-        return tuple(map(kind, values))
+        return tuple(map(kind, map(pos, values)))  # unary + rejects a string item
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"expected a sequence of numbers: {exc}") from None
 
@@ -194,6 +199,8 @@ def _quaternions(segments):
     DomainError unless ``segments`` is a sequence of segments and every
     duration is positive and finite."""
     try:
+        if iter(segments) is segments:  # read twice below: an iterator would lose durations
+            raise TypeError(f"got a one-shot {type(segments).__name__}")
         axes = [_unit_axis(seg.axis) for seg in segments]
         durations = [seg.duration for seg in segments]
     except (TypeError, AttributeError) as exc:

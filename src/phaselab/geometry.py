@@ -13,12 +13,10 @@ All Bloch components are Pauli expectation values (<sx>, <sy>, <sz>).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ZeroTimes, _quaternions, _scan, _schedule_fields
+from .core import ZeroTimes, _Frozen, _quaternions, _scan, _schedule_fields
 from .errors import DegenerateSpectrum
 from .schedule import RotationSchedule, _unitary_samples
 
@@ -29,7 +27,6 @@ __all__ = [
     "ball_radius",
     "Purification",
     "purify",
-    "SO3Point",
     "SO3Path",
     "so3_path",
 ]
@@ -69,19 +66,16 @@ def ball_radius(state) -> float:
     return math.sqrt(max(0.0, 1.0 - c * c))
 
 
-@dataclass(frozen=True, eq=False)
-class Purification:
-    """Weighted eigen-decomposition of a qubit density matrix.
+class Purification(_Frozen):
+    """Weighted eigen-decomposition of a qubit density matrix:
+    ``Purification(weight_m, state_m, weight_n, state_n)``.
 
     ``weight_m >= weight_n``, the states are orthonormal, and their Bloch
     vectors point in opposite directions. Equal only to itself, and hashed
     by identity.
     """
 
-    weight_m: float
-    state_m: np.ndarray
-    weight_n: float
-    state_n: np.ndarray
+    __slots__ = ("weight_m", "state_m", "weight_n", "state_n")
 
 
 def purify(rho) -> Purification:
@@ -105,43 +99,6 @@ def purify(rho) -> Purification:
         v = v * (np.conj(v[lead]) / abs(v[lead]))
         states.append(v)
     return Purification(float(evals[1]), states[0], float(evals[0]), states[1])
-
-
-@dataclass(frozen=True, eq=False)
-class SO3Point:
-    """A rotation as ``(axis, angle)`` in the radius-pi ball, angle in [0, pi].
-
-    Boundary points (angle == pi) are identified with their antipodes and
-    the identity carries the canonical axis (0, 0, 1).
-    """
-
-    axis: np.ndarray
-    angle: float
-
-    def displacement(self) -> np.ndarray:
-        """Ball coordinates ``axis * angle``."""
-        return self.axis * self.angle
-
-    def same_rotation(self, other: "SO3Point", atol: float = 1e-9) -> bool:
-        """Whether ``other`` is this rotation within ``atol``: angles within
-        ``atol`` and axes or ball coordinates too, or both near the identity,
-        or antipodal points of the boundary."""
-        if abs(self.angle - other.angle) > atol:
-            return False
-        if self.angle <= atol and other.angle <= atol:
-            return True
-        # near the identity the axis is ill-conditioned, the ball coordinates are not
-        if float(np.linalg.norm(self.displacement() - other.displacement())) <= atol:
-            return True
-        if float(np.linalg.norm(self.axis - other.axis)) <= atol:
-            return True
-        near_pi = abs(self.angle - math.pi) <= atol
-        return near_pi and float(np.linalg.norm(self.axis + other.axis)) <= atol
-
-    def __eq__(self, other):
-        if not isinstance(other, SO3Point):
-            return NotImplemented
-        return self.same_rotation(other)
 
 
 _CENTER_AXIS = np.array([0.0, 0.0, 1.0])
@@ -170,14 +127,14 @@ def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
     return axes, t
 
 
-@dataclass(frozen=True, eq=False)
-class SO3Path:
-    """Sampled ball trajectory: ``(time, point, cos_half_angle)`` triples
-    plus the exact transversal border-crossing times. Equal only to
-    itself, and hashed by identity."""
+class SO3Path(_Frozen):
+    """Sampled ball trajectory as arrays, one row per sample: ``times``,
+    ball ``axes`` (M, 3) and ``angles`` in [0, pi], as :func:`_ball` maps
+    them, ``cos_half_angle = Re(Tr U)/2``, and the exact transversal
+    border-crossing times ``crossings``, a :class:`~phaselab.core.ZeroTimes`.
+    Equal only to itself, and hashed by identity."""
 
-    samples: tuple
-    crossings: Sequence
+    __slots__ = ("times", "axes", "angles", "cos_half_angle", "crossings")
 
 
 def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
@@ -190,10 +147,5 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     """
     bounds = _quaternions(_schedule_fields(schedule)[0])
     times, quats = _unitary_samples(bounds, samples_per_segment)
-    axes, angles = _ball(quats[0], quats[1:].T)
-    samples = [
-        (t, SO3Point(axis, angle), half)
-        for t, axis, angle, half in zip(times.tolist(), axes, angles.tolist(), quats[0].tolist())
-    ]
     crossings = ZeroTimes(bounds[0], _scan((1.0, 0.0, 0.0, 0.0), bounds)[3])
-    return SO3Path(tuple(samples), crossings)
+    return SO3Path(times, *_ball(quats[0], quats[1:].T), quats[0], crossings)

@@ -17,41 +17,43 @@ two hold modulo 2 pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _exact_inputs, _overlap,
+from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _exact_inputs, _Frozen, _overlap,
                    _overlap_phase, _rotated, _scan)
 from .errors import DomainError
-from .geometry import SO3Point, _ball
+from .geometry import _ball
 from .qstate import inner_product
 from .schedule import DEFAULT_SAMPLES, RotationSchedule, _unitary_samples
 
 __all__ = [
-    "PhaseSample",
+    "PhaseSeries",
     "total_phase",
     "fixed_axis_closed_forms",
     "phase_samples",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSample:
-    """One time sample of a run: overlap, phases, Bloch and ball tracks.
+class PhaseSeries(_Frozen):
+    """The sampled time series of a run as columns, one row per sample:
+    the 14 columns ``run --out`` writes, under its names, and ``crossings``.
 
-    ``total_principal`` and ``total_unwrapped`` are NaN exactly when the
-    overlap magnitude is at or below the orthogonality threshold. Equal
-    only to itself, and hashed by identity.
+    ``t`` is the time; ``sp_re`` and ``sp_im`` the overlap
+    ``Tr(U rho)``; ``phase_total_principal`` and ``phase_total_unwrapped``
+    its phase, NaN exactly when its magnitude is at or below the
+    orthogonality threshold; ``phase_dyn`` the dynamical phase;
+    ``bloch_x``, ``bloch_y``, ``bloch_z`` the evolved qubit's Bloch vector;
+    ``so3_ax``, ``so3_ay``, ``so3_az`` and ``so3_angle`` the rotation-ball
+    point of ``U``; ``crossing_flag`` (ints) marks the first sample at or
+    after each zero time in ``crossings``, a
+    :class:`~phaselab.core.ZeroTimes`. All other columns are float arrays.
+    Equal only to itself, and hashed by identity.
     """
 
-    time: float
-    sp: complex
-    total_principal: float
-    total_unwrapped: float
-    dyn: float
-    bloch: np.ndarray
-    so3: SO3Point
+    __slots__ = ("t", "sp_re", "sp_im", "phase_total_principal", "phase_total_unwrapped",
+                 "phase_dyn", "bloch_x", "bloch_y", "bloch_z", "so3_ax", "so3_ay", "so3_az",
+                 "so3_angle", "crossing_flag", "crossings")
 
 
 def total_phase(initial, current) -> float:
@@ -100,17 +102,10 @@ def _unwrap_skipnan(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int):
-    """The sampled time series as columns: ``(columns, flags)``, of the
-    reduced state ``rho`` on the boundary record ``bounds`` (see
-    :func:`_exact_inputs`), with ``rates``, ``ends`` and ``runs`` their
-    :func:`~phaselab.core._scan`.
-
-    ``columns`` holds 13 float arrays: time, overlap real and imaginary
-    parts, principal and unwrapped total phase, dynamical phase, Bloch
-    x, y, z, ball axis x, y, z and ball angle; ``flags`` (int array) marks
-    the first sample at or after each zero of ``runs``.
-    """
+def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int) -> PhaseSeries:
+    """The :class:`PhaseSeries` of the reduced state ``rho`` on the
+    boundary record ``bounds`` (see :func:`_exact_inputs`), with ``rates``,
+    ``ends`` and ``runs`` their :func:`~phaselab.core._scan`."""
     times, quats = _unitary_samples(bounds, samples_per_segment)
     # Tr(U rho) with the core's abs and atan2 (numpy's differ in the last
     # bit): the last phase is the exact total bit for bit. The principal
@@ -139,29 +134,18 @@ def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int):
         m = np.unique(np.clip(m, 0.0, float(n - 1)))
         idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
         flags[np.minimum(idx, len(times) - 1)] = 1
-    columns = (times, sp_re, sp_im, principal_vals, _unwrap_skipnan(raw_vals),
-               dyn_vals, *_rotated(quats, rho[1:]), *axes.T, ball_angles)
-    return columns, flags
+    return PhaseSeries(times, sp_re, sp_im, principal_vals, _unwrap_skipnan(raw_vals),
+                       dyn_vals, *_rotated(quats, rho[1:]), *axes.T, ball_angles, flags,
+                       ZeroTimes(bounds[0], runs))
 
 
-def phase_samples(schedule: RotationSchedule, samples_per_segment: int = DEFAULT_SAMPLES):
-    """Full diagnostic time series of ``schedule.initial`` along ``schedule``.
-
-    Returns ``(samples, crossing_flags, crossing_times)`` where samples is
-    a list of PhaseSample, crossing_flags marks the first sample at or
-    after each crossing time, and crossing_times are the exact zero times
-    of the initial-state overlap (the ones ``topological_crossings``
-    counts, the :func:`~phaselab.core._scan` runs), as a
-    :class:`~phaselab.core.ZeroTimes` sequence.
+def phase_samples(schedule: RotationSchedule,
+                  samples_per_segment: int = DEFAULT_SAMPLES) -> PhaseSeries:
+    """Full diagnostic time series of ``schedule.initial`` along ``schedule``,
+    as a :class:`PhaseSeries`: ``samples_per_segment`` samples per segment,
+    a junction sample shared, and ``crossings`` the exact zero times of the
+    initial-state overlap (the ones ``topological_crossings`` counts, the
+    :func:`~phaselab.core._scan` runs).
     """
     rho, bounds = _exact_inputs(schedule)
-    _, rates, ends, runs = _scan(rho, bounds)
-    cols, flags = _series_columns(rho, bounds, rates, ends, runs, samples_per_segment)
-    t, re, im, tot, unw, dyn, bx, by, bz, ax, ay, az, angle = (c.tolist() for c in cols)
-    samples = [
-        PhaseSample(t[i], complex(re[i], im[i]), tot[i], unw[i], dyn[i],
-                    np.array([bx[i], by[i], bz[i]]),
-                    SO3Point(np.array([ax[i], ay[i], az[i]]), angle[i]))
-        for i in range(len(t))
-    ]
-    return samples, flags.tolist(), ZeroTimes(bounds[0], runs)
+    return _series_columns(rho, bounds, *_scan(rho, bounds)[1:], samples_per_segment)

@@ -61,9 +61,9 @@ class RotationSegment(_Frozen):
 
     ``axis`` is held as a tuple of three floats and ``duration`` as a float;
     any sequence of numbers (any real number for ``duration``), an ndarray
-    or numpy scalar too, is converted, and any other value, a string or
-    bytes too, raises DomainError. The exact functions check the axis
-    length and the duration's range. Immutable; equal only to itself.
+    or numpy scalar too, is converted, and any other value, a string or bytes
+    whole or as an item too, raises DomainError. The exact functions check
+    the axis length and the duration's range. Immutable; equal only to itself.
     """
 
     __slots__ = ("axis", "duration")
@@ -79,7 +79,8 @@ class RotationSchedule(_Frozen):
     A schedule owns its initial state, so a schedule file is a complete,
     reproducible experiment description. Immutable; equal only to itself.
     ``initial`` holds four complex amplitudes, converted from any sequence of numbers,
-    an ndarray too; any other value, a string or bytes too, raises DomainError.
+    an ndarray too; any other value, a string or bytes whole or as an item too, raises
+    DomainError. ``segments`` must be a sequence (not a one-shot iterator), read where used.
     """
 
     __slots__ = ("segments", "evolved_qubit", "initial")

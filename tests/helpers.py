@@ -5,11 +5,13 @@ import io
 import json
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 import phaselab as pl
 from matrices import evolution_operator, pauli_dot, quaternion_of, su2_to_so3
+from phaselab.cli import RUN_FIELDS
 
 
 def random_state(rng) -> np.ndarray:
@@ -217,12 +219,49 @@ def loop_unwrap_skipnan(p) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class SO3Point:
+    """A rotation as ``(axis, angle)`` in the radius-pi ball, angle in [0, pi].
+
+    Boundary points (angle == pi) are identified with their antipodes and
+    the identity carries the canonical axis (0, 0, 1).
+    """
+
+    axis: np.ndarray
+    angle: float
+
+    def displacement(self) -> np.ndarray:
+        """Ball coordinates ``axis * angle``."""
+        return self.axis * self.angle
+
+    def same_rotation(self, other: "SO3Point", atol: float = 1e-9) -> bool:
+        """Whether ``other`` is this rotation within ``atol``: angles within
+        ``atol`` and axes or ball coordinates too, or both near the identity,
+        or antipodal points of the boundary."""
+        if abs(self.angle - other.angle) > atol:
+            return False
+        if self.angle <= atol and other.angle <= atol:
+            return True
+        # near the identity the axis is ill-conditioned, the ball coordinates are not
+        if float(np.linalg.norm(self.displacement() - other.displacement())) <= atol:
+            return True
+        if float(np.linalg.norm(self.axis - other.axis)) <= atol:
+            return True
+        near_pi = abs(self.angle - math.pi) <= atol
+        return near_pi and float(np.linalg.norm(self.axis + other.axis)) <= atol
+
+    def __eq__(self, other):
+        if not isinstance(other, SO3Point):
+            return NotImplemented
+        return self.same_rotation(other)
+
+
 def so3_point(u):
     """The program's rotation-ball point of an SU(2) matrix: ``geometry._ball``
     on its quaternion."""
     w, v = quaternion_of(u)
     axes, angles = pl.geometry._ball(np.atleast_1d(w), np.atleast_2d(v))
-    return pl.SO3Point(axes[0], float(angles[0]))
+    return SO3Point(axes[0], float(angles[0]))
 
 
 def _cell(x) -> str:
@@ -281,11 +320,9 @@ def template_table_bytes(fields, cols, fmt="csv") -> bytes:
 
 
 def reference_run_rows(schedule, steps):
-    """``run --out`` rows built from the public ``phase_samples``."""
-    samples, flags, _ = pl.phase_samples(schedule, steps)
-    return [[s.time, s.sp.real, s.sp.imag, s.total_principal, s.total_unwrapped,
-             s.dyn, *s.bloch, *s.so3.axis, s.so3.angle, flag]
-            for s, flag in zip(samples, flags)]
+    """``run --out`` rows built from the public ``phase_samples``' columns."""
+    series = pl.phase_samples(schedule, steps)
+    return list(zip(*(getattr(series, f).tolist() for f in RUN_FIELDS)))
 
 
 def reference_sweep_rows(lambdas, thetas, axis, turns=1):

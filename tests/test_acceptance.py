@@ -109,9 +109,8 @@ def test_criterion_4_sharpening():
     for lam in (0.3, 0.4, 0.48):
         s = pl.schmidt_state(lam, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, s)
-        samples, _, _ = pl.phase_samples(sched, 4000)
-        t = np.array([x.time for x in samples])
-        u = np.array([x.total_unwrapped for x in samples])
+        series = pl.phase_samples(sched, 4000)
+        t, u = series.t, series.phase_total_unwrapped
         keep = ~np.isnan(u)
         slope = np.max(np.abs(np.diff(u[keep]) / np.diff(t[keep])))
         slopes.append(float(slope))
@@ -133,11 +132,12 @@ def test_criterion_5_trace_identity_and_sp_formula():
         sched = random_schedule(rng, max_segments=6)
         s, q = sched.initial, sched.evolved_qubit
         rho, bounds = pl.core._exact_inputs(sched)
-        cols, _ = pl.phases._series_columns(rho, bounds, *pl.core._scan(rho, bounds)[1:], 30)
+        series = pl.phases._series_columns(rho, bounds, *pl.core._scan(rho, bounds)[1:], 30)
         b0 = explicit_bloch(pl.reduced_density(s, q))
         first = sched.segments[0]
         _, units = matrix_unitary_samples(sched, 30)
-        for t, re, im, m, u in zip(*(c.tolist() for c in cols[:4]), units):
+        cols = (series.t, series.sp_re, series.sp_im, series.phase_total_principal)
+        for t, re, im, m, u in zip(*(c.tolist() for c in cols), units):
             psi = pl.apply_local(u, q, s)
             a = pl.total_phase(s, psi)
             if not (math.isnan(a) or math.isnan(m)):

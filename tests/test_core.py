@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import phaselab as pl
 from helpers import (
+    SO3Point,
     cyclic_completion,
     explicit_bloch,
     matrix_boundaries,
@@ -35,7 +36,7 @@ from helpers import (
     matrix_topological_crossings,
 )
 from matrices import make_two_qubit
-from phaselab.cli import main
+from phaselab.cli import RUN_FIELDS, main
 
 X_AXIS, Z_AXIS = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
 PHASE_TOL = 1e-12
@@ -54,12 +55,12 @@ def outcome(fn, *args):
 
 
 def series_columns(sched, steps):
-    """``phases._series_columns`` with the zero times of its runs:
-    ``(columns, flags, zeros)``, as ``matrix_series_columns`` returns."""
+    """``phases._series_columns`` as ``(columns, flags, zeros)``, as
+    ``matrix_series_columns`` returns."""
     rho, bounds = pl.core._exact_inputs(sched)
-    _, rates, ends, runs = pl.core._scan(rho, bounds)
-    return (*pl.phases._series_columns(rho, bounds, rates, ends, runs, steps),
-            pl.core.ZeroTimes(bounds[0], runs))
+    series = pl.phases._series_columns(rho, bounds, *pl.core._scan(rho, bounds)[1:], steps)
+    return (tuple(getattr(series, f) for f in RUN_FIELDS[:-1]), series.crossing_flag,
+            series.crossings)
 
 
 def segment(axis, duration):
@@ -298,12 +299,13 @@ class TestAxisNearUnit:
     def test_sampled_path_agrees_with_the_exact_core(self, axis, durations):
         s0 = pl.schmidt_state(0.3, 0.0)
         sched = pl.RotationSchedule(tuple(pl.RotationSegment(axis, d) for d in durations), 1, s0)
-        samples, _, _ = pl.phase_samples(sched, 50)
-        assert samples[-1].total_principal == pl.phase_breakdown(sched).total
+        series = pl.phase_samples(sched, 50)
+        assert series.phase_total_principal[-1] == pl.phase_breakdown(sched).total
         unit = pl.RotationSchedule(tuple(pl.RotationSegment((0.0, 0.0, 1.0), d)
                                          for d in durations), 1, s0)
         got, want = pl.so3_path(sched, 50), pl.so3_path(unit, 50)
-        assert [(t, c) for t, _, c in got.samples] == [(t, c) for t, _, c in want.samples]
+        assert got.times.tolist() == want.times.tolist()
+        assert got.cos_half_angle.tolist() == want.cos_half_angle.tolist()
         assert got.crossings == want.crossings
 
     def test_unit_axis_kept_bit_for_bit(self):
@@ -338,7 +340,7 @@ class TestSeriesAgainstMatrixOracle:
         for i in (1, 2, 6, 7, 8):  # sp and Bloch
             assert np.max(np.abs(cols[i] - ocols[i])) <= 1e-12
         for row in zip(*cols[9:], *ocols[9:]):
-            p, q = pl.SO3Point(np.array(row[:3]), row[3]), pl.SO3Point(np.array(row[4:7]), row[7])
+            p, q = SO3Point(np.array(row[:3]), row[3]), SO3Point(np.array(row[4:7]), row[7])
             # near the identity the axis is ill-conditioned, the ball coordinates are not
             near = max(p.angle, q.angle) <= NEAR_IDENTITY_ANGLE
             assert p.same_rotation(q) or (
@@ -358,7 +360,7 @@ class TestSeriesDynamicalPhase:
         for rate, d in zip(rates, bounds[3]):  # left to right, one segment at a time
             fold.append(fold[-1] + rate * d)
         assert list(map(float.hex, ends)) == list(map(float.hex, fold))
-        dyn = got[1][0][5].tolist()
+        dyn = got[1].phase_dyn.tolist()
         assert list(map(float.hex, dyn[::steps - 1])) == list(map(float.hex, ends))
         assert dyn[-1].hex() == pl.dynamical_phase(sched).hex()
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import phaselab as pl
 from helpers import (
+    SO3Point,
     brute_partial_trace,
     explicit_bloch,
     random_axis,
@@ -24,9 +25,9 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def sampled_bloch(state, qubit=1) -> np.ndarray:
-    """The reduced state's Bloch vector as the sampled record starts it."""
-    samples, _, _ = pl.phase_samples(pl.RotationSchedule((), qubit, state), 2)
-    return samples[0].bloch
+    """The reduced state's Bloch vector as the sampled series starts it."""
+    series = pl.phase_samples(pl.RotationSchedule((), qubit, state), 2)
+    return np.array([series.bloch_x[0], series.bloch_y[0], series.bloch_z[0]])
 
 
 class TestBlochOfPure:
@@ -55,8 +56,8 @@ class TestBlochOfPure:
 
 
 class TestBlochOfDensity:
-    """The reduced state's Bloch vector in the sampled record (the Bloch
-    track of ``phase_samples``), against the explicit traces."""
+    """The reduced state's Bloch vector in the sampled series (the Bloch
+    columns of ``phase_samples``), against the explicit traces."""
 
     def test_maximally_mixed(self):
         assert_allclose(sampled_bloch(pl.schmidt_state(0.5, 0.0)), [0, 0, 0], atol=0)
@@ -249,32 +250,32 @@ class TestSU2ToSO3:
 
     def test_boundary_antipodes_compare_equal(self):
         axis = random_axis(np.random.default_rng(31))
-        assert pl.SO3Point(axis, math.pi) == pl.SO3Point(-axis, math.pi)
+        assert SO3Point(axis, math.pi) == SO3Point(-axis, math.pi)
 
     def test_near_identity_compares_by_ball_coordinates(self):
         # a 1.4e-9 turn whose axis two decodes put 3e-8 apart: the two
         # rotations differ by about 4e-17, a turn about x by 2e-9
-        point = pl.SO3Point(np.array([0.0, 1.0, 0.0]), 1.4e-9)
+        point = SO3Point(np.array([0.0, 1.0, 0.0]), 1.4e-9)
         tilted = np.array([0.0, 1.0, 3e-8]) / math.hypot(1.0, 3e-8)
-        assert point == pl.SO3Point(tilted, 1.4e-9)
-        assert point != pl.SO3Point(np.array([1.0, 0.0, 0.0]), 1.4e-9)
+        assert point == SO3Point(tilted, 1.4e-9)
+        assert point != SO3Point(np.array([1.0, 0.0, 0.0]), 1.4e-9)
 
     def test_different_angles_are_different_rotations(self):
-        point = pl.SO3Point(Z_AXIS, 1.0)
-        assert not point.same_rotation(pl.SO3Point(Z_AXIS, 1.0 + 2e-9))
-        assert point.same_rotation(pl.SO3Point(Z_AXIS, 1.0 + 2e-9), atol=1e-8)
+        point = SO3Point(Z_AXIS, 1.0)
+        assert not point.same_rotation(SO3Point(Z_AXIS, 1.0 + 2e-9))
+        assert point.same_rotation(SO3Point(Z_AXIS, 1.0 + 2e-9), atol=1e-8)
 
     def test_axes_within_atol_at_pi_are_the_same_rotation(self):
         # at angle pi the ball coordinates are pi times further apart than
         # the axes, so only the axis comparison sees the points agree
         tilted = np.array([0.9e-3, 0.0, 1.0]) / math.hypot(0.9e-3, 1.0)
-        a, b = pl.SO3Point(Z_AXIS, math.pi), pl.SO3Point(tilted, math.pi)
+        a, b = SO3Point(Z_AXIS, math.pi), SO3Point(tilted, math.pi)
         assert np.linalg.norm(a.axis - b.axis) <= 1e-3
         assert np.linalg.norm(a.displacement() - b.displacement()) > 1e-3
         assert a.same_rotation(b, atol=1e-3)
 
     def test_not_equal_to_other_types(self):
-        point = pl.SO3Point(Z_AXIS, 1.0)
+        point = SO3Point(Z_AXIS, 1.0)
         assert point.__eq__(object()) is NotImplemented
         assert point != object() and not point == (Z_AXIS, 1.0)
 
@@ -329,21 +330,22 @@ class TestSO3Kernel:
             sched = random_schedule(rng, max_segments=4)
             path = pl.so3_path(sched, 60)
             pairs = sampled_unitaries(sched, 60)
-            assert len(path.samples) == len(pairs)
-            for (t, point, half), (t0, u) in zip(path.samples, pairs):
+            assert path.axes.shape == (len(pairs), 3)
+            for name in ("times", "angles", "cos_half_angle"):
+                assert getattr(path, name).shape == (len(pairs),)
+                assert getattr(path, name).dtype == np.float64
+            for i, (t0, u) in enumerate(pairs):
                 axis, angle = su2_to_so3(u)
-                assert t == t0 and type(t) is float
-                assert bits(point.axis) == bits(axis) and bits([point.angle]) == bits([angle])
-                assert half == float((u[0, 0] + u[1, 1]).real) / 2.0
-                assert type(point.angle) is float and type(half) is float
+                assert path.times[i] == t0
+                assert bits(path.axes[i]) == bits(axis) and bits(path.angles[i]) == bits([angle])
+                assert path.cos_half_angle[i] == float((u[0, 0] + u[1, 1]).real) / 2.0
 
 
 class TestSO3Path:
     def test_empty_schedule(self):
         sched = pl.RotationSchedule((), 1, pl.schmidt_state(0.5, 0.0))
         path = pl.so3_path(sched, 8)
-        assert len(path.samples) == 1
-        assert path.samples[0][1].angle == 0.0
+        assert path.times.tolist() == [0.0] and path.angles.tolist() == [0.0]
         assert path.crossings == ()
 
     def test_single_z_turn_crosses_once(self):
@@ -367,12 +369,10 @@ class TestSO3Path:
         sched = pl.RotationSchedule(
             (pl.RotationSegment(Z_AXIS, 2 * math.pi),), 1, pl.schmidt_state(0.5, 0.0))
         path = pl.so3_path(sched, 3)
-        ws = [w for _, _, w in path.samples]
-        assert_allclose(ws, [1.0, math.cos(math.pi / 2), -1.0], atol=1e-12)
+        assert_allclose(path.cos_half_angle, [1.0, math.cos(math.pi / 2), -1.0], atol=1e-12)
 
     def test_equal_only_to_itself_and_hashable(self):
-        # SO3Point samples compare within a tolerance and have no hash:
-        # equality and hashing of a path are by identity
+        # ndarray fields: equality and hashing are by identity, never elementwise
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, pl.schmidt_state(0.5, 0.0))
         p1, p2 = pl.so3_path(sched, 5), pl.so3_path(sched, 5)
         assert hash(p1) == hash(p1) and p1 == p1 and p1 in {p1}

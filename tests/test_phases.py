@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -39,6 +40,11 @@ def z_turn_schedule(state, turns=1):
         (pl.RotationSegment(Z_AXIS.copy(), 2 * math.pi * turns),), 1, state)
 
 
+def sp(series, i):
+    """The sampled overlap ``Tr(U rho)`` at row ``i`` of a series."""
+    return complex(series.sp_re[i], series.sp_im[i])
+
+
 def latitude_path(theta, n):
     """States of a qubit at polar angle theta precessing a full turn."""
     t = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
@@ -67,18 +73,18 @@ class TestTotalPhase:
 
 
 class TestMixedTotalPhase:
-    """The sampled total phase ``arg Tr(U rho)``: ``total_principal`` of
-    ``phase_samples``."""
+    """The sampled total phase ``arg Tr(U rho)``: ``phase_total_principal``
+    of ``phase_samples``."""
 
     def test_identity(self):
         s = random_state(np.random.default_rng(53))
-        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
-        assert abs(samples[0].total_principal) < 1e-15
+        series = pl.phase_samples(z_turn_schedule(s), 3)
+        assert abs(series.phase_total_principal[0]) < 1e-15
 
     def test_minus_identity(self):
         s = random_state(np.random.default_rng(54))
-        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)  # ends on U = -I
-        assert abs(pl.principal(samples[-1].total_principal - math.pi)) < 1e-15
+        series = pl.phase_samples(z_turn_schedule(s), 3)  # ends on U = -I
+        assert abs(pl.principal(series.phase_total_principal[-1] - math.pi)) < 1e-15
 
     def test_trace_identity_with_pure_overlap(self):
         # arg<psi0|U x I|psi0> equals arg Tr[U rho_evolved] identically
@@ -86,11 +92,10 @@ class TestMixedTotalPhase:
         for _ in range(50):
             sched = random_schedule(rng)
             s, q = sched.initial, sched.evolved_qubit
-            samples, _, _ = pl.phase_samples(sched, 25)
+            principal = pl.phase_samples(sched, 25).phase_total_principal.tolist()
             _, units = matrix_unitary_samples(sched, 25)
-            for x, u in zip(samples, units, strict=True):
+            for b, u in zip(principal, units, strict=True):
                 a = pl.total_phase(s, pl.apply_local(u, q, s))
-                b = x.total_principal
                 if math.isnan(a) or math.isnan(b):
                     assert math.isnan(a) == math.isnan(b)
                     continue
@@ -99,8 +104,7 @@ class TestMixedTotalPhase:
     def test_maximally_mixed_orthogonality(self):
         s = pl.schmidt_state(0.5, 0.0)  # rho = I/2, and a half turn is traceless
         sched = pl.RotationSchedule((pl.RotationSegment(Z_AXIS.copy(), math.pi),), 1, s)
-        samples, _, _ = pl.phase_samples(sched, 2)
-        assert math.isnan(samples[-1].total_principal)
+        assert math.isnan(pl.phase_samples(sched, 2).phase_total_principal[-1])
 
 
 class TestSpFormula:
@@ -110,21 +114,19 @@ class TestSpFormula:
 
     def test_zero_time(self):
         s = make_two_qubit(1, 0, 0, 0)  # Tr rho is exactly 1
-        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
-        assert samples[0].sp == 1.0 + 0.0j
+        assert sp(pl.phase_samples(z_turn_schedule(s), 3), 0) == 1.0 + 0.0j
 
     def test_full_turn(self):
         s = pl.schmidt_state(0.85, 0.0)  # b = (0, 0, 0.7)
-        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
-        assert abs(samples[-1].sp + 1.0) < 1e-12
+        assert abs(sp(pl.phase_samples(z_turn_schedule(s), 3), -1) + 1.0) < 1e-12
 
     def test_half_turn_magnitude(self):
         theta = 0.8
         s = pl.schmidt_state(0.3, theta)
         b = explicit_bloch(pl.reduced_density(s, 1))
-        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 3)
-        assert samples[1].time == math.pi
-        v = samples[1].sp
+        series = pl.phase_samples(z_turn_schedule(s), 3)
+        assert series.t[1] == math.pi
+        v = sp(series, 1)
         assert abs(v.real) < 1e-15
         assert abs(abs(v) - abs(b[2])) < 1e-14
         # oracle: the actual inner product along a z rotation
@@ -141,7 +143,7 @@ class TestSpFormula:
             t = float(rng.uniform(0, 8))
             b = explicit_bloch(pl.reduced_density(s, q))
             sched = pl.RotationSchedule((pl.RotationSegment(axis, t),), q, s)
-            got = pl.phase_samples(sched, 2)[0][-1].sp
+            got = sp(pl.phase_samples(sched, 2), -1)
             closed = complex(math.cos(t / 2), -float(np.dot(axis, b)) * math.sin(t / 2))
             want = pl.inner_product(s, pl.apply_local(evolution_operator(axis, t), q, s))
             assert abs(got - want) < 1e-10 and abs(got - closed) < 1e-10
@@ -601,10 +603,15 @@ def test_non_schedule_argument_raises_domain_error(f, extra, value, name):
 
 @pytest.mark.parametrize("f, extra", [
     pytest.param(f, extra, id=f.__name__) for f, extra in SCHEDULE_READERS])
-@pytest.mark.parametrize("segments", [None, [1.0], 3], ids=repr)
+@pytest.mark.parametrize("segments", [
+    None, [1.0], 3,
+    # a one-shot iterator, made per test: read twice, it lost its durations
+    pytest.param(lambda: (s for s in [pl.RotationSegment(Z_AXIS, 2 * math.pi)]), id="generator"),
+], ids=repr)
 def test_segments_not_of_segments_raise_domain_error(f, extra, segments):
-    # read once, by core._quaternions, where a bare TypeError or
-    # AttributeError used to escape
+    # checked once, by core._quaternions, where a bare TypeError or
+    # AttributeError used to escape, or a generator gave the identity's results
+    segments = segments() if callable(segments) else segments
     sched = pl.RotationSchedule(segments, 1, (1.0, 0.0, 0.0, 0.0))
     with pytest.raises(pl.DomainError, match="^segments must be a sequence of RotationSegment: "):
         f(sched, *extra)
@@ -676,35 +683,35 @@ class TestReadout:
 class TestPhaseSamples:
     def test_empty_schedule_single_row(self):
         s = pl.schmidt_state(0.3, 0.2)
-        samples, flags, crossings = pl.phase_samples(pl.RotationSchedule((), 1, s), 100)
-        assert len(samples) == 1
-        assert samples[0].total_principal == 0.0
-        assert samples[0].dyn == 0.0
-        assert flags == [0] and crossings == []
+        series = pl.phase_samples(pl.RotationSchedule((), 1, s), 100)
+        assert series.t.tolist() == [0.0]
+        assert series.phase_total_principal.tolist() == [0.0]
+        assert series.phase_dyn.tolist() == [0.0]
+        assert series.crossing_flag.tolist() == [0] and series.crossings == []
 
     def test_mes_minus_series(self):
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        samples, flags, crossings = pl.phase_samples(sched, 500)
-        assert len(crossings) == 1 and sum(flags) == 1
+        series = pl.phase_samples(sched, 500)
+        crossings = series.crossings
+        assert len(crossings) == 1 and sum(series.crossing_flag) == 1
         assert abs(crossings[0] - 4 * math.pi / 3) < 1e-8
         # principal phase is 0 before the border and pi after it
-        assert samples[10].total_principal == 0.0
-        assert abs(samples[-1].total_principal - math.pi) < 1e-12
-        assert abs(samples[-1].total_unwrapped - math.pi) < 1e-12
+        assert series.phase_total_principal[10] == 0.0
+        assert abs(series.phase_total_principal[-1] - math.pi) < 1e-12
+        assert abs(series.phase_total_unwrapped[-1] - math.pi) < 1e-12
         # the border sample itself is an orthogonality point
-        nan_count = sum(1 for s_ in samples if math.isnan(s_.total_principal))
-        assert nan_count >= 1
+        assert np.isnan(series.phase_total_principal).sum() >= 1
 
     def test_mes_minus_junction_crossing_flags_junction_sample(self):
         # the crossing sits exactly on the junction after segment 2, so
         # the first sample at or after it is the junction sample itself
         mes = pl.schmidt_state(0.5, 0.0)
         sched = pl.RotationSchedule(tuple(pl.builtin_minus()), 1, mes)
-        samples, flags, crossings = pl.phase_samples(sched, 500)
+        series = pl.phase_samples(sched, 500)
         junction = 2 * 499
-        assert crossings == [samples[junction].time]
-        assert flags[junction] == 1 and sum(flags) == 1
+        assert series.crossings == [series.t[junction]]
+        assert series.crossing_flag[junction] == 1 and sum(series.crossing_flag) == 1
 
     @pytest.mark.parametrize("steps", [3, 4, 7, 50])
     def test_flags_mark_first_sample_at_or_after_each_zero(self, steps):
@@ -716,53 +723,69 @@ class TestPhaseSamples:
                 pl.RotationSegment(random_axis(rng), float(rng.uniform(0.3, 3.0))),
                 pl.RotationSegment(Z_AXIS.copy(), float(rng.uniform(2.0, 40.0))),
             ), 1, s)
-            samples, flags, crossings = pl.phase_samples(sched, steps)
-            times = np.array([x.time for x in samples])
+            series = pl.phase_samples(sched, steps)
+            times = series.t
             want = [0] * len(times)
-            for ct in crossings:
+            for ct in series.crossings:
                 want[min(int(np.searchsorted(times, ct)), len(times) - 1)] = 1
-            assert flags == want
+            assert series.crossing_flag.tolist() == want
 
     def test_long_segment_series(self):
         s = pl.schmidt_state(1.0, math.pi / 2)
         sched = pl.RotationSchedule((pl.RotationSegment(Z_AXIS.copy(), 1e12),), 1, s)
-        samples, flags, crossings = pl.phase_samples(sched, 100)
-        assert crossings.size == math.floor(1e12 / (2 * math.pi) + 0.5)
+        series = pl.phase_samples(sched, 100)
+        assert series.crossings.size == math.floor(1e12 / (2 * math.pi) + 0.5)
         # every sample interval spans many turns
-        assert flags == [0] + [1] * 99
+        assert series.crossing_flag.tolist() == [0] + [1] * 99
 
     def test_dyn_column_matches_exact_integral(self):
         rng = np.random.default_rng(65)
         sched = random_schedule(rng, max_segments=3)
-        samples, _, _ = pl.phase_samples(sched, 50)
-        assert abs(samples[-1].dyn - pl.dynamical_phase(sched)) < 1e-12
+        series = pl.phase_samples(sched, 50)
+        assert abs(series.phase_dyn[-1] - pl.dynamical_phase(sched)) < 1e-12
 
     def test_bloch_track_matches_reduced_state(self):
         rng = np.random.default_rng(66)
         sched = random_schedule(rng, max_segments=3)
         s, q = sched.initial, sched.evolved_qubit
-        samples, _, _ = pl.phase_samples(sched, 9)
+        series = pl.phase_samples(sched, 9)
+        bloch = np.stack([series.bloch_x, series.bloch_y, series.bloch_z], axis=1)
         for t, u in zip(*matrix_unitary_samples(sched, 9)):
-            here = [x for x in samples if x.time == t]
-            assert here
+            here = np.flatnonzero(series.t == t)
+            assert here.size
             want = explicit_bloch(brute_partial_trace(pl.apply_local(u, q, s), q))
-            assert_allclose(here[0].bloch, want, atol=1e-12)
+            assert_allclose(bloch[here[0]], want, atol=1e-12)
 
     def test_unwrapped_continuity(self):
         s = pl.schmidt_state(0.3, 0.0)
-        samples, _, _ = pl.phase_samples(z_turn_schedule(s), 2000)
-        vals = [x.total_unwrapped for x in samples if not math.isnan(x.total_unwrapped)]
-        steps = np.abs(np.diff(vals))
+        unwrapped = pl.phase_samples(z_turn_schedule(s), 2000).phase_total_unwrapped
+        steps = np.abs(np.diff(unwrapped[~np.isnan(unwrapped)]))
         assert np.max(steps) < 0.1  # no artificial 2 pi jumps
 
     def test_samples_equal_only_themselves_and_hashable(self):
         # ndarray fields: equality and hashing are by identity, never elementwise
         s = pl.schmidt_state(0.3, 0.0)
-        first, _, _ = pl.phase_samples(z_turn_schedule(s), 5)
-        again, _, _ = pl.phase_samples(z_turn_schedule(s), 5)
-        assert not first[2] == again[2] and first[2] != again[2]
-        assert first[2] == first[2]
-        assert len({hash(first[2]), hash(again[2])}) == 2 and first[2] in {first[2]}
+        first = pl.phase_samples(z_turn_schedule(s), 5)
+        again = pl.phase_samples(z_turn_schedule(s), 5)
+        assert not first == again and first != again
+        assert first == first
+        assert len({hash(first), hash(again)}) == 2 and first in {first}
+
+    def test_records_are_frozen_and_pickle_by_their_fields(self):
+        sched = z_turn_schedule(pl.schmidt_state(0.3, 0.0))
+        records = (pl.phase_samples(sched, 5), pl.so3_path(sched, 5),
+                   pl.purify(pl.reduced_density(sched.initial, 1)))
+        for record in records:
+            assert not hasattr(record, "__dict__")
+            for field in record.__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, None)
+                with pytest.raises(AttributeError):
+                    delattr(record, field)
+            copy = pickle.loads(pickle.dumps(record))
+            for field in record.__slots__:
+                a, b = getattr(record, field), getattr(copy, field)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 # principal values as np.angle gives them, in [-pi, pi], with NaN gaps;

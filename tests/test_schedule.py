@@ -394,6 +394,17 @@ class TestValueClasses:
         pytest.param(lambda: pl.RotationSchedule((), 1, None), id="none-state"),
         pytest.param(lambda: pl.RotationSegment(None, math.pi), id="none-axis"),
         pytest.param(lambda: pl.RotationSegment([10**400, 0, 0], math.pi), id="int-past-float"),
+        # numeric strings as items, which float and complex would parse
+        pytest.param(lambda: pl.RotationSegment(["1", "0", "0"], 1.0), id="str-items-axis"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, ["1", "0", "0", "0"]),
+                     id="str-items-state"),
+        pytest.param(lambda: pl.RotationSegment([b"1", 0, 0], 1.0), id="bytes-item-axis"),
+        pytest.param(lambda: pl.RotationSegment([1, bytearray(b"0"), 0], 1.0),
+                     id="bytearray-item-axis"),
+        pytest.param(lambda: pl.RotationSegment(np.array(["1", "0", "0"]), 1.0),
+                     id="str-ndarray-axis"),
+        pytest.param(lambda: pl.RotationSchedule((), 1, np.array(["1", "0", "0", "0"])),
+                     id="str-ndarray-items-state"),
     ])
     def test_non_numeric_values_raise_domain_error(self, make):
         with pytest.raises(pl.DomainError, match="expected a sequence of numbers"):

@@ -1,5 +1,6 @@
 """Startup guard: the exact commands and the exact library API never
-import numpy, ``dataclasses`` or orjson.
+import numpy, ``dataclasses`` or orjson, and no part of the package
+imports ``dataclasses``.
 
 ``import phaselab.cli`` and the ``breakdown``, ``sweep`` and ``readout``
 commands and ``run`` without ``--out``, their error exits included, run
@@ -8,7 +9,9 @@ on the plain-float core (``phaselab.core``), and load neither numpy nor
 which ``run --out``'s writer imports only for large tables, as it writes
 at the default ``--steps``; ``sweep`` writes by ``repr`` at any grid size,
 so a 51x51 grid loads neither. The same holds for the core's names
-read from ``phaselab`` itself. Each check runs in a fresh interpreter
+read from ``phaselab`` itself. Every record class, the sampled API's too,
+is a slots class, so the whole package, numpy-backed modules included,
+loads no ``dataclasses``. Each check runs in a fresh interpreter
 with ``PYTHONPATH`` set to this checkout's ``src``, since the test
 process itself has numpy loaded.
 """
@@ -32,13 +35,13 @@ PUBLIC_NAMES = [
     "PhaseLabError", "ZeroNorm", "DomainError", "DegenerateSpectrum", "NotSpecialUnitary",
     "OrthogonalStep", "NotCyclic", "ParseError", "ValidationError", "schmidt_state",
     "apply_local", "reduced_density", "inner_product", "bloch_of_pure", "hopf_coords",
-    "concurrence", "ball_radius", "Purification", "purify", "SO3Point", "SO3Path",
+    "concurrence", "ball_radius", "Purification", "purify", "SO3Path",
     "so3_path", "HEADER", "DEFAULT_SAMPLES", "RotationSegment",
     "RotationSchedule", "builtin_plus", "builtin_minus", "parse_schedule",
     "serialize_schedule", "unitary_at", "total_duration", "ORTHOGONALITY_EPS",
     "CROSSING_EPS", "DYNAMICAL_SIGN", "principal", "PhaseBreakdown", "dynamical_phase",
     "geometric_phase_mixed", "topological_crossings", "phase_breakdown",
-    "readout_probability", "PhaseSample", "total_phase", "fixed_axis_closed_forms",
+    "readout_probability", "PhaseSeries", "total_phase", "fixed_axis_closed_forms",
     "phase_samples", "__version__",
 ]
 
@@ -153,6 +156,23 @@ def test_exact_library_api_never_imports_numpy(tmp_path):
         "names": ["PhaseBreakdown", 1e-9, 1e-6, -1.0, 2000],
         "heavy": [],
     }
+
+
+def test_whole_package_never_imports_dataclasses(tmp_path):
+    mes_minus = os.path.join(DEMOS, "mes_minus.sched")
+    report = fresh(f"""
+        import phaselab as pl
+        emit("names", len(pl.__all__))  # binds every lazy module's names
+        with open({mes_minus!r}, encoding="utf-8") as fh:
+            sched = pl.parse_schedule(fh.read())
+        pl.purify(pl.reduced_density(pl.schmidt_state(0.3, 0.7), 1))
+        pl.phase_samples(sched, 20)
+        pl.so3_path(sched, 20)
+        emit("run --out", run(["run", {mes_minus!r}, "--out", "series.csv"]))
+        emit("loaded", [name for name in ("numpy", "dataclasses") if name in sys.modules])
+        """, tmp_path)
+    assert report == {"names": len(PUBLIC_NAMES), "run --out": 0, "loaded": ["numpy"]}
+
 
 def test_package_names_load_on_first_access(tmp_path):
     report = fresh("""

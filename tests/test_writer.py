@@ -271,15 +271,13 @@ class TestRunShapedTables:
         path = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules", name + ".sched")
         with open(path, encoding="utf-8") as fh:
             sched = pl.parse_schedule(fh.read())
-        rho, bounds = pl.core._exact_inputs(sched)
-        _, rates, ends, runs = pl.core._scan(rho, bounds)
-        cols, flags = pl.phases._series_columns(rho, bounds, rates, ends, runs,
-                                                pl.DEFAULT_SAMPLES)
+        series = pl.phase_samples(sched, pl.DEFAULT_SAMPLES)
+        cols = [getattr(series, f) for f in cli.RUN_FIELDS]
         out = tmp_path / f"series.{fmt}"
         with mock.patch.object(cli, "_csv_rows", wraps=cli._csv_rows) as by_rows:
             assert cli.main(["run", path, "--out", str(out), "--format", fmt]) == 0
         assert by_rows.called == (fmt == "csv")
-        assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, (*cols, flags), fmt)
+        assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
 
 
 class TestSweepTable:
