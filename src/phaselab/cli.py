@@ -8,7 +8,8 @@ needed), so identical invocations produce byte-identical files. Undefined
 phases appear as the literal ``nan`` in CSV and ``null`` in JSON. Angles
 are radians throughout.
 
-Exit codes: 0 success, 1 usage, 2 parse/validation, 3 numeric failure or out of memory.
+Exit codes: 0 success, 1 usage, 2 parse/validation, 3 numeric failure, out of memory or
+a missing dependency (numpy or orjson, which only ``run --out`` imports).
 """
 
 from __future__ import annotations
@@ -69,25 +70,8 @@ class _Parser(argparse.ArgumentParser):
 # A table is written in blocks of this many rows, so the writer holds the
 # cells of one block, never the whole table, as strings.
 _BLOCK_ROWS = 1024
-# orjson formats floats about 15x faster than ``repr``, but importing it
-# takes 8-11 ms (it loads datetime, uuid, zoneinfo, platform and sysconfig)
-# against ``repr``'s 0.7-1.0 us a cell (Python 3.11, 2 cores of a Xeon
-# host): it pays from about 10**4 cells on, and 2**14 leaves a margin.
-# Every ``run --out`` at the default --steps writes more. ``sweep`` writes by
-# ``repr`` at any size: the same process wall at 51x51, 30 ms more at 101x101.
-_FAST_CELLS = 2**14
 # JSON's spelling of the non-finite floats, keyed by repr's
 _NONFINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-@functools.cache
-def _orjson_dumps():
-    """orjson's ``dumps`` of numpy arrays, or None without orjson."""
-    try:
-        import orjson
-    except ImportError:
-        return None
-    return functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 def _plain(x):
@@ -99,17 +83,11 @@ def _plain(x):
 
 
 def _column_cells(block, dumps) -> list:
-    """The JSON cells of one column block, a float64 or int64 array: floats
-    as ``repr`` spells them, nan, inf and -inf as JSON does, ints as ints.
-    The text is orjson's when ``dumps`` is given, with each float cell that
+    """The JSON cells of one column block, a C-contiguous float64 or int64
+    array: floats as ``repr`` spells them, nan, inf and -inf as JSON does,
+    ints as ints. The text is orjson's ``dumps``, with each float cell that
     is not plain (see :func:`_plain`) patched by index to ``repr``'s
-    spelling, else ``repr`` of the block as a list."""
-    if dumps is None:
-        text = repr(block.tolist())[1:-1]
-        cells = text.split(", ")
-        return [_NONFINITE.get(c, c) for c in cells] if "n" in text else cells
-    if not block.flags.c_contiguous:  # orjson takes only C-contiguous arrays
-        block = block.copy()
+    spelling."""
     cells = dumps(block)[1:-1].decode().split(",")
     if block.dtype.kind == "f":
         for i in (~_plain(block)).nonzero()[0].tolist():
@@ -121,9 +99,9 @@ def _column_cells(block, dumps) -> list:
 def _csv_rows(block, dumps) -> bytes:
     """The CSV lines of a ``(rows, 14)`` float block of ``run --out``'s
     columns, the last the 0/1 crossing flags: each run of plain rows (see
-    :func:`_plain`) from one orjson dump, every other run, and every row
-    without ``dumps``, from ``repr`` of its rows as lists."""
-    plain = _plain(block).all(axis=1) & (dumps is not None)
+    :func:`_plain`) from one orjson ``dumps``, every other run from ``repr``
+    of its rows as lists."""
+    plain = _plain(block).all(axis=1)
     cuts = [0, *((plain[1:] != plain[:-1]).nonzero()[0] + 1).tolist(), len(block)]
     texts = (dumps(block[a:b]) if plain[a] else
              repr(block[a:b].tolist()).replace(", ", ",").encode() for a, b in zip(cuts, cuts[1:]))
@@ -132,22 +110,26 @@ def _csv_rows(block, dumps) -> bytes:
 
 
 def _write_table(path, fields, cols, fmt="csv"):
-    """Write ``run --out``'s columns, 13 float64 arrays and the int64 0/1
-    crossing flags, as CSV or JSON rows, in blocks of ``_BLOCK_ROWS``.
+    """Write ``run --out``'s columns, 13 C-contiguous float64 arrays and the
+    int64 0/1 crossing flags, as CSV or JSON rows, in blocks of
+    ``_BLOCK_ROWS``.
 
     Floats read as shortest round-trip ``repr`` and ints as ints. CSV spells
     non-finite floats ``nan``, ``inf`` and ``-inf``; JSON matches ``json.dump``
-    of a list of per-row objects, with NaN as ``null``. From ``_FAST_CELLS``
-    cells on, the plain cells are orjson's (see :func:`_plain`). CSV goes by
-    rows (:func:`_csv_rows`), JSON by column blocks (:func:`_column_cells`).
+    of a list of per-row objects, with NaN as ``null``. The plain cells are
+    orjson's (see :func:`_plain`), every other float cell ``repr``'s. CSV
+    goes by rows (:func:`_csv_rows`), JSON by column blocks
+    (:func:`_column_cells`). numpy and orjson are imported before the file
+    is opened, so a missing one leaves no file.
     """
+    import numpy as np
+    import orjson
+
+    dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
     rows = len(cols[0])
-    dumps = _orjson_dumps() if rows * len(cols) >= _FAST_CELLS else None
     blocks = range(0, rows, _BLOCK_ROWS)
     with open(path, "wb") as fh:
         if fmt == "csv":
-            import numpy as np
-
             fh.write((",".join(fields) + "\n").encode())
             for start in blocks:
                 block = np.stack([c[start:start + _BLOCK_ROWS] for c in cols], axis=1)
@@ -367,6 +349,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 3
+    except ModuleNotFoundError as exc:
+        print(f"error: cannot import {exc.name}", file=sys.stderr)
         return 3
 
 

@@ -101,36 +101,39 @@ def purify(rho) -> Purification:
     return Purification(float(evals[1]), states[0], float(evals[0]), states[1])
 
 
-_CENTER_AXIS = np.array([0.0, 0.0, 1.0])
+_CENTER_AXIS = np.array([[0.0], [0.0], [1.0]])
 
 
 def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
-    """Axes (M, 3) and angles (M,) in the radius-pi ball of the unit
-    quaternions ``w`` (M,), ``v`` (M, 3) of ``u = w I - i v . sigma =
-    cos(t/2) I - i sin(t/2) (n . sigma)``; angles in (pi, 2pi] are folded
-    onto ``(2pi - t, -n)``, so ``u`` and ``-u`` map to the same point, and
-    the identity gets axis (0, 0, 1). The norm is a stacked matmul, the
-    dot product ``np.linalg.norm`` takes, and the angle uses ``math.atan2``:
-    ``np.arctan2`` and sum-of-squares norms differ from those in the last
-    bit on a share of inputs.
+    """Axes (3, M), one row per component, and angles (M,) in the radius-pi
+    ball of the unit quaternions ``w`` (M,), ``v`` (3, M) of ``u = w I - i v
+    . sigma = cos(t/2) I - i sin(t/2) (n . sigma)``; angles in (pi, 2pi] are
+    folded onto ``(2pi - t, -n)``, so ``u`` and ``-u`` map to the same point,
+    and the identity gets axis (0, 0, 1). Each cell is a scalar formula in a
+    fixed order, evaluated elementwise: ``|v| = sqrt((vx*vx + vy*vy) +
+    vz*vz)``, never a BLAS product, whose rounding depends on the CPU's
+    kernel, and the angle is ``math.atan2``'s, since ``np.arctan2`` differs
+    from it in the last bit on a share of inputs.
     """
-    s = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    vx, vy, vz = v
+    s = np.sqrt((vx * vx + vy * vy) + vz * vz)
     t = 2.0 * np.fromiter(map(math.atan2, s.tolist(), w.tolist()), float, len(s))
     center = s <= 1e-12
-    axes = v / np.where(center, 1.0, s)[:, None]
+    axes = v / np.where(center, 1.0, s)
     fold = t > math.pi
     t[fold] = 2.0 * math.pi - t[fold]
-    axes[fold] = -axes[fold]
+    axes[:, fold] = -axes[:, fold]
     center |= t <= 1e-12
     t[center] = 0.0
-    axes[center] = _CENTER_AXIS
+    axes[:, center] = _CENTER_AXIS
     return axes, t
 
 
 class SO3Path(_Frozen):
     """Sampled ball trajectory as arrays, one row per sample: ``times``,
     ball ``axes`` (M, 3) and ``angles`` in [0, pi], as :func:`_ball` maps
-    them, ``cos_half_angle = Re(Tr U)/2``, and the exact transversal
+    them (``axes`` the transposed view of its component rows),
+    ``cos_half_angle = Re(Tr U)/2``, and the exact transversal
     border-crossing times ``crossings``, a :class:`~phaselab.core.ZeroTimes`.
     Equal only to itself, and hashed by identity."""
 
@@ -148,4 +151,5 @@ def so3_path(schedule: RotationSchedule, samples_per_segment: int) -> SO3Path:
     bounds = _quaternions(_schedule_fields(schedule)[0])
     times, quats = _unitary_samples(bounds, samples_per_segment)
     crossings = ZeroTimes(bounds[0], _scan((1.0, 0.0, 0.0, 0.0), bounds)[3])
-    return SO3Path(times, *_ball(quats[0], quats[1:].T), quats[0], crossings)
+    axes, angles = _ball(quats[0], quats[1:])
+    return SO3Path(times, axes.T, angles, quats[0], crossings)

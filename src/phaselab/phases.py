@@ -123,7 +123,7 @@ def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int) ->
         sl = slice(k * per + 1, (k + 1) * per)
         dyn_vals[sl] = ends[k] + rate * (times[sl] - times[k * per])
         dyn_vals[(k + 1) * per] = ends[k + 1]
-    axes, ball_angles = _ball(quats[0], quats[1:].T)
+    axes, ball_angles = _ball(quats[0], quats[1:])
     flags = np.zeros(len(times), dtype=int)
     for k, tau, n in runs:
         # every sample with a zero since the one before it is some zero's
@@ -135,7 +135,7 @@ def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int) ->
         idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
         flags[np.minimum(idx, len(times) - 1)] = 1
     return PhaseSeries(times, sp_re, sp_im, principal_vals, _unwrap_skipnan(raw_vals),
-                       dyn_vals, *_rotated(quats, rho[1:]), *axes.T, ball_angles, flags,
+                       dyn_vals, *_rotated(quats, rho[1:]), *axes, ball_angles, flags,
                        ZeroTimes(bounds[0], runs))
 
 

@@ -260,8 +260,8 @@ def so3_point(u):
     """The program's rotation-ball point of an SU(2) matrix: ``geometry._ball``
     on its quaternion."""
     w, v = quaternion_of(u)
-    axes, angles = pl.geometry._ball(np.atleast_1d(w), np.atleast_2d(v))
-    return SO3Point(axes[0], float(angles[0]))
+    axes, angles = pl.geometry._ball(np.atleast_1d(w), np.atleast_2d(v).T)
+    return SO3Point(axes[:, 0], float(angles[0]))
 
 
 def _cell(x) -> str:

@@ -54,10 +54,17 @@ def quaternion_of(u):
 
 def su2_to_so3(u):
     """``(axis, angle)`` of an SU(2) matrix in the radius-pi rotation ball,
-    one matrix at a time: angles above pi folded onto ``(2 pi - t, -n)``,
-    the identity on axis (0, 0, 1)."""
-    w, v = quaternion_of(u)
-    s = float(np.linalg.norm(v))
+    one matrix at a time: :func:`ball_of_quaternion` of its quaternion."""
+    return ball_of_quaternion(*quaternion_of(u))
+
+
+def ball_of_quaternion(w, v):
+    """``(axis, angle)`` of the unit quaternion ``w``, ``v`` (3,) in the
+    radius-pi rotation ball, by scalar ``math``: angles above pi folded onto
+    ``(2 pi - t, -n)``, the identity on axis (0, 0, 1)."""
+    v = np.asarray(v, dtype=float)
+    vx, vy, vz = v.tolist()
+    s = math.sqrt((vx * vx + vy * vy) + vz * vz)  # in this order, and no BLAS dot
     if s <= 1e-12:
         return np.array([0.0, 0.0, 1.0]), 0.0
     t = 2.0 * math.atan2(s, w)

@@ -1,6 +1,7 @@
 """Bloch/base-point maps, concurrence, purification, and the rotation ball."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from helpers import (
     sampled_unitaries,
     so3_point,
 )
-from matrices import evolution_operator, quaternion_of, su2_to_so3
+from matrices import ball_of_quaternion, evolution_operator, quaternion_of, su2_to_so3
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
+DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules")
 
 
 def sampled_bloch(state, qubit=1) -> np.ndarray:
@@ -312,10 +314,26 @@ def bits(a) -> bytes:
 class TestSO3Kernel:
     def test_stack_matches_per_matrix_oracle_bitwise(self):
         stack = kernel_cases(np.random.default_rng(32))
-        axes, angles = pl.geometry._ball(*quaternion_of(stack))
+        w, v = quaternion_of(stack)
+        axes, angles = pl.geometry._ball(w, v.T)
         want = [su2_to_so3(u) for u in stack]
-        assert bits(axes) == bits([a for a, _ in want])
+        assert bits(axes.T) == bits([a for a, _ in want])
         assert bits(angles) == bits([t for _, t in want])
+
+    @pytest.mark.parametrize("name", ["mes_minus", "mes_plus", "partial_z_turn"])
+    def test_demo_series_match_the_scalar_formula_bitwise(self, name):
+        # the run --out columns against math's sqrt and atan2 in the same
+        # fixed order, so no host's BLAS kernel can move them
+        with open(os.path.join(DEMOS, name + ".sched"), encoding="utf-8") as fh:
+            sched = pl.parse_schedule(fh.read())
+        series = pl.phase_samples(sched, pl.DEFAULT_SAMPLES)
+        bounds = pl.core._quaternions(sched.segments)
+        _, quats = pl.schedule._unitary_samples(bounds, pl.DEFAULT_SAMPLES)
+        want = [ball_of_quaternion(w, v) for w, v in zip(quats[0].tolist(), quats[1:].T)]
+        axes = np.array([a for a, _ in want])
+        for c, column in enumerate(("so3_ax", "so3_ay", "so3_az")):
+            assert bits(getattr(series, column)) == bits(axes[:, c])
+        assert bits(series.so3_angle) == bits([t for _, t in want])
 
     def test_one_matrix_case_matches_oracle(self):
         for u in kernel_cases(np.random.default_rng(33))[::7]:

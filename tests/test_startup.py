@@ -6,12 +6,13 @@ imports ``dataclasses``.
 commands and ``run`` without ``--out``, their error exits included, run
 on the plain-float core (``phaselab.core``), and load neither numpy nor
 ``dataclasses`` and the ``inspect`` it imports. Nor do they load orjson,
-which ``run --out``'s writer imports only for large tables, as it writes
-at the default ``--steps``; ``sweep`` writes by ``repr`` at any grid size,
-so a 51x51 grid loads neither. The same holds for the core's names
-read from ``phaselab`` itself. Every record class, the sampled API's too,
-is a slots class, so the whole package, numpy-backed modules included,
-loads no ``dataclasses``. Each check runs in a fresh interpreter
+which ``run --out``'s writer imports for every table; ``sweep`` writes by
+``repr`` at any grid size, so a 51x51 grid loads neither. The same holds
+for the core's names read from ``phaselab`` itself. Every record class,
+the sampled API's too, is a slots class, so the whole package,
+numpy-backed modules included, loads no ``dataclasses``. ``run --out``
+without numpy or orjson exits 3 with an ``error:`` line naming it, and
+leaves no file. Each check runs in a fresh interpreter
 with ``PYTHONPATH`` set to this checkout's ``src``, since the test
 process itself has numpy loaded.
 """
@@ -23,6 +24,8 @@ import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import phaselab as pl
 
@@ -121,9 +124,28 @@ def test_exact_commands_never_import_numpy(tmp_path):
         "not cyclic": [3, []],
         "sweep range error": [2, []],
         "usage error": [1, []],
-        "run --out": [0, 1 + 1 + 4 * 19, False],
+        "run --out": [0, 1 + 1 + 4 * 19, True],
         "run --out default": [0, True],
     }
+
+
+@pytest.mark.parametrize("module", ["numpy", "orjson"])
+def test_run_out_without_a_dependency_exits_3(tmp_path, module):
+    mes_minus = os.path.join(DEMOS, "mes_minus.sched")
+    (tmp_path / "kept.csv").write_text("kept\n")
+    report = fresh(f"""
+        sys.modules[{module!r}] = None  # its import fails
+        from phaselab.cli import main
+        err = io.StringIO()
+        for name in ("new.csv", "kept.csv"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                emit(name, main(["run", {mes_minus!r}, "--out", name]))
+        emit("stderr", err.getvalue())
+        """, tmp_path)
+    assert report == {"new.csv": 3, "kept.csv": 3,
+                      "stderr": f"error: cannot import {module}\n" * 2}
+    assert sorted(os.listdir(tmp_path)) == ["kept.csv"]
+    assert (tmp_path / "kept.csv").read_text() == "kept\n"
 
 
 def _exact_calls(pl, path, degenerate):

@@ -1,23 +1,27 @@
 """The table writers of ``run --out`` and ``sweep``.
 
 ``sweep`` writes its rows by ``repr`` at any grid size. ``run --out``
-writes through ``cli._write_table``: in tables of ``_FAST_CELLS`` cells
-or more the cells come from orjson. A float is plain when it is 0 or
-``1e-4 <= |x| < 1e16``; orjson spells a plain float as ``repr`` does, and
-every other float (nan and the infinities too) is written from its value
-by ``repr``. CSV goes by rows: each run of plain rows of a stacked block
-is one orjson dump and every other run is ``repr`` of its rows
+writes through ``cli._write_table``, whose cells come from orjson at
+every table size. A float is plain when it is 0 or ``1e-4 <= |x| <
+1e16``; orjson spells a plain float as ``repr`` does, and every other
+float (nan and the infinities too) is written from its value by
+``repr``. CSV goes by rows: each run of plain rows of a stacked block is
+one orjson dump and every other run is ``repr`` of its rows
 (``cli._csv_rows``). JSON goes by column blocks, whose non-plain cells are
 patched by index (``cli._column_cells``). Either way every cell must read
 as ``repr`` spells it (ints as ints, non-finite floats as the format
 spells them), and the file must be byte-identical to the row-template
-writer the blocked one replaced (``helpers.template_table_bytes``).
+writer the blocked one replaced (``helpers.template_table_bytes``). The
+demos' files are the same under every BLAS kernel, and their digests are
+stored here, so that a host-dependent change to any cell shows.
 """
 
-import itertools
+import functools
+import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 from unittest import mock
@@ -32,6 +36,8 @@ from helpers import reference_sweep_rows, reference_table_bytes, template_table_
 from phaselab import cli
 
 B = cli._BLOCK_ROWS
+DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules")
+DEMO_NAMES = ["mes_minus", "mes_plus", "partial_z_turn"]
 FORMATS = ("csv", "json")
 
 
@@ -44,8 +50,15 @@ def oracle_cell(x, fmt) -> str:
     return repr(x)
 
 
+def orjson_dumps():
+    """The ``dumps`` that ``cli._write_table`` passes to its cell helpers."""
+    import orjson
+
+    return functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
+
+
 def paths():
-    return [("fast", cli._orjson_dumps()), ("small", None)]
+    return [("fast", orjson_dumps())]
 
 
 def cells(values, fmt, dumps, column=1):
@@ -83,8 +96,8 @@ ROW_INTS = [i for i in INTS if abs(i) <= 2**53]
 
 
 def test_orjson_is_installed():
-    # the fast path is what these tests check; without orjson it is repr
-    assert cli._orjson_dumps() is not None
+    # a runtime dependency: run --out writes every table through it
+    assert orjson_dumps()(np.array([0.5, 1.0])) == b"[0.5,1.0]"
 
 
 class TestCells:
@@ -113,18 +126,13 @@ class TestCells:
             got = cells(np.array(values, dtype=np.int64), fmt, dumps, column=13)
             assert got == [str(v) for v in values]
 
-    def test_strided_block_takes_the_fast_path(self):
-        # orjson takes only C-contiguous arrays, and ball axes are strided
-        seen = []
-
-        def dumps(block):
-            seen.append(block.flags.c_contiguous)
-            return cli._orjson_dumps()(block)
-
-        a = np.arange(30.0).reshape(10, 3) * 1e-5
-        want = [repr(float(x)) for x in a[:, 1]]
-        assert cells(a.T[1], "json", dumps) == want
-        assert seen == [True]
+    def test_run_columns_are_c_contiguous(self):
+        # orjson takes only C-contiguous arrays; the ball axes are rows
+        path = os.path.join(DEMOS, "mes_minus.sched")
+        with open(path, encoding="utf-8") as fh:
+            series = pl.phase_samples(pl.parse_schedule(fh.read()), 20)
+        for name in cli.RUN_FIELDS:
+            assert getattr(series, name).flags.c_contiguous, name
 
     def test_big_values_in_positional_notation(self):
         # a formatter that writes 1e16 and up positionally, as orjson may;
@@ -174,9 +182,9 @@ class TestCells:
         assert cli._plain(x) == plain
         assert cli._plain(np.array([x, x])).tolist() == [plain, plain]
         if plain:  # orjson's own spelling is kept
-            assert cli._orjson_dumps()(x).decode() == repr(x)
+            assert orjson_dumps()(x).decode() == repr(x)
         for fmt in FORMATS:  # and every other one written by repr
-            assert cells([0.5, x, 0.5], fmt, cli._orjson_dumps())[1] == oracle_cell(x, fmt)
+            assert cells([0.5, x, 0.5], fmt, orjson_dumps())[1] == oracle_cell(x, fmt)
 
 
 def table(rows, rng):
@@ -194,27 +202,11 @@ def table(rows, rng):
 class TestWriter:
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1])
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("fast_cells", [0, 10**18])
-    def test_matches_the_row_template_writer(self, tmp_path, monkeypatch, rows, fmt, fast_cells):
-        monkeypatch.setattr(cli, "_FAST_CELLS", fast_cells)
+    def test_matches_the_row_template_writer(self, tmp_path, rows, fmt):
         fields, cols = table(rows, np.random.default_rng(rows))
         out = tmp_path / f"t.{fmt}"
         cli._write_table(out, fields, cols, fmt)
         assert out.read_bytes() == template_table_bytes(fields, cols, fmt)
-
-    def test_without_orjson_writes_by_repr(self, tmp_path, monkeypatch):
-        fields, cols = table(B + 1, np.random.default_rng(5))
-        monkeypatch.setattr(cli, "_FAST_CELLS", 0)
-        monkeypatch.setitem(sys.modules, "orjson", None)  # import fails
-        cli._orjson_dumps.cache_clear()
-        try:
-            assert cli._orjson_dumps() is None
-            for fmt in FORMATS:
-                cli._write_table(tmp_path / f"t.{fmt}", fields, cols, fmt)
-        finally:
-            cli._orjson_dumps.cache_clear()
-        for fmt in FORMATS:
-            assert (tmp_path / f"t.{fmt}").read_bytes() == template_table_bytes(fields, cols, fmt)
 
 
 NON_PLAIN = st.one_of(
@@ -253,22 +245,20 @@ class TestRunShapedTables:
     @settings(max_examples=60, deadline=None)
     @given(run_shaped_tables())
     def test_match_the_row_template_writer(self, cols):
-        # with orjson's cells and, past any table's size, by repr
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(cli, "_csv_rows", wraps=cli._csv_rows) as by_rows:
-            for fast_cells, fmt in itertools.product([0, 10**18], FORMATS):
+            for fmt in FORMATS:
                 out = os.path.join(tmp, f"t.{fmt}")
-                with mock.patch.object(cli, "_FAST_CELLS", fast_cells):
-                    cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
+                cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
                 with open(out, "rb") as fh:
                     assert fh.read() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
                 assert by_rows.called == (fmt == "csv")  # JSON goes by column blocks
                 by_rows.reset_mock()
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("name", ["mes_minus", "mes_plus", "partial_z_turn"])
+    @pytest.mark.parametrize("name", DEMO_NAMES)
     def test_run_out_of_each_demo(self, tmp_path, capsys, name, fmt):
-        path = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules", name + ".sched")
+        path = os.path.join(DEMOS, name + ".sched")
         with open(path, encoding="utf-8") as fh:
             sched = pl.parse_schedule(fh.read())
         series = pl.phase_samples(sched, pl.DEFAULT_SAMPLES)
@@ -280,6 +270,69 @@ class TestRunShapedTables:
         assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
 
 
+# SHA-256 of each demo's run --out file at the default --steps
+DEMO_DIGESTS = {
+    "mes_minus.csv": "16c6ae37794e7ad4117e57e6f176cac56604cef277b60941afc5a4bfa99a521e",
+    "mes_minus.json": "c02de7a4ea85e5a78f36c38e7618cedc4523be8b8f7cd08b37fa088beb8b0c12",
+    "mes_plus.csv": "d893909bbdb35bc5fb34ff1bdbef3506fd463e428131ba0bbfd8e36c3a7b5203",
+    "mes_plus.json": "20ee923af3cef11a5f915555df974db62c82214b6e92743d42357929a3343abc",
+    "partial_z_turn.csv": "c20648d2839d91a7cac4ca6ae88e3f099cf15806f0776f667b835e575115d504",
+    "partial_z_turn.json": "f98e7dd5c3723e753a45b104569303c932c34046a5d8424407f751fd63ee4d5b",
+}
+
+# run --out on each demo, CSV and JSON, in a fresh interpreter; argv is the
+# output directory; prints each file's SHA-256 as JSON
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, os, sys
+from phaselab.cli import main
+digests = {}
+for name in NAMES:
+    for fmt in ("csv", "json"):
+        out = os.path.join(sys.argv[1], name + "." + fmt)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", os.path.join(DEMOS, name + ".sched"), "--out", out, "--format", fmt])
+        assert code == 0, code
+        with open(out, "rb") as fh:
+            digests[name + "." + fmt] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def demo_digests(tmp_path, coretype=None) -> dict:
+    """:data:`DIGEST_SCRIPT`'s digests, with OpenBLAS's kernel forced to
+    ``coretype`` (None: the one it picks for the CPU)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    out = tmp_path / (coretype or "default")
+    out.mkdir()
+    code = f"NAMES = {DEMO_NAMES!r}\nDEMOS = {os.path.abspath(DEMOS)!r}\n" + DIGEST_SCRIPT
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestDemoBytes:
+    """Every ``run --out`` cell is a scalar formula evaluated elementwise in
+    a fixed order, so no BLAS kernel, which numpy's OpenBLAS picks by the
+    CPU, can move a byte."""
+
+    def test_same_bytes_under_each_blas_kernel(self, tmp_path):
+        default = demo_digests(tmp_path)
+        assert len(default) == 6
+        for coretype in ("Haswell", "Nehalem"):
+            assert demo_digests(tmp_path, coretype) == default, coretype
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", DEMO_NAMES)
+    def test_files_match_their_stored_digests(self, tmp_path, capsys, name, fmt):
+        out = tmp_path / f"{name}.{fmt}"
+        path = os.path.join(DEMOS, name + ".sched")
+        assert cli.main(["run", path, "--out", str(out), "--format", fmt]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_DIGESTS[f"{name}.{fmt}"]
+
+
 class TestSweepTable:
     """``sweep`` writes its rows by ``repr`` at any grid size, with nan for
     the closure residual of a degenerate (lambda0 = 0.5) row."""
@@ -287,7 +340,7 @@ class TestSweepTable:
     @pytest.mark.parametrize("lam,theta,axis,turns", [
         ("0:1:11", f"0:{math.pi!r}:9", "z", 1),  # the README grid, one block
         ("0:1:33", "-1:1:33", "x", 2),  # 1089 rows, past one block
-        ("0:1:51", f"0:{math.pi!r}:51", "x", 3),  # 18207 cells, past _FAST_CELLS
+        ("0:1:51", f"0:{math.pi!r}:51", "x", 3),  # 18207 cells
     ])
     def test_matches_the_reference_writer(self, tmp_path, capsys, lam, theta, axis, turns):
         out = tmp_path / "sweep.csv"
