@@ -82,31 +82,30 @@ def _plain(x):
     return (mag < 1e16) & ((mag >= 1e-4) | (x == 0))
 
 
-def _column_cells(block, dumps) -> list:
+def _column_cells(block, bad, dumps) -> list:
     """The JSON cells of one column block, a C-contiguous float64 or int64
     array: floats as ``repr`` spells them, nan, inf and -inf as JSON does,
-    ints as ints. The text is orjson's ``dumps``, with each float cell that
-    is not plain (see :func:`_plain`) patched by index to ``repr``'s
-    spelling."""
+    ints as ints. The text is orjson's ``dumps``, with the cells at the
+    block indices ``bad``, the floats that are not plain (see
+    :func:`_plain`), patched to ``repr``'s spelling."""
     cells = dumps(block)[1:-1].decode().split(",")
-    if block.dtype.kind == "f":
-        for i in (~_plain(block)).nonzero()[0].tolist():
-            text = repr(float(block[i]))
-            cells[i] = _NONFINITE.get(text, text)
+    for i in bad.tolist():
+        text = repr(float(block[i]))
+        cells[i] = _NONFINITE.get(text, text)
     return cells
 
 
-def _csv_rows(block, dumps) -> bytes:
+def _csv_rows(block, plain, dumps) -> bytes:
     """The CSV lines of a ``(rows, 14)`` float block of ``run --out``'s
-    columns, the last the 0/1 crossing flags: each run of plain rows (see
-    :func:`_plain`) from one orjson ``dumps``, every other run from ``repr``
-    of its rows as lists."""
-    plain = _plain(block).all(axis=1)
+    columns, the last the 0/1 crossing flags, given each row's plainness
+    ``plain`` (all its cells plain, see :func:`_plain`): each run of plain
+    rows from one orjson ``dumps``, every other run from ``repr`` of its
+    rows as lists, each text split once at its row seams."""
     cuts = [0, *((plain[1:] != plain[:-1]).nonzero()[0] + 1).tolist(), len(block)]
     texts = (dumps(block[a:b]) if plain[a] else
              repr(block[a:b].tolist()).replace(", ", ",").encode() for a, b in zip(cuts, cuts[1:]))
     # "[[r00,...,f0.0],[r10,...,f1.0]]" -> "r00,...,f0\nr10,...,f1\n"
-    return b"".join(t.replace(b".0],[", b"\n")[2:-4] + b"\n" for t in texts)
+    return b"".join(b"\n".join((*t[2:-4].split(b".0],["), b"")) for t in texts)
 
 
 def _write_table(path, fields, cols, fmt="csv"):
@@ -117,35 +116,54 @@ def _write_table(path, fields, cols, fmt="csv"):
     Floats read as shortest round-trip ``repr`` and ints as ints. CSV spells
     non-finite floats ``nan``, ``inf`` and ``-inf``; JSON matches ``json.dump``
     of a list of per-row objects, with NaN as ``null``. The plain cells are
-    orjson's (see :func:`_plain`), every other float cell ``repr``'s. CSV
-    goes by rows (:func:`_csv_rows`), JSON by column blocks
-    (:func:`_column_cells`). numpy and orjson are imported before the file
+    orjson's (see :func:`_plain`), every other float cell ``repr``'s. Which
+    cells are plain is found once per table, as each float column's sorted
+    non-plain indices; a block takes its share of them. CSV goes by rows
+    (:func:`_csv_rows`, with each row's plainness), JSON by column blocks
+    (:func:`_column_cells`, with each column's non-plain indices) into one
+    row template, refilled per block, whose flag cells are ``0`` but at the
+    flags' nonzero indices. numpy and orjson are imported before the file
     is opened, so a missing one leaves no file.
     """
     import numpy as np
     import orjson
 
     dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
-    rows = len(cols[0])
-    blocks = range(0, rows, _BLOCK_ROWS)
+    *floats, flags = cols
+    rows = len(flags)
+    bad = [(~_plain(c)).nonzero()[0] for c in floats]
+    blocks = [(start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS)]
     with open(path, "wb") as fh:
         if fmt == "csv":
+            plain = np.ones(rows, dtype=bool)
+            for idx in bad:
+                plain[idx] = False
             fh.write((",".join(fields) + "\n").encode())
-            for start in blocks:
-                block = np.stack([c[start:start + _BLOCK_ROWS] for c in cols], axis=1)
-                fh.write(_csv_rows(block, dumps))
+            for start, stop in blocks:
+                block = np.stack([c[start:stop] for c in cols], axis=1)
+                fh.write(_csv_rows(block, plain[start:stop], dumps))
             return
         # a row is ", {key: ", cell, ", key: ", cell, ..., "}"; the first has no ", "
         template = [part for f in fields for part in (f", {json.dumps(f)}: ", None)] + ["}"]
         template[0] = ", {" + template[0][2:]
+        width = len(template)
+        parts = template * _BLOCK_ROWS
+        ones = flags.nonzero()[0]
         fh.write(b"[")
-        for start in blocks:
-            stop = min(start + _BLOCK_ROWS, rows)
-            parts = template * (stop - start)
-            for c, col in enumerate(cols):
-                parts[2 * c + 1::len(template)] = _column_cells(col[start:stop], dumps)
-            if start == 0:
-                parts[0] = parts[0].removeprefix(", ")
+        for start, stop in blocks:
+            n = stop - start
+            if n < _BLOCK_ROWS:
+                parts = template * n
+            for c, col in enumerate(floats):
+                idx = bad[c]
+                lo, hi = idx.searchsorted((start, stop))
+                parts[2 * c + 1::width] = _column_cells(col[start:stop], idx[lo:hi] - start, dumps)
+            flag_cells = ["0"] * n
+            lo, hi = ones.searchsorted((start, stop))
+            for i in (ones[lo:hi] - start).tolist():
+                flag_cells[i] = "1"
+            parts[width - 2::width] = flag_cells
+            parts[0] = template[0][2:] if start == 0 else template[0]
             fh.write("".join(parts).encode())
         fh.write(b"]\n")
 

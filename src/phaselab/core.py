@@ -259,7 +259,8 @@ class ZeroTimes(Sequence):
     ``k`` the segment index, and ``starts`` the segment start times;
     ``size`` is the number of zeros, also past ``sys.maxsize`` where
     ``len`` overflows. Takes integer indices and compares equal to any
-    sequence of the same floats.
+    sequence of the same floats. ``repr`` reads ``ZeroTimes(starts=...,
+    runs=...)``.
     """
 
     def __init__(self, starts, runs):
@@ -276,6 +277,9 @@ class ZeroTimes(Sequence):
         r = bisect_right(self._ends, j)
         k, tau, n = self.runs[r]
         return self.starts[k] + (tau + 2.0 * math.pi * (j - self._ends[r] + n))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(starts={self.starts!r}, runs={self.runs!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):

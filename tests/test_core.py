@@ -406,7 +406,8 @@ class TestThresholdEdges:
     """The eigenvalue-gap and orthogonality thresholds are inclusive: a
     value of exactly 1e-9 is degenerate (or orthogonal), the next float
     above it is not. Both are exact: ``sqrt(g * g) == g`` and
-    ``abs(complex(g, 0.0)) == g`` at these values."""
+    ``abs(complex(g, 0.0)) == g`` at these values. The overflow guard of
+    ``_rescaled`` is exclusive: it divides only above 1e150."""
 
     Z_TURN = pl.core._quaternions((segment(Z_AXIS, 2.0 * math.pi),))
     ABOVE = math.nextafter(1e-9, 1.0)
@@ -425,6 +426,83 @@ class TestThresholdEdges:
     def test_overlap_at_the_orthogonality_threshold_has_no_phase(self):
         assert math.isnan(pl.core._overlap_phase(complex(1e-9, 0.0)))
         assert pl.core._overlap_phase(complex(self.ABOVE, 0.0)) == 0.0
+
+    def test_rescaling_starts_above_1e150(self):
+        # the rescaled parts are normalized afterwards, so no public path
+        # shows on which side of 1e150 the division starts
+        parts = (1e150, 0.5, -2.0)
+        assert pl.core._rescaled(parts) is parts
+        above = math.nextafter(1e150, math.inf)
+        assert pl.core._rescaled((0.5, -above)) == (0.5 / above, -1.0)
+
+
+def scalar_unitary_samples(bounds, steps):
+    """``schedule._unitary_samples`` one sample at a time: ``math.sin`` and
+    ``math.cos`` of the half angle and ``core._product`` on floats, each
+    segment's last sample its boundary."""
+    bt, bq, axes, durations = bounds
+    per = steps - 1
+    times, quats = [0.0], [bq[0]]
+    for k, (d, (nx, ny, nz)) in enumerate(zip(durations, axes)):
+        delta = d / per
+        for j in range(1, per):
+            half = 0.5 * (delta * j)
+            s = math.sin(half)
+            times.append(bt[k] + delta * j)
+            quats.append(pl.core._product(math.cos(half), s * nx, s * ny, s * nz, bq[k]))
+        times.append(bt[k + 1])
+        quats.append(bq[k + 1])
+    return times, quats
+
+
+def hexes(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+class TestNumpyMatchesScalarMath:
+    """numpy's ``sin``, ``cos`` and ``hypot`` in the sampled series give
+    what scalar ``math`` gives, bit for bit: the samples' quaternions, and
+    the samples whose overlap is defined (``|sp| > ORTHOGONALITY_EPS``)."""
+
+    def check(self, sched, steps):
+        rho, bounds = pl.core._exact_inputs(sched)
+        try:
+            times, quats = pl.schedule._unitary_samples(bounds, steps)
+        except pl.PhaseLabError:
+            return
+        want_t, want_q = scalar_unitary_samples(bounds, steps)
+        assert hexes(times) == hexes(want_t)
+        for row, want in zip(quats, zip(*want_q)):
+            assert hexes(row) == hexes(want)
+        series = pl.phases._series_columns(rho, bounds, *pl.core._scan(rho, bounds)[1:], steps)
+        defined = [math.hypot(re, im) > pl.ORTHOGONALITY_EPS
+                   for re, im in zip(series.sp_re.tolist(), series.sp_im.tolist())]
+        assert (~np.isnan(series.phase_total_principal)).tolist() == defined
+
+    @pytest.mark.parametrize("name", ["mes_minus", "mes_plus", "partial_z_turn"])
+    def test_demos(self, name):
+        with open(os.path.join(DEMOS, f"{name}.sched"), encoding="utf-8") as fh:
+            self.check(pl.parse_schedule(fh.read()), pl.DEFAULT_SAMPLES)
+
+    @settings(max_examples=100, deadline=None)
+    @given(series_schedules(), st.integers(2, 50))
+    @example(THRESHOLD_TIE, 3)
+    def test_schedules(self, sched, steps):
+        self.check(sched, steps)
+
+
+class TestZeroTimesRepr:
+    def test_repr_reads_its_arguments(self):
+        zeros = pl.core.ZeroTimes([0.0, 1.5], [(1, 0.25, 3)])
+        assert repr(zeros) == "ZeroTimes(starts=[0.0, 1.5], runs=[(1, 0.25, 3)])"
+
+    @pytest.mark.parametrize("name", ["phase_samples", "so3_path"])
+    def test_sampled_records_repr_alike_each_time(self, name):
+        with open(os.path.join(DEMOS, "mes_minus.sched"), encoding="utf-8") as fh:
+            sched = pl.parse_schedule(fh.read())
+        first, again = (repr(getattr(pl, name)(sched, 2)) for _ in range(2))
+        assert first == again and "0x" not in first
+        assert "crossings=ZeroTimes(starts=" in first
 
 
 def test_zero_times_compare_unequal_to_a_non_sequence():

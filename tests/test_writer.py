@@ -5,15 +5,20 @@ writes through ``cli._write_table``, whose cells come from orjson at
 every table size. A float is plain when it is 0 or ``1e-4 <= |x| <
 1e16``; orjson spells a plain float as ``repr`` does, and every other
 float (nan and the infinities too) is written from its value by
-``repr``. CSV goes by rows: each run of plain rows of a stacked block is
-one orjson dump and every other run is ``repr`` of its rows
-(``cli._csv_rows``). JSON goes by column blocks, whose non-plain cells are
-patched by index (``cli._column_cells``). Either way every cell must read
-as ``repr`` spells it (ints as ints, non-finite floats as the format
-spells them), and the file must be byte-identical to the row-template
-writer the blocked one replaced (``helpers.template_table_bytes``). The
-demos' files are the same under every BLAS kernel, and their digests are
-stored here, so that a host-dependent change to any cell shows.
+``repr``. Plainness is found once per table, so the two cell functions
+take it as an argument, and ``cells`` finds it as the writer does. CSV
+goes by rows: given each row's plainness, each run of plain rows of a
+stacked block is one orjson dump and every other run is ``repr`` of its
+rows (``cli._csv_rows``). JSON goes by column blocks, whose non-plain
+cells are patched at the indices given (``cli._column_cells``), and whose
+flag cells come from the flags' nonzero indices; the cases at the block
+edges check each block's share of the table-wide indices, mask and flags.
+Either way every cell must read as ``repr`` spells it (ints as ints,
+non-finite floats as the format spells them), and the file must be
+byte-identical to the row-template writer the blocked one replaced
+(``helpers.template_table_bytes``). The demos' files are the same under
+every BLAS kernel, and their digests are stored here, so that a
+host-dependent change to any cell shows.
 """
 
 import functools
@@ -64,14 +69,20 @@ def paths():
 def cells(values, fmt, dumps, column=1):
     """The cells the writer makes of ``values``: JSON's column function on
     their array, or CSV's row function on a ``(len(values), 14)`` block
-    holding them in ``column`` (13 is the flags), its other cells plain."""
+    holding them in ``column`` (13 is the flags), its other cells plain.
+    Either gets the plainness ``cli._write_table`` finds once per table:
+    the non-plain indices of a float column, none of an int one."""
     values = np.asarray(values)
+    bad = (~cli._plain(values)).nonzero()[0] if values.dtype.kind == "f" else np.empty(0, int)
     if fmt == "json":
-        return cli._column_cells(values, dumps)
+        return cli._column_cells(values, bad, dumps)
     block = np.full((len(values), 14), 0.5)
     block[:, 13] = 1.0
     block[:, column] = values
-    return [line.split(",")[column] for line in cli._csv_rows(block, dumps).decode().splitlines()]
+    plain = np.ones(len(values), dtype=bool)
+    plain[bad] = False
+    rows = cli._csv_rows(block, plain, dumps).decode().splitlines()
+    return [line.split(",")[column] for line in rows]
 
 
 def neighbours(x, n=40):
@@ -207,6 +218,22 @@ class TestWriter:
         out = tmp_path / f"t.{fmt}"
         cli._write_table(out, fields, cols, fmt)
         assert out.read_bytes() == template_table_bytes(fields, cols, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_flags_and_non_plain_cells_at_block_edges(self, tmp_path, fmt):
+        # the first and last row of a table and of its blocks, where a
+        # block's share of the table-wide indices and masks begins and ends
+        rows = 2 * B + 5
+        edges = [0, B - 1, B, 2 * B, rows - 1]
+        floats = np.full((13, rows), 0.25)
+        for k, r in enumerate(edges):  # each value in every float column
+            floats[:, r] = np.roll(np.resize([math.nan, math.inf, -math.inf, 1e-5, 1e16], 13), k)
+        flags = np.zeros(rows, dtype=np.int64)
+        flags[edges] = 1
+        cols = [*floats, flags]
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
+        assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
 
 
 NON_PLAIN = st.one_of(
