@@ -21,29 +21,12 @@ import math
 import re
 import sys
 
-from .core import (CYCLIC_EPS, _breakdown, _click_probability, _crossings, _exact_inputs,
+from .core import (_breakdown, _click_probability, _crossings, _cyclic, _exact_inputs,
                    _final_overlap, _overlap_phase, _quaternions, _reduced, _scan, _schmidt,
                    phase_breakdown)
 from .errors import NotCyclic, ParseError, PhaseLabError, ValidationError
 from .schedule import (DEFAULT_SAMPLES, RotationSchedule, RotationSegment, _number,
                        parse_schedule)
-
-RUN_FIELDS = [
-    "t",
-    "sp_re",
-    "sp_im",
-    "phase_total_principal",
-    "phase_total_unwrapped",
-    "phase_dyn",
-    "bloch_x",
-    "bloch_y",
-    "bloch_z",
-    "so3_ax",
-    "so3_ay",
-    "so3_az",
-    "so3_angle",
-    "crossing_flag",
-]
 
 SWEEP_FIELDS = [
     "lambda0",
@@ -62,9 +45,57 @@ class _UsageError(Exception):
     pass
 
 
+class _Ignored(argparse.Action):
+    """Stands in for the zero-argument option ``action`` of a token whose
+    rest ``rest`` names no option, and fails as argparse does up to 3.12."""
+
+    def __init__(self, action, rest):
+        super().__init__(action.option_strings, argparse.SUPPRESS, nargs=0)
+        self.action, self.rest = action, rest
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise argparse.ArgumentError(self.action, f"ignored explicit argument {self.rest!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise _UsageError(message)
+
+    def _check_value(self, action, value):
+        """argparse's, with the choices spelled by ``repr``, as up to 3.12.7
+        and 3.13.0; later versions spell them by ``str``."""
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action,
+                                         f"invalid choice: {value!r} (choose from {choices})")
+
+    def _parse_optional(self, arg_string):
+        """argparse's, except that a token running zero-argument short options
+        into a character that names no option, such as ``-hx``, fails when it
+        is reached, as up to Python 3.12; 3.13 takes the ``-h`` and shows help.
+        argparse returns one option tuple up to 3.12.7 and 3.13.0, and a list
+        of them from 3.12.8 and 3.13.1 on; both shapes pass through."""
+        found = super()._parse_optional(arg_string)
+        if isinstance(found, list) and len(found) == 1:
+            return [self._fail_on_rest(found[0], arg_string)]
+        if isinstance(found, tuple):
+            return self._fail_on_rest(found, arg_string)
+        return found  # None, or several tuples, which argparse finds ambiguous
+
+    def _fail_on_rest(self, option, arg_string):
+        """The option tuple ``option``, ``(action, option_string, [sep,]
+        explicit_arg)``, of the token ``arg_string``, with an :class:`_Ignored`
+        for its action if the token is such a case as ``-hx``."""
+        action, option_string = option[:2]
+        actions = self._option_string_actions
+        if (action is not None and action.nargs == 0
+                and option_string == arg_string[:2] != arg_string.partition("=")[0]):
+            rest = arg_string[2:]
+            while rest and getattr(actions.get("-" + rest[0]), "nargs", None) == 0:
+                rest = rest[1:]
+            if rest and "-" + rest[0] not in actions:
+                return (_Ignored(action, rest), *option[1:-1], None)
+        return option
 
 
 # A table is written in blocks of this many rows, so the writer holds the
@@ -108,10 +139,11 @@ def _csv_rows(block, plain, dumps) -> bytes:
     return b"".join(b"\n".join((*t[2:-4].split(b".0],["), b"")) for t in texts)
 
 
-def _write_table(path, fields, cols, fmt="csv"):
-    """Write ``run --out``'s columns, 13 C-contiguous float64 arrays and the
-    int64 0/1 crossing flags, as CSV or JSON rows, in blocks of
-    ``_BLOCK_ROWS``.
+def _write_table(path, series, fmt="csv"):
+    """Write the columns of the :class:`~phaselab.phases.PhaseSeries`
+    ``series``, its fields but ``crossings`` in field order: 13 C-contiguous
+    float64 arrays and the int64 0/1 crossing flags, as CSV or JSON rows, in
+    blocks of ``_BLOCK_ROWS``.
 
     Floats read as shortest round-trip ``repr`` and ints as ints. CSV spells
     non-finite floats ``nan``, ``inf`` and ``-inf``; JSON matches ``json.dump``
@@ -129,7 +161,8 @@ def _write_table(path, fields, cols, fmt="csv"):
     import orjson
 
     dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
-    *floats, flags = cols
+    fields = series.__slots__[:-1]  # every field but crossings is a column
+    *floats, flags = cols = [getattr(series, f) for f in fields]
     rows = len(flags)
     bad = [(~_plain(c)).nonzero()[0] for c in floats]
     blocks = [(start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS)]
@@ -168,11 +201,11 @@ def _write_table(path, fields, cols, fmt="csv"):
         fh.write(b"]\n")
 
 
-def _warn_if_not_cyclic(magnitude: float) -> None:
+def _warn_if_not_cyclic(v: complex) -> None:
     """The stderr warning of ``run`` and ``readout`` when the final overlap
-    magnitude ``|<s0|U_T|s0>|`` differs from 1 beyond 1e-6."""
-    if abs(magnitude - 1.0) > CYCLIC_EPS:
-        print(f"warning: schedule is not cyclic (final overlap magnitude {magnitude:.9f})",
+    ``v = <s0|U_T|s0>`` is not :func:`~phaselab.core._cyclic`."""
+    if not _cyclic(v):
+        print(f"warning: schedule is not cyclic (final overlap magnitude {abs(v):.9f})",
               file=sys.stderr)
 
 
@@ -190,11 +223,11 @@ def _cmd_run(args) -> int:
     if args.out:
         from .phases import _series_columns
 
-        series = _series_columns(rho, bounds, rates, ends, runs, args.steps)
-        _write_table(args.out, RUN_FIELDS, [getattr(series, f) for f in RUN_FIELDS], args.format)
+        _write_table(args.out, _series_columns(rho, bounds, rates, ends, runs, args.steps),
+                     args.format)
     count, parity = _crossings(runs)
     # after the write, so that a failed write's error is the first stderr line
-    _warn_if_not_cyclic(abs(v))
+    _warn_if_not_cyclic(v)
     print(f"final total phase: {_overlap_phase(v)!r}")
     print(f"crossings: {count} ({parity})")
     return 0
@@ -203,10 +236,10 @@ def _cmd_run(args) -> int:
 def _cmd_breakdown(args) -> int:
     sched = _load(args.schedule_file)
     b = phase_breakdown(sched)
-    residual = None if math.isnan(b.closure_residual) else b.closure_residual
-    print(json.dumps({"total": b.total, "dynamical": b.dynamical, "geometric": b.geometric,
-                      "crossings": b.crossings, "parity": b.parity,
-                      "degenerate": b.degenerate, "closure_residual": residual}))
+    fields = {name: getattr(b, name) for name in b.__slots__}
+    if math.isnan(b.closure_residual):  # a degenerate run's; JSON has no NaN
+        fields["closure_residual"] = None
+    print(json.dumps(fields))
     return 0
 
 
@@ -272,7 +305,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_readout(args) -> int:
     sched = _load(args.schedule_file)
     v = _final_overlap(*_exact_inputs(sched))
-    _warn_if_not_cyclic(abs(v))
+    _warn_if_not_cyclic(v)
     p = _click_probability(v)
     print(f"click probability: {p!r}")
     print(f"|cos(total phase)|: {abs(1.0 - 2.0 * p)!r}")

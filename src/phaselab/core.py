@@ -196,8 +196,8 @@ def _quaternions(segments):
     k = 0..n, as unit quaternions ``(w, vx, vy, vz)`` with
     ``B_k = w I - i v . sigma``, axes and durations. Segment k is
     ``(cos(d/2), sin(d/2) n)`` and ``B_{k+1} = E_k B_k`` their :func:`_product`.
-    DomainError unless ``segments`` is a sequence of segments and every
-    duration is positive and finite."""
+    DomainError unless ``segments`` is a sequence of segments, every
+    duration is positive and finite, and so is their sum, the end time."""
     try:
         if iter(segments) is segments:  # read twice below: an iterator would lose durations
             raise TypeError(f"got a one-shot {type(segments).__name__}")
@@ -207,11 +207,14 @@ def _quaternions(segments):
         raise DomainError(f"segments must be a sequence of RotationSegment: {exc}") from None
     if not all(0.0 < d < math.inf for d in durations):
         raise DomainError("durations must be positive and finite")
+    times = _totals(durations)
+    if not math.isfinite(times[-1]):
+        raise DomainError("durations sum past the largest float")
     quats = [(1.0, 0.0, 0.0, 0.0)]
     for d, (nx, ny, nz) in zip(durations, axes):
         c, s = math.cos(d / 2.0), math.sin(d / 2.0)
         quats.append(_product(c, s * nx, s * ny, s * nz, quats[-1]))
-    return _totals(durations), quats, axes, durations
+    return times, quats, axes, durations
 
 
 def _reduced(s0: tuple, qubit: int) -> tuple:
@@ -251,6 +254,12 @@ def _exact_inputs(schedule):
     return _reduced(_two_qubit(initial), qubit), _quaternions(segments)
 
 
+def _zero_offset(tau, m):
+    """``tau + 2 pi m``: the time of zero ``m`` of a :func:`_scan` run
+    ``(k, tau, count)`` past its segment's start; floats or numpy arrays alike."""
+    return tau + _TWO_PI * m
+
+
 class ZeroTimes(Sequence):
     """Zero times held as runs ``start_k + tau + 2 pi m``, ``m < count``,
     so that a segment of many turns costs O(1) however many zeros it has.
@@ -276,7 +285,7 @@ class ZeroTimes(Sequence):
         j = range(self.size)[i]  # bounds and negative indices
         r = bisect_right(self._ends, j)
         k, tau, n = self.runs[r]
-        return self.starts[k] + (tau + 2.0 * math.pi * (j - self._ends[r] + n))
+        return self.starts[k] + _zero_offset(tau, j - self._ends[r] + n)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(starts={self.starts!r}, runs={self.runs!r})"
@@ -384,11 +393,11 @@ def _scan(rho, bounds) -> tuple:
             continue  # every minimum has the same |z|; NaN has none
         # zeros are 2 pi apart: a minimum within pi of a zero junction is
         # that junction's zero
-        last = math.ceil((d - tau) / (2.0 * math.pi)) - 1
+        last = math.ceil((d - tau) / _TWO_PI) - 1
         lo = int(at_start and tau < math.pi)
-        hi = last - int(at_end and tau + 2.0 * math.pi * last > d - math.pi)
+        hi = last - int(at_end and _zero_offset(tau, last) > d - math.pi)
         if hi >= lo:
-            runs.append((k, tau + 2.0 * math.pi * lo, hi - lo + 1))
+            runs.append((k, _zero_offset(tau, lo), hi - lo + 1))
     return z, rates, ends, runs
 
 
@@ -489,13 +498,19 @@ def topological_crossings(schedule) -> tuple[int, str]:
     return _crossings(_scan(*_exact_inputs(schedule))[3])
 
 
+def _cyclic(v: complex) -> bool:
+    """Whether the final overlap ``v = <s0|U_T|s0>`` returns the initial ray,
+    ``| |v| - 1 | <= CYCLIC_EPS``; a NaN ``v`` does not."""
+    return abs(abs(v) - 1.0) <= CYCLIC_EPS
+
+
 def _breakdown(rho, bounds) -> tuple:
     """The seven :class:`PhaseBreakdown` fields, in field order, of the
     reduced state ``rho`` (Pauli components, see :func:`_reduced`) on the
     boundary record ``bounds`` (:func:`_quaternions`); ``sweep`` builds
     ``bounds`` once for its whole grid."""
     v, _, ends, runs = _scan(rho, bounds)
-    if not abs(abs(v) - 1.0) <= CYCLIC_EPS:
+    if not _cyclic(v):
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
     total = principal(cmath.phase(v))
     dyn = ends[-1]

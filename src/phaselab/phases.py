@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _exact_inputs, _Frozen, _overlap,
-                   _overlap_phase, _rotated, _scan)
+                   _overlap_phase, _rotated, _scan, _zero_offset)
 from .errors import DomainError
 from .geometry import _ball
 from .qstate import inner_product
@@ -132,7 +132,7 @@ def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int) ->
         seg_t = times[k * per:(k + 1) * per + 1] - bounds[0][k] - tau
         m = np.floor(seg_t / _TWO_PI)[:, None] + np.array([-1.0, 0.0, 1.0])
         m = np.unique(np.clip(m, 0.0, float(n - 1)))
-        idx = np.searchsorted(times, bounds[0][k] + (tau + _TWO_PI * m))
+        idx = np.searchsorted(times, bounds[0][k] + _zero_offset(tau, m))
         flags[np.minimum(idx, len(times) - 1)] = 1
     return PhaseSeries(times, sp_re, sp_im, principal_vals, _unwrap_skipnan(raw_vals),
                        dyn_vals, *_rotated(quats, rho[1:]), *axes, ball_angles, flags,

@@ -264,14 +264,15 @@ def _unitary_samples(bounds, samples_per_segment: int):
         raise DomainError(f"{size} samples do not fit in memory") from None
     times[0], quats[:, 0] = 0.0, bq[0]
     for k, (d, (nx, ny, nz)) in enumerate(zip(durations, axes)):
+        # the last sample is the segment end, never per * (d / per), which can round past it
         delta = d / per
-        offs = delta * np.arange(1, per + 1)
+        offs = delta * np.arange(1, per)
         half = 0.5 * offs
         s = np.sin(half)
-        block = slice(k * per + 1, (k + 1) * per + 1)
+        block = slice(k * per + 1, (k + 1) * per)
         quats[:, block] = _product(np.cos(half), s * nx, s * ny, s * nz, bq[k])
         np.add(bt[k], offs, out=times[block])
-        times[block.stop - 1], quats[:, block.stop - 1] = bt[k + 1], bq[k + 1]
+        times[block.stop], quats[:, block.stop] = bt[k + 1], bq[k + 1]
     if np.any(np.abs((quats * quats).sum(axis=0) - 1.0) > 1e-9):
         raise NotSpecialUnitary("det U = w^2 + v . v differs from 1 by more than 1e-9")
     return times, quats

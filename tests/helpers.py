@@ -11,7 +11,15 @@ import numpy as np
 
 import phaselab as pl
 from matrices import evolution_operator, pauli_dot, quaternion_of, su2_to_so3
-from phaselab.cli import RUN_FIELDS
+
+
+# the columns run --out writes, in the README's order, spelled out here so
+# that the writer's output is checked against the documented schema rather
+# than against the PhaseSeries fields the writer reads
+RUN_FIELDS = [
+    "t", "sp_re", "sp_im", "phase_total_principal", "phase_total_unwrapped", "phase_dyn",
+    "bloch_x", "bloch_y", "bloch_z", "so3_ax", "so3_ay", "so3_az", "so3_angle", "crossing_flag",
+]
 
 
 def random_state(rng) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import phaselab as pl
-from helpers import reference_run_rows, reference_sweep_rows, reference_table_bytes
+from helpers import RUN_FIELDS, reference_run_rows, reference_sweep_rows, reference_table_bytes
 from phaselab import cli
-from phaselab.cli import RUN_FIELDS, SWEEP_FIELDS, main
+from phaselab.cli import SWEEP_FIELDS, main
 
 DEMO_SCHEDULES = os.path.join(os.path.dirname(__file__), "..", "demos", "schedules")
 
@@ -123,11 +124,6 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[3]) == 0.0
-
-    def test_columns_are_the_series_fields(self):
-        # run --out writes the PhaseSeries fields by name; cli does not import
-        # phases at import time, so the names are pinned here
-        assert pl.PhaseSeries.__slots__ == (*RUN_FIELDS, "crossings")
 
     def test_json_format(self, tmp_path):
         sched = write(tmp_path, "m.sched", MES_MINUS)
@@ -541,6 +537,66 @@ class TestExitCodes:
     def test_usage_error_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv, rest", [
+        (["run", "{sched}", "--steps", "20", "-hx"], "x"), (["-hx"], "x"),
+        (["breakdown", "-hhx", "{sched}"], "x"), (["run", "{sched}", "-hx=1"], "x=1"),
+        (["run", "{sched}", "-hh=x"], "=x"), (["run", "{sched}", "-hx", "--steps", "x"], "x"),
+    ])
+    def test_help_run_into_another_character_is_usage_error(self, tmp_path, capsys, argv,
+                                                            rest):
+        # Python 3.13's argparse takes "-h" out of "-hx" and shows help;
+        # 3.10 to 3.12 reject the token, and so does phaselab on each of them
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main([a.format(sched=sched) for a in argv]) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: argument -h/--help: ignored explicit argument {rest!r}\n")
+
+    @pytest.mark.parametrize("argv", [["-h", "-hx"], ["run", "-hh"]])
+    def test_help_reached_first_still_shows_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: phaselab ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "{sched}", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                         "(choose from 'run', 'breakdown', 'sweep', 'readout')"),
+    ])
+    def test_invalid_choice_names_the_choices_quoted(self, tmp_path, capsys, argv, message):
+        # argparse quotes them up to 3.12.7 and 3.13.0, and not from 3.12.8
+        # and 3.13.1 on; phaselab quotes them on each
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main([a.format(sched=sched) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["tuple", "list"])
+    def test_help_rule_takes_either_shape_of_option_tuples(self, monkeypatch, as_list):
+        # argparse's _parse_optional returns one option tuple up to 3.12.7 and
+        # 3.13.0, and a list of them from 3.12.8 and 3.13.1 on; the -hx rule
+        # reads and returns either shape, whichever this interpreter has
+        parent = argparse.ArgumentParser._parse_optional
+
+        def reshaped(self, arg_string):
+            found = parent(self, arg_string)
+            if isinstance(found, list):
+                found, = found
+            return [found] if as_list and found is not None else found
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_parse_optional", reshaped)
+        parser = cli._Parser(prog="phaselab")
+        found = [parser._parse_optional(a) for a in ("-hx", "-h", "-hh")]
+        if as_list:
+            assert all(type(f) is list and len(f) == 1 for f in found)
+            found = [f[0] for f in found]
+        (ignored, *_, arg), kept, twice = found
+        assert type(ignored) is cli._Ignored and arg is None
+        assert kept[0] is twice[0] is parser._option_string_actions["-h"]
+        assert parser._parse_optional("m.sched") is None
+        with pytest.raises(argparse.ArgumentError, match="ignored explicit argument 'x'"):
+            ignored(parser, argparse.Namespace(), [])
 
     def test_parse_error_exit_2_names_line(self, tmp_path, capsys):
         sched = write(tmp_path, "bad.sched", BAD_LINE)

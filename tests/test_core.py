@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import phaselab as pl
 from helpers import (
+    RUN_FIELDS,
     SO3Point,
     cyclic_completion,
     explicit_bloch,
@@ -36,7 +37,7 @@ from helpers import (
     matrix_topological_crossings,
 )
 from matrices import make_two_qubit
-from phaselab.cli import RUN_FIELDS, main
+from phaselab.cli import main
 
 X_AXIS, Z_AXIS = (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)
 PHASE_TOL = 1e-12

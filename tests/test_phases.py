@@ -3,6 +3,7 @@
 import cmath
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -615,6 +616,20 @@ def test_segments_not_of_segments_raise_domain_error(f, extra, segments):
     sched = pl.RotationSchedule(segments, 1, (1.0, 0.0, 0.0, 0.0))
     with pytest.raises(pl.DomainError, match="^segments must be a sequence of RotationSegment: "):
         f(sched, *extra)
+
+
+@pytest.mark.parametrize("f, extra", [
+    pytest.param(f, extra, id=f.__name__) for f, extra in SCHEDULE_READERS])
+def test_durations_summing_past_the_largest_float_raise_domain_error(f, extra):
+    # each duration is finite but their end time is not, as the parser
+    # rejects; the end time was inf, the breakdown did not close and the
+    # sampler warned of an overflow
+    seg = pl.RotationSegment(Z_AXIS, 1e308)
+    sched = pl.RotationSchedule((seg, seg), 1, (1.0, 0.0, 0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pl.DomainError, match="^durations sum past the largest float$"):
+            f(sched, *extra)
 
 
 class TestClosedForms:

@@ -11,7 +11,10 @@ Every ``sweep`` row equals the public ``phase_breakdown`` of its grid
 point, bit for bit, and ``total_duration`` is the end time of the core's
 boundary record, bit for bit. The command dispatch parses argv as the
 top-level parser does, and the number check agrees with the grammar's
-regular expressions.
+regular expressions. The library fuzz, the CLI fuzz's twin, calls the
+exact and sampled functions and the record constructors on adversarial
+values, and ``run`` and ``readout`` warn exactly where ``breakdown``
+finds a schedule not cyclic.
 """
 
 import contextlib
@@ -26,8 +29,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from helpers import (geometric_phase_pure, reference_sweep_rows, reference_table_bytes,
-                     regex_number)
+from helpers import (RUN_FIELDS, geometric_phase_pure, reference_sweep_rows,
+                     reference_table_bytes, regex_number)
 from matrices import evolution_operator, make_two_qubit, quaternion_of
 from phaselab import cli
 from phaselab.cli import SWEEP_FIELDS, main
@@ -195,6 +198,154 @@ class TestCliFuzz:
             assert err.getvalue().startswith(("usage error: ", "error: "))
 
 
+# the library fuzz's adversarial values: reals at and past the float limits,
+# and values of the wrong kind; a one-shot iterator is made afresh per draw
+ODD_REALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+             1e308, 8.988465674311579e307, 1.7976931348623157e308]
+WRONG_KIND = [None, "1", b"1", ["1", "0"], 1 + 2j, np.array([1.0, 2.0]), True]
+
+
+def one_shot(values):
+    return st.builds(iter, st.just(values))
+
+
+LIB_AXES = weighted(
+    (4, st.deferred(lambda: AXES)),
+    (1, st.tuples(st.sampled_from(ODD_REALS), st.just(0.0), st.just(1.0))),
+    (1, st.sampled_from([(1.0, 0.0), (0.0, 0.0, 1.0, 0.0), "001", ["0", "0", "1"], None, 3.0,
+                         np.array([0.0, 0.0, 1.0]), (True, False, False)])),
+    (1, one_shot([0.0, 0.0, 1.0])),
+)
+LIB_DURATIONS = weighted(
+    (4, st.deferred(lambda: SHORT)), (2, st.sampled_from(ODD_REALS)),
+    (1, st.sampled_from([*WRONG_KIND, np.float64(2.0), np.array(1.5), 3])),
+)
+# segments as a tuple, a list or a generator of constructed segments, or a value that is none
+LIB_SEGMENTS = weighted(
+    (6, st.tuples(st.sampled_from(["tuple", "list", "generator"]),
+                  st.lists(st.tuples(LIB_AXES, LIB_DURATIONS), max_size=3))),
+    (1, st.tuples(st.just("value"), st.sampled_from([None, "segment", 3, [1.0], [None]]))),
+)
+LIB_INITIAL = weighted(
+    (4, st.deferred(lambda: AMPLITUDES)),
+    (1, st.lists(st.sampled_from([*ODD_REALS, 1.0]), min_size=4, max_size=4)),
+    (1, st.sampled_from([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0], "1000",
+                         ["1", "0", "0", "0"], None, 1.0, np.array([1.0, 0.0, 0.0, 1.0]),
+                         [0.0] * 4, [1e300, 1e300, 0.0, 0.0]])),
+    (1, one_shot([1.0, 0.0, 0.0, 0.0])),
+)
+# (segments, evolved qubit, initial state) for the constructors, or a non-schedule value
+LIB_SCHEDULES = weighted(
+    (9, st.tuples(LIB_SEGMENTS, mostly(st.sampled_from([1, 2]), st.sampled_from(
+        [0, 3, -1, True, False, 1.0, "1", None, np.int64(2)])), LIB_INITIAL)),
+    (1, st.tuples(st.just("value"), st.sampled_from([None, (1.0, 0.0, 0.0, 0.0), "s", 3]))),
+)
+LIB_SAMPLES = st.sampled_from([2, 3, 7, 17, 1, 0, -1, True, False, 2.0, "3", None,
+                               np.int64(3), 2**70]).map(lambda n: (n,))
+# each function that takes a schedule, and what it takes after it
+LIB_EXTRA = {
+    "phase_breakdown": st.just(()), "dynamical_phase": st.just(()),
+    "geometric_phase_mixed": st.just(()), "topological_crossings": st.just(()),
+    "readout_probability": st.just(()), "total_duration": st.just(()),
+    "unitary_at": weighted((3, st.floats(-1.0, 30.0)),
+                           (1, st.sampled_from([*ODD_REALS, *WRONG_KIND]))).map(lambda t: (t,)),
+    "phase_samples": LIB_SAMPLES, "so3_path": LIB_SAMPLES,
+}
+LIBRARY_CALLS = st.sampled_from(sorted(LIB_EXTRA)).flatmap(
+    lambda name: st.tuples(st.just(name), LIB_SCHEDULES, LIB_EXTRA[name]))
+# two segments of 1e308 rad: each finite, their end time not
+OVERFLOW = (("tuple", [((0.0, 0.0, 1.0), 1e308)] * 2), 1, (1.0, 0.0, 0.0, 0.0))
+# one segment of the largest float, 6 sample steps: 6 times its sixth rounds past it
+LARGEST = (("tuple", [((0.0, 0.0, 1.0), 1.7976931348623157e308)]), 1, (1.0, 0.0, 0.0, 0.0))
+
+
+def build_schedule(recipe):
+    """The schedule of a drawn recipe through the public constructors, each
+    result checked against their docstrings, or the drawn non-schedule value."""
+    if recipe[0] == "value":
+        return recipe[1]
+    (kind, segments), qubit, initial = recipe
+    if kind != "value":
+        segments = [pl.RotationSegment(axis, d) for axis, d in segments]
+        for seg in segments:
+            assert type(seg.axis) is tuple and all(type(c) is float for c in seg.axis)
+            assert type(seg.duration) is float
+        segments = {"tuple": tuple, "list": list, "generator": iter}[kind](segments)
+    sched = pl.RotationSchedule(segments, qubit, initial)
+    assert type(sched.initial) is tuple and all(type(a) is complex for a in sched.initial)
+    return sched
+
+
+def assert_angle(x):
+    assert type(x) is float and -math.pi < x <= math.pi
+
+
+def assert_crossings(count, parity):
+    assert type(count) is int and count >= 0 and parity == ("even", "odd")[count % 2]
+
+
+def assert_documented(name, result, sched, extra):
+    """``result`` of ``name(sched, *extra)`` is what its docstring says it returns."""
+    if name == "phase_breakdown":
+        assert type(result) is pl.PhaseBreakdown
+        assert_angle(result.total)
+        assert_angle(result.geometric)
+        assert type(result.dynamical) is float and math.isfinite(result.dynamical)
+        assert_crossings(result.crossings, result.parity)
+        if result.degenerate is True:
+            assert result.geometric == 0.0 and math.isnan(result.closure_residual)
+        else:
+            assert result.degenerate is False and 0.0 <= result.closure_residual <= math.pi
+    elif name in ("dynamical_phase", "total_duration"):
+        assert type(result) is float and math.isfinite(result)
+        assert name == "dynamical_phase" or result >= 0.0
+    elif name == "geometric_phase_mixed":
+        assert_angle(result)
+    elif name == "topological_crossings":
+        assert_crossings(*result)
+    elif name == "readout_probability":
+        assert type(result) is float and 0.0 <= result <= 1.0
+    elif name == "unitary_at":
+        assert result.shape == (2, 2) and result.dtype == complex
+        assert np.allclose(result.conj().T @ result, np.eye(2), rtol=0.0, atol=1e-9)
+    else:  # the sampled functions: one row per sample, a junction sample shared
+        rows = len(sched.segments) * (int(extra[0]) - 1) + 1
+        if name == "phase_samples":
+            assert type(result) is pl.PhaseSeries
+            assert all(getattr(result, f).shape == (rows,) for f in RUN_FIELDS)
+            times, count = result.t, pl.topological_crossings(sched)[0]
+        else:  # the border crossings, which read no state
+            assert type(result) is pl.SO3Path
+            assert result.axes.shape == (rows, 3)
+            assert np.all((0.0 <= result.angles) & (result.angles <= math.pi))
+            times, count = result.times, pl.core._crossings(
+                pl.core._scan((1.0, 0.0, 0.0, 0.0), _quaternions(sched.segments))[3])[0]
+        assert np.all(np.isfinite(times)) and np.all(np.diff(times) >= 0.0)
+        assert type(result.crossings) is pl.core.ZeroTimes and result.crossings.size == count
+
+
+class TestLibraryFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(LIBRARY_CALLS)
+    @example(("phase_breakdown", OVERFLOW, ()))
+    @example(("phase_samples", OVERFLOW, (3,)))
+    @example(("phase_samples", LARGEST, (7,)))
+    def test_documented_result_or_phaselab_error(self, call):
+        # the library's twin of the CLI fuzz: each call returns what its
+        # docstring documents or raises a PhaseLabError, and warns of nothing
+        name, recipe, extra = call
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                sched = build_schedule(recipe)
+                result = getattr(pl, name)(sched, *extra)
+            except pl.PhaseLabError:
+                result = None
+            if result is not None:
+                assert_documented(name, result, sched, extra)
+        assert [str(w.message) for w in caught] == []
+
+
 # each command's options (and --help), and its required arguments
 COMMAND_OPTIONS = {
     "run": ["--steps", "--out", "--format", "--help"],
@@ -344,6 +495,38 @@ class TestPaperIdentities:
         else:  # an open path picks up the end points' phase difference
             want = before - (phases[len(path) - 1] - phases[0])
             assert abs(pl.principal(after - want)) <= 1e-12
+
+
+def command_outcome(argv):
+    """``main(argv)``'s exit code and stderr, its stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestCyclicity:
+    # a tail of angle a moves |<s0|U_T|s0>| off 1 by about a**2 / 8, so tails
+    # up to 1e-2 rad fall on both sides of the 1e-6 threshold
+    @settings(max_examples=100, deadline=None)
+    @given(cyclic_schedules(), AXES, st.floats(0.0, 1e-2) | st.sampled_from([0.0, 2.8e-3]))
+    def test_run_and_readout_warn_exactly_where_breakdown_is_not_cyclic(self, sched, axis,
+                                                                          angle):
+        segments = (*sched.segments, pl.RotationSegment(axis, angle)) if angle else sched.segments
+        text = pl.serialize_schedule(pl.RotationSchedule(segments, sched.evolved_qubit,
+                                                         sched.initial))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.sched")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code, err = command_outcome(["breakdown", path])
+            warned = [command_outcome([command, path]) for command in ("run", "readout")]
+        not_cyclic = code == 3 and err.startswith("error: not cyclic: ")
+        assert code == 0 or not_cyclic
+        for code, err in warned:
+            assert code == 0
+            assert err.startswith("warning: schedule is not cyclic ") == not_cyclic
+        assert warned[0][1] == warned[1][1]
 
 
 class TestBoundaryRecord:

@@ -37,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from helpers import reference_sweep_rows, reference_table_bytes, template_table_bytes
+from helpers import RUN_FIELDS, reference_sweep_rows, reference_table_bytes, template_table_bytes
 from phaselab import cli
 
 B = cli._BLOCK_ROWS
@@ -142,7 +142,7 @@ class TestCells:
         path = os.path.join(DEMOS, "mes_minus.sched")
         with open(path, encoding="utf-8") as fh:
             series = pl.phase_samples(pl.parse_schedule(fh.read()), 20)
-        for name in cli.RUN_FIELDS:
+        for name in RUN_FIELDS:
             assert getattr(series, name).flags.c_contiguous, name
 
     def test_big_values_in_positional_notation(self):
@@ -198,6 +198,12 @@ class TestCells:
             assert cells([0.5, x, 0.5], fmt, orjson_dumps())[1] == oracle_cell(x, fmt)
 
 
+def series_of(cols):
+    """A :class:`PhaseSeries` of the 14 ``run --out`` columns ``cols``; the
+    writer reads no ``crossings``."""
+    return pl.PhaseSeries(*cols, None)
+
+
 def table(rows, rng):
     """``run --out``-shaped columns, 13 float arrays and a 0/1 int array,
     with nan, inf and -inf in the first, a middle (6) and the last float
@@ -207,17 +213,17 @@ def table(rows, rng):
     if rows:
         for c in (0, 6, 12):
             floats[c, rng.integers(0, rows, size=3)] = [math.nan, math.inf, -math.inf]
-    return cli.RUN_FIELDS, [*floats, rng.integers(0, 2, size=rows)]
+    return [*floats, rng.integers(0, 2, size=rows)]
 
 
 class TestWriter:
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_matches_the_row_template_writer(self, tmp_path, rows, fmt):
-        fields, cols = table(rows, np.random.default_rng(rows))
+        cols = table(rows, np.random.default_rng(rows))
         out = tmp_path / f"t.{fmt}"
-        cli._write_table(out, fields, cols, fmt)
-        assert out.read_bytes() == template_table_bytes(fields, cols, fmt)
+        cli._write_table(out, series_of(cols), fmt)
+        assert out.read_bytes() == template_table_bytes(RUN_FIELDS, cols, fmt)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_flags_and_non_plain_cells_at_block_edges(self, tmp_path, fmt):
@@ -232,8 +238,8 @@ class TestWriter:
         flags[edges] = 1
         cols = [*floats, flags]
         out = tmp_path / f"t.{fmt}"
-        cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
-        assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
+        cli._write_table(out, series_of(cols), fmt)
+        assert out.read_bytes() == template_table_bytes(RUN_FIELDS, cols, fmt)
 
 
 NON_PLAIN = st.one_of(
@@ -276,9 +282,9 @@ class TestRunShapedTables:
                 mock.patch.object(cli, "_csv_rows", wraps=cli._csv_rows) as by_rows:
             for fmt in FORMATS:
                 out = os.path.join(tmp, f"t.{fmt}")
-                cli._write_table(out, cli.RUN_FIELDS, cols, fmt)
+                cli._write_table(out, series_of(cols), fmt)
                 with open(out, "rb") as fh:
-                    assert fh.read() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
+                    assert fh.read() == template_table_bytes(RUN_FIELDS, cols, fmt)
                 assert by_rows.called == (fmt == "csv")  # JSON goes by column blocks
                 by_rows.reset_mock()
 
@@ -289,12 +295,12 @@ class TestRunShapedTables:
         with open(path, encoding="utf-8") as fh:
             sched = pl.parse_schedule(fh.read())
         series = pl.phase_samples(sched, pl.DEFAULT_SAMPLES)
-        cols = [getattr(series, f) for f in cli.RUN_FIELDS]
+        cols = [getattr(series, f) for f in RUN_FIELDS]
         out = tmp_path / f"series.{fmt}"
         with mock.patch.object(cli, "_csv_rows", wraps=cli._csv_rows) as by_rows:
             assert cli.main(["run", path, "--out", str(out), "--format", fmt]) == 0
         assert by_rows.called == (fmt == "csv")
-        assert out.read_bytes() == template_table_bytes(cli.RUN_FIELDS, cols, fmt)
+        assert out.read_bytes() == template_table_bytes(RUN_FIELDS, cols, fmt)
 
 
 # SHA-256 of each demo's run --out file at the default --steps
