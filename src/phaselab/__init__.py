@@ -42,7 +42,9 @@ def _load_lazy() -> None:
 
 
 def __getattr__(name: str):
-    if name == "__all__" or not name.startswith("_"):
+    # ``from phaselab import cli`` asks for cli here before it imports that submodule,
+    # which loads no numpy
+    if name == "__all__" or not name.startswith("_") and name != "cli":
         _load_lazy()
         if name in globals():
             return globals()[name]

@@ -45,18 +45,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Ignored(argparse.Action):
-    """Stands in for the zero-argument option ``action`` of a token whose
-    rest ``rest`` names no option, and fails as argparse does up to 3.12."""
-
-    def __init__(self, action, rest):
-        super().__init__(action.option_strings, argparse.SUPPRESS, nargs=0)
-        self.action, self.rest = action, rest
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise argparse.ArgumentError(self.action, f"ignored explicit argument {self.rest!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise _UsageError(message)
@@ -68,34 +56,6 @@ class _Parser(argparse.ArgumentParser):
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(action,
                                          f"invalid choice: {value!r} (choose from {choices})")
-
-    def _parse_optional(self, arg_string):
-        """argparse's, except that a token running zero-argument short options
-        into a character that names no option, such as ``-hx``, fails when it
-        is reached, as up to Python 3.12; 3.13 takes the ``-h`` and shows help.
-        argparse returns one option tuple up to 3.12.7 and 3.13.0, and a list
-        of them from 3.12.8 and 3.13.1 on; both shapes pass through."""
-        found = super()._parse_optional(arg_string)
-        if isinstance(found, list) and len(found) == 1:
-            return [self._fail_on_rest(found[0], arg_string)]
-        if isinstance(found, tuple):
-            return self._fail_on_rest(found, arg_string)
-        return found  # None, or several tuples, which argparse finds ambiguous
-
-    def _fail_on_rest(self, option, arg_string):
-        """The option tuple ``option``, ``(action, option_string, [sep,]
-        explicit_arg)``, of the token ``arg_string``, with an :class:`_Ignored`
-        for its action if the token is such a case as ``-hx``."""
-        action, option_string = option[:2]
-        actions = self._option_string_actions
-        if (action is not None and action.nargs == 0
-                and option_string == arg_string[:2] != arg_string.partition("=")[0]):
-            rest = arg_string[2:]
-            while rest and getattr(actions.get("-" + rest[0]), "nargs", None) == 0:
-                rest = rest[1:]
-            if rest and "-" + rest[0] not in actions:
-                return (_Ignored(action, rest), *option[1:-1], None)
-        return option
 
 
 # A table is written in blocks of this many rows, so the writer holds the
@@ -371,10 +331,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _respell(argv: list) -> list:
+    """``argv`` with each token before the first ``--`` that runs ``-h`` into a character
+    naming no option spelled ``-h=<rest>``, ``<rest>`` what follows its leading ``h``s:
+    ``-hx`` as ``-h=x``, ``-hhx=1`` as ``-h=x=1``, ``-hh=`` as ``-h==``. ``-h`` is the only
+    short option and the only one of no argument, so only ``h`` names one. argparse up to
+    3.12 reads both spellings alike and rejects them where it reaches them ("ignored
+    explicit argument"); from 3.13 on it shows help for ``-hx``, but still rejects ``-h=x``."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    argv = list(argv)
+    for i, token in enumerate(argv[:end]):
+        rest = token[1:].lstrip("h")
+        if token[:2] == "-h" and rest and token[2] != "=":
+            argv[i] = "-h=" + rest
+    return argv
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """``argv`` parsed once. The top-level parser only hands what follows a command name to
-    its subparser, so that parses it directly: the same namespace, less ``command``."""
+    """``argv``, :func:`_respell`-ed, parsed once. The top-level parser only hands what
+    follows a command name to its subparser, so that parses it directly: the same
+    namespace, less ``command``."""
     parser = _build_parser()
+    argv = _respell(argv)
     sub = parser.commands.get(argv[0]) if argv else None
     return sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
 

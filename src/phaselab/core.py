@@ -83,8 +83,12 @@ _set = object.__setattr__  # how an ``__init__`` sets a field past ``_Frozen.__s
 
 
 def principal(x: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    r = math.remainder(x, _TWO_PI)
+    """Wrap an angle into (-pi, pi]; nan for nan. DomainError for an infinite
+    or non-real ``x``."""
+    try:
+        r = math.remainder(x, _TWO_PI)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"angle must be a finite real number: {exc}") from None
     return r + _TWO_PI if r <= -math.pi else r
 
 

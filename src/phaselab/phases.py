@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _exact_inputs, _Frozen, _overlap,
-                   _overlap_phase, _rotated, _scan, _zero_offset)
+                   _overlap_phase, _real, _rotated, _scan, _zero_offset)
 from .errors import DomainError
 from .geometry import _ball
 from .qstate import inner_product
@@ -72,10 +72,14 @@ def fixed_axis_closed_forms(lambda0: float, theta: float) -> tuple[float, float,
 
     These use the opposite overall sign convention to this engine, so the
     numerically computed dynamical phase equals ``-phi_d`` exactly and the
-    computed geometric phase equals ``-phi_g`` modulo 2 pi.
+    computed geometric phase equals ``-phi_g`` modulo 2 pi. DomainError
+    unless ``lambda0`` is a real number in [0, 1] and ``theta`` a finite one.
     """
+    lambda0, theta = _real(lambda0, "lambda0"), _real(theta, "theta")
     if not 0.0 <= lambda0 <= 1.0:
         raise DomainError("lambda0 must lie in [0, 1]")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
     k = (2.0 * lambda0 - 1.0) * math.cos(theta)
     return math.pi * k, math.pi - math.pi * k, math.pi
 

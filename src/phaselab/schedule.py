@@ -29,8 +29,8 @@ import math
 import operator
 from bisect import bisect_right
 
-from .core import (_divided, _floats, _Frozen, _product, _quaternions, _real, _rescaled,
-                   _schedule_fields, _schmidt, _set, _totals, _two_qubit)
+from .core import (_divided, _floats, _Frozen, _product, _quaternions, _real, _reduced,
+                   _rescaled, _schedule_fields, _schmidt, _set, _totals, _two_qubit)
 from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError, ZeroNorm
 
 __all__ = [
@@ -221,13 +221,19 @@ def parse_schedule(text: str) -> RotationSchedule:
 
 
 def serialize_schedule(schedule: RotationSchedule) -> str:
-    """Canonical text form; ``parse_schedule(serialize_schedule(s))``
-    reproduces ``s`` bitwise (floats use shortest round-trip notation)."""
-    amps = " ".join(repr(float(part)) for a in schedule.initial for part in (a.real, a.imag))
-    lines = [HEADER, f"state amplitudes {amps}", f"evolve-qubit {schedule.evolved_qubit}"]
-    for seg in schedule.segments:
-        axis = " ".join(repr(float(c)) for c in seg.axis)
-        lines.append(f"segment {axis} {seg.duration!r}")
+    """Canonical text form of ``schedule`` as the exact functions read it: its state and
+    axes scaled to unit length, its evolved qubit ``1`` or ``2``, floats in shortest
+    round-trip notation. Raises what they raise on ``schedule`` (DomainError, ZeroNorm).
+    ``parse_schedule`` reads these values back bit for bit, so
+    ``parse_schedule(serialize_schedule(s))`` reproduces a parsed ``s`` bitwise."""
+    segments, qubit, initial = _schedule_fields(schedule)
+    state = _two_qubit(initial)
+    _reduced(state, qubit)  # DomainError unless the qubit is 1 or 2
+    _, _, axes, durations = _quaternions(segments)
+    amps = " ".join(repr(part) for a in state for part in (a.real, a.imag))
+    lines = [HEADER, f"state amplitudes {amps}", f"evolve-qubit {2 if qubit == 2 else 1}"]
+    for axis, duration in zip(axes, durations):
+        lines.append(f"segment {' '.join(map(repr, axis))} {duration!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,6 +1,5 @@
 """Command-line interface: formats, exit codes, determinism."""
 
-import argparse
 import json
 import math
 import os
@@ -542,6 +541,8 @@ class TestExitCodes:
         (["run", "{sched}", "--steps", "20", "-hx"], "x"), (["-hx"], "x"),
         (["breakdown", "-hhx", "{sched}"], "x"), (["run", "{sched}", "-hx=1"], "x=1"),
         (["run", "{sched}", "-hh=x"], "=x"), (["run", "{sched}", "-hx", "--steps", "x"], "x"),
+        (["-hh="], "="), (["run", "{sched}", "-h1"], "1"), (["run", "{sched}", "-hhh=x=y"], "=x=y"),
+        (["sweep", "--theta", "-1:1:3", "-hx"], "x"),
     ])
     def test_help_run_into_another_character_is_usage_error(self, tmp_path, capsys, argv,
                                                             rest):
@@ -551,6 +552,27 @@ class TestExitCodes:
         assert main([a.format(sched=sched) for a in argv]) == 1
         assert capsys.readouterr() == (
             "", f"usage error: argument -h/--help: ignored explicit argument {rest!r}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["-h=1"], "argument -h/--help: ignored explicit argument '1'"),
+        (["--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["run", "{sched}", "--", "-hx"], "unrecognized arguments: -hx"),
+        (["run", "{sched}", "--format", "-hx"], "argument --format: expected one argument"),
+    ])
+    def test_tokens_keep_their_meaning(self, tmp_path, capsys, argv, message):
+        # -h=..., --help... and what follows "--" are not respelled; a -hx
+        # where a value is due is, but reads as an option either way
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        assert main([a.format(sched=sched) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+    def test_out_value_not_respelled(self, tmp_path, monkeypatch):
+        sched = write(tmp_path, "m.sched", MES_MINUS)
+        argv = ["run", sched, "--steps", "2", "--out=-hx"]
+        assert cli._respell(argv) == argv
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert (tmp_path / "-hx").read_text().startswith("t,")
 
     @pytest.mark.parametrize("argv", [["-h", "-hx"], ["run", "-hh"]])
     def test_help_reached_first_still_shows_help(self, capsys, argv):
@@ -571,32 +593,6 @@ class TestExitCodes:
         sched = write(tmp_path, "m.sched", MES_MINUS)
         assert main([a.format(sched=sched) for a in argv]) == 1
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
-
-    @pytest.mark.parametrize("as_list", [False, True], ids=["tuple", "list"])
-    def test_help_rule_takes_either_shape_of_option_tuples(self, monkeypatch, as_list):
-        # argparse's _parse_optional returns one option tuple up to 3.12.7 and
-        # 3.13.0, and a list of them from 3.12.8 and 3.13.1 on; the -hx rule
-        # reads and returns either shape, whichever this interpreter has
-        parent = argparse.ArgumentParser._parse_optional
-
-        def reshaped(self, arg_string):
-            found = parent(self, arg_string)
-            if isinstance(found, list):
-                found, = found
-            return [found] if as_list and found is not None else found
-
-        monkeypatch.setattr(argparse.ArgumentParser, "_parse_optional", reshaped)
-        parser = cli._Parser(prog="phaselab")
-        found = [parser._parse_optional(a) for a in ("-hx", "-h", "-hh")]
-        if as_list:
-            assert all(type(f) is list and len(f) == 1 for f in found)
-            found = [f[0] for f in found]
-        (ignored, *_, arg), kept, twice = found
-        assert type(ignored) is cli._Ignored and arg is None
-        assert kept[0] is twice[0] is parser._option_string_actions["-h"]
-        assert parser._parse_optional("m.sched") is None
-        with pytest.raises(argparse.ArgumentError, match="ignored explicit argument 'x'"):
-            ignored(parser, argparse.Namespace(), [])
 
     def test_parse_error_exit_2_names_line(self, tmp_path, capsys):
         sched = write(tmp_path, "bad.sched", BAD_LINE)

@@ -10,11 +10,12 @@ entangled states and the gauge invariance of the overlap-product phase.
 Every ``sweep`` row equals the public ``phase_breakdown`` of its grid
 point, bit for bit, and ``total_duration`` is the end time of the core's
 boundary record, bit for bit. The command dispatch parses argv as the
-top-level parser does, and the number check agrees with the grammar's
-regular expressions. The library fuzz, the CLI fuzz's twin, calls the
-exact and sampled functions and the record constructors on adversarial
-values, and ``run`` and ``readout`` warn exactly where ``breakdown``
-finds a schedule not cyclic.
+top-level parser parses it respelled, and the number check agrees with the
+grammar's regular expressions. The library fuzz, the CLI fuzz's twin, calls
+the exact and sampled functions, ``principal``, ``fixed_axis_closed_forms``,
+``serialize_schedule`` and the record constructors on adversarial values,
+and ``run`` and ``readout`` warn exactly where ``breakdown`` finds a
+schedule not cyclic.
 """
 
 import contextlib
@@ -237,26 +238,41 @@ LIB_INITIAL = weighted(
 # (segments, evolved qubit, initial state) for the constructors, or a non-schedule value
 LIB_SCHEDULES = weighted(
     (9, st.tuples(LIB_SEGMENTS, mostly(st.sampled_from([1, 2]), st.sampled_from(
-        [0, 3, -1, True, False, 1.0, "1", None, np.int64(2)])), LIB_INITIAL)),
+        [0, 3, -1, True, False, 1.0, 2.0, "1", None, np.int64(2)])), LIB_INITIAL)),
     (1, st.tuples(st.just("value"), st.sampled_from([None, (1.0, 0.0, 0.0, 0.0), "s", 3]))),
 )
+# reals for the functions that take no schedule: any float, and the values above
+LIB_REALS = weighted((3, st.floats()), (1, st.sampled_from(
+    [*ODD_REALS, *WRONG_KIND, np.float64(-4.0), np.array(1.5), 7, 10**400])))
 LIB_SAMPLES = st.sampled_from([2, 3, 7, 17, 1, 0, -1, True, False, 2.0, "3", None,
                                np.int64(3), 2**70]).map(lambda n: (n,))
-# each function that takes a schedule, and what it takes after it
+# each function, and what it takes after its first argument
 LIB_EXTRA = {
     "phase_breakdown": st.just(()), "dynamical_phase": st.just(()),
     "geometric_phase_mixed": st.just(()), "topological_crossings": st.just(()),
     "readout_probability": st.just(()), "total_duration": st.just(()),
+    "serialize_schedule": st.just(()), "principal": st.just(()),
+    "fixed_axis_closed_forms": LIB_REALS.map(lambda theta: (theta,)),
     "unitary_at": weighted((3, st.floats(-1.0, 30.0)),
                            (1, st.sampled_from([*ODD_REALS, *WRONG_KIND]))).map(lambda t: (t,)),
     "phase_samples": LIB_SAMPLES, "so3_path": LIB_SAMPLES,
 }
-LIBRARY_CALLS = st.sampled_from(sorted(LIB_EXTRA)).flatmap(
-    lambda name: st.tuples(st.just(name), LIB_SCHEDULES, LIB_EXTRA[name]))
+# the first argument of the functions that take no schedule, as a "value" recipe
+LIB_FIRST = {"principal": LIB_REALS,
+             "fixed_axis_closed_forms": weighted((3, st.floats(0.0, 1.0)), (1, LIB_REALS))}
+LIBRARY_CALLS = st.sampled_from(sorted(LIB_EXTRA)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    LIB_FIRST[name].map(lambda x: ("value", x)) if name in LIB_FIRST else LIB_SCHEDULES,
+    LIB_EXTRA[name]))
 # two segments of 1e308 rad: each finite, their end time not
 OVERFLOW = (("tuple", [((0.0, 0.0, 1.0), 1e308)] * 2), 1, (1.0, 0.0, 0.0, 0.0))
 # one segment of the largest float, 6 sample steps: 6 times its sixth rounds past it
 LARGEST = (("tuple", [((0.0, 0.0, 1.0), 1.7976931348623157e308)]), 1, (1.0, 0.0, 0.0, 0.0))
+
+
+def one_turn(qubit):
+    """A one-segment turn about z of the evolved qubit ``qubit``, a recipe."""
+    return ("tuple", [((0.0, 0.0, 1.0), 2.0 * math.pi)]), qubit, (1.0, 0.0, 0.0, 0.0)
 
 
 def build_schedule(recipe):
@@ -305,6 +321,24 @@ def assert_documented(name, result, sched, extra):
         assert_crossings(*result)
     elif name == "readout_probability":
         assert type(result) is float and 0.0 <= result <= 1.0
+    elif name == "principal":  # sched is the angle
+        x = float(sched)
+        assert type(result) is float
+        if math.isnan(x):
+            assert math.isnan(result)
+        else:
+            assert_angle(result)
+            assert result == x or not -math.pi < x <= math.pi
+    elif name == "fixed_axis_closed_forms":  # sched is lambda0
+        phi_d, phi_g, phi_t = result
+        k = (2.0 * float(sched) - 1.0) * math.cos(float(extra[0]))
+        assert all(type(phi) is float for phi in result)
+        assert (phi_d, phi_g, phi_t) == (math.pi * k, math.pi - math.pi * k, math.pi)
+        assert -math.pi <= phi_d <= math.pi and 0.0 <= phi_g <= 2.0 * math.pi
+    elif name == "serialize_schedule":  # read back as the exact functions read sched
+        again = pl.parse_schedule(result)
+        assert repr(pl.core._exact_inputs(again)) == repr(pl.core._exact_inputs(sched))
+        assert again.evolved_qubit in (1, 2) and pl.serialize_schedule(again) == result
     elif name == "unitary_at":
         assert result.shape == (2, 2) and result.dtype == complex
         assert np.allclose(result.conj().T @ result, np.eye(2), rtol=0.0, atol=1e-9)
@@ -330,6 +364,16 @@ class TestLibraryFuzz:
     @example(("phase_breakdown", OVERFLOW, ()))
     @example(("phase_samples", OVERFLOW, (3,)))
     @example(("phase_samples", LARGEST, (7,)))
+    @example(("fixed_axis_closed_forms", ("value", "a"), (0.0,)))
+    @example(("fixed_axis_closed_forms", ("value", 0.5), (math.inf,)))
+    @example(("principal", ("value", "a"), ()))
+    @example(("principal", ("value", None), ()))
+    @example(("principal", ("value", math.inf), ()))
+    @example(("serialize_schedule", ("value", None), ()))
+    @example(("serialize_schedule", one_turn(True), ()))
+    @example(("serialize_schedule", one_turn(1.0), ()))
+    @example(("serialize_schedule", one_turn(2.0), ()))
+    @example(("serialize_schedule", one_turn(3), ()))
     def test_documented_result_or_phaselab_error(self, call):
         # the library's twin of the CLI fuzz: each call returns what its
         # docstring documents or raises a PhaseLabError, and warns of nothing
@@ -396,8 +440,8 @@ class TestCommandDispatch:
     @settings(max_examples=400, deadline=None)
     @given(command_argv())
     def test_dispatch_parses_as_the_top_level_parser(self, argv):
-        assert parse_outcome(cli._parse, argv) == parse_outcome(cli._build_parser().parse_args,
-                                                                argv)
+        top = cli._build_parser().parse_args
+        assert parse_outcome(cli._parse, argv) == parse_outcome(top, cli._respell(argv))
 
 
 # pieces of tokens, digits the most often: the grammar's characters and what

@@ -129,6 +129,16 @@ def test_exact_commands_never_import_numpy(tmp_path):
     }
 
 
+def test_from_package_import_cli_loads_no_numpy(tmp_path):
+    # the import system asks the package for the name before it imports the submodule
+    report = fresh("""
+        from phaselab import cli
+        emit("loaded", heavy_loaded())
+        emit("main", cli.main.__module__)
+        """, tmp_path)
+    assert report == {"loaded": [], "main": "phaselab.cli"}
+
+
 @pytest.mark.parametrize("module", ["numpy", "orjson"])
 def test_run_out_without_a_dependency_exits_3(tmp_path, module):
     mes_minus = os.path.join(DEMOS, "mes_minus.sched")
