@@ -86,17 +86,34 @@ def _column_cells(block, bad, dumps) -> list:
     return cells
 
 
-def _csv_rows(block, plain, dumps) -> bytes:
-    """The CSV lines of a ``(rows, 14)`` float block of ``run --out``'s
-    columns, the last the 0/1 crossing flags, given each row's plainness
-    ``plain`` (all its cells plain, see :func:`_plain`): each run of plain
-    rows from one orjson ``dumps``, every other run from ``repr`` of its
-    rows as lists, each text split once at its row seams."""
+def _csv_rows(block, flags, plain, dumps):
+    """The CSV lines, as a uint8 array, of a ``(rows, 13)`` float block of
+    ``run --out``'s columns and its int 0/1 crossing ``flags``, given each
+    row's plainness ``plain`` (all its cells plain, see :func:`_plain`).
+    Each run of plain rows is one orjson ``dumps``, every other run ``repr``
+    of its rows as lists; each run's text ``[[r0],[r1]]`` is copied into one
+    array after the last, over its closing ``]``, with a spare byte at the
+    end. Every ``]`` but the last then ends a row, and it and the two bytes
+    after it become ``,``, the row's flag and a newline. Raises ValueError
+    for a flag other than 0 or 1."""
+    import numpy as np
+
+    if flags.min() < 0 or flags.max() > 1:
+        raise ValueError("crossing flags must be 0 or 1")
     cuts = [0, *((plain[1:] != plain[:-1]).nonzero()[0] + 1).tolist(), len(block)]
-    texts = (dumps(block[a:b]) if plain[a] else
-             repr(block[a:b].tolist()).replace(", ", ",").encode() for a, b in zip(cuts, cuts[1:]))
-    # "[[r00,...,f0.0],[r10,...,f1.0]]" -> "r00,...,f0\nr10,...,f1\n"
-    return b"".join(b"\n".join((*t[2:-4].split(b".0],["), b"")) for t in texts)
+    texts = [dumps(block[a:b]) if plain[a] else
+             repr(block[a:b].tolist()).replace(", ", ",").encode() for a, b in zip(cuts, cuts[1:])]
+    text = np.empty(sum(map(len, texts)) - len(texts) + 2, dtype=np.uint8)
+    at = 0
+    for t in texts:  # a run's "[[" overwrites the last run's closing "]" and spare byte
+        text[at:at + len(t)] = np.frombuffer(t, dtype=np.uint8)
+        at += len(t) - 1
+    ends = (text[:-1] == ord("]")).nonzero()[0][:-1]  # the spare byte is never read
+    # "[[r0],[r1]]" and the spare byte -> "[[r0,f0\nr1,f1\n"
+    text[ends] = ord(",")
+    text[ends + 1] = flags + ord("0")
+    text[ends + 2] = ord("\n")
+    return text[2:]
 
 
 def _write_table(path, series, fmt="csv"):
@@ -111,7 +128,8 @@ def _write_table(path, series, fmt="csv"):
     orjson's (see :func:`_plain`), every other float cell ``repr``'s. Which
     cells are plain is found once per table, as each float column's sorted
     non-plain indices; a block takes its share of them. CSV goes by rows
-    (:func:`_csv_rows`, with each row's plainness), JSON by column blocks
+    (:func:`_csv_rows`: the 13 float columns stacked, each row's plainness,
+    and the flags it writes into each row's end), JSON by column blocks
     (:func:`_column_cells`, with each column's non-plain indices) into one
     row template, refilled per block, whose flag cells are ``0`` but at the
     flags' nonzero indices. numpy and orjson are imported before the file
@@ -122,7 +140,7 @@ def _write_table(path, series, fmt="csv"):
 
     dumps = functools.partial(orjson.dumps, option=orjson.OPT_SERIALIZE_NUMPY)
     fields = series.__slots__[:-1]  # every field but crossings is a column
-    *floats, flags = cols = [getattr(series, f) for f in fields]
+    *floats, flags = [getattr(series, f) for f in fields]
     rows = len(flags)
     bad = [(~_plain(c)).nonzero()[0] for c in floats]
     blocks = [(start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS)]
@@ -133,8 +151,8 @@ def _write_table(path, series, fmt="csv"):
                 plain[idx] = False
             fh.write((",".join(fields) + "\n").encode())
             for start, stop in blocks:
-                block = np.stack([c[start:stop] for c in cols], axis=1)
-                fh.write(_csv_rows(block, plain[start:stop], dumps))
+                block = np.stack([c[start:stop] for c in floats], axis=1)
+                fh.write(_csv_rows(block, flags[start:stop], plain[start:stop], dumps))
             return
         # a row is ", {key: ", cell, ", key: ", cell, ..., "}"; the first has no ", "
         template = [part for f in fields for part in (f", {json.dumps(f)}: ", None)] + ["}"]

@@ -233,10 +233,13 @@ def _reduced(s0: tuple, qubit: int) -> tuple:
     twice the off-diagonal inner product.
     """
     a00, a01, a10, a11 = s0
-    if qubit == 2:
-        a01, a10 = a10, a01
-    elif qubit != 1:
-        raise DomainError("qubit must be 1 or 2")
+    try:
+        if qubit == 2:
+            a01, a10 = a10, a01
+        elif qubit != 1:
+            raise DomainError("qubit must be 1 or 2")
+    except ValueError:  # an array's == is elementwise, of no one truth value
+        raise DomainError("qubit must be 1 or 2") from None
     p0 = (a00.real * a00.real + a00.imag * a00.imag) + (a01.real * a01.real + a01.imag * a01.imag)
     p1 = (a10.real * a10.real + a10.imag * a10.imag) + (a11.real * a11.real + a11.imag * a11.imag)
     off = a00 * a10.conjugate() + a01 * a11.conjugate()

@@ -238,7 +238,8 @@ LIB_INITIAL = weighted(
 # (segments, evolved qubit, initial state) for the constructors, or a non-schedule value
 LIB_SCHEDULES = weighted(
     (9, st.tuples(LIB_SEGMENTS, mostly(st.sampled_from([1, 2]), st.sampled_from(
-        [0, 3, -1, True, False, 1.0, 2.0, "1", None, np.int64(2)])), LIB_INITIAL)),
+        [0, 3, -1, True, False, 1.0, 2.0, "1", None, np.int64(2), np.array([1, 2])])),
+                  LIB_INITIAL)),
     (1, st.tuples(st.just("value"), st.sampled_from([None, (1.0, 0.0, 0.0, 0.0), "s", 3]))),
 )
 # reals for the functions that take no schedule: any float, and the values above
@@ -374,6 +375,7 @@ class TestLibraryFuzz:
     @example(("serialize_schedule", one_turn(1.0), ()))
     @example(("serialize_schedule", one_turn(2.0), ()))
     @example(("serialize_schedule", one_turn(3), ()))
+    @example(("serialize_schedule", one_turn(np.array([1, 2])), ()))
     def test_documented_result_or_phaselab_error(self, call):
         # the library's twin of the CLI fuzz: each call returns what its
         # docstring documents or raises a PhaseLabError, and warns of nothing

@@ -8,8 +8,11 @@ float (nan and the infinities too) is written from its value by
 ``repr``. Plainness is found once per table, so the two cell functions
 take it as an argument, and ``cells`` finds it as the writer does. CSV
 goes by rows: given each row's plainness, each run of plain rows of a
-stacked block is one orjson dump and every other run is ``repr`` of its
-rows (``cli._csv_rows``). JSON goes by column blocks, whose non-plain
+stacked block of the 13 float columns is one orjson dump and every other
+run is ``repr`` of its rows, and each row's closing ``]`` and the two
+bytes after it are rewritten in place as ``,``, its flag and a newline
+(``cli._csv_rows``); ``TestCsvRowEnds`` puts runs, flags and block ends
+where that could slip by a byte. JSON goes by column blocks, whose non-plain
 cells are patched at the indices given (``cli._column_cells``), and whose
 flag cells come from the flags' nonzero indices; the cases at the block
 edges check each block's share of the table-wide indices, mask and flags.
@@ -21,6 +24,7 @@ every BLAS kernel, and their digests are stored here, so that a
 host-dependent change to any cell shows.
 """
 
+import csv
 import functools
 import hashlib
 import json
@@ -68,20 +72,24 @@ def paths():
 
 def cells(values, fmt, dumps, column=1):
     """The cells the writer makes of ``values``: JSON's column function on
-    their array, or CSV's row function on a ``(len(values), 14)`` block
-    holding them in ``column`` (13 is the flags), its other cells plain.
-    Either gets the plainness ``cli._write_table`` finds once per table:
-    the non-plain indices of a float column, none of an int one."""
+    their array, or CSV's row function on a ``(len(values), 13)`` float
+    block holding them in ``column``, its other cells plain, beside flags
+    of 1; ``column`` 13 is the flags, beside a plain block. Either gets the
+    plainness ``cli._write_table`` finds once per table: the non-plain
+    indices of a float column, none of an int one."""
     values = np.asarray(values)
     bad = (~cli._plain(values)).nonzero()[0] if values.dtype.kind == "f" else np.empty(0, int)
     if fmt == "json":
         return cli._column_cells(values, bad, dumps)
-    block = np.full((len(values), 14), 0.5)
-    block[:, 13] = 1.0
-    block[:, column] = values
+    block = np.full((len(values), 13), 0.5)
+    flags = np.ones(len(values), dtype=np.int64)
+    if column == 13:
+        flags = values
+    else:
+        block[:, column] = values
     plain = np.ones(len(values), dtype=bool)
     plain[bad] = False
-    rows = cli._csv_rows(block, plain, dumps).decode().splitlines()
+    rows = bytes(cli._csv_rows(block, flags, plain, dumps)).decode().splitlines()
     return [line.split(",")[column] for line in rows]
 
 
@@ -102,8 +110,8 @@ CORPUS = [
     -1.7976931348623157e308, 2.0**53, 0.0, -0.0, math.nan, math.inf, -math.inf,
 ]
 INTS = [0, 1, -1, 2**53, 2**63 - 1, -(2**63)]
-# the CSV row function reads the flags as floats, exact within 2**53
-ROW_INTS = [i for i in INTS if abs(i) <= 2**53]
+# the CSV row function's int column is the 0/1 crossing flags
+FLAGS = [0, 1]
 
 
 def test_orjson_is_installed():
@@ -117,7 +125,7 @@ class TestCells:
     def test_corpus(self, fmt, path, dumps):
         want = [oracle_cell(x, fmt) for x in CORPUS]
         assert cells(CORPUS, fmt, dumps) == want
-        ints = INTS if fmt == "json" else ROW_INTS
+        ints = INTS if fmt == "json" else FLAGS
         assert cells(np.array(ints), fmt, dumps, column=13) == [str(i) for i in ints]
 
     @settings(max_examples=300, deadline=None)
@@ -131,8 +139,8 @@ class TestCells:
     @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64),
            st.sampled_from(FORMATS))
     def test_int_columns_read_as_ints(self, values, fmt):
-        if fmt == "csv":  # into the row function's range
-            values = [v >> 10 for v in values]
+        if fmt == "csv":  # into the row function's range, the flags
+            values = [v & 1 for v in values]
         for _, dumps in paths():
             got = cells(np.array(values, dtype=np.int64), fmt, dumps, column=13)
             assert got == [str(v) for v in values]
@@ -240,6 +248,111 @@ class TestWriter:
         out = tmp_path / f"t.{fmt}"
         cli._write_table(out, series_of(cols), fmt)
         assert out.read_bytes() == template_table_bytes(RUN_FIELDS, cols, fmt)
+
+
+def plain_table(rows, seed=0):
+    """The 13 float columns, all cells plain, and 0 flags of a ``run
+    --out``-shaped table."""
+    rng = np.random.default_rng(seed)
+    floats = rng.uniform(1e-3, 1e3, (13, rows)) * rng.choice([-1.0, 1.0], (13, rows))
+    return floats, np.zeros(rows, dtype=np.int64)
+
+
+class TestCsvRowEnds:
+    """A CSV row is ended in its run's text in place: its ``]`` and the two
+    bytes after it become ``,``, its flag and a newline. These put runs,
+    flags and block ends where that could slip by a byte."""
+
+    def check(self, tmp_path, floats, flags):
+        cols = [*floats, flags]
+        out = tmp_path / "t.csv"
+        cli._write_table(out, series_of(cols), "csv")
+        assert out.read_bytes() == template_table_bytes(RUN_FIELDS, cols, "csv")
+
+    def test_one_row_runs(self, tmp_path):
+        # plain and non-plain rows alternate on every row of three blocks
+        floats, flags = plain_table(2 * B + 3)
+        floats[5, 1::2] = math.nan
+        flags[::3] = 1
+        self.check(tmp_path, floats, flags)
+
+    def test_non_plain_run_ending_a_block(self, tmp_path):
+        floats, flags = plain_table(2 * B)
+        floats[0, B - 3:B] = 1e-5
+        floats[12, 2 * B - 1] = math.inf
+        flags[[B - 1, 2 * B - 1]] = 1
+        self.check(tmp_path, floats, flags)
+
+    @pytest.mark.parametrize("last_plain", [True, False])
+    @pytest.mark.parametrize("rows", [1, B + 1])
+    def test_table_sizes(self, tmp_path, rows, last_plain):
+        floats, flags = plain_table(rows, rows)
+        if not last_plain:
+            floats[3, -1] = -math.inf
+        flags[-1] = 1
+        self.check(tmp_path, floats, flags)
+
+    def test_flag_on_each_runs_first_and_last_row(self, tmp_path):
+        rows = 2 * B + 5
+        floats, flags = plain_table(rows)
+        bad = np.zeros(rows, dtype=bool)
+        for lo, hi in [(3, 7), (10, 11), (B - 2, B + 2), (2 * B, rows)]:
+            bad[lo:hi] = True
+        floats[7, bad] = 5e-324
+        # a run begins where plainness changes and at each block's first row
+        starts = sorted({0, *range(0, rows, B), *((bad[1:] != bad[:-1]).nonzero()[0] + 1)})
+        flags[starts] = 1
+        flags[[s - 1 for s in starts[1:]] + [rows - 1]] = 1
+        assert 0 < flags.sum() < rows
+        self.check(tmp_path, floats, flags)
+
+    def test_spare_byte_is_never_read(self, tmp_path):
+        # it is uninitialised; here it holds a "]", which would end one more row
+        floats, flags = plain_table(B + 1)
+        floats[2, ::5] = math.nan
+        empty = np.empty
+        with mock.patch.object(np, "empty", lambda *a, **k: np.full_like(empty(*a, **k), ord("]"))):
+            self.check(tmp_path, floats, flags)
+
+    @pytest.mark.parametrize("plain", [True, False])
+    @pytest.mark.parametrize("flag", [2, -1, 256, -(2**63)])
+    def test_flag_other_than_0_or_1_raises(self, flag, plain):
+        # 256 + ord("0") would wrap to the byte "0"
+        block = np.full((3, 13), 0.5 if plain else math.nan)
+        with pytest.raises(ValueError, match="0 or 1"):
+            cli._csv_rows(block, np.array([0, flag, 1]), np.full(3, plain), orjson_dumps())
+
+
+# a product state turned half way about x: its last sample is orthogonal to
+# the first, so its phases there are NaN
+HALF_TURN = "phaselab-schedule v1\nstate schmidt 1 0\nsegment 1 0 0 3.141592653589793\n"
+
+
+@pytest.mark.parametrize("steps", [2, 1025, 2000])
+@pytest.mark.parametrize("name", [*DEMO_NAMES, "half_turn"])
+def test_csv_and_json_hold_the_same_values(tmp_path, capsys, name, steps):
+    # read back by the stdlib csv and json modules alone: each CSV float
+    # cell is repr of the JSON number (nan where JSON has null), each flag
+    # the JSON int; at 1025 steps the four-segment demos end in a one-row block
+    path = os.path.join(DEMOS, name + ".sched")
+    if name == "half_turn":
+        path = tmp_path / "s.sched"
+        path.write_text(HALF_TURN)
+    for fmt in FORMATS:
+        assert cli.main(["run", str(path), "--steps", str(steps), "--format", fmt,
+                         "--out", str(tmp_path / f"s.{fmt}")]) == 0
+    with open(tmp_path / "s.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(tmp_path / "s.json", encoding="utf-8") as fh:
+        objects = json.load(fh)
+    assert header == RUN_FIELDS and len(rows) == len(objects) > 0
+    for row, obj in zip(rows, objects):
+        assert list(obj) == header
+        *values, flag = obj.values()
+        assert row[:-1] == ["nan" if v is None else repr(v) for v in values]
+        assert type(flag) is int and row[-1] == str(flag) and flag in (0, 1)
+    if name == "half_turn":
+        assert any(None in obj.values() for obj in objects)
 
 
 NON_PLAIN = st.one_of(
