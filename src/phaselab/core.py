@@ -141,17 +141,22 @@ def _unit_axis(axis) -> tuple:
     return _divided(n, norm)
 
 
-def _two_qubit(amps) -> tuple:
-    """Four complex amplitudes scaled to a unit two-qubit state (see
-    :func:`_divided`); DomainError unless they are four finite numbers,
-    ZeroNorm when their norm is at or below 1e-9."""
-    amps = _floats(amps, complex)
-    if len(amps) != 4:
-        raise DomainError(f"a two-qubit state has 4 amplitudes, got {len(amps)}")
-    parts = tuple(p for a in amps for p in (a.real, a.imag))
-    if not all(map(math.isfinite, parts)):
+def _amplitudes(values, n: int) -> tuple:
+    """``values`` as ``n`` complex amplitudes (see :func:`_floats`); DomainError
+    unless they are ``n`` finite numbers."""
+    amps = _floats(values, complex)
+    if len(amps) != n:
+        kind = "two-qubit" if n == 4 else "qubit"
+        raise DomainError(f"a {kind} state has {n} amplitudes, got {len(amps)}")
+    if not all(map(cmath.isfinite, amps)):
         raise DomainError("amplitudes must be finite")
-    parts = _rescaled(parts)
+    return amps
+
+
+def _two_qubit(amps) -> tuple:
+    """Four :func:`_amplitudes` scaled to a unit two-qubit state (see
+    :func:`_divided`); ZeroNorm when their norm is at or below 1e-9."""
+    parts = _rescaled(tuple(p for a in _amplitudes(amps, 4) for p in (a.real, a.imag)))
     norm = math.hypot(*parts)
     if not norm > 1e-9:
         raise ZeroNorm(f"state norm {norm:g} is not above 1e-9")
@@ -159,10 +164,31 @@ def _two_qubit(amps) -> tuple:
     return tuple(complex(parts[i], parts[i + 1]) for i in range(0, 8, 2))
 
 
-def _schmidt(lambda0: float, theta: float) -> tuple:
-    """Amplitudes of :func:`~phaselab.qstate.schmidt_state`."""
+def _qubit(qubit, name: str = "qubit") -> int:
+    """1 or 2, for a ``qubit`` equal to it (``True``, ``2.0``, ``np.int64(2)``, a
+    one-element array); DomainError ``f"{name} must be 1 or 2"`` for any other value."""
+    try:
+        if qubit == 2 or qubit == 1:
+            return 2 if qubit == 2 else 1
+    except ValueError:  # an array's == is elementwise, of no one truth value
+        pass
+    raise DomainError(f"{name} must be 1 or 2")
+
+
+def _schmidt_pair(lambda0, theta) -> tuple:
+    """``(lambda0, theta)`` of a Schmidt state as floats (see :func:`_real`);
+    DomainError unless ``lambda0`` lies in [0, 1] and ``theta`` is finite."""
+    lambda0, theta = _real(lambda0, "lambda0"), _real(theta, "theta")
     if not 0.0 <= lambda0 <= 1.0:
-        raise DomainError(f"lambda0 must lie in [0, 1], got {lambda0}")
+        raise DomainError("lambda0 must lie in [0, 1]")
+    if not math.isfinite(theta):
+        raise DomainError("theta must be finite")
+    return lambda0, theta
+
+
+def _schmidt(lambda0: float, theta: float) -> tuple:
+    """Amplitudes of :func:`~phaselab.qstate.schmidt_state` for a pair that
+    :func:`_schmidt_pair` has checked; it checks nothing itself."""
     r0, r1 = math.sqrt(lambda0), math.sqrt(1.0 - lambda0)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return complex(r0 * c), complex(-r1 * s), complex(r0 * s), complex(r1 * c)
@@ -223,9 +249,10 @@ def _quaternions(segments):
 
 def _reduced(s0: tuple, qubit: int) -> tuple:
     """The Pauli components ``(t, bx, by, bz)`` of the reduced state
-    ``rho = (t I + b . sigma) / 2`` of qubit ``qubit`` (1 or 2) of the
-    two-qubit state ``s0`` (four complex), with ``b`` its Bloch vector and
-    ``t = Tr rho`` (1 up to rounding).
+    ``rho = (t I + b . sigma) / 2`` of qubit ``qubit`` of the two-qubit
+    state ``s0`` (four complex), with ``b`` its Bloch vector and
+    ``t = Tr rho`` (1 up to rounding). Takes checked values and checks
+    nothing: ``qubit`` is :func:`_qubit`'s 1 or 2.
 
     With amplitudes ``a_ij``, keeping qubit 1 gives ``rho = A A+`` for
     ``A = [[a00, a01], [a10, a11]]``, keeping qubit 2 ``rho = A^T A*``:
@@ -233,13 +260,8 @@ def _reduced(s0: tuple, qubit: int) -> tuple:
     twice the off-diagonal inner product.
     """
     a00, a01, a10, a11 = s0
-    try:
-        if qubit == 2:
-            a01, a10 = a10, a01
-        elif qubit != 1:
-            raise DomainError("qubit must be 1 or 2")
-    except ValueError:  # an array's == is elementwise, of no one truth value
-        raise DomainError("qubit must be 1 or 2") from None
+    if qubit == 2:
+        a01, a10 = a10, a01
     p0 = (a00.real * a00.real + a00.imag * a00.imag) + (a01.real * a01.real + a01.imag * a01.imag)
     p1 = (a10.real * a10.real + a10.imag * a10.imag) + (a11.real * a11.real + a11.imag * a11.imag)
     off = a00 * a10.conjugate() + a01 * a11.conjugate()
@@ -256,9 +278,10 @@ def _schedule_fields(schedule) -> tuple:
 
 def _exact_inputs(schedule):
     """``(rho, bounds)``: the evolved qubit's :func:`_reduced` state of ``schedule.initial``
-    normalized by :func:`_two_qubit`, and the boundary record ``_quaternions(segments)``."""
+    normalized by :func:`_two_qubit`, and the boundary record ``_quaternions(segments)``;
+    checks the state, then the qubit (:func:`_qubit`), then the segments."""
     segments, qubit, initial = _schedule_fields(schedule)
-    return _reduced(_two_qubit(initial), qubit), _quaternions(segments)
+    return _reduced(_two_qubit(initial), _qubit(qubit)), _quaternions(segments)
 
 
 def _zero_offset(tau, m):

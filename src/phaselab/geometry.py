@@ -8,6 +8,7 @@ projection of SU(2) onto the rotation ball of radius pi with antipodal
 boundary identification.
 
 All Bloch components are Pauli expectation values (<sx>, <sy>, <sz>).
+States and density matrices are read as :mod:`phaselab.qstate` reads them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .core import ZeroTimes, _Frozen, _quaternions, _scan, _schedule_fields
 from .errors import DegenerateSpectrum
+from .qstate import _array, _matrix
 from .schedule import RotationSchedule, _unitary_samples
 
 __all__ = [
@@ -34,7 +36,7 @@ __all__ = [
 
 def bloch_of_pure(q) -> np.ndarray:
     """Expectation values (<sx>, <sy>, <sz>) of a pure qubit state."""
-    a0, a1 = np.asarray(q, dtype=complex)
+    a0, a1 = _array(q, 2)
     cross = np.conj(a0) * a1
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2])
 
@@ -46,7 +48,7 @@ def hopf_coords(state) -> np.ndarray:
     and ``c_r + i c_i`` is twice the amplitude determinant, whose modulus
     is the concurrence. The five components lie on the unit 4-sphere.
     """
-    a00, a01, a10, a11 = np.asarray(state, dtype=complex)
+    a00, a01, a10, a11 = _array(state, 4)
     t = np.conj(a00) * a10 + np.conj(a01) * a11
     det2 = 2.0 * (a00 * a11 - a01 * a10)
     z = abs(a00) ** 2 + abs(a01) ** 2 - abs(a10) ** 2 - abs(a11) ** 2
@@ -56,7 +58,7 @@ def hopf_coords(state) -> np.ndarray:
 def concurrence(state) -> float:
     """Entanglement measure ``2 |a00 a11 - a01 a10|``; 0 for product
     states, 1 for maximally entangled ones."""
-    a00, a01, a10, a11 = np.asarray(state, dtype=complex)
+    a00, a01, a10, a11 = _array(state, 4)
     return float(min(1.0, 2.0 * abs(a00 * a11 - a01 * a10)))
 
 
@@ -81,12 +83,13 @@ class Purification(_Frozen):
 def purify(rho) -> Purification:
     """Split a qubit density matrix into its two weighted eigenstates.
 
-    Raises DegenerateSpectrum when the eigenvalue gap is <= 1e-9 (the
-    eigenbasis is then arbitrary). Each eigenvector's global phase is
-    fixed by making its largest-magnitude component real and positive,
-    so results are deterministic.
+    Raises DomainError unless ``rho`` is a 2x2 matrix of finite numbers
+    whose squared norm is finite, and DegenerateSpectrum when the eigenvalue
+    gap is <= 1e-9 (the eigenbasis is then arbitrary). Each eigenvector's
+    global phase is fixed by making its largest-magnitude component real and
+    positive, so results are deterministic.
     """
-    r = np.asarray(rho, dtype=complex)
+    r = _matrix(rho, "rho")
     evals, evecs = np.linalg.eigh(r)
     if abs(evals[1] - evals[0]) <= 1e-9:
         raise DegenerateSpectrum(

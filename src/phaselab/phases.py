@@ -21,8 +21,7 @@ import math
 import numpy as np
 
 from .core import (_TWO_PI, ORTHOGONALITY_EPS, ZeroTimes, _exact_inputs, _Frozen, _overlap,
-                   _overlap_phase, _real, _rotated, _scan, _zero_offset)
-from .errors import DomainError
+                   _overlap_phase, _rotated, _scan, _schmidt_pair, _zero_offset)
 from .geometry import _ball
 from .qstate import inner_product
 from .schedule import DEFAULT_SAMPLES, RotationSchedule, _unitary_samples
@@ -57,7 +56,8 @@ class PhaseSeries(_Frozen):
 
 
 def total_phase(initial, current) -> float:
-    """``arg <initial|current>`` in (-pi, pi]; NaN when the overlap
+    """``arg <initial|current>`` of two two-qubit states (see
+    :func:`~phaselab.qstate.inner_product`) in (-pi, pi]; NaN when the overlap
     magnitude is at or below 1e-9 (orthogonal states)."""
     return _overlap_phase(inner_product(initial, current))
 
@@ -75,11 +75,7 @@ def fixed_axis_closed_forms(lambda0: float, theta: float) -> tuple[float, float,
     computed geometric phase equals ``-phi_g`` modulo 2 pi. DomainError
     unless ``lambda0`` is a real number in [0, 1] and ``theta`` a finite one.
     """
-    lambda0, theta = _real(lambda0, "lambda0"), _real(theta, "theta")
-    if not 0.0 <= lambda0 <= 1.0:
-        raise DomainError("lambda0 must lie in [0, 1]")
-    if not math.isfinite(theta):
-        raise DomainError("theta must be finite")
+    lambda0, theta = _schmidt_pair(lambda0, theta)
     k = (2.0 * lambda0 - 1.0) * math.cos(theta)
     return math.pi * k, math.pi - math.pi * k, math.pi
 

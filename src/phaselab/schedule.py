@@ -29,8 +29,9 @@ import math
 import operator
 from bisect import bisect_right
 
-from .core import (_divided, _floats, _Frozen, _product, _quaternions, _real, _reduced,
-                   _rescaled, _schedule_fields, _schmidt, _set, _totals, _two_qubit)
+from .core import (_divided, _floats, _Frozen, _product, _quaternions, _qubit, _real,
+                   _rescaled, _schedule_fields, _schmidt, _schmidt_pair, _set, _totals,
+                   _two_qubit)
 from .errors import DomainError, NotSpecialUnitary, ParseError, ValidationError, ZeroNorm
 
 __all__ = [
@@ -137,9 +138,10 @@ def _parse_state(fields, lineno):
             raise ParseError(lineno, "state schmidt takes <lambda0> <theta>")
         lam = _float(fields[2], lineno)
         theta = _float(fields[3], lineno)
-        if not 0.0 <= lam <= 1.0:
-            raise ValidationError("lambda0 must lie in [0, 1]", line=lineno)
-        return _schmidt(lam, theta)
+        try:
+            return _schmidt(*_schmidt_pair(lam, theta))
+        except DomainError as exc:
+            raise ValidationError(str(exc), line=lineno) from None
     if kind == "amplitudes":
         if len(fields) != 10:
             raise ParseError(lineno, "state amplitudes takes 8 numbers (re im, four times)")
@@ -227,11 +229,10 @@ def serialize_schedule(schedule: RotationSchedule) -> str:
     ``parse_schedule`` reads these values back bit for bit, so
     ``parse_schedule(serialize_schedule(s))`` reproduces a parsed ``s`` bitwise."""
     segments, qubit, initial = _schedule_fields(schedule)
-    state = _two_qubit(initial)
-    _reduced(state, qubit)  # DomainError unless the qubit is 1 or 2
+    state, qubit = _two_qubit(initial), _qubit(qubit)
     _, _, axes, durations = _quaternions(segments)
     amps = " ".join(repr(part) for a in state for part in (a.real, a.imag))
-    lines = [HEADER, f"state amplitudes {amps}", f"evolve-qubit {2 if qubit == 2 else 1}"]
+    lines = [HEADER, f"state amplitudes {amps}", f"evolve-qubit {qubit}"]
     for axis, duration in zip(axes, durations):
         lines.append(f"segment {' '.join(map(repr, axis))} {duration!r}")
     return "\n".join(lines) + "\n"

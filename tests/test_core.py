@@ -510,3 +510,37 @@ def test_zero_times_compare_unequal_to_a_non_sequence():
     zeros = pl.core.ZeroTimes([0.0], [(0, 1.0, 1)])
     assert zeros.__eq__(5) is NotImplemented
     assert zeros != 5 and not zeros == "1.0"
+
+
+# each argument rule has one home, core._qubit or core._schmidt_pair, so
+# every function that takes the argument raises the same DomainError
+STATE = (0.6, 0.0, 0.0, 0.8)
+QUBIT_CALLS = {
+    "phase_breakdown": lambda q: pl.phase_breakdown(pl.RotationSchedule((), q, STATE)),
+    "serialize_schedule": lambda q: pl.serialize_schedule(pl.RotationSchedule((), q, STATE)),
+    "apply_local": lambda q: pl.apply_local(np.eye(2), q, STATE),
+    "reduced_density": lambda q: pl.reduced_density(STATE, q),
+}
+# float()'s own message, after the colon, differs between Python versions
+BAD_PAIRS = [((1.5, 0.0), r"lambda0 must lie in \[0, 1\]$"),
+             ((0.5, math.inf), "theta must be finite$"),
+             ((0.5, math.nan), "theta must be finite$"),
+             (("0.5", 0.0), "lambda0 must be a real number: got str$"),
+             ((np.array([0.5]), 0.0), "lambda0 must be a real number: ")]
+
+
+class TestOneMessagePerRule:
+    @pytest.mark.parametrize("qubit", [3, np.array([1, 2]), "1", math.nan],
+                             ids=["3", "array", "str", "nan"])
+    @pytest.mark.parametrize("name", sorted(QUBIT_CALLS))
+    def test_qubit(self, name, qubit):
+        word = "keep" if name == "reduced_density" else "qubit"
+        with pytest.raises(pl.DomainError, match=f"^{word} must be 1 or 2$"):
+            QUBIT_CALLS[name](qubit)
+
+    @pytest.mark.parametrize("pair, message", BAD_PAIRS,
+                             ids=["lambda0", "inf", "nan", "str", "array"])
+    @pytest.mark.parametrize("name", ["schmidt_state", "fixed_axis_closed_forms"])
+    def test_schmidt_pair(self, name, pair, message):
+        with pytest.raises(pl.DomainError, match=f"^{message}"):
+            getattr(pl, name)(*pair)

@@ -13,17 +13,19 @@ boundary record, bit for bit. The command dispatch parses argv as the
 top-level parser parses it respelled, and the number check agrees with the
 grammar's regular expressions. The library fuzz, the CLI fuzz's twin, calls
 the exact and sampled functions, ``principal``, ``fixed_axis_closed_forms``,
-``serialize_schedule`` and the record constructors on adversarial values,
-and ``run`` and ``readout`` warn exactly where ``breakdown`` finds a
-schedule not cyclic.
+``serialize_schedule``, the record constructors and the numpy helpers of
+``qstate`` and ``geometry`` on adversarial values, and ``run`` and
+``readout`` warn exactly where ``breakdown`` finds a schedule not cyclic.
 """
 
+import cmath
 import contextlib
 import io
 import math
 import os
 import tempfile
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -235,16 +237,38 @@ LIB_INITIAL = weighted(
                          [0.0] * 4, [1e300, 1e300, 0.0, 0.0]])),
     (1, one_shot([1.0, 0.0, 0.0, 0.0])),
 )
+LIB_QUBITS = mostly(st.sampled_from([1, 2]), st.sampled_from(
+    [0, 3, -1, True, False, 1.0, 2.0, "1", None, np.int64(2), np.array([1, 2]), math.nan]))
 # (segments, evolved qubit, initial state) for the constructors, or a non-schedule value
 LIB_SCHEDULES = weighted(
-    (9, st.tuples(LIB_SEGMENTS, mostly(st.sampled_from([1, 2]), st.sampled_from(
-        [0, 3, -1, True, False, 1.0, 2.0, "1", None, np.int64(2), np.array([1, 2])])),
-                  LIB_INITIAL)),
+    (9, st.tuples(LIB_SEGMENTS, LIB_QUBITS, LIB_INITIAL)),
     (1, st.tuples(st.just("value"), st.sampled_from([None, (1.0, 0.0, 0.0, 0.0), "s", 3]))),
 )
 # reals for the functions that take no schedule: any float, and the values above
 LIB_REALS = weighted((3, st.floats()), (1, st.sampled_from(
     [*ODD_REALS, *WRONG_KIND, np.float64(-4.0), np.array(1.5), 7, 10**400])))
+# the numpy helpers' arguments: two-qubit states, a (2, 2) array among them,
+# qubit states, and 2x2 operators and density matrices
+LIB_STATES = weighted((6, LIB_INITIAL), (1, st.sampled_from([np.eye(2), [1e200, 1e200, 0.0, 0.0]])))
+LIB_QUBIT_STATES = weighted(
+    (4, st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)),
+    (1, st.lists(st.sampled_from([*ODD_REALS, 1.0]), min_size=2, max_size=2)),
+    (1, st.sampled_from([[1.0, 0.0, 0.0], [1.0], "10", ["1", "0"], None, np.eye(2),
+                         np.array([1j, 0.0])])),
+    (1, one_shot([0.6, 0.8j])),
+)
+ODD_MATRICES = weighted(
+    (2, st.lists(st.sampled_from([*ODD_REALS, 1.0]), min_size=4, max_size=4).map(
+        lambda v: np.reshape(v, (2, 2)))),
+    (1, st.sampled_from([np.eye(3), np.eye(2).ravel(), [[1.0, 0.0], [0.0]], "ab", None,
+                         [["1", "0"], ["0", "1"]], 1e300 * np.eye(2), np.eye(2) / 2])),
+)
+LIB_OPERATORS = weighted(
+    (4, st.tuples(st.deferred(lambda: AXES), st.deferred(lambda: SHORT)).map(
+        lambda p: evolution_operator(*p))), (1, ODD_MATRICES))
+LIB_DENSITIES = weighted(
+    (4, st.deferred(lambda: AMPLITUDES).map(lambda s: pl.reduced_density(s, 1))),
+    (1, ODD_MATRICES))
 LIB_SAMPLES = st.sampled_from([2, 3, 7, 17, 1, 0, -1, True, False, 2.0, "3", None,
                                np.int64(3), 2**70]).map(lambda n: (n,))
 # each function, and what it takes after its first argument
@@ -257,10 +281,22 @@ LIB_EXTRA = {
     "unitary_at": weighted((3, st.floats(-1.0, 30.0)),
                            (1, st.sampled_from([*ODD_REALS, *WRONG_KIND]))).map(lambda t: (t,)),
     "phase_samples": LIB_SAMPLES, "so3_path": LIB_SAMPLES,
+    "schmidt_state": LIB_REALS.map(lambda theta: (theta,)),
+    "apply_local": st.tuples(LIB_QUBITS, LIB_STATES),
+    "reduced_density": LIB_QUBITS.map(lambda keep: (keep,)),
+    "inner_product": LIB_STATES.map(lambda b: (b,)),
+    "total_phase": LIB_STATES.map(lambda b: (b,)),
+    "bloch_of_pure": st.just(()), "hopf_coords": st.just(()), "concurrence": st.just(()),
+    "ball_radius": st.just(()), "purify": st.just(()),
 }
 # the first argument of the functions that take no schedule, as a "value" recipe
 LIB_FIRST = {"principal": LIB_REALS,
-             "fixed_axis_closed_forms": weighted((3, st.floats(0.0, 1.0)), (1, LIB_REALS))}
+             "fixed_axis_closed_forms": weighted((3, st.floats(0.0, 1.0)), (1, LIB_REALS)),
+             "schmidt_state": weighted((3, st.floats(0.0, 1.0)), (1, LIB_REALS)),
+             "apply_local": LIB_OPERATORS, "bloch_of_pure": LIB_QUBIT_STATES,
+             "purify": LIB_DENSITIES,
+             **dict.fromkeys(["reduced_density", "inner_product", "total_phase", "hopf_coords",
+                              "concurrence", "ball_radius"], LIB_STATES)}
 LIBRARY_CALLS = st.sampled_from(sorted(LIB_EXTRA)).flatmap(lambda name: st.tuples(
     st.just(name),
     LIB_FIRST[name].map(lambda x: ("value", x)) if name in LIB_FIRST else LIB_SCHEDULES,
@@ -269,6 +305,7 @@ LIBRARY_CALLS = st.sampled_from(sorted(LIB_EXTRA)).flatmap(lambda name: st.tuple
 OVERFLOW = (("tuple", [((0.0, 0.0, 1.0), 1e308)] * 2), 1, (1.0, 0.0, 0.0, 0.0))
 # one segment of the largest float, 6 sample steps: 6 times its sixth rounds past it
 LARGEST = (("tuple", [((0.0, 0.0, 1.0), 1.7976931348623157e308)]), 1, (1.0, 0.0, 0.0, 0.0))
+STATE = (0.6, 0.0, 0.0, 0.8)  # a unit two-qubit state for the helpers
 
 
 def one_turn(qubit):
@@ -299,6 +336,19 @@ def assert_angle(x):
 
 def assert_crossings(count, parity):
     assert type(count) is int and count >= 0 and parity == ("even", "odd")[count % 2]
+
+
+def assert_read(values, shape):
+    """A helper returned a result, so ``values`` held finite numbers of this
+    ``shape`` with a finite squared norm; a one-shot iterator, which the call
+    has read up, is not read again."""
+    if not isinstance(values, Iterator):
+        a = np.asarray(values, dtype=complex)
+        assert a.shape == shape and np.isfinite(np.vdot(a, a).real)
+
+
+def assert_finite(result, shape, dtype):
+    assert result.shape == shape and result.dtype == dtype and np.all(np.isfinite(result))
 
 
 def assert_documented(name, result, sched, extra):
@@ -340,6 +390,43 @@ def assert_documented(name, result, sched, extra):
         again = pl.parse_schedule(result)
         assert repr(pl.core._exact_inputs(again)) == repr(pl.core._exact_inputs(sched))
         assert again.evolved_qubit in (1, 2) and pl.serialize_schedule(again) == result
+    elif name == "schmidt_state":  # sched is lambda0
+        assert 0.0 <= float(sched) <= 1.0 and math.isfinite(float(extra[0]))
+        assert result.shape == (4,) and result.dtype == complex
+        assert abs(np.linalg.norm(result) - 1.0) <= 1e-12
+    elif name == "apply_local":  # sched is the operator
+        assert_read(sched, (2, 2))
+        assert extra[0] in (1, 2)
+        assert_read(extra[1], (4,))
+        assert_finite(result, (4,), complex)
+    elif name == "reduced_density":  # sched is the state
+        assert_read(sched, (4,))
+        assert extra[0] in (1, 2)
+        assert_finite(result, (2, 2), complex)
+    elif name in ("inner_product", "total_phase"):
+        assert_read(sched, (4,))
+        assert_read(extra[0], (4,))
+        if name == "inner_product":
+            assert type(result) is complex and cmath.isfinite(result)
+        else:
+            assert type(result) is float
+            assert math.isnan(result) or -math.pi < result <= math.pi
+    elif name == "bloch_of_pure":
+        assert_read(sched, (2,))
+        assert_finite(result, (3,), float)
+    elif name == "hopf_coords":
+        assert_read(sched, (4,))
+        assert_finite(result, (5,), float)
+    elif name in ("concurrence", "ball_radius"):
+        assert_read(sched, (4,))
+        assert type(result) is float and 0.0 <= result <= 1.0
+    elif name == "purify":
+        assert_read(sched, (2, 2))
+        assert type(result) is pl.Purification
+        assert all(type(w) is float and math.isfinite(w) for w in (result.weight_m, result.weight_n))
+        assert result.weight_m - result.weight_n > 1e-9
+        for state in (result.state_m, result.state_n):
+            assert state.shape == (2,) and abs(np.linalg.norm(state) - 1.0) <= 1e-9
     elif name == "unitary_at":
         assert result.shape == (2, 2) and result.dtype == complex
         assert np.allclose(result.conj().T @ result, np.eye(2), rtol=0.0, atol=1e-9)
@@ -360,7 +447,7 @@ def assert_documented(name, result, sched, extra):
 
 
 class TestLibraryFuzz:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(LIBRARY_CALLS)
     @example(("phase_breakdown", OVERFLOW, ()))
     @example(("phase_samples", OVERFLOW, (3,)))
@@ -376,6 +463,23 @@ class TestLibraryFuzz:
     @example(("serialize_schedule", one_turn(2.0), ()))
     @example(("serialize_schedule", one_turn(3), ()))
     @example(("serialize_schedule", one_turn(np.array([1, 2])), ()))
+    @example(("schmidt_state", ("value", 0.5), (math.inf,)))
+    @example(("schmidt_state", ("value", 0.5), (math.nan,)))
+    @example(("schmidt_state", ("value", "0.5"), (0.0,)))
+    @example(("apply_local", ("value", np.eye(2)), (np.array([1, 2]), STATE)))
+    @example(("apply_local", ("value", np.eye(3)), (1, STATE)))
+    @example(("reduced_density", ("value", STATE), (np.array([1, 2]),)))
+    @example(("reduced_density", ("value", np.eye(2)), (1,)))
+    @example(("inner_product", ("value", [1.0, 0.0]), ([1.0, 0.0, 0.0],)))
+    @example(("total_phase", ("value", [1.0, 0.0, 0.0, 0.0]), ([1.0, 0.0],)))
+    @example(("bloch_of_pure", ("value", [1.0, 0.0, 0.0]), ()))
+    @example(("hopf_coords", ("value", "abcd"), ()))
+    @example(("hopf_coords", ("value", [1e200, 1e200, 0.0, 0.0]), ()))
+    @example(("concurrence", ("value", [1.0, 0.0, 0.0]), ()))
+    @example(("concurrence", ("value", [math.nan, 0.0, 0.0, 0.0]), ()))
+    @example(("ball_radius", ("value", [math.nan, 0.0, 0.0, 0.0]), ()))
+    @example(("purify", ("value", np.eye(3)), ()))
+    @example(("purify", ("value", [[math.nan, 0.0], [0.0, 1.0]]), ()))
     def test_documented_result_or_phaselab_error(self, call):
         # the library's twin of the CLI fuzz: each call returns what its
         # docstring documents or raises a PhaseLabError, and warns of nothing
@@ -385,6 +489,10 @@ class TestLibraryFuzz:
             try:
                 sched = build_schedule(recipe)
                 result = getattr(pl, name)(sched, *extra)
+            except pl.DegenerateSpectrum:
+                if name == "purify":  # a spectrum only of a 2x2 matrix
+                    assert_read(sched, (2, 2))
+                result = None
             except pl.PhaseLabError:
                 result = None
             if result is not None:

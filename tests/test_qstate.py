@@ -231,6 +231,31 @@ class TestReducedDensity:
             assert_allclose(np.sort(evals), np.sort([lam, 1 - lam]), atol=1e-12)
 
 
+# every numpy helper reads a state as qstate._array does and a 2x2 matrix
+# as qstate._matrix does, whichever module it lives in
+HELPER_ERRORS = {
+    "str": (lambda: pl.hopf_coords("abcd"), "^expected a sequence of numbers: got str$"),
+    "length": (lambda: pl.concurrence([1, 0, 0]), "^a two-qubit state has 4 amplitudes, got 3$"),
+    "qubit length": (lambda: pl.bloch_of_pure([1, 0, 0]), "^a qubit state has 2 amplitudes, got 3$"),
+    "nan": (lambda: pl.ball_radius([math.nan, 0, 0, 0]), "^amplitudes must be finite$"),
+    "square state": (lambda: pl.reduced_density(np.eye(2), 1), "^expected a sequence of numbers"),
+    "lengths": (lambda: pl.inner_product([1, 0], [1, 0, 0]),
+                "^a two-qubit state has 4 amplitudes, got 2$"),
+    "overflow": (lambda: pl.hopf_coords([1e200, 1e200, 0, 0]),
+                 "^the amplitudes' squared norm overflows$"),
+    "u shape": (lambda: pl.apply_local(np.eye(3), 1, [1, 0, 0, 0]), "^u must be a 2x2 matrix$"),
+    "rho shape": (lambda: pl.purify(np.eye(3)), "^rho must be a 2x2 matrix$"),
+    "rho nan": (lambda: pl.purify([[math.nan, 0], [0, 1]]), "^amplitudes must be finite$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELPER_ERRORS))
+def test_helper_arguments_raise_domain_error(case):
+    call, message = HELPER_ERRORS[case]
+    with pytest.raises(pl.DomainError, match=message):
+        call()
+
+
 class TestInnerProduct:
     def test_self(self):
         rng = np.random.default_rng(11)
