@@ -252,6 +252,19 @@ def _parse_range(spec: str, name: str) -> list:
     return _linspace(a, b, n)
 
 
+class _Spelled(dict):
+    """A memo of ``repr`` over floats: ``spelled[x]`` is ``repr(x)``, each
+    value spelled once. Zeros are spelled every time and never stored, since
+    ``0.0 == -0.0`` though ``repr`` tells them apart; nan and inf spell as
+    CSV does."""
+
+    def __missing__(self, x):
+        text = repr(x)
+        if x:
+            self[x] = text
+        return text
+
+
 def _cmd_sweep(args) -> int:
     lams = _parse_range(args.lambda0, "lambda0")
     thetas = _parse_range(args.theta, "theta")
@@ -273,9 +286,13 @@ def _cmd_sweep(args) -> int:
             rows.append((lam, th, tot, dyn, geo, n, res))
     with open(args.out, "wb") as fh:
         fh.write((",".join(SWEEP_FIELDS) + "\n").encode())
-        for start in range(0, len(rows), _BLOCK_ROWS):  # repr spells nan and inf as CSV does
-            text = repr(rows[start:start + _BLOCK_ROWS])[2:-2]  # "a, b), (c, d"
-            fh.write((text.replace("), (", "\n").replace(", ", ",") + "\n").encode())
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            spell = _Spelled().__getitem__  # one memo per block, so its size is bounded
+            lam, th, tot, dyn, geo, n, res = zip(*rows[start:start + _BLOCK_ROWS])
+            # the int crossings stay out of the memo: 1 == 1.0, but repr tells them apart
+            cells = [*(map(spell, c) for c in (lam, th, tot, dyn, geo)), map(repr, n),
+                     map(spell, res)]
+            fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
     print(f"wrote {len(rows)} grid points to {args.out}")
     return 0
 

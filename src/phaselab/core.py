@@ -389,7 +389,10 @@ def _scan(rho, bounds) -> tuple:
     tangential touch; slopes at right angles, whose product rounding puts
     on either side of 0, are a touch. Segments on which ``z`` vanishes
     throughout join their junctions into one zero, judged by the slopes on
-    entering and on leaving it. A zero at the schedule's end is not a
+    entering and on leaving it, and so do segments shorter than pi that
+    start and end at a zero: zeros on a segment are 2 pi apart, so both
+    ends lie in one zero, and splitting a segment inside a zero changes no
+    count. A zero at the schedule's end is not a
     crossing. With ``rho = I/2``, components ``(1, 0, 0, 0)``, the overlap
     is ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
@@ -409,8 +412,8 @@ def _scan(rho, bounds) -> tuple:
         if k and at_start and entered is None:
             entered = (k, _slope(axes[k - 1], q, rho))
         if entered is not None:
-            if abs(c) <= CROSSING_EPS:
-                continue  # z vanishes on this whole segment
+            if abs(c) <= CROSSING_EPS or (at_end and d < math.pi):
+                continue  # the zero lasts through this whole segment
             e = entered[1]
             if (e * c.conjugate()).real > ORTHOGONALITY_EPS * abs(e) * abs(c):
                 runs.append((entered[0], 0.0, 1))

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .core import ZeroTimes, _Frozen, _quaternions, _scan, _schedule_fields
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, DomainError
 from .qstate import _array, _matrix
 from .schedule import RotationSchedule, _unitary_samples
 
@@ -84,12 +84,17 @@ def purify(rho) -> Purification:
     """Split a qubit density matrix into its two weighted eigenstates.
 
     Raises DomainError unless ``rho`` is a 2x2 matrix of finite numbers
-    whose squared norm is finite, and DegenerateSpectrum when the eigenvalue
-    gap is <= 1e-9 (the eigenbasis is then arbitrary). Each eigenvector's
-    global phase is fixed by making its largest-magnitude component real and
-    positive, so results are deterministic.
+    whose squared norm is finite and which is Hermitian within 1e-9, each
+    entry of ``rho - rho^H`` at most 1e-9 in magnitude (``eigh`` reads only
+    the lower triangle, so it would split any other matrix as that
+    triangle's Hermitian completion), and DegenerateSpectrum when the
+    eigenvalue gap is <= 1e-9 (the eigenbasis is then arbitrary). Each
+    eigenvector's global phase is fixed by making its largest-magnitude
+    component real and positive, so results are deterministic.
     """
     r = _matrix(rho, "rho")
+    if np.abs(r - r.conj().T).max() > 1e-9:
+        raise DomainError("rho must be Hermitian within 1e-9")
     evals, evecs = np.linalg.eigh(r)
     if abs(evals[1] - evals[0]) <= 1e-9:
         raise DegenerateSpectrum(

@@ -382,7 +382,7 @@ def matrix_overlap_zero_times(schedule, rho, bounds) -> list:
         if k and at_zero[k] and entered is None:
             entered = (k, complex(np.trace(pauli_dot(segs[k - 1].axis) @ m)))
         if entered is not None:
-            if abs(c) <= pl.CROSSING_EPS:
+            if abs(c) <= pl.CROSSING_EPS or (at_zero[k + 1] and seg.duration < math.pi):
                 continue
             e = entered[1]
             if (e * c.conjugate()).real > pl.ORTHOGONALITY_EPS * abs(e) * abs(c):

@@ -181,6 +181,19 @@ class TestPurify:
         # larger weight lies along the actual Bloch vector, here -direction
         assert_allclose(bm, -direction, atol=1e-12)
 
+    def test_non_hermitian_rejected(self):
+        # eigh reads the lower triangle only: this split as diag(1, 0) before
+        with pytest.raises(pl.DomainError, match="rho must be Hermitian within 1e-9"):
+            pl.purify([[1.0, 5.0], [0.0, 0.0]])
+
+    def test_hermitian_tolerance_edge(self):
+        # |rho - rho^H| at 1e-9 is accepted, one ulp above it is not
+        assert pl.purify([[0.7, 0.0], [1e-9, 0.3]]).weight_m == pytest.approx(0.7, abs=1e-12)
+        with pytest.raises(pl.DomainError):
+            pl.purify([[0.7, 0.0], [math.nextafter(1e-9, 1.0), 0.3]])
+        with pytest.raises(pl.DomainError):  # a skew imaginary part
+            pl.purify([[0.7, 0.1j], [0.1j, 0.3]])
+
     def test_degenerate_rejected(self):
         with pytest.raises(pl.DegenerateSpectrum):
             pl.purify(np.eye(2) / 2)

@@ -427,6 +427,10 @@ def assert_documented(name, result, sched, extra):
         assert result.weight_m - result.weight_n > 1e-9
         for state in (result.state_m, result.state_n):
             assert state.shape == (2,) and abs(np.linalg.norm(state) - 1.0) <= 1e-9
+        # the split rebuilds rho, so a matrix split as some other one fails here
+        rebuilt = sum(w * np.outer(v, v.conj()) for w, v in
+                      ((result.weight_m, result.state_m), (result.weight_n, result.state_n)))
+        assert np.abs(rebuilt - np.asarray(sched, dtype=complex)).max() <= 1e-9
     elif name == "unitary_at":
         assert result.shape == (2, 2) and result.dtype == complex
         assert np.allclose(result.conj().T @ result, np.eye(2), rtol=0.0, atol=1e-9)
@@ -480,6 +484,8 @@ class TestLibraryFuzz:
     @example(("ball_radius", ("value", [math.nan, 0.0, 0.0, 0.0]), ()))
     @example(("purify", ("value", np.eye(3)), ()))
     @example(("purify", ("value", [[math.nan, 0.0], [0.0, 1.0]]), ()))
+    @example(("purify", ("value", [[1.0, 5.0], [0.0, 0.0]]), ()))
+    @example(("purify", ("value", [[1.0, 0.0], [5e-324, 0.0]]), ()))
     def test_documented_result_or_phaselab_error(self, call):
         # the library's twin of the CLI fuzz: each call returns what its
         # docstring documents or raises a PhaseLabError, and warns of nothing
@@ -590,11 +596,13 @@ AMPLITUDES = st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8).filter(
 
 
 @st.composite
-def cyclic_schedules(draw):
-    """A random prefix and the one segment that completes its product to
-    ``U_T = +I`` or ``-I``, on a random state and evolved qubit."""
-    prefix = draw(st.lists(st.builds(pl.RotationSegment, AXES, SHORT), min_size=1, max_size=4))
-    state, qubit = draw(AMPLITUDES), draw(st.sampled_from([1, 2]))
+def cyclic_schedules(draw, durations=SHORT, states=AMPLITUDES):
+    """A random prefix of ``durations`` and the one segment that completes its
+    product to ``U_T = +I`` or ``-I``, on a state of ``states`` and a random
+    evolved qubit."""
+    prefix = draw(st.lists(st.builds(pl.RotationSegment, AXES, durations), min_size=1,
+                           max_size=4))
+    state, qubit = draw(states), draw(st.sampled_from([1, 2]))
     w, v = quaternion_of(pl.unitary_at(pl.RotationSchedule(tuple(prefix), qubit, state), math.inf))
     s = float(np.linalg.norm(v))
     assume(s > 1e-3)
@@ -649,6 +657,78 @@ class TestPaperIdentities:
         else:  # an open path picks up the end points' phase difference
             want = before - (phases[len(path) - 1] - phases[0])
             assert abs(pl.principal(after - want)) <= 1e-12
+
+
+# the unit roundoff of a float64
+U = 2.0**-53
+# one third maximally entangled (degenerate) states, as in ROADMAP item 16's probes
+SPLIT_STATES = weighted((2, AMPLITUDES),
+                        (1, st.floats(0.0, 2.0 * math.pi).map(lambda th: pl.schmidt_state(0.5, th))))
+
+
+class TestMetamorphic:
+    """Relations from the paper's symmetries, which need no second
+    implementation: a change of the schedule that leaves the evolved qubit's
+    trajectory as it was leaves every ``PhaseBreakdown`` field as it was."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cyclic_schedules(SHORT | st.floats(7.0, 1e6), SPLIT_STATES), st.data())
+    def test_splitting_a_segment_changes_no_field(self, sched, data):
+        # R3: (n, d) -> (n, d1), (n, d - d1), with d1 anywhere in the
+        # segment or within 2 ulps of one of its zeros
+        segs = sched.segments
+        k = data.draw(st.integers(0, len(segs) - 1), label="segment")
+        ulp = math.ulp(segs[k].duration)
+        ulps = int(segs[k].duration / ulp)  # d is this many ulps, exactly
+        zeros = [round(tau / ulp) for j, tau, _ in pl.core._scan(*pl.core._exact_inputs(sched))[3]
+                 if j == k]
+        near = st.tuples(st.sampled_from(zeros), st.integers(-2, 2)).map(sum) if zeros else \
+            st.nothing()
+        at = data.draw(st.integers(1, ulps - 1) | near, label="d1 in ulps")
+        assert_split_changes_no_field(sched, k, min(max(at, 1), ulps - 1))
+
+    def test_splitting_one_ulp_past_a_touch(self):
+        # MES turned by pi about z and back: the overlap touches 0 at the
+        # junction. Split one ulp into the second segment, the junction zero
+        # and the next one lie in one zero; judged apart, the second counted
+        # as a crossing (0 -> 1, even -> odd)
+        sched = pl.RotationSchedule((pl.RotationSegment((0.0, 0.0, 1.0), math.pi),
+                                     pl.RotationSegment((0.0, 0.0, -1.0), math.pi)), 1,
+                                    pl.schmidt_state(0.5, 0.0))
+        for k, at in ((1, 1), (0, int(math.pi / math.ulp(math.pi)) - 1)):
+            assert_split_changes_no_field(sched, k, at)
+
+
+def assert_split_changes_no_field(sched, k, at):
+    """Split segment ``k`` of ``sched`` after ``at`` ulps of its duration
+    ``d``: ``d1 = at ulp(d)`` is exact, and so is ``d - d1``, both multiples
+    of ``ulp(d)``, so the two add back to ``d``. The breakdown's discrete
+    fields are unchanged, and its float fields within the bound below."""
+    segs = sched.segments
+    axis, d = segs[k].axis, segs[k].duration
+    d1 = at * math.ulp(d)
+    assert 0.0 < d1 < d and d1 + (d - d1) == d
+    halves = (pl.RotationSegment(axis, d1), pl.RotationSegment(axis, d - d1))
+    split = pl.RotationSchedule((*segs[:k], *halves, *segs[k + 1:]), sched.evolved_qubit,
+                                sched.initial)
+    a, b = pl.phase_breakdown(sched), pl.phase_breakdown(split)
+    assert (a.crossings, a.parity, a.degenerate) == (b.crossings, b.parity, b.degenerate)
+    # The bound, for n segments (those of the split) and total duration T:
+    # each side's boundary quaternions carry at most about 4u per factor
+    # (the factor's cos and sin, and the product), so the overlap, and the
+    # total phase its argument, is within 4nu of exact. The dynamical phase
+    # is a left fold of n terms rate_k d_k: each rate carries its boundary
+    # state's 4nu error times d_k, and each product and addition one more u
+    # of a partial sum of at most T. Both sides together: 16 n u, times T
+    # for the phases that hold the fold.
+    n, t = len(split.segments), pl.total_duration(split)
+    assert abs(pl.principal(a.total - b.total)) <= 16 * n * U
+    bound = 16 * n * U * max(1.0, t)
+    assert abs(a.dynamical - b.dynamical) <= bound
+    assert abs(pl.principal(a.geometric - b.geometric)) <= bound
+    assert math.isnan(a.closure_residual) == a.degenerate == math.isnan(b.closure_residual)
+    if not a.degenerate:
+        assert abs(a.closure_residual - b.closure_residual) <= bound
 
 
 def command_outcome(argv):

@@ -1,6 +1,8 @@
 """The table writers of ``run --out`` and ``sweep``.
 
-``sweep`` writes its rows by ``repr`` at any grid size. ``run --out``
+``sweep`` writes its rows by ``repr`` at any grid size, each distinct
+nonzero float of a block spelled once through a memo (``cli._Spelled``)
+and the int crossings outside it. ``run --out``
 writes through ``cli._write_table``, whose cells come from orjson at
 every table size. A float is plain when it is 0 or ``1e-4 <= |x| <
 1e16``; orjson spells a plain float as ``repr`` does, and every other
@@ -37,7 +39,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
@@ -479,12 +481,23 @@ class TestDemoBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_DIGESTS[f"{name}.{fmt}"]
 
 
+# floats that a memo of repr could mix up: zeros of either sign, which
+# compare equal, nan, which equals nothing, the infinities and subnormals
+MEMO_SPECIALS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1e-310, 1.0, -1.0]
+MEMO_VALUES = st.one_of(st.sampled_from(MEMO_SPECIALS), st.floats())
+
+
 class TestSweepTable:
     """``sweep`` writes its rows by ``repr`` at any grid size, with nan for
-    the closure residual of a degenerate (lambda0 = 0.5) row."""
+    the closure residual of a degenerate (lambda0 = 0.5) row. Each block's
+    floats are spelled through one memo of ``repr`` (``cli._Spelled``),
+    which stores no zero; the int crossings are spelled outside it."""
 
     @pytest.mark.parametrize("lam,theta,axis,turns", [
         ("0:1:11", f"0:{math.pi!r}:9", "z", 1),  # the README grid, one block
+        # 0.0 and -0.0 in phi_geo, and the crossings 0 beside lambda0 0.0
+        ("0:1:11", f"0:{math.pi!r}:9", "z", 3),
         ("0:1:33", "-1:1:33", "x", 2),  # 1089 rows, past one block
         ("0:1:51", f"0:{math.pi!r}:51", "x", 3),  # 18207 cells
     ])
@@ -499,3 +512,14 @@ class TestSweepTable:
         got = out.read_bytes()
         assert got == reference_table_bytes(cli.SWEEP_FIELDS, rows)
         assert any(math.isnan(row[-1]) for row in rows) and b",nan\n" in got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(MEMO_VALUES, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=30)))
+    @example([0.0, -0.0, 0.0])
+    @example([-0.0, 0.0, -0.0])
+    @example([math.nan, math.nan, 5e-324, 5e-324, -math.inf, math.inf])
+    def test_memo_spells_as_repr(self, values):
+        # drawn from a small pool, so that values repeat within one memo
+        spell = cli._Spelled().__getitem__
+        assert [spell(x) for x in values] == [repr(x) for x in values]
