@@ -17,8 +17,10 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
+from cmath import phase
 from collections.abc import Sequence
 from itertools import accumulate
+from math import atan2, ceil, cos, pi, remainder, sin, sqrt
 from operator import pos
 
 from .errors import DegenerateSpectrum, DomainError, NotCyclic, OrthogonalStep, ZeroNorm
@@ -44,7 +46,7 @@ DYNAMICAL_SIGN = -1.0
 #: Largest ``| |<s0|U_T|s0>| - 1 |`` of a cyclic schedule.
 CYCLIC_EPS = 1e-6
 
-_TWO_PI = 2.0 * math.pi
+_TWO_PI = 2.0 * pi
 _AXIS_TOL = 1e-9
 _PARITY = ("even", "odd")
 
@@ -86,10 +88,10 @@ def principal(x: float) -> float:
     """Wrap an angle into (-pi, pi]; nan for nan. DomainError for an infinite
     or non-real ``x``."""
     try:
-        r = math.remainder(x, _TWO_PI)
+        r = remainder(x, _TWO_PI)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"angle must be a finite real number: {exc}") from None
-    return r + _TWO_PI if r <= -math.pi else r
+    return r + _TWO_PI if r <= -pi else r
 
 
 def _floats(values, kind=float) -> tuple:
@@ -189,8 +191,8 @@ def _schmidt_pair(lambda0, theta) -> tuple:
 def _schmidt(lambda0: float, theta: float) -> tuple:
     """Amplitudes of :func:`~phaselab.qstate.schmidt_state` for a pair that
     :func:`_schmidt_pair` has checked; it checks nothing itself."""
-    r0, r1 = math.sqrt(lambda0), math.sqrt(1.0 - lambda0)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    r0, r1 = sqrt(lambda0), sqrt(1.0 - lambda0)
+    c, s = cos(theta / 2.0), sin(theta / 2.0)
     return complex(r0 * c), complex(-r1 * s), complex(r0 * s), complex(r1 * c)
 
 
@@ -207,7 +209,8 @@ def _product(c, ax, ay, az, q) -> tuple:
 def _rotated(q, b) -> tuple:
     """``b + 2 w (v x b) + 2 v x (v x b)``: the Bloch vector of ``B rho B+``
     for ``B = w I - i v . sigma``, ``q = (w, v)``, and ``b`` that of ``rho``;
-    takes floats or numpy arrays alike."""
+    takes floats or numpy arrays alike. The array form of :func:`_scan`'s
+    scalar rotation, with the same operations in the same order."""
     w, vx, vy, vz = q
     bx, by, bz = b
     cx, cy, cz = vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx
@@ -242,7 +245,7 @@ def _quaternions(segments):
         raise DomainError("durations sum past the largest float")
     quats = [(1.0, 0.0, 0.0, 0.0)]
     for d, (nx, ny, nz) in zip(durations, axes):
-        c, s = math.cos(d / 2.0), math.sin(d / 2.0)
+        c, s = cos(d / 2.0), sin(d / 2.0)
         quats.append(_product(c, s * nx, s * ny, s * nz, quats[-1]))
     return times, quats, axes, durations
 
@@ -334,7 +337,9 @@ def _overlap(q, rho) -> tuple:
     """``Tr(B rho) = w t - i v . b`` for the unit quaternion ``q = (w, v)`` of
     ``B = w I - i v . sigma`` and ``rho = (t I + b . sigma) / 2`` given by
     its Pauli components ``(t, b)``; ``t = Tr rho`` is 1 up to rounding.
-    Returned as its real and imaginary parts, of floats or numpy arrays."""
+    Returned as its real and imaginary parts, of floats or numpy arrays. The
+    array form of :func:`_scan`'s scalar overlap, with the same operations
+    in the same order."""
     w, vx, vy, vz = q
     t, bx, by, bz = rho
     return w * t, 0.0 - (vx * bx + vy * by + vz * bz)  # never -0.0
@@ -348,17 +353,7 @@ def _final_overlap(rho, bounds) -> complex:
 
 
 def _overlap_phase(z: complex) -> float:
-    return math.nan if abs(z) <= ORTHOGONALITY_EPS else principal(cmath.phase(z))
-
-
-def _slope(n, q, rho) -> complex:
-    """``Tr((n . sigma) B rho) = w n . b + (n x v) . b - i (n . v) t``."""
-    w, vx, vy, vz = q
-    nx, ny, nz = n
-    t, bx, by, bz = rho
-    return complex(w * (nx * bx + ny * by + nz * bz) + (ny * vz - nz * vy) * bx
-                   + (nz * vx - nx * vz) * by + (nx * vy - ny * vx) * bz,
-                   -(nx * vx + ny * vy + nz * vz) * t)
+    return math.nan if abs(z) <= ORTHOGONALITY_EPS else principal(phase(z))
 
 
 def _scan(rho, bounds) -> tuple:
@@ -366,12 +361,21 @@ def _scan(rho, bounds) -> tuple:
     components ``(t, bx, by, bz)`` of ``rho = (t I + b . sigma) / 2``, on
     the boundary record ``bounds`` (:func:`_quaternions`), in one pass over
     the segments. ``v = <s0|U_T|s0> = Tr(B_n rho)`` is the last boundary
-    overlap (:func:`_overlap`), as :func:`_final_overlap` reads it. Segment
+    overlap, as :func:`_final_overlap` reads it. Segment
     k's generator commutes with its own evolution, so its expectation is constant on it:
     ``rates`` holds ``-(1/2) n_k . b_k``, with ``b_k`` the Bloch vector of
-    ``rho`` :func:`_rotated` by ``B_k`` (exactly 0 for ``b = 0``), and
+    ``rho`` rotated by ``B_k`` (exactly 0 for ``b = 0``), and
     ``ends`` the dynamical phase at every segment end, ``[0.0, ..., dyn]``,
     adding ``rate_k * d_k`` left to right as :func:`_totals` does.
+
+    The loop is one flat scalar kernel on local floats. It holds the scalar
+    forms of three formulas: the boundary overlap ``Tr(B rho)``, the
+    rotated Bloch vector ``b_k`` and the slope ``Tr((n . sigma) B rho) =
+    w n . b + (n x v) . b - i (n . v) t``. :func:`_overlap` and
+    :func:`_rotated` are the array forms of the first two, which the
+    sampled series reads, with the same operations in the same order;
+    ``tests/test_properties.py::TestScanKernel`` pins ``v`` and ``rates``
+    to them bit for bit.
 
     ``runs`` holds the times in (0, T) where ``Tr(U(t) rho)`` passes
     through zero, as ``(k, tau, count)`` runs of zeros
@@ -397,38 +401,56 @@ def _scan(rho, bounds) -> tuple:
     is ``Re(Tr U)/2``, whose zeros are the rotation-ball border crossings.
     """
     _, quats, axes, durations = bounds
-    z = complex(*_overlap(quats[0], rho))
+    t, bx, by, bz = rho
+    w, vx, vy, vz = quats[0]
+    z = complex(w * t, 0.0 - (vx * bx + vy * by + vz * bz))  # Tr(B rho), never -0.0
     rates, ends, runs = [], [0.0], []
+    end = 0.0
     at_end = abs(z) <= CROSSING_EPS
     entered = None  # (segment, slope factor) where the current zero began
-    for k, (q, n, d) in enumerate(zip(quats, axes, durations)):
+    c = None  # the slope factor; each pass of the slope loop shifts the last into e
+    for k, (n, d) in enumerate(zip(axes, durations)):
+        w, vx, vy, vz = quats[k]
         nx, ny, nz = n
-        bx, by, bz = _rotated(q, rho[1:])
-        rates.append(DYNAMICAL_SIGN * 0.5 * (nx * bx + ny * by + nz * bz))
-        ends.append(ends[-1] + rates[-1] * d)
-        a, z = z, complex(*_overlap(quats[k + 1], rho))
+        # b_k = b + 2 w (v x b) + 2 v x (v x b), and the rate -(1/2) n_k . b_k
+        cx, cy, cz = vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx
+        dx, dy, dz = vy * cz - vz * cy, vz * cx - vx * cz, vx * cy - vy * cx
+        rate = DYNAMICAL_SIGN * 0.5 * (nx * (bx + 2.0 * (w * cx + dx))
+                                       + ny * (by + 2.0 * (w * cy + dy))
+                                       + nz * (bz + 2.0 * (w * cz + dz)))
+        rates.append(rate)
+        end = end + rate * d
+        ends.append(end)
+        u, ux, uy, uz = quats[k + 1]
+        a, z = z, complex(u * t, 0.0 - (ux * bx + uy * by + uz * bz))  # Tr(B_{k+1} rho)
         at_start, at_end = at_end, abs(z) <= CROSSING_EPS
-        c = _slope(n, q, rho)  # z'(0) = -i c / 2
-        if k and at_start and entered is None:
-            entered = (k, _slope(axes[k - 1], q, rho))
+        # the slope factor c, z'(0) = -i c / 2, on this segment's axis; a
+        # zero that begins at this junction takes it on the axis before first
+        entering = k and at_start and entered is None
+        for mx, my, mz in (axes[k - 1], n) if entering else (n,):
+            e, c = c, complex(w * (mx * bx + my * by + mz * bz) + (my * vz - mz * vy) * bx
+                              + (mz * vx - mx * vz) * by + (mx * vy - my * vx) * bz,
+                              -(mx * vx + my * vy + mz * vz) * t)
+        if entering:
+            entered = (k, e)
         if entered is not None:
-            if abs(c) <= CROSSING_EPS or (at_end and d < math.pi):
+            if abs(c) <= CROSSING_EPS or (at_end and d < pi):
                 continue  # the zero lasts through this whole segment
             e = entered[1]
             if (e * c.conjugate()).real > ORTHOGONALITY_EPS * abs(e) * abs(c):
                 runs.append((entered[0], 0.0, 1))
             entered = None
         b = -1j * c
-        tau = math.atan2((a * b.conjugate()).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2))
-        tau += math.pi  # the first minimum, in (0, 2 pi]
-        m = a * math.cos(0.5 * tau) + b * math.sin(0.5 * tau)
+        tau = atan2((a * b.conjugate()).real, 0.5 * (abs(a) ** 2 - abs(b) ** 2))
+        tau += pi  # the first minimum, in (0, 2 pi]
+        m = a * cos(0.5 * tau) + b * sin(0.5 * tau)
         if not (tau < d and abs(m) <= CROSSING_EPS):
             continue  # every minimum has the same |z|; NaN has none
         # zeros are 2 pi apart: a minimum within pi of a zero junction is
         # that junction's zero
-        last = math.ceil((d - tau) / _TWO_PI) - 1
-        lo = int(at_start and tau < math.pi)
-        hi = last - int(at_end and _zero_offset(tau, last) > d - math.pi)
+        last = ceil((d - tau) / _TWO_PI) - 1
+        lo = int(at_start and tau < pi)
+        hi = last - int(at_end and _zero_offset(tau, last) > d - pi)
         if hi >= lo:
             runs.append((k, _zero_offset(tau, lo), hi - lo + 1))
     return z, rates, ends, runs
@@ -484,7 +506,7 @@ def _geometric(w: float, z: complex, rho, dyn: float, tot: float) -> float:
     phase is linear in the density matrix, so the eigenstates' own
     ``w_i dyn_i`` sum to ``dyn``, the mixed state's."""
     t, bx, by, bz = rho
-    r = math.sqrt(bx * bx + by * by + bz * bz)
+    r = sqrt(bx * bx + by * by + bz * bz)
     if r <= 1e-9:  # the eigenvalue gap of rho is r
         raise DegenerateSpectrum(f"eigenvalue gap {r:.3e} is <= 1e-9")
     # tot is the one shared reference, so that at U_T = -I both eigenstate
@@ -494,7 +516,7 @@ def _geometric(w: float, z: complex, rho, dyn: float, tot: float) -> float:
         zi = complex(w, sign * z.imag / r)  # w -+ i v . b / r
         if abs(zi) <= ORTHOGONALITY_EPS:
             raise OrthogonalStep("an eigenstate ends orthogonal to its start")
-        arg = principal(cmath.phase(zi))
+        arg = principal(phase(zi))
         weighted += 0.5 * (t + sign * r) * (tot + principal(arg - tot))
     return principal(weighted - dyn)
 
@@ -516,12 +538,14 @@ def geometric_phase_mixed(schedule) -> float:
     """
     rho, bounds = _exact_inputs(schedule)
     v, _, ends, _ = _scan(rho, bounds)
-    return _geometric(bounds[1][-1][0], v, rho, ends[-1], principal(cmath.phase(v)))
+    return _geometric(bounds[1][-1][0], v, rho, ends[-1], principal(phase(v)))
 
 
 def _crossings(runs) -> tuple[int, str]:
     """The crossing count and parity of the :func:`_scan` ``runs``."""
-    count = sum(n for _, _, n in runs)
+    count = 0
+    for run in runs:
+        count += run[2]
     return count, _PARITY[count % 2]
 
 
@@ -545,7 +569,7 @@ def _breakdown(rho, bounds) -> tuple:
     v, _, ends, runs = _scan(rho, bounds)
     if not _cyclic(v):
         raise NotCyclic(f"final overlap magnitude {abs(v):.9f} differs from 1 beyond 1e-6")
-    total = principal(cmath.phase(v))
+    total = principal(phase(v))
     dyn = ends[-1]
     try:
         geo = _geometric(bounds[1][-1][0], v, rho, dyn, total)
@@ -555,7 +579,8 @@ def _breakdown(rho, bounds) -> tuple:
         geo = 0.0
         degenerate = True
         residual = math.nan
-    return (total, dyn, geo, *_crossings(runs), degenerate, residual)
+    count, parity = _crossings(runs)
+    return total, dyn, geo, count, parity, degenerate, residual
 
 
 def phase_breakdown(schedule) -> PhaseBreakdown:

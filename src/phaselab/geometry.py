@@ -13,6 +13,7 @@ States and density matrices are read as :mod:`phaselab.qstate` reads them.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -120,21 +121,24 @@ def _ball(w, v) -> tuple[np.ndarray, np.ndarray]:
     and the identity gets axis (0, 0, 1). Each cell is a scalar formula in a
     fixed order, evaluated elementwise: ``|v| = sqrt((vx*vx + vy*vy) +
     vz*vz)``, never a BLAS product, whose rounding depends on the CPU's
-    kernel, and the angle is ``math.atan2``'s, since ``np.arctan2`` differs
-    from it in the last bit on a share of inputs.
+    kernel, and the angle is libm's ``atan2``, as ``math.atan2`` and
+    ``cmath.phase`` take it, since ``np.arctan2`` differs from it in the
+    last bit on a share of inputs. The complex array ``w + i |v|`` is
+    filled by its parts, not by arithmetic, which would turn -0.0 into 0.0.
     """
     vx, vy, vz = v
     s = np.sqrt((vx * vx + vy * vy) + vz * vz)
-    t = 2.0 * np.fromiter(map(math.atan2, s.tolist(), w.tolist()), float, len(s))
+    z = np.empty(len(s), complex)
+    z.real = w
+    z.imag = s
+    t = 2.0 * np.fromiter(map(cmath.phase, z.tolist()), float, len(s))
     center = s <= 1e-12
     axes = v / np.where(center, 1.0, s)
     fold = t > math.pi
-    t[fold] = 2.0 * math.pi - t[fold]
-    axes[:, fold] = -axes[:, fold]
+    np.subtract(2.0 * math.pi, t, out=t, where=fold)
+    np.negative(axes, out=axes, where=fold)
     center |= t <= 1e-12
-    t[center] = 0.0
-    axes[:, center] = _CENTER_AXIS
-    return axes, t
+    return np.where(center, _CENTER_AXIS, axes), np.where(center, 0.0, t)
 
 
 class SO3Path(_Frozen):

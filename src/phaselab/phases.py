@@ -16,6 +16,7 @@ two hold modulo 2 pi.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -108,13 +109,18 @@ def _series_columns(rho, bounds, rates, ends, runs, samples_per_segment: int) ->
     ``ends`` and ``runs`` their :func:`~phaselab.core._scan`."""
     times, quats = _unitary_samples(bounds, samples_per_segment)
     # Tr(U rho) with the core's abs and atan2 (numpy's differ in the last
-    # bit): the last phase is the exact total bit for bit. The principal
-    # column folds -pi onto pi; the unwrap takes the raw angles, since
-    # unwrapping folded ones moves its sums by ulps
+    # bit): the last phase is the exact total bit for bit. The complex array
+    # is filled by its parts, since arithmetic would turn -0.0 into 0.0 and
+    # move atan2(+-0, -0.0) by pi. The principal column folds -pi onto pi;
+    # the unwrap takes the raw angles, since unwrapping folded ones moves
+    # its sums by ulps
     sp_re, sp_im = _overlap(quats, rho)
     defined = np.hypot(sp_re, sp_im) > ORTHOGONALITY_EPS
-    angles = map(math.atan2, sp_im.tolist(), sp_re.tolist())
-    raw_vals = np.where(defined, np.fromiter(angles, float, len(times)), math.nan)
+    z = np.empty(len(times), complex)
+    z.real = sp_re
+    z.imag = sp_im
+    angles = np.fromiter(map(cmath.phase, z.tolist()), float, len(times))
+    raw_vals = np.where(defined, angles, math.nan)
     principal_vals = np.where(raw_vals == -math.pi, math.pi, raw_vals)
     # segment k's samples go on from the core's fold at its start; its last is the fold at its end
     per = samples_per_segment - 1

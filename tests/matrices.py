@@ -41,6 +41,22 @@ def evolution_operator(axis, t: float) -> np.ndarray:
     return np.array([[w - 1j * vz, -vy - 1j * vx], [vy - 1j * vx, w + 1j * vz]])
 
 
+def rotation_of(u) -> np.ndarray:
+    """The SO(3) matrix ``R`` of which the SU(2) matrix ``u`` is a lift,
+    ``u (m . sigma) u^+ = (R m) . sigma``: ``R_ij = Tr(sigma_i u sigma_j u^+) / 2``."""
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    u = np.asarray(u, dtype=complex)
+    return np.array([[np.trace(si @ u @ sj @ u.conj().T).real / 2.0 for sj in paulis]
+                     for si in paulis])
+
+
+def local(u, qubit: int, state) -> np.ndarray:
+    """The two-qubit state ``(a00, a01, a10, a11)`` with the 2x2 matrix ``u``
+    applied to qubit ``qubit`` (1 or 2); the first index of ``a_ij`` is qubit 1's."""
+    a = np.asarray(state, dtype=complex).reshape(2, 2)
+    return (u @ a if qubit == 1 else a @ np.asarray(u).T).reshape(4)
+
+
 def quaternion_of(u):
     """``(w, v)`` of SU(2) matrices ``u = w I - i v . sigma``: ``w`` of
     shape (...) and ``v`` of shape (..., 3) for ``u`` of shape (..., 2, 2)."""

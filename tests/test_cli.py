@@ -1,5 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import glob
+import hashlib
 import json
 import math
 import os
@@ -802,3 +804,73 @@ class TestGoldenWriter:
                                     np.linspace(0.0, 3.141592653589793, 9),
                                     {"x": (1.0, 0.0, 0.0), "z": (0.0, 0.0, 1.0)}[axis], turns)
         assert out.read_bytes() == reference_table_bytes(SWEEP_FIELDS, rows)
+
+CORPUS = os.path.join(os.path.dirname(__file__), "schedules")
+# the demos and the committed corpus, each as (name, path)
+EXACT_SCHEDULES = [(os.path.basename(p)[:-6], p) for d in (DEMO_SCHEDULES, CORPUS)
+                   for p in sorted(glob.glob(os.path.join(d, "*.sched")))]
+# SHA-256 of f"{exit code}\n{stdout}\n{stderr}" of each exact command on each schedule
+EXACT_DIGESTS = {
+    "breakdown mes_minus": "1dd04402a91e26ebd652ab03ee525076fa8da1e82de7cf7e1f70bff99641213e",
+    "readout mes_minus": "eb1586d799e8bbd66e14a221f31ea8ed780990173a08bd63fdbdccd7cedfd624",
+    "run mes_minus": "3419583bc31b19415e0c27824d80222fc9e2075ee2278e139d87cc5041351005",
+    "breakdown mes_plus": "b593447704d0c180a0c88d97b42e8e5946c981afba170d0e4d316122408b72b6",
+    "readout mes_plus": "e091c519f9092761406762e33e9906defa183fa43cc28663c69f81fadc3aeda8",
+    "run mes_plus": "5a22b6fdd5f44d4a2a8b2e91baa401c20bc0346584ed0f53ab062a66e5f99f64",
+    "breakdown partial_z_turn": "14f7c545bc9e9f81991e53bbe7ecc69d84ec3f3404a94c88c64e64176eee7b29",
+    "readout partial_z_turn": "eb1586d799e8bbd66e14a221f31ea8ed780990173a08bd63fdbdccd7cedfd624",
+    "run partial_z_turn": "69a309f9c89bdef3ea187e5f2b027ceaee73d797fe26b5b49ceb70bae4d4e44d",
+    "breakdown builtin_minus_q2": "167b70fd54f34736c683e8ba3898e8e99a02f026da82be6ef0b4bb03eedfdb43",
+    "readout builtin_minus_q2": "5febf63f7a221cd8cfe96ae15ed79c7920240a4b2c33764a577fc7a51004b419",
+    "run builtin_minus_q2": "69a309f9c89bdef3ea187e5f2b027ceaee73d797fe26b5b49ceb70bae4d4e44d",
+    "breakdown builtin_plus_q2": "bb85e359a690e83236a84079a013cd787a368b83def0c72bcac38c2bd7947802",
+    "readout builtin_plus_q2": "67c9b1b3e4428b9a19d00bef571880f1337eb992f193a5ecda43d5469681dcc5",
+    "run builtin_plus_q2": "5a22b6fdd5f44d4a2a8b2e91baa401c20bc0346584ed0f53ab062a66e5f99f64",
+    "breakdown cyclic_8_seeded": "25eb9f9d46ea076af2ac3890893119838141150e783e17ec45b14f4c7b13ab29",
+    "readout cyclic_8_seeded": "eb1586d799e8bbd66e14a221f31ea8ed780990173a08bd63fdbdccd7cedfd624",
+    "run cyclic_8_seeded": "69a309f9c89bdef3ea187e5f2b027ceaee73d797fe26b5b49ceb70bae4d4e44d",
+    "breakdown mes_x_1e6": "db2b15af1324e72de9ac4bbfcfd6699c0bddcbf7ab83b9790ef9a796bf403e84",
+    "readout mes_x_1e6": "eb1586d799e8bbd66e14a221f31ea8ed780990173a08bd63fdbdccd7cedfd624",
+    "run mes_x_1e6": "5c2c94b8345d2bf62fdf361eb1b71441ce62d86901800f916c999ca5280f2e64",
+    "breakdown mes_z_pi_and_back": "b593447704d0c180a0c88d97b42e8e5946c981afba170d0e4d316122408b72b6",
+    "readout mes_z_pi_and_back": "e091c519f9092761406762e33e9906defa183fa43cc28663c69f81fadc3aeda8",
+    "run mes_z_pi_and_back": "5a22b6fdd5f44d4a2a8b2e91baa401c20bc0346584ed0f53ab062a66e5f99f64",
+    "breakdown not_cyclic": "eca3551718c9d280491122f8369ee18241df6372ad1e0d655603cf52e2c558bd",
+    "readout not_cyclic": "cc3c1722507fa44cbca38ca4e1f2fc70d0150fe68be7b70ae5b2512ccaa1a648",
+    "run not_cyclic": "f0931ae1b1c5a1695023c24bc2864f14fae9df10dbc86744388686397813469e",
+}
+# SHA-256 of the README grid's sweep table about each axis at 1 and 3 turns
+SWEEP_DIGESTS = {
+    "x1": "c8590c84901e39da777463106dc458a73a8e5d4cd3dd571fef9482eeb4321c3e",
+    "x3": "0de58c8624277d76956a84b11c209e664974142b0efa481326347c498874b936",
+    "y1": "90f6ca462890849f5b319a9406b483162be7b3216e867e51a11ef38fdab42f89",
+    "y3": "8f92791301a36cb9fff8bf2fbfe34eb35fa339fc6f46eddceff053a2423eeec5",
+    "z1": "a0a9273e90fe4dd6f4e3f1b5101bdb57d8b8f03cdb50fb101ba5d9b0a32c4ec0",
+    "z3": "50e6635b5a61cf8d2c6287d13b31e0d4bd326be510abd8a189d42e232f338f59",
+}
+
+
+class TestExactBytes:
+    """The exact commands' bytes, pinned by digest: every other test of
+    ``breakdown`` and ``sweep`` compares them with ``phase_breakdown``,
+    which shares their one kernel (``core._scan``), so only a stored
+    digest sees a byte that a kernel edit moves."""
+
+    @pytest.mark.parametrize("command", ["breakdown", "readout", "run"])
+    @pytest.mark.parametrize("name,path", EXACT_SCHEDULES, ids=[n for n, _ in EXACT_SCHEDULES])
+    def test_outcome_matches_its_stored_digest(self, capsys, command, name, path):
+        code = main([command, path])
+        out, err = capsys.readouterr()
+        outcome = f"{code}\n{out}\n{err}".encode()
+        assert hashlib.sha256(outcome).hexdigest() == EXACT_DIGESTS[f"{command} {name}"]
+
+    def test_corpus_holds_every_digested_schedule(self):
+        names = {n for n, _ in EXACT_SCHEDULES}
+        assert {key.split()[1] for key in EXACT_DIGESTS} == names
+
+    @pytest.mark.parametrize("axis,turns", [(a, t) for a in "xyz" for t in (1, 3)])
+    def test_sweep_readme_grid_matches_its_stored_digest(self, tmp_path, capsys, axis, turns):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--lambda0", "0:1:11", "--theta", f"0:{math.pi!r}:9",
+                     "--axis", axis, "--turns", str(turns), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[f"{axis}{turns}"]

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 import phaselab as pl
 from helpers import (RUN_FIELDS, geometric_phase_pure, reference_sweep_rows,
                      reference_table_bytes, regex_number)
-from matrices import evolution_operator, make_two_qubit, quaternion_of
+from matrices import evolution_operator, local, make_two_qubit, quaternion_of, rotation_of
 from phaselab import cli
 from phaselab.cli import SWEEP_FIELDS, main
 from phaselab.core import _quaternions
@@ -687,6 +687,49 @@ class TestMetamorphic:
         at = data.draw(st.integers(1, ulps - 1) | near, label="d1 in ulps")
         assert_split_changes_no_field(sched, k, min(max(at, 1), ulps - 1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(cyclic_schedules(SHORT | st.floats(7.0, 1e6), SPLIT_STATES), AXES,
+           st.floats(0.0, 2.0 * math.pi))
+    def test_rotating_the_frame_changes_no_field(self, sched, axis, angle):
+        # R1: every axis n -> R n, and the evolved qubit turned by u, an
+        # SU(2) lift of R, so that U(t) -> u U(t) u^+ and s0 -> u s0
+        u = evolution_operator(axis, angle)
+        r = rotation_of(u)
+        segs = tuple(pl.RotationSegment(tuple(r @ np.asarray(seg.axis, dtype=float)), seg.duration)
+                     for seg in sched.segments)
+        qubit = sched.evolved_qubit
+        turned = pl.RotationSchedule(segs, qubit, local(u, qubit, sched.initial))
+        # The bound, for n segments and total duration T: the rotated axes
+        # are R n within 8u a component (3.75u seen on 3000 draws), so each
+        # factor of the turned side adds at most 8u to R3's 4u: its boundary
+        # quaternions are within 12nu of exact, the other side's within 4nu,
+        # and the two reduced states within 16u each (see R2). The overlap,
+        # and the total phase, move by at most 16nu + 64u; the rates by as
+        # much, times d_k, in the dynamical fold. So 16 (n + 4) u, times T
+        # for the phases that hold the fold.
+        n, t = len(segs), pl.total_duration(sched)
+        bound = 16 * (n + 4) * U
+        assert_same_fields(sched, turned, bound, bound * max(1.0, t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cyclic_schedules(SHORT | st.floats(7.0, 1e6), SPLIT_STATES), AXES,
+           st.floats(0.0, 2.0 * math.pi), st.floats(-math.pi, math.pi))
+    def test_turning_the_other_qubit_changes_no_field(self, sched, axis, angle, phi):
+        # R2: any U(2), global phase included, on the qubit that is not evolved
+        v = cmath.exp(1j * phi) * evolution_operator(axis, angle)
+        other = 3 - sched.evolved_qubit
+        spectator = pl.RotationSchedule(sched.segments, sched.evolved_qubit,
+                                        local(v, other, sched.initial))
+        # The bound: the boundary quaternions are the same floats, and only
+        # the evolved qubit's reduced state moves, by the rounding of v s0
+        # and of its normalized Pauli components: within 16u a side (8u seen
+        # on 2000 draws). The overlap |w dt - i v . db| moves by at most
+        # twice the 32u between the sides, and so does the total phase; each
+        # rate by half of it times d_k, and the n-term fold by 2nuT a side.
+        # So 64u, and 64 n u max(1, T) for the phases that hold the fold.
+        n, t = len(sched.segments), pl.total_duration(sched)
+        assert_same_fields(sched, spectator, 64 * U, 64 * n * U * max(1.0, t))
+
     def test_splitting_one_ulp_past_a_touch(self):
         # MES turned by pi about z and back: the overlap touches 0 at the
         # junction. Split one ulp into the second segment, the junction zero
@@ -724,6 +767,20 @@ def assert_split_changes_no_field(sched, k, at):
     n, t = len(split.segments), pl.total_duration(split)
     assert abs(pl.principal(a.total - b.total)) <= 16 * n * U
     bound = 16 * n * U * max(1.0, t)
+    assert abs(a.dynamical - b.dynamical) <= bound
+    assert abs(pl.principal(a.geometric - b.geometric)) <= bound
+    assert math.isnan(a.closure_residual) == a.degenerate == math.isnan(b.closure_residual)
+    if not a.degenerate:
+        assert abs(a.closure_residual - b.closure_residual) <= bound
+
+
+def assert_same_fields(sched, other, total_bound, bound):
+    """``sched`` and ``other`` have the same discrete breakdown fields, the
+    same total phase within ``total_bound`` and the same other float fields
+    within ``bound``."""
+    a, b = pl.phase_breakdown(sched), pl.phase_breakdown(other)
+    assert (a.crossings, a.parity, a.degenerate) == (b.crossings, b.parity, b.degenerate)
+    assert abs(pl.principal(a.total - b.total)) <= total_bound
     assert abs(a.dynamical - b.dynamical) <= bound
     assert abs(pl.principal(a.geometric - b.geometric)) <= bound
     assert math.isnan(a.closure_residual) == a.degenerate == math.isnan(b.closure_residual)
@@ -772,6 +829,53 @@ class TestBoundaryRecord:
         # Python 3.12 on, differs from it in the last bits
         sched = pl.RotationSchedule(tuple(segs), 1, pl.schmidt_state(0.3, 0.0))
         assert pl.total_duration(sched) == _quaternions(sched.segments)[0][-1]
+
+
+def hexes(values) -> list:
+    return [float(x).hex() for x in values]
+
+
+@st.composite
+def kernel_schedules(draw):
+    """:func:`cyclic_schedules` with segments up to 1e6 rad on partial and
+    maximally entangled states, half of them led by a turn of pi about an
+    axis and back, which puts a zero of a maximally entangled state's
+    overlap on the junction between the two."""
+    sched = draw(cyclic_schedules(SHORT | st.floats(7.0, 1e6), SPLIT_STATES))
+    if draw(st.booleans()):
+        n = draw(AXES)
+        back = (pl.RotationSegment(n, math.pi), pl.RotationSegment(tuple(-x for x in n), math.pi))
+        sched = pl.RotationSchedule((*back, *sched.segments), sched.evolved_qubit, sched.initial)
+    return sched
+
+
+class TestScanKernel:
+    """``core._scan`` holds the scalar forms of the overlap, rotation and
+    slope formulas; ``core._overlap`` and ``core._rotated`` are the array
+    forms the sampled series reads. Both must give the same floats, bit for
+    bit, so that ``run --out`` ends on ``breakdown``'s values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_schedules(), st.sampled_from([2, 3, 17]))
+    @example(pl.RotationSchedule((pl.RotationSegment((0.0, 0.0, 1.0), math.pi),
+                                  pl.RotationSegment((0.0, 0.0, -1.0), math.pi)), 1,
+                                 pl.schmidt_state(0.5, 0.0)), 2)
+    def test_scalar_kernel_matches_the_array_formulas(self, sched, steps):
+        rho, bounds = pl.core._exact_inputs(sched)
+        v, rates, _, _ = pl.core._scan(rho, bounds)
+        final = pl.core._final_overlap(rho, bounds)
+        assert hexes((v.real, v.imag)) == hexes((final.real, final.imag))
+        _, quats, axes, _ = bounds
+        want = []
+        for q, n in zip(quats, axes):
+            b = pl.core._rotated(q, rho[1:])
+            want.append(-0.5 * (n[0] * b[0] + n[1] * b[1] + n[2] * b[2]))
+        assert hexes(rates) == hexes(want)
+        # the run --out series ends on breakdown's total and dynamical phase
+        series = pl.phase_samples(sched, steps)
+        b = pl.phase_breakdown(sched)
+        assert hexes((series.phase_total_principal[-1], series.phase_dyn[-1])) == hexes(
+            (b.total, b.dynamical))
 
 
 # lambda0 ends at the degenerate 0.5 and the product-state 0 and 1 half
